@@ -42,7 +42,6 @@ from .mathops import (
     row_softmax,
 )
 from .metrics import (
-    RankedList,
     evaluate_cross_modal,
     evaluate_uni_modal,
     map_at_r,
@@ -81,7 +80,7 @@ __all__ = [
     "StudentParams", "StudentOutputs", "init_params", "forward", "backward",
     "embed_images", "embed_texts",
     "TrainConfig", "TrainData", "TrainLog", "train",
-    "RankedList", "rank_by_similarity", "recall_at_k", "r_precision", "map_at_r",
+    "rank_by_similarity", "recall_at_k", "r_precision", "map_at_r",
     "rsum", "spearman", "evaluate_cross_modal", "evaluate_uni_modal",
     "FeatureTable", "read_features", "write_features", "read_pairs",
     "read_relevance", "read_scored_pairs", "save_checkpoint", "load_checkpoint",

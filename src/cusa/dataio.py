@@ -150,8 +150,11 @@ def read_features(path) -> FeatureTable:
     offset = header
     ids = []
     seen = set()
-    rows = np.empty((n, d), dtype=np.float64)
     row_bytes = 4 * d
+    # Every record takes at least 2 + row_bytes bytes, so a header that
+    # declares more rows than the file can hold fails in the loop below
+    # with the offset where the records stop; never allocate beyond that.
+    rows = np.empty((min(n, (len(buf) - header) // (2 + row_bytes)), d), dtype=np.float64)
     for rec in range(n):
         if offset + 2 > len(buf):
             raise TruncatedFile(offset, f"record {rec}: id length cut off at byte {offset}")

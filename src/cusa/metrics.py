@@ -1,59 +1,46 @@
 """Retrieval and similarity metrics over multi-positive relevance.
 
 Rankings are deterministic: descending similarity with ties broken by
-ascending gallery index (stable sort). Relevance sets are intersected
-with the active gallery, so one relevance map can serve cross-modal and
-uni-modal tasks at once. Per-query work may be spread over threads via
-the CUSA_THREADS environment variable; aggregation is order-independent
-so the thread count never changes a result.
+ascending gallery index (stable sort). A ranking is kept as the
+ascending 0-based ranks of each query's relevant gallery items, which is
+all R@K, R-Precision and mAP@R need. Relevance sets are intersected with
+the active gallery, so one relevance map can serve cross-modal and
+uni-modal tasks at once.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DegenerateInput,
     EmptyGallery,
-    InvalidConfig,
     OutOfRange,
     ShapeMismatch,
     UnknownId,
 )
 from .mathops import _as_matrix, check_normalized
 
-
-@dataclass
-class RankedList:
-    """Per query: every gallery id, best match first."""
-
-    query_ids: list
-    ranked_ids: list
+# Query rows argsorted at once; the sort scratch is BLOCK_ROWS x gallery
+# int64 entries.
+BLOCK_ROWS = 128
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CUSA_THREADS")
-    if raw is None:
-        return 1
+def _rel_for(rel, qid):
     try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"CUSA_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise InvalidConfig(f"CUSA_THREADS must be >= 1, got {n}")
-    return n
+        return rel[qid]
+    except KeyError:
+        raise UnknownId(f"no relevance entry for query {qid!r}") from None
 
 
-def rank_by_similarity(scores, query_ids, gallery_ids, exclude_self: bool = False) -> RankedList:
-    """Order the gallery for every query row of a similarity matrix.
+def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool = False) -> list:
+    """Ranks of every query's relevant gallery items, best match first.
 
-    With exclude_self=True (uni-modal retrieval over one table) the
-    matrix must be square and entry (i, i) is dropped from query i's
-    ranking.
+    Returns one ascending int64 array of 0-based ranks per query row.
+    The rank of item j is #{k: s_k > s_j} + #{k < j: s_k = s_j}.
+    Relevant ids outside the gallery are ignored. With exclude_self=True
+    (uni-modal retrieval over one table) the matrix must be square and
+    entry (i, i) is dropped from query i's ranking.
     """
     s = _as_matrix(scores, "scores")
     nq, ng = s.shape
@@ -69,76 +56,59 @@ def rank_by_similarity(scores, query_ids, gallery_ids, exclude_self: bool = Fals
     elif ng < 1:
         raise EmptyGallery("gallery is empty")
 
-    ranked = [None] * nq
-
-    def fill(start, stop):
-        for i in range(start, stop):
-            order = np.argsort(-s[i], kind="stable")
+    column = {g: j for j, g in enumerate(gallery_ids)}
+    is_relevant = np.zeros(ng, dtype=bool)
+    ranks = []
+    for lo in range(0, nq, BLOCK_ROWS):
+        order = np.argsort(np.negative(s[lo:lo + BLOCK_ROWS], order="C"), axis=1, kind="stable")
+        for i, ranked in zip(range(lo, nq), order):
+            rset = _rel_for(rel, query_ids[i])
+            cols = np.fromiter((column[g] for g in rset if g in column), dtype=np.int64)
             if exclude_self:
-                ranked[i] = [gallery_ids[j] for j in order if j != i]
-            else:
-                ranked[i] = [gallery_ids[j] for j in order]
-
-    threads = _thread_count()
-    if threads == 1 or nq < 2 * threads:
-        fill(0, nq)
-    else:
-        chunk = -(-nq // threads)
-        bounds = [(lo, min(lo + chunk, nq)) for lo in range(0, nq, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    return RankedList(query_ids=list(query_ids), ranked_ids=ranked)
+                ranked = ranked[ranked != i]
+            is_relevant[cols] = True
+            ranks.append(np.flatnonzero(is_relevant[ranked]))
+            is_relevant[cols] = False
+    return ranks
 
 
-def _rel_for(rel, qid):
-    try:
-        return rel[qid]
-    except KeyError:
-        raise UnknownId(f"no relevance entry for query {qid!r}") from None
-
-
-def recall_at_k(ranked: RankedList, rel, k: int) -> float:
-    """Fraction of queries with at least one relevant id in the top k."""
+def recall_at_k(ranks, k: int) -> float:
+    """Fraction of queries with at least one relevant item in the top k."""
     if k < 1:
         raise OutOfRange(f"k must be >= 1, got {k}")
-    hits = 0
-    for qid, ids in zip(ranked.query_ids, ranked.ranked_ids):
-        rset = _rel_for(rel, qid)
-        if any(g in rset for g in ids[:k]):
-            hits += 1
-    return hits / len(ranked.query_ids)
+    hits = sum(1 for r in ranks if r.size and r[0] < k)
+    return hits / len(ranks)
 
 
-def r_precision(ranked: RankedList, rel) -> float:
+def _relevant_count(r, i) -> int:
+    if r.size == 0:
+        raise DegenerateInput(f"query row {i} has no relevant item in the gallery")
+    return r.size
+
+
+def r_precision(ranks) -> float:
     """Mean over queries of (relevant found in top-R) / R, R = number of
     relevant items present in the gallery."""
     total = 0.0
-    for qid, ids in zip(ranked.query_ids, ranked.ranked_ids):
-        rset = _rel_for(rel, qid)
-        r = sum(1 for g in ids if g in rset)
-        if r == 0:
-            raise DegenerateInput(f"query {qid!r} has no relevant item in the gallery")
-        found = sum(1 for g in ids[:r] if g in rset)
-        total += found / r
-    return total / len(ranked.query_ids)
+    for i, r in enumerate(ranks):
+        n_rel = _relevant_count(r, i)
+        total += int(np.searchsorted(r, n_rel)) / n_rel
+    return total / len(ranks)
 
 
-def map_at_r(ranked: RankedList, rel) -> float:
-    """Mean average precision restricted to the top-R ranks."""
+def map_at_r(ranks) -> float:
+    """Mean average precision restricted to the top-R ranks.
+
+    Precision terms are added in rank order (cumsum, not pairwise sum),
+    so the result is bit-identical to a left-to-right loop.
+    """
     total = 0.0
-    for qid, ids in zip(ranked.query_ids, ranked.ranked_ids):
-        rset = _rel_for(rel, qid)
-        r = sum(1 for g in ids if g in rset)
-        if r == 0:
-            raise DegenerateInput(f"query {qid!r} has no relevant item in the gallery")
-        hits = 0
-        ap = 0.0
-        for rank, g in enumerate(ids[:r], start=1):
-            if g in rset:
-                hits += 1
-                ap += hits / rank
-        total += ap / r
-    return total / len(ranked.query_ids)
+    for i, r in enumerate(ranks):
+        n_rel = _relevant_count(r, i)
+        top = r[:np.searchsorted(r, n_rel)]
+        ap = np.cumsum(np.arange(1, top.size + 1) / (top + 1))[-1] if top.size else 0.0
+        total += float(ap) / n_rel
+    return total / len(ranks)
 
 
 def rsum(recalls) -> float:
@@ -185,13 +155,13 @@ def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _direction_report(ranked: RankedList, rel) -> dict:
-    rp = r_precision(ranked, rel)
-    ap = map_at_r(ranked, rel)
+def _direction_report(ranks) -> dict:
+    rp = r_precision(ranks)
+    ap = map_at_r(ranks)
     return {
-        "r_at_1": 100.0 * recall_at_k(ranked, rel, 1),
-        "r_at_5": 100.0 * recall_at_k(ranked, rel, 5),
-        "r_at_10": 100.0 * recall_at_k(ranked, rel, 10),
+        "r_at_1": 100.0 * recall_at_k(ranks, 1),
+        "r_at_5": 100.0 * recall_at_k(ranks, 5),
+        "r_at_10": 100.0 * recall_at_k(ranks, 10),
         "r_precision": rp,
         "r_precision_pct": 100.0 * rp,
         "map_at_r": ap,
@@ -200,7 +170,7 @@ def _direction_report(ranked: RankedList, rel) -> dict:
 
 
 def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -> dict:
-    """Both retrieval directions on shared rankings.
+    """Both retrieval directions over one similarity matrix.
 
     Args:
         img_emb, txt_emb: normalized embedding matrices.
@@ -218,10 +188,8 @@ def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -
     check_normalized(ie, "img_emb")
     check_normalized(te, "txt_emb")
     sims = ie @ te.T
-    ranked_i2t = rank_by_similarity(sims, img_ids, txt_ids)
-    ranked_t2i = rank_by_similarity(sims.T, txt_ids, img_ids)
-    i2t = _direction_report(ranked_i2t, rel_i2t)
-    t2i = _direction_report(ranked_t2i, rel_t2i)
+    i2t = _direction_report(rank_by_similarity(sims, img_ids, txt_ids, rel_i2t))
+    t2i = _direction_report(rank_by_similarity(sims.T, txt_ids, img_ids, rel_t2i))
     total = rsum([i2t["r_at_1"], i2t["r_at_5"], i2t["r_at_10"],
                   t2i["r_at_1"], t2i["r_at_5"], t2i["r_at_10"]])
     return {"i2t": i2t, "t2i": t2i, "rsum": total}
@@ -231,5 +199,5 @@ def evaluate_uni_modal(emb, ids, rel) -> dict:
     """R@1 within one modality, the query itself excluded."""
     e = _as_matrix(emb, "emb")
     check_normalized(e, "emb")
-    ranked = rank_by_similarity(e @ e.T, ids, ids, exclude_self=True)
-    return {"r_at_1": 100.0 * recall_at_k(ranked, rel, 1)}
+    ranks = rank_by_similarity(e @ e.T, ids, ids, rel, exclude_self=True)
+    return {"r_at_1": 100.0 * recall_at_k(ranks, 1)}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -175,9 +174,8 @@ def train(data: TrainData, config: TrainConfig):
                          config.d_e, config.d_u, config.separate_uni_temp)
     state = init_adam_state(params)
     log = TrainLog(header={
-        "log_format": 1,
+        "log_format": 2,
         "n_pairs": len(data.pairs),
-        "cusa_threads": os.environ.get("CUSA_THREADS"),
         "config": config.to_dict(),
     })
     n_pairs = len(data.pairs)

@@ -235,13 +235,13 @@ def test_criterion_3_metrics_match_oracles():
         rng = np.random.default_rng(3000 + trial)
         square = trial % 3 == 0
         sims, qids, gids, rel = _random_retrieval_instance(rng, square)
-        ranked = rank_by_similarity(sims, qids, gids, exclude_self=square)
+        ranks = rank_by_similarity(sims, qids, gids, rel, exclude_self=square)
         orders = [_oracle_order(sims[i], gids, skip=i if square else None)
                   for i in range(len(qids))]
         for k in (1, min(5, len(orders[0]))):
-            rank_exact &= recall_at_k(ranked, rel, k) == _oracle_recall(orders, qids, rel, k)
-        rank_exact &= r_precision(ranked, rel) == _oracle_r_precision(orders, qids, rel)
-        rank_exact &= map_at_r(ranked, rel) == _oracle_map_at_r(orders, qids, rel)
+            rank_exact &= recall_at_k(ranks, k) == _oracle_recall(orders, qids, rel, k)
+        rank_exact &= r_precision(ranks) == _oracle_r_precision(orders, qids, rel)
+        rank_exact &= map_at_r(ranks) == _oracle_map_at_r(orders, qids, rel)
         if square:
             emb = l2_normalize_rows(sims + 2.0)
             uni = evaluate_uni_modal(emb, qids, rel)

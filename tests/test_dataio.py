@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from cusa.cli import main
 from cusa.dataio import (
     FeatureTable,
     load_checkpoint,
@@ -196,6 +197,19 @@ class TestFeatureReadErrors:
         path.write_bytes(b"CUSF" + struct.pack("<IQI", 1, 0, 2))
         with pytest.raises(FormatError):
             read_features(path)
+
+    @pytest.mark.parametrize("n,d", [(2 ** 24, 2 ** 10), (2 ** 40, 2 ** 20)])
+    def test_header_larger_than_file(self, tmp_path, capsys, n, d):
+        # 24 bytes whose header asks for a 128 GiB or an impossible array
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"CUSF" + struct.pack("<IQI", 1, n, d) + bytes(4))
+        with pytest.raises(TruncatedFile) as excinfo:
+            read_features(path)
+        assert excinfo.value.offset == FEATURE_HEADER + 2
+        rel = write_text(tmp_path, "rel.tsv", "a\tb\n")
+        argv = ["eval", "--task", "img", "--img-emb", str(path), "--relevance", str(rel)]
+        assert main(argv) == 3
+        assert "values cut off" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from cusa import metrics
 from cusa.errors import (
     DegenerateInput,
     EmptyGallery,
-    InvalidConfig,
     OutOfRange,
     ShapeMismatch,
     UnknownId,
 )
 from cusa.mathops import l2_normalize_rows
 from cusa.metrics import (
-    RankedList,
     evaluate_cross_modal,
     evaluate_uni_modal,
     map_at_r,
@@ -68,6 +67,30 @@ def oracle_map_at_r(ranked_ids, rel):
     return sum(vals) / len(vals)
 
 
+def ranked_ids(scores, query_ids, gallery_ids, exclude_self=False):
+    """Each query's full ranking, read back from single-item relevance."""
+    out = [[None] * (len(gallery_ids) - exclude_self) for _ in query_ids]
+    for g in gallery_ids:
+        ranks = rank_by_similarity(scores, query_ids, gallery_ids,
+                                   {q: {g} for q in query_ids}, exclude_self)
+        for row, r in zip(out, ranks):
+            for pos in r:
+                row[pos] = g
+    return out
+
+
+def ranks_of(query_ids, ranked_lists, rel):
+    """Rank arrays of hand-written rankings, via scores that reproduce them.
+
+    Ids absent from a query's list score below every listed one."""
+    gallery = list(dict.fromkeys(g for ids in ranked_lists for g in ids))
+    scores = np.zeros((len(query_ids), len(gallery)))
+    for i, ids in enumerate(ranked_lists):
+        for pos, g in enumerate(ids):
+            scores[i, gallery.index(g)] = len(ids) - pos
+    return rank_by_similarity(scores, query_ids, gallery, rel)
+
+
 def random_instance(rng, with_ties=False):
     nq = int(rng.integers(2, 9))
     ng = int(rng.integers(3, 21))
@@ -92,105 +115,105 @@ def random_instance(rng, with_ties=False):
 
 class TestRankBySimilarity:
     def test_orders_descending(self):
-        ranked = rank_by_similarity([[0.1, 0.9, 0.5]], ["q"], ["a", "b", "c"])
-        assert ranked.ranked_ids[0] == ["b", "c", "a"]
+        assert ranked_ids([[0.1, 0.9, 0.5]], ["q"], ["a", "b", "c"])[0] == ["b", "c", "a"]
+        ranks = rank_by_similarity([[0.1, 0.9, 0.5]], ["q"], ["a", "b", "c"], {"q": {"a", "c"}})
+        assert ranks[0].tolist() == [1, 2]
 
     def test_ties_break_by_gallery_index(self):
-        ranked = rank_by_similarity([[0.5, 0.7, 0.5, 0.7]], ["q"], list("abcd"))
-        assert ranked.ranked_ids[0] == ["b", "d", "a", "c"]
+        assert ranked_ids([[0.5, 0.7, 0.5, 0.7]], ["q"], list("abcd"))[0] == ["b", "d", "a", "c"]
 
     def test_self_exclusion(self):
         sims = np.array([[1.0, 0.2], [0.2, 1.0]])
-        ranked = rank_by_similarity(sims, ["a", "b"], ["a", "b"], exclude_self=True)
-        assert ranked.ranked_ids == [["b"], ["a"]]
+        assert ranked_ids(sims, ["a", "b"], ["a", "b"], exclude_self=True) == [["b"], ["a"]]
+        ranks = rank_by_similarity(sims, ["a", "b"], ["a", "b"], {"a": {"a", "b"}, "b": {"b"}},
+                                   exclude_self=True)
+        assert [r.tolist() for r in ranks] == [[0], []]
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(EmptyGallery):
-            rank_by_similarity([[1.0]], ["a"], ["a"], exclude_self=True)
+            rank_by_similarity([[1.0]], ["a"], ["a"], {"a": {"a"}}, exclude_self=True)
 
     def test_id_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            rank_by_similarity([[1.0, 0.0]], ["a"], ["x"])
+            rank_by_similarity([[1.0, 0.0]], ["a"], ["x"], {"a": {"x"}})
 
     def test_monotone_transform_leaves_ranking(self):
         rng = np.random.default_rng(12)
         sims = rng.standard_normal((4, 9))
         ids = [f"g{j}" for j in range(9)]
-        base = rank_by_similarity(sims, list("abcd"), ids)
-        warped = rank_by_similarity(np.exp(2.0 * sims) + 3.0, list("abcd"), ids)
-        assert base.ranked_ids == warped.ranked_ids
+        base = ranked_ids(sims, list("abcd"), ids)
+        warped = ranked_ids(np.exp(2.0 * sims) + 3.0, list("abcd"), ids)
+        assert base == warped
 
 
 class TestRecallAtK:
     def test_rank_boundaries(self):
-        ranked = RankedList(["q"], [["x", "y", "z"]])
-        rel = {"q": {"y"}}
-        assert recall_at_k(ranked, rel, 1) == 0.0
-        assert recall_at_k(ranked, rel, 2) == 1.0
+        ranks = ranks_of(["q"], [["x", "y", "z"]], {"q": {"y"}})
+        assert recall_at_k(ranks, 1) == 0.0
+        assert recall_at_k(ranks, 2) == 1.0
 
     def test_perfect_retrieval(self):
-        ranked = RankedList(["a", "b"], [["r1", "x"], ["r2", "x"]])
-        assert recall_at_k(ranked, {"a": {"r1"}, "b": {"r2"}}, 1) == 1.0
+        ranks = ranks_of(["a", "b"], [["r1", "x"], ["r2", "x"]], {"a": {"r1"}, "b": {"r2"}})
+        assert recall_at_k(ranks, 1) == 1.0
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(44)
         sims, qids, gids, rel = random_instance(rng)
-        ranked = rank_by_similarity(sims, qids, gids)
-        values = [recall_at_k(ranked, rel, k) for k in range(1, len(gids) + 1)]
+        ranks = rank_by_similarity(sims, qids, gids, rel)
+        values = [recall_at_k(ranks, k) for k in range(1, len(gids) + 1)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_bad_k(self):
         with pytest.raises(OutOfRange):
-            recall_at_k(RankedList(["q"], [["x"]]), {"q": {"x"}}, 0)
+            recall_at_k(ranks_of(["q"], [["x"]], {"q": {"x"}}), 0)
 
     def test_unknown_query(self):
         with pytest.raises(UnknownId):
-            recall_at_k(RankedList(["q"], [["x"]]), {"other": {"x"}}, 1)
+            ranks_of(["q"], [["x"]], {"other": {"x"}})
 
 
 class TestRPrecisionAndMapAtR:
     def test_half_found(self):
-        ranked = RankedList(["q"], [["rel1", "non", "rel2"]])
-        rel = {"q": {"rel1", "rel2"}}
-        assert r_precision(ranked, rel) == 0.5
+        ranks = ranks_of(["q"], [["rel1", "non", "rel2"]], {"q": {"rel1", "rel2"}})
+        assert r_precision(ranks) == 0.5
 
     def test_perfect_prefix(self):
-        ranked = RankedList(["q"], [["a", "b", "x", "y"]])
-        rel = {"q": {"a", "b"}}
-        assert r_precision(ranked, rel) == 1.0
-        assert map_at_r(ranked, rel) == 1.0
+        ranks = ranks_of(["q"], [["a", "b", "x", "y"]], {"q": {"a", "b"}})
+        assert r_precision(ranks) == 1.0
+        assert map_at_r(ranks) == 1.0
 
     def test_map_spec_example(self):
         # R=2, relevant at ranks 1 and 3: the rank-3 hit is outside top-R
-        ranked = RankedList(["q"], [["rel1", "non", "rel2"]])
-        rel = {"q": {"rel1", "rel2"}}
-        assert map_at_r(ranked, rel) == 0.5
+        ranks = ranks_of(["q"], [["rel1", "non", "rel2"]], {"q": {"rel1", "rel2"}})
+        assert map_at_r(ranks) == 0.5
 
     def test_no_relevant_in_gallery(self):
-        ranked = RankedList(["q"], [["a", "b"]])
+        ranks = ranks_of(["q"], [["a", "b"]], {"q": {"elsewhere"}})
         with pytest.raises(DegenerateInput):
-            r_precision(ranked, {"q": {"elsewhere"}})
+            r_precision(ranks)
+        with pytest.raises(DegenerateInput):
+            map_at_r(ranks)
 
     def test_map_bounded_by_r_precision(self):
         rng = np.random.default_rng(60)
         for _ in range(30):
             sims, qids, gids, rel = random_instance(rng)
-            ranked = rank_by_similarity(sims, qids, gids)
-            assert map_at_r(ranked, rel) <= r_precision(ranked, rel) + 1e-15
+            ranks = rank_by_similarity(sims, qids, gids, rel)
+            assert map_at_r(ranks) <= r_precision(ranks) + 1e-15
 
 
 def test_ranking_metrics_match_oracles_exactly():
     rng = np.random.default_rng(2024)
     for trial in range(100):
         sims, qids, gids, rel = random_instance(rng, with_ties=(trial % 2 == 0))
-        ranked = rank_by_similarity(sims, qids, gids)
+        ranks = rank_by_similarity(sims, qids, gids, rel)
         oracle_ranked = [(qid, [gids[j] for j in oracle_order(sims[i])])
                          for i, qid in enumerate(qids)]
-        assert ranked.ranked_ids == [ids for _, ids in oracle_ranked]
+        assert ranked_ids(sims, qids, gids) == [ids for _, ids in oracle_ranked]
         for k in (1, 5, 10):
-            assert recall_at_k(ranked, rel, k) == oracle_recall(oracle_ranked, rel, k)
-        assert r_precision(ranked, rel) == oracle_r_precision(oracle_ranked, rel)
-        assert map_at_r(ranked, rel) == oracle_map_at_r(oracle_ranked, rel)
+            assert recall_at_k(ranks, k) == oracle_recall(oracle_ranked, rel, k)
+        assert r_precision(ranks) == oracle_r_precision(oracle_ranked, rel)
+        assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
 
 
 def test_uni_modal_self_exclusion_matches_oracle():
@@ -339,22 +362,33 @@ class TestEvaluateUniModal:
         assert got["r_at_1"] == pytest.approx(100.0 / 3.0)
 
 
-class TestThreading:
-    def test_thread_count_invariance(self, monkeypatch):
-        rng = np.random.default_rng(83)
-        sims = np.round(rng.standard_normal((16, 12)), 1)  # big enough to fan out
-        qids = [f"q{i}" for i in range(16)]
-        gids = [f"g{j}" for j in range(12)]
-        monkeypatch.delenv("CUSA_THREADS", raising=False)
-        base = rank_by_similarity(sims, qids, gids)
-        monkeypatch.setenv("CUSA_THREADS", "3")
-        threaded = rank_by_similarity(sims, qids, gids)
-        assert base.ranked_ids == threaded.ranked_ids
+class TestBlockBoundaries:
+    """Queries are argsorted BLOCK_ROWS rows at a time; a block size of 3
+    splits every instance below into several blocks and a remainder."""
 
-    def test_bad_thread_count(self, monkeypatch):
-        monkeypatch.setenv("CUSA_THREADS", "zero")
-        with pytest.raises(InvalidConfig):
-            rank_by_similarity([[1.0, 0.0]], ["q"], ["a", "b"])
-        monkeypatch.setenv("CUSA_THREADS", "0")
-        with pytest.raises(InvalidConfig):
-            rank_by_similarity([[1.0, 0.0]], ["q"], ["a", "b"])
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_small_blocks_match_oracles(self, monkeypatch, exclude_self):
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 3)
+        rng = np.random.default_rng(83 + exclude_self)
+        for _ in range(30):
+            ng = int(rng.integers(4, 15))
+            nq = ng if exclude_self else int(rng.integers(4, 17))
+            sims = np.round(rng.standard_normal((nq, ng)), 1)
+            qids = [f"q{i}" for i in range(nq)]
+            gids = qids if exclude_self else [f"g{j}" for j in range(ng)]
+            rel = {}
+            for i, qid in enumerate(qids):
+                others = [g for g in gids if g != qid]
+                n_rel = int(rng.integers(1, min(len(others), 4) + 1))
+                rel[qid] = set(rng.choice(others, size=n_rel, replace=False))
+                if rng.random() < 0.5:
+                    rel[qid].add(qid)  # excluded under self-exclusion
+            skip = range(nq) if exclude_self else [None] * nq
+            oracle_ranked = [(qid, [gids[j] for j in oracle_order(sims[i], exclude=x)])
+                             for i, (qid, x) in enumerate(zip(qids, skip))]
+            assert ranked_ids(sims, qids, gids, exclude_self) == [ids for _, ids in oracle_ranked]
+            ranks = rank_by_similarity(sims, qids, gids, rel, exclude_self)
+            for k in (1, 5, 10):
+                assert recall_at_k(ranks, k) == oracle_recall(oracle_ranked, rel, k)
+            assert r_precision(ranks) == oracle_r_precision(oracle_ranked, rel)
+            assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
