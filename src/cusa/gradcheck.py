@@ -116,7 +116,12 @@ def check_losses(seed: int, batch_sizes=DEFAULT_BATCH_SIZES) -> dict:
 
 
 def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -> dict:
-    """Max per-entry error for the full backward pass, per parameter."""
+    """Max per-entry error for the full backward pass, per parameter.
+
+    Differentiates the composition trainer.train runs each step: forward,
+    batch_loss_and_grads on its outputs, then backward over the same
+    outputs and their forward tape.
+    """
     d_bi, d_bt, d_e, d_u = dims
     rng = np.random.default_rng(seed)
     worst = {f"model.{name}": 0.0
@@ -136,7 +141,7 @@ def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -
 
         out = model.forward(base_img, base_txt, params)
         _, lg = losses.batch_loss_and_grads(out, targets, _ALPHA, _BETA)
-        grads = model.backward(base_img, base_txt, params, lg)
+        grads = model.backward(out, params, lg)
 
         for name in ("w_img", "w_txt", "u_img", "u_txt"):
             fd = _fd_matrix(total, getattr(params, name))

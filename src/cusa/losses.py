@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDistribution, NegativeWeight, ShapeMismatch
-from .mathops import _as_matrix, kl_rows_raw, row_softmax, row_softmax_with_log
+from .mathops import _as_matrix, kl_rows_raw, log_prob, row_softmax_with_log
 
 
 @dataclass
@@ -77,6 +77,17 @@ def _check_square(m: np.ndarray, name: str) -> None:
         raise ShapeMismatch(f"{name} must be square, got {m.shape}")
 
 
+def _infonce_logit_grad(q_i2t: np.ndarray, q_t2i: np.ndarray, it: float) -> np.ndarray:
+    """(it / 2n) * ((q_i2t - I) + (q_t2i - I)^T), built without an identity
+    matrix: off the diagonal both subtractions are exact no-ops, so only
+    the diagonal is evaluated as written. Inputs are not modified."""
+    n = q_i2t.shape[0]
+    d_s = q_i2t + q_t2i.T
+    np.fill_diagonal(d_s, (np.diagonal(q_i2t) - 1.0) + (np.diagonal(q_t2i) - 1.0))
+    d_s *= it / (2.0 * n)
+    return d_s
+
+
 def _log_of(q: np.ndarray, name: str) -> np.ndarray:
     if np.any(q <= 0.0):
         raise InvalidDistribution(f"{name} has a non-positive entry")
@@ -103,8 +114,7 @@ def infonce_loss(s_i2t, inv_temp: float):
     q_i2t, log_i2t = row_softmax_with_log(s, it)
     q_t2i, log_t2i = row_softmax_with_log(s.T, it)
     value = -0.5 * (np.diagonal(log_i2t).mean() + np.diagonal(log_t2i).mean())
-    eye = np.eye(n)
-    d_s = (it / (2.0 * n)) * ((q_i2t - eye) + (q_t2i - eye).T)
+    d_s = _infonce_logit_grad(q_i2t, q_t2i, it)
     d_log_it = float((d_s * s).sum())
     zero = np.zeros((n, n))
     return float(value), LossGradients(d_s, zero, zero.copy(), d_log_it)
@@ -135,8 +145,8 @@ def csa_loss(p_i2i, p_t2t, q_i2t, q_t2i, inv_temp: float = 1.0):
     _check_square(pi, "p_i2i")
     n = pi.shape[0]
     value = 0.5 * (
-        kl_rows_raw(pi, _log_of(qi, "q_i2t")).mean()
-        + kl_rows_raw(pt, _log_of(qt, "q_t2i")).mean()
+        kl_rows_raw(pi, _log_of(qi, "q_i2t"), log_prob(pi)).mean()
+        + kl_rows_raw(pt, _log_of(qt, "q_t2i"), log_prob(pt)).mean()
     )
     d_s = (float(inv_temp) / (2.0 * n)) * ((qi - pi) + (qt - pt).T)
     return float(value), d_s
@@ -162,11 +172,30 @@ def usa_loss(p_i2i, p_t2t, q_i2i, q_t2t, inv_temp: float = 1.0):
     _check_square(pi, "p_i2i")
     n = pi.shape[0]
     value = 0.5 * (
-        kl_rows_raw(pi, _log_of(qi, "q_i2i")).mean()
-        + kl_rows_raw(pt, _log_of(qt, "q_t2t")).mean()
+        kl_rows_raw(pi, _log_of(qi, "q_i2i"), log_prob(pi)).mean()
+        + kl_rows_raw(pt, _log_of(qt, "q_t2t"), log_prob(pt)).mean()
     )
     scale = float(inv_temp) / (2.0 * n)
     return float(value), scale * (qi - pi), scale * (qt - pt)
+
+
+def _usa_direction(f: np.ndarray, p: np.ndarray, log_p: np.ndarray,
+                   it_u: float, beta: float):
+    """One uni-modal direction of the batch loss.
+
+    Returns (KL from p to softmax(f f^T * it_u), the logit gradient
+    beta * it_u / 2n * (q - p), sum(gradient * logits)); the gradient is
+    zeros and the sum 0.0 when beta is 0. Inputs are not modified.
+    """
+    s = f @ f.T
+    q, log_q = row_softmax_with_log(s, it_u)
+    kl = float(kl_rows_raw(p, log_q, log_p).mean())
+    if beta == 0.0:
+        return kl, np.zeros(s.shape), 0.0
+    q -= p
+    q *= beta * it_u / (2.0 * s.shape[0])
+    s *= q
+    return kl, q, s.sum()
 
 
 def cusa_total(l_original: float, l_csa: float, l_usa: float,
@@ -205,24 +234,45 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float):
             f"teacher targets {p_i2i.shape}/{p_t2t.shape} do not match batch size {n}"
         )
 
+    # Each student log-softmax is dropped after its KL term and every
+    # gradient is formed in buffers this function allocated, so few n x n
+    # arrays are alive at once; the in-place updates keep the association
+    # order of the written-out expressions, and so their bits. Each
+    # teacher log is shared by its CSA and USA terms.
+    log_p_i2i = log_prob(p_i2i)
+    log_p_t2t = log_prob(p_t2t)
+
+    # cross-modal: InfoNCE and CSA share the i2t logits
     s_i2t = e_img @ e_txt.T
-    s_i2i = f_img @ f_img.T
-    s_t2t = f_txt @ f_txt.T
+    q_i2t, log_q = row_softmax_with_log(s_i2t, it)
+    kl_i2t = float(kl_rows_raw(p_i2i, log_q, log_p_i2i).mean())
+    diag_i2t = np.diagonal(log_q).mean()
+    q_t2i, log_q = row_softmax_with_log(s_i2t.T, it)
+    kl_t2i = float(kl_rows_raw(p_t2t, log_q, log_p_t2t).mean())
+    l_original = -0.5 * (diag_i2t + np.diagonal(log_q).mean())
+    del log_q
+    # d_s_i2t = c1 * ((q_i2t - I) + (q_t2i - I)^T)
+    #         + c2 * ((q_i2t - P_i) + (q_t2i - P_t)^T), c2's term in the q's
+    d_s_i2t = _infonce_logit_grad(q_i2t, q_t2i, it)
+    if alpha != 0.0:
+        q_i2t -= p_i2i
+        q_t2i -= p_t2t
+        q_i2t += q_t2i.T
+        q_i2t *= alpha * it / (2.0 * n)
+        d_s_i2t += q_i2t
+    del q_i2t, q_t2i
+    s_i2t *= d_s_i2t
+    d_log_it = float(s_i2t.sum())
+    del s_i2t
 
-    q_i2t, log_i2t = row_softmax_with_log(s_i2t, it)
-    q_t2i, log_t2i = row_softmax_with_log(s_i2t.T, it)
-    q_i2i, log_i2i = row_softmax_with_log(s_i2i, it_u)
-    q_t2t, log_t2t = row_softmax_with_log(s_t2t, it_u)
+    # uni-modal: USA
+    kl_i2i, d_s_i2i, d_img = _usa_direction(f_img, p_i2i, log_p_i2i, it_u, beta)
+    kl_t2t, d_s_t2t, d_txt = _usa_direction(f_txt, p_t2t, log_p_t2t, it_u, beta)
+    d_uni = float(d_img + d_txt)
 
-    l_original = -0.5 * (np.diagonal(log_i2t).mean() + np.diagonal(log_t2i).mean())
-    kl_i2t = float(kl_rows_raw(p_i2i, log_i2t).mean())
-    kl_t2i = float(kl_rows_raw(p_t2t, log_t2i).mean())
-    kl_i2i = float(kl_rows_raw(p_i2i, log_i2i).mean())
-    kl_t2t = float(kl_rows_raw(p_t2t, log_t2t).mean())
     l_csa = 0.5 * (kl_i2t + kl_t2i)
     l_usa = 0.5 * (kl_i2i + kl_t2t)
     l_total = cusa_total(l_original, l_csa, l_usa, alpha, beta)
-
     report = LossReport(
         l_original=float(l_original),
         l_csa=l_csa,
@@ -230,22 +280,6 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float):
         l_total=l_total,
         per_direction={"i2t": kl_i2t, "t2i": kl_t2i, "i2i": kl_i2i, "t2t": kl_t2t},
     )
-
-    eye = np.eye(n)
-    d_s_i2t = (it / (2.0 * n)) * ((q_i2t - eye) + (q_t2i - eye).T)
-    if alpha != 0.0:
-        d_s_i2t = d_s_i2t + (alpha * it / (2.0 * n)) * (
-            (q_i2t - p_i2i) + (q_t2i - p_t2t).T
-        )
-    if beta != 0.0:
-        d_s_i2i = (beta * it_u / (2.0 * n)) * (q_i2i - p_i2i)
-        d_s_t2t = (beta * it_u / (2.0 * n)) * (q_t2t - p_t2t)
-    else:
-        d_s_i2i = np.zeros((n, n))
-        d_s_t2t = np.zeros((n, n))
-
-    d_log_it = float((d_s_i2t * s_i2t).sum())
-    d_uni = float((d_s_i2i * s_i2i).sum() + (d_s_t2t * s_t2t).sum())
     if getattr(outputs, "separate_uni_temp", False):
         grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it, d_uni)
     else:
@@ -253,7 +287,6 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float):
     return report, grads
 
 
-# re-exported for callers composing distributions by hand
 __all__ = [
     "LossReport",
     "LossGradients",
@@ -262,5 +295,4 @@ __all__ = [
     "usa_loss",
     "cusa_total",
     "batch_loss_and_grads",
-    "row_softmax",
 ]

@@ -1,4 +1,4 @@
-"""Dense numeric kernels: normalization, cosine similarity, softmax, KL.
+"""Dense numeric kernels: normalization, softmax, KL.
 
 Everything here computes in float64 regardless of input dtype, is pure,
 and validates its inputs rather than repairing them. These functions are
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InvalidDistribution,
     NonFiniteValue,
     NonPositiveTemperature,
@@ -86,47 +85,24 @@ def l2_normalize_rows(m) -> np.ndarray:
     return mat / norms[:, None]
 
 
-def cosine_similarity(a, b) -> np.ndarray:
-    """Pairwise cosine similarities between rows of `a` and rows of `b`.
-
-    Both inputs must already be row-normalized; denormalized inputs are
-    rejected so that pipeline bugs surface here instead of skewing every
-    downstream distribution.
-
-    Args:
-        a: normalized N x D matrix.
-        b: normalized M x D matrix.
-
-    Returns:
-        N x M matrix with entry (i, j) = a[i] . b[j].
-
-    Raises:
-        DimensionMismatch: if the column counts differ.
-        NotNormalized: if any row norm deviates from 1 by more than 1e-9.
-    """
-    am = _as_matrix(a, "a")
-    bm = _as_matrix(b, "b")
-    if am.shape[1] != bm.shape[1]:
-        raise DimensionMismatch(
-            f"column counts differ: {am.shape[1]} vs {bm.shape[1]}"
-        )
-    check_normalized(am, "a")
-    check_normalized(bm, "b")
-    return am @ bm.T
-
-
 def row_softmax_with_log(s: np.ndarray, inv_temp: float):
     """Softmax of `s * inv_temp` per row, returned with its log.
 
     Internal fast path shared by the loss kernels: max-subtraction keeps
     exp() in range, and the log is derived from the same shifted logits so
     log q never goes through a lossy log(exp(...)) round trip.
+
+    Works in place on the two buffers it allocates, which keep the memory
+    layout of `s` (a transposed view stays column-major), so row sums run
+    in the same order as an out-of-place evaluation; `s` is not modified.
     """
-    scaled = s * inv_temp
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    shifted = s * inv_temp
+    shifted -= shifted.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     sums = expd.sum(axis=1, keepdims=True)
-    return expd / sums, shifted - np.log(sums)
+    expd /= sums
+    shifted -= np.log(sums)
+    return expd, shifted
 
 
 def row_softmax(s, inv_temp: float) -> np.ndarray:
@@ -174,41 +150,31 @@ def kl_divergence_rows(p, q):
         raise InvalidDistribution("q has a non-positive entry")
     _check_row_stochastic(pm, "p")
     _check_row_stochastic(qm, "q")
-    per_row = kl_rows_raw(pm, np.log(qm))
+    per_row = kl_rows_raw(pm, np.log(qm), log_prob(pm))
     return per_row, float(per_row.mean())
 
 
-def kl_rows_raw(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+def log_prob(p: np.ndarray) -> np.ndarray:
+    """np.log(p) with 0 where p == 0, the log term of the 0 * log 0 = 0
+    convention. Compute it once per distribution and pass it to every
+    kl_rows_raw call against that distribution."""
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    zero = p == 0.0
+    if zero.any():
+        log_p[zero] = 0.0
+    return log_p
+
+
+def kl_rows_raw(p: np.ndarray, log_q: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """Per-row KL from probabilities `p` and log-probabilities `log_q`.
 
-    No validation; callers guarantee the distribution contracts. Zero
-    entries of p contribute exactly 0.
+    No validation; callers guarantee the distribution contracts and a
+    finite `log_q`. `log_p` is log_prob(p), so zero entries of p
+    contribute exactly 0. The inputs are not modified; the terms go to
+    one buffer laid out like `p`, so each row sums in a fixed order
+    whatever the layout of `log_q`.
     """
-    pos = p > 0.0
-    terms = np.zeros_like(p)
-    # log only where p > 0; elsewhere the 0*log0 convention applies
-    terms[pos] = p[pos] * (np.log(p[pos]) - log_q[pos])
+    terms = np.subtract(log_p, log_q, out=np.empty_like(p))
+    terms *= p
     return terms.sum(axis=1)
-
-
-def cross_entropy_diagonal(q) -> float:
-    """Mean negative log of the diagonal: the one-hot label term.
-
-    Args:
-        q: square N x N row-stochastic matrix.
-
-    Returns:
-        -(1/N) * sum_i log q_ii.
-
-    Raises:
-        ShapeMismatch: if q is not square.
-        InvalidDistribution: if a diagonal entry is <= 0.
-    """
-    qm = _as_matrix(q, "q")
-    if qm.shape[0] != qm.shape[1]:
-        raise ShapeMismatch(f"q must be square, got {qm.shape}")
-    _check_row_stochastic(qm, "q")
-    diag = np.diagonal(qm)
-    if np.any(diag <= 0.0):
-        raise InvalidDistribution("diagonal entry <= 0")
-    return float(-np.log(diag).mean())

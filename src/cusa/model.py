@@ -55,6 +55,20 @@ class StudentParams:
 
 
 @dataclass
+class ForwardTape:
+    """What backward needs from forward besides the embeddings: the
+    batch's base rows and the pre-normalization norm of every projected
+    row (retrieval heads, then projector heads)."""
+
+    base_img: np.ndarray
+    base_txt: np.ndarray
+    img_norms: np.ndarray
+    txt_norms: np.ndarray
+    img_usa_norms: np.ndarray
+    txt_usa_norms: np.ndarray
+
+
+@dataclass
 class StudentOutputs:
     img_emb: np.ndarray
     txt_emb: np.ndarray
@@ -63,6 +77,7 @@ class StudentOutputs:
     inv_temp: float
     inv_temp_uni: float
     separate_uni_temp: bool = False
+    tape: ForwardTape | None = None
 
 
 def clamped_inv_temp(log_inv_temp: float) -> float:
@@ -140,7 +155,8 @@ def forward(base_img, base_txt, params: StudentParams) -> StudentOutputs:
 
     img_emb = normalize(base_img @ w_img); the projector branch applies
     u_img on the normalized embedding and re-normalizes. Row counts of
-    the two modalities must match (the batch is paired).
+    the two modalities must match (the batch is paired). The outputs
+    carry the tape that backward consumes.
     """
     bi = _as_matrix(base_img, "base_img")
     bt = _as_matrix(base_txt, "base_txt")
@@ -148,14 +164,15 @@ def forward(base_img, base_txt, params: StudentParams) -> StudentOutputs:
         raise ShapeMismatch(
             f"paired batch row counts differ: {bi.shape[0]} vs {bt.shape[0]}"
         )
-    img_emb, _ = _project_normalize(bi, params.w_img, "img_emb")
-    txt_emb, _ = _project_normalize(bt, params.w_txt, "txt_emb")
-    img_usa, _ = _project_normalize(img_emb, params.u_img, "img_usa")
-    txt_usa, _ = _project_normalize(txt_emb, params.u_txt, "txt_usa")
+    img_emb, n_img = _project_normalize(bi, params.w_img, "img_emb")
+    txt_emb, n_txt = _project_normalize(bt, params.w_txt, "txt_emb")
+    img_usa, m_img = _project_normalize(img_emb, params.u_img, "img_usa")
+    txt_usa, m_txt = _project_normalize(txt_emb, params.u_txt, "txt_usa")
     separate = params.log_inv_temp_uni is not None
     it = clamped_inv_temp(params.log_inv_temp)
     it_u = clamped_inv_temp(params.log_inv_temp_uni) if separate else it
-    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, it_u, separate)
+    tape = ForwardTape(bi, bt, n_img, n_txt, m_img, m_txt)
+    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, it_u, separate, tape)
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -164,22 +181,25 @@ def _normalize_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.n
     return (g - proj * y) / norms[:, None]
 
 
-def backward(base_img, base_txt, params: StudentParams,
+def backward(outputs: StudentOutputs, params: StudentParams,
              upstream: LossGradients) -> StudentParams:
     """Exact parameter gradients for the batch loss.
 
-    Recomputes the forward intermediates, then chains the upstream
-    logit gradients through cosine similarity, the normalization
-    Jacobian, and the linear maps. Returns a StudentParams-shaped
-    container holding gradients. The temperature gradient is gated to
-    zero whenever the clamp is active.
+    Chains the upstream logit gradients through cosine similarity, the
+    normalization Jacobian, and the linear maps, reading the forward
+    intermediates from `outputs` and its tape (nothing is recomputed or
+    modified). `params` must be the parameters `outputs` came from.
+    Returns a StudentParams-shaped container holding gradients. The
+    temperature gradient is gated to zero whenever the clamp is active.
     """
-    bi = _as_matrix(base_img, "base_img")
-    bt = _as_matrix(base_txt, "base_txt")
-    e_img, n_img = _project_normalize(bi, params.w_img, "img_emb")
-    e_txt, n_txt = _project_normalize(bt, params.w_txt, "txt_emb")
-    f_img, m_img = _project_normalize(e_img, params.u_img, "img_usa")
-    f_txt, m_txt = _project_normalize(e_txt, params.u_txt, "txt_usa")
+    tape = outputs.tape
+    if tape is None:
+        raise ShapeMismatch("backward needs the outputs of forward, which carry its tape")
+    bi, bt = tape.base_img, tape.base_txt
+    e_img, n_img = outputs.img_emb, tape.img_norms
+    e_txt, n_txt = outputs.txt_emb, tape.txt_norms
+    f_img, m_img = outputs.img_usa, tape.img_usa_norms
+    f_txt, m_txt = outputs.txt_usa, tape.txt_usa_norms
 
     g_it = upstream.d_s_i2t
     if g_it.shape != (bi.shape[0], bi.shape[0]):

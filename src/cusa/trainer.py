@@ -159,16 +159,17 @@ def train(data: TrainData, config: TrainConfig):
     """Run the full loop; returns (final StudentParams, TrainLog).
 
     Each step: forward -> teacher targets for the batch -> loss and
-    logit gradients -> backward -> optimizer update. Teacher features
-    are normalized once up front and reused. Numeric failures abort
-    with (epoch, step) context.
+    logit gradients -> backward over the forward tape -> optimizer
+    update. Teacher features are normalized and validated once up front;
+    each step gathers its rows. Numeric failures abort with (epoch,
+    step) context.
     """
     img_ids = [p[0] for p in data.pairs]
     txt_ids = [p[1] for p in data.pairs]
     base_img = data.img_base.take(img_ids)
     base_txt = data.txt_base.take(txt_ids)
-    teach_img = l2_normalize_rows(data.img_teacher.take(img_ids))
-    teach_txt = l2_normalize_rows(data.txt_teacher.take(txt_ids))
+    teacher = TeacherBatch(l2_normalize_rows(data.img_teacher.take(img_ids)),
+                           l2_normalize_rows(data.txt_teacher.take(txt_ids)))
 
     params = init_params(config.seed, base_img.shape[1], base_txt.shape[1],
                          config.d_e, config.d_u, config.separate_uni_temp)
@@ -184,14 +185,11 @@ def train(data: TrainData, config: TrainConfig):
         for step, idx in enumerate(batches):
             try:
                 outputs = forward(base_img[idx], base_txt[idx], params)
-                targets = build_batch_targets(
-                    TeacherBatch(teach_img[idx], teach_txt[idx]),
-                    config.teacher_inv_temp,
-                )
+                targets = build_batch_targets(teacher, config.teacher_inv_temp, idx)
                 report, lgrads = batch_loss_and_grads(
                     outputs, targets, config.alpha, config.beta
                 )
-                pgrads = backward(base_img[idx], base_txt[idx], params, lgrads)
+                pgrads = backward(outputs, params, lgrads)
                 params, state = adam_step(params, pgrads, state, config)
             except NumericError as err:
                 raise TrainAbort(epoch, step, err) from err

@@ -154,7 +154,7 @@ def test_criterion_2_loss_identities():
             outputs = forward(base_img[idx], base_txt[idx], params)
             _, lgrads = infonce_loss(outputs.img_emb @ outputs.txt_emb.T,
                                      outputs.inv_temp)
-            pgrads = backward(base_img[idx], base_txt[idx], params, lgrads)
+            pgrads = backward(outputs, params, lgrads)
             params, state = adam_step(params, pgrads, state, cfg0)
     zero_worst = max(
         float(np.abs(getattr(got, name) - getattr(params, name)).max())

@@ -15,8 +15,8 @@ from cusa.losses import (
     infonce_loss,
     usa_loss,
 )
-from cusa.mathops import cross_entropy_diagonal, l2_normalize_rows, row_softmax
-from cusa.model import StudentOutputs
+from cusa.mathops import l2_normalize_rows, row_softmax
+from cusa.model import StudentOutputs, forward, init_params
 from cusa.softlabels import TeacherTargets
 
 # log(1 + e^-1): symmetric 2x2 InfoNCE with unit logits on the diagonal
@@ -98,7 +98,8 @@ class TestCsa:
             q_t2i = row_softmax(s.T, it)
             eye = np.eye(n)
             value, _ = csa_loss(eye, eye, q_i2t, q_t2i, it)
-            want_ce = 0.5 * (cross_entropy_diagonal(q_i2t) + cross_entropy_diagonal(q_t2i))
+            want_ce = 0.5 * (-np.log(np.diagonal(q_i2t)).mean()
+                             - np.log(np.diagonal(q_t2i)).mean())
             assert abs(value - want_ce) < 1e-9
             assert abs(value - infonce_loss(s, it)[0]) < 1e-9
 
@@ -279,3 +280,19 @@ class TestBatchLossAndGrads:
         shared = make_outputs(rng, 4, inv_temp=8.0)
         _, shared_grads = batch_loss_and_grads(shared, targets, 0.5, 0.5)
         assert shared_grads.d_log_inv_temp_uni == 0.0
+
+    def test_inputs_left_untouched(self):
+        # the loss forms its gradients in buffers it allocates; the
+        # outputs (tape included) and the teacher targets stay as given
+        rng = np.random.default_rng(64)
+        n = 6
+        outputs = forward(rng.standard_normal((n, 5)), rng.standard_normal((n, 7)),
+                          init_params(3, 5, 7, 4, 3, separate_uni_temp=True))
+        targets = TeacherTargets(*random_targets(rng, n))
+        arrays = [outputs.img_emb, outputs.txt_emb, outputs.img_usa, outputs.txt_usa,
+                  *vars(outputs.tape).values(), targets.p_i2i, targets.p_t2t]
+        keep = [a.copy() for a in arrays]
+        for alpha, beta in ((0.5, 0.5), (0.0, 0.0), (0.8, 0.0), (0.0, 0.3)):
+            batch_loss_and_grads(outputs, targets, alpha, beta)
+            for now, before in zip(arrays, keep):
+                assert np.array_equal(now, before)

@@ -7,26 +7,25 @@ import numpy as np
 import pytest
 
 from cusa.errors import (
-    DimensionMismatch,
     InvalidDistribution,
     NonFiniteValue,
     NonPositiveTemperature,
-    NotNormalized,
     ShapeMismatch,
     ZeroRow,
 )
 from cusa.mathops import (
-    cosine_similarity,
-    cross_entropy_diagonal,
     kl_divergence_rows,
+    kl_rows_raw,
     l2_normalize_rows,
+    log_prob,
     row_softmax,
+    row_softmax_with_log,
 )
+from cusa.softlabels import teacher_distribution
 
 # softmax([1, 0]) at inv_temp 1, 50-digit oracle
 SOFTMAX_1_0 = (0.73105857863000488, 0.26894142136999512)
 LOG_2 = 0.69314718055994531
-LOG_4 = 1.3862943611198906
 # KL([0.5, 0.5] || [0.75, 0.25])
 KL_HALF_VS_3Q = 0.14384103622589046
 
@@ -52,47 +51,6 @@ class TestL2NormalizeRows:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteValue):
             l2_normalize_rows([[np.nan, 1.0]])
-
-
-class TestCosineSimilarity:
-    def test_orthonormal_basis(self):
-        e = np.eye(2)
-        np.testing.assert_array_equal(cosine_similarity(e, e), e)
-
-    def test_antipodal(self):
-        out = cosine_similarity([[1.0, 0.0]], [[-1.0, 0.0]])
-        np.testing.assert_array_equal(out, [[-1.0]])
-
-    def test_matches_dot_product_oracle(self):
-        rng = np.random.default_rng(3)
-        a = l2_normalize_rows(rng.standard_normal((3, 5)))
-        b = l2_normalize_rows(rng.standard_normal((4, 5)))
-        got = cosine_similarity(a, b)
-        for i in range(3):
-            for j in range(4):
-                want = sum(a[i][k] * b[j][k] for k in range(5))
-                assert abs(got[i, j] - want) < 1e-12
-
-    def test_self_similarity_diagonal_and_symmetry(self):
-        rng = np.random.default_rng(7)
-        a = l2_normalize_rows(rng.standard_normal((6, 9)))
-        s = cosine_similarity(a, a)
-        np.testing.assert_allclose(np.diagonal(s), 1.0, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(s, s.T, rtol=0, atol=1e-12)
-
-    def test_t2i_is_transpose_of_i2t(self):
-        rng = np.random.default_rng(13)
-        img = l2_normalize_rows(rng.standard_normal((5, 4)))
-        txt = l2_normalize_rows(rng.standard_normal((5, 4)))
-        np.testing.assert_array_equal(cosine_similarity(txt, img), cosine_similarity(img, txt).T)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_similarity([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
-
-    def test_denormalized_rejected(self):
-        with pytest.raises(NotNormalized):
-            cosine_similarity([[3.0, 4.0]], [[1.0, 0.0]])
 
 
 class TestRowSoftmax:
@@ -178,26 +136,57 @@ class TestKlDivergenceRows:
             kl_divergence_rows([[0.7, 0.7]], [[0.5, 0.5]])
 
 
-class TestCrossEntropyDiagonal:
-    def test_near_one_hot_goes_to_zero(self):
-        eps = 1e-12
-        q = [[1.0 - eps, eps], [eps, 1.0 - eps]]
-        assert abs(cross_entropy_diagonal(q)) < 1e-11
+def masked_kl(p, log_q):
+    """The per-row KL as a boolean-mask gather over p > 0."""
+    pos = p > 0.0
+    terms = np.zeros_like(p)
+    terms[pos] = p[pos] * (np.log(p[pos]) - log_q[pos])
+    return terms.sum(axis=1)
 
-    def test_uniform_rows_give_log_n(self):
-        q = np.full((4, 4), 0.25)
-        assert abs(cross_entropy_diagonal(q) - LOG_4) < 1e-15
 
-    def test_matches_direct_oracle(self):
-        rng = np.random.default_rng(23)
-        q = row_softmax(rng.standard_normal((3, 3)), 1.0)
-        want = -np.mean([np.log(q[i, i]) for i in range(3)])
-        assert abs(cross_entropy_diagonal(q) - want) < 1e-12
+class TestInPlaceKernels:
+    """The fast kernels write only buffers they allocate themselves."""
 
-    def test_zero_diagonal_rejected(self):
-        with pytest.raises(InvalidDistribution):
-            cross_entropy_diagonal([[0.0, 1.0], [0.5, 0.5]])
+    def test_softmax_leaves_input_and_transposed_view_untouched(self):
+        rng = np.random.default_rng(61)
+        s = rng.uniform(-1.0, 1.0, size=(7, 7))
+        keep = s.copy()
+        for view in (s, s.T):
+            q, log_q = row_softmax_with_log(view, 9.0)
+            assert np.array_equal(s, keep)
+            # outputs keep the layout of the input, so a transposed
+            # view's rows sum in the same order as before
+            assert q.flags.f_contiguous == view.flags.f_contiguous
+            assert log_q.flags.f_contiguous == view.flags.f_contiguous
+            np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            cross_entropy_diagonal([[0.5, 0.25, 0.25]])
+    def test_kl_leaves_inputs_untouched(self):
+        rng = np.random.default_rng(62)
+        p = row_softmax(rng.standard_normal((5, 5)), 1.0)
+        _, log_q = row_softmax_with_log(rng.standard_normal((5, 5)), 2.0)
+        log_p = log_prob(p)
+        keep = [m.copy() for m in (p, log_q, log_p)]
+        for view in (log_q, log_q.T):
+            kl_rows_raw(p, view, log_p)
+            for now, before in zip((p, log_q, log_p), keep):
+                assert np.array_equal(now, before)
+
+    def test_kl_with_exact_zero_teacher_entries_matches_masked_formula(self):
+        # orthogonal rows at a large inverse temperature underflow to
+        # exact zeros; rows at 45 degrees keep small positive mass
+        feats = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                   [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
+        p = teacher_distribution(feats, teacher_inv_temp=1e3)
+        assert np.any(p == 0.0) and np.any((p > 0.0) & (p < 1e-100))
+        rng = np.random.default_rng(63)
+        s = rng.uniform(-1.0, 1.0, size=p.shape)
+        for view in (s, s.T):
+            _, log_q = row_softmax_with_log(view, 14.0)
+            want = masked_kl(p, log_q)
+            assert np.array_equal(kl_rows_raw(p, log_q, log_prob(p)), want)
+
+    def test_log_prob_zero_convention(self):
+        p = np.array([[0.25, 0.0, 0.75]])
+        got = log_prob(p)
+        assert got[0, 1] == 0.0
+        assert got[0, 0] == np.log(0.25) and got[0, 2] == np.log(0.75)

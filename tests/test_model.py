@@ -146,7 +146,7 @@ class TestBackward:
         base_img, base_txt, params, _ = self._setup(20)
         zeros = np.zeros((5, 5))
         upstream = LossGradients(zeros, zeros, zeros, 0.0)
-        grads = backward(base_img, base_txt, params, upstream)
+        grads = backward(forward(base_img, base_txt, params), params, upstream)
         for name in ("w_img", "w_txt", "u_img", "u_txt"):
             np.testing.assert_array_equal(getattr(grads, name), 0.0)
         assert grads.log_inv_temp == 0.0
@@ -162,7 +162,7 @@ class TestBackward:
 
             out = forward(base_img, base_txt, params)
             _, lgrads = batch_loss_and_grads(out, targets, 0.6, 0.3)
-            grads = backward(base_img, base_txt, params, lgrads)
+            grads = backward(out, params, lgrads)
             for name in ("w_img", "w_txt", "u_img", "u_txt"):
                 fd = fd_param_grad(total, getattr(params, name))
                 np.testing.assert_allclose(getattr(grads, name), fd,
@@ -186,8 +186,35 @@ class TestBackward:
         assert clamped_inv_temp(-3.0) == 1.0
         _, lgrads = batch_loss_and_grads(out, targets, 0.5, 0.5)
         assert lgrads.d_log_inv_temp != 0.0
-        grads = backward(base_img, base_txt, params, lgrads)
+        grads = backward(out, params, lgrads)
         assert grads.log_inv_temp == 0.0
+
+    def test_backward_leaves_outputs_and_tape_untouched(self):
+        base_img, base_txt, params, targets = self._setup(42)
+        out = forward(base_img, base_txt, params)
+        _, lgrads = batch_loss_and_grads(out, targets, 0.5, 0.5)
+        arrays = [out.img_emb, out.txt_emb, out.img_usa, out.txt_usa,
+                  *vars(out.tape).values()]
+        keep = [a.copy() for a in arrays]
+        backward(out, params, lgrads)
+        for now, before in zip(arrays, keep):
+            assert np.array_equal(now, before)
+
+    def test_tape_holds_base_rows_and_projection_norms(self):
+        base_img, base_txt, params, _ = self._setup(43)
+        tape = forward(base_img, base_txt, params).tape
+        np.testing.assert_array_equal(tape.base_img, base_img)
+        np.testing.assert_array_equal(tape.base_txt, base_txt)
+        np.testing.assert_array_equal(tape.img_norms, np.linalg.norm(base_img @ params.w_img, axis=1))
+        np.testing.assert_array_equal(tape.txt_norms, np.linalg.norm(base_txt @ params.w_txt, axis=1))
+
+    def test_outputs_without_tape_rejected(self):
+        base_img, base_txt, params, targets = self._setup(44)
+        out = forward(base_img, base_txt, params)
+        _, lgrads = batch_loss_and_grads(out, targets, 0.5, 0.5)
+        out.tape = None
+        with pytest.raises(ShapeMismatch):
+            backward(out, params, lgrads)
 
     def test_usa_gradients_reach_main_projection(self):
         # beta-only loss still moves w_img: the projector sits on top of
@@ -195,7 +222,7 @@ class TestBackward:
         base_img, base_txt, params, targets = self._setup(41)
         out = forward(base_img, base_txt, params)
         _, lgrads = batch_loss_and_grads(out, targets, 0.0, 1.0)
-        grads = backward(base_img, base_txt, params, lgrads)
+        grads = backward(out, params, lgrads)
         assert np.max(np.abs(grads.w_img)) > 0.0
         assert np.max(np.abs(grads.u_img)) > 0.0
 

@@ -92,3 +92,26 @@ class TestBuildBatchTargets:
         txt = l2_normalize_rows(rng.standard_normal((4, 4)))
         with pytest.raises(ShapeMismatch):
             TeacherBatch(img, txt)
+
+    def test_rows_of_a_validated_teacher_match_a_batch_teacher(self):
+        # one TeacherBatch over all pairs, gathered per batch, gives the
+        # same bits as a TeacherBatch built for that batch alone
+        rng = np.random.default_rng(10)
+        img = l2_normalize_rows(rng.standard_normal((12, 5)))
+        txt = l2_normalize_rows(rng.standard_normal((12, 7)))
+        full = TeacherBatch(img, txt)
+        for rows in (np.array([3, 0, 11, 7]), rng.permutation(12)[:6]):
+            got = build_batch_targets(full, 8.0, rows)
+            want = build_batch_targets(TeacherBatch(img[rows], txt[rows]), 8.0)
+            assert np.array_equal(got.p_i2i, want.p_i2i)
+            assert np.array_equal(got.p_t2t, want.p_t2t)
+            assert np.array_equal(got.p_i2i, teacher_distribution(img[rows], 8.0))
+
+    def test_batch_checks_still_apply(self):
+        rng = np.random.default_rng(11)
+        feats = l2_normalize_rows(rng.standard_normal((4, 3)))
+        full = TeacherBatch(feats, feats)
+        with pytest.raises(DegenerateInput):
+            build_batch_targets(full, 1.0, np.array([2]))
+        with pytest.raises(NonPositiveTemperature):
+            build_batch_targets(full, 0.0, np.array([0, 1]))

@@ -185,7 +185,7 @@ class TestTrain:
                 outputs = forward(base_img[idx], base_txt[idx], params)
                 _, lgrads = infonce_loss(outputs.img_emb @ outputs.txt_emb.T,
                                          outputs.inv_temp)
-                pgrads = backward(base_img[idx], base_txt[idx], params, lgrads)
+                pgrads = backward(outputs, params, lgrads)
                 params, state = adam_step(params, pgrads, state, cfg)
 
         np.testing.assert_allclose(got.w_img, params.w_img, rtol=0, atol=1e-12)
