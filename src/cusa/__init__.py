@@ -36,6 +36,7 @@ from .losses import (
     usa_loss,
 )
 from .mathops import (
+    cosine_similarity,
     kl_divergence_rows,
     l2_normalize_rows,
     row_softmax,
@@ -72,7 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CusaError", "UsageError", "FormatError", "DataError", "NumericError",
-    "l2_normalize_rows", "row_softmax", "kl_divergence_rows",
+    "l2_normalize_rows", "cosine_similarity", "row_softmax", "kl_divergence_rows",
     "teacher_distribution", "build_batch_targets", "TeacherBatch", "TeacherTargets",
     "infonce_loss", "csa_loss", "usa_loss", "cusa_total", "batch_loss_and_grads",
     "LossReport", "LossGradients",

@@ -1,4 +1,4 @@
-"""Dense numeric kernels: normalization, softmax, KL.
+"""Dense numeric kernels: normalization, cosine similarity, softmax, KL.
 
 Everything here computes in float64 regardless of input dtype, is pure,
 and validates its inputs rather than repairing them. These functions are
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidDistribution,
     NonFiniteValue,
     NonPositiveTemperature,
@@ -83,6 +84,35 @@ def l2_normalize_rows(m) -> np.ndarray:
     if np.any(denorm):
         raise ZeroRow(int(np.argmax(denorm)))
     return mat / norms[:, None]
+
+
+def cosine_similarity(a, b) -> np.ndarray:
+    """Pairwise cosine similarities between rows of `a` and rows of `b`.
+
+    Both inputs must already be row-normalized; denormalized inputs are
+    rejected so that pipeline bugs surface here instead of skewing every
+    downstream distribution.
+
+    Args:
+        a: normalized N x D matrix.
+        b: normalized M x D matrix.
+
+    Returns:
+        N x M matrix with entry (i, j) = a[i] . b[j].
+
+    Raises:
+        DimensionMismatch: if the column counts differ.
+        NotNormalized: if any row norm deviates from 1 by more than 1e-9.
+    """
+    am = _as_matrix(a, "a")
+    bm = _as_matrix(b, "b")
+    if am.shape[1] != bm.shape[1]:
+        raise DimensionMismatch(
+            f"column counts differ: {am.shape[1]} vs {bm.shape[1]}"
+        )
+    check_normalized(am, "a")
+    check_normalized(bm, "b")
+    return am @ bm.T
 
 
 def row_softmax_with_log(s: np.ndarray, inv_temp: float):

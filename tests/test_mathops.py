@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from cusa.errors import (
+    DimensionMismatch,
     InvalidDistribution,
     NonFiniteValue,
     NonPositiveTemperature,
+    NotNormalized,
     ShapeMismatch,
     ZeroRow,
 )
 from cusa.mathops import (
+    cosine_similarity,
     kl_divergence_rows,
     kl_rows_raw,
     l2_normalize_rows,
@@ -51,6 +54,47 @@ class TestL2NormalizeRows:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteValue):
             l2_normalize_rows([[np.nan, 1.0]])
+
+
+class TestCosineSimilarity:
+    def test_orthonormal_basis(self):
+        e = np.eye(2)
+        np.testing.assert_array_equal(cosine_similarity(e, e), e)
+
+    def test_antipodal(self):
+        out = cosine_similarity([[1.0, 0.0]], [[-1.0, 0.0]])
+        np.testing.assert_array_equal(out, [[-1.0]])
+
+    def test_matches_dot_product_oracle(self):
+        rng = np.random.default_rng(3)
+        a = l2_normalize_rows(rng.standard_normal((3, 5)))
+        b = l2_normalize_rows(rng.standard_normal((4, 5)))
+        got = cosine_similarity(a, b)
+        for i in range(3):
+            for j in range(4):
+                want = sum(a[i][k] * b[j][k] for k in range(5))
+                assert abs(got[i, j] - want) < 1e-12
+
+    def test_self_similarity_diagonal_and_symmetry(self):
+        rng = np.random.default_rng(7)
+        a = l2_normalize_rows(rng.standard_normal((6, 9)))
+        s = cosine_similarity(a, a)
+        np.testing.assert_allclose(np.diagonal(s), 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(s, s.T, rtol=0, atol=1e-12)
+
+    def test_t2i_is_transpose_of_i2t(self):
+        rng = np.random.default_rng(13)
+        img = l2_normalize_rows(rng.standard_normal((5, 4)))
+        txt = l2_normalize_rows(rng.standard_normal((5, 4)))
+        np.testing.assert_array_equal(cosine_similarity(txt, img), cosine_similarity(img, txt).T)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            cosine_similarity([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+    def test_denormalized_rejected(self):
+        with pytest.raises(NotNormalized):
+            cosine_similarity([[3.0, 4.0]], [[1.0, 0.0]])
 
 
 class TestRowSoftmax:
