@@ -20,9 +20,12 @@ with-gold-score evaluation input).
 
 Checkpoint ("CUSC"):
     magic "CUSC" | version u32 = 1 | d_bi u32 | d_bt u32 | d_e u32 |
-    d_u u32 | has_uni_temp u8 | log_inv_temp f64 | [log_inv_temp_uni
-    f64] | w_img | w_txt | u_img | u_txt (row-major f64) |
-    config_len u32 | config JSON UTF-8
+    d_u u32 | has_uni_temp u8 | parameters | config_len u32 |
+    config JSON UTF-8
+    The parameter block is the bytes of StudentParams.flat (f64), laid
+    out by model.param_segments: log_inv_temp | [log_inv_temp_uni] |
+    w_img | w_txt | u_img | u_txt (row-major). Every value, the
+    temperatures included, must be finite on save and on load.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
     UnknownId,
     VersionUnsupported,
 )
-from .model import StudentParams
+from .model import StudentParams, param_segments
 
 FEATURE_MAGIC = b"CUSF"
 CHECKPOINT_MAGIC = b"CUSC"
@@ -267,24 +270,22 @@ def read_scored_pairs(path, ids=None) -> list:
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _check_finite(params: StudentParams) -> None:
+    bad = np.flatnonzero(~np.isfinite(params.flat))
+    if bad.size:
+        name = next(name for name, _, stop, _ in params.segments if bad[0] < stop)
+        raise NonFiniteValue(f"checkpoint {name} contains NaN or Inf")
+
+
 def save_checkpoint(path, params: StudentParams, config: dict) -> None:
     """Serialize params + config echo; round-trips bit-exactly."""
-    d_bi, d_bt, d_e, d_u = params.dims
-    has_uni = params.log_inv_temp_uni is not None
     cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    for name, m in (("w_img", params.w_img), ("w_txt", params.w_txt),
-                    ("u_img", params.u_img), ("u_txt", params.u_txt)):
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteValue(f"checkpoint {name} contains NaN or Inf")
+    _check_finite(params)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIIIB", CHECKPOINT_VERSION, d_bi, d_bt, d_e, d_u,
-                             1 if has_uni else 0))
-        fh.write(struct.pack("<d", params.log_inv_temp))
-        if has_uni:
-            fh.write(struct.pack("<d", params.log_inv_temp_uni))
-        for m in (params.w_img, params.w_txt, params.u_img, params.u_txt):
-            fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        fh.write(struct.pack("<IIIIIB", CHECKPOINT_VERSION, *params.dims,
+                             params.n_scalars - 1))
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
         fh.write(struct.pack("<I", len(cfg_bytes)))
         fh.write(cfg_bytes)
 
@@ -298,26 +299,17 @@ def load_checkpoint(path):
         raise TruncatedFile(len(buf), f"header needs {fixed} bytes, file has {len(buf)}")
     if buf[:4] != CHECKPOINT_MAGIC:
         raise BadMagic(f"expected magic {CHECKPOINT_MAGIC!r}, found {buf[:4]!r}")
-    version, d_bi, d_bt, d_e, d_u, has_uni = struct.unpack_from("<IIIIIB", buf, 4)
+    version, *dims, has_uni = struct.unpack_from("<IIIIIB", buf, 4)
     if version != CHECKPOINT_VERSION:
         raise VersionUnsupported(f"checkpoint version {version}, supported: 1")
-    offset = fixed
-
-    def take_floats(count, what):
-        nonlocal offset
-        need = 8 * count
-        if offset + need > len(buf):
-            raise TruncatedFile(offset, f"{what} cut off at byte {offset}")
-        out = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).copy()
-        offset += need
-        return out
-
-    log_it = float(take_floats(1, "log_inv_temp")[0])
-    log_it_uni = float(take_floats(1, "log_inv_temp_uni")[0]) if has_uni else None
-    w_img = take_floats(d_bi * d_e, "w_img").reshape(d_bi, d_e)
-    w_txt = take_floats(d_bt * d_e, "w_txt").reshape(d_bt, d_e)
-    u_img = take_floats(d_e * d_u, "u_img").reshape(d_e, d_u)
-    u_txt = take_floats(d_e * d_u, "u_txt").reshape(d_e, d_u)
+    n_scalars = 2 if has_uni else 1
+    # sizes come from the header alone, so a header declaring more
+    # parameters than the file holds fails here before any allocation
+    for name, start, stop, _ in param_segments(dims, n_scalars):
+        if fixed + 8 * stop > len(buf):
+            raise TruncatedFile(fixed + 8 * start, f"{name} cut off at byte {fixed + 8 * start}")
+    flat = np.frombuffer(buf, dtype="<f8", count=stop, offset=fixed).copy()
+    offset = fixed + 8 * stop
     if offset + 4 > len(buf):
         raise TruncatedFile(offset, f"config length cut off at byte {offset}")
     (cfg_len,) = struct.unpack_from("<I", buf, offset)
@@ -331,8 +323,6 @@ def load_checkpoint(path):
     offset += cfg_len
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after config")
-    for name, m in (("w_img", w_img), ("w_txt", w_txt), ("u_img", u_img), ("u_txt", u_txt)):
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteValue(f"checkpoint {name} contains NaN or Inf")
-    params = StudentParams(w_img, w_txt, u_img, u_txt, log_it, log_it_uni)
+    params = StudentParams.from_flat(flat, dims, n_scalars)
+    _check_finite(params)
     return params, config

@@ -122,14 +122,12 @@ def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -
     batch_loss_and_grads on its outputs, then backward over the same
     outputs and their forward tape.
     """
-    d_bi, d_bt, d_e, d_u = dims
     rng = np.random.default_rng(seed)
-    worst = {f"model.{name}": 0.0
-             for name in ("w_img", "w_txt", "u_img", "u_txt", "log_inv_temp")}
+    worst = {f"model.{name}": 0.0 for name, *_ in model.param_segments(dims, 1)}
     for n in batch_sizes:
-        base_img = rng.standard_normal((n, d_bi))
-        base_txt = rng.standard_normal((n, d_bt))
-        params = model.init_params(seed, d_bi, d_bt, d_e, d_u)
+        base_img = rng.standard_normal((n, dims[0]))
+        base_txt = rng.standard_normal((n, dims[1]))
+        params = model.init_params(seed, *dims)
         params.log_inv_temp = float(rng.uniform(np.log(2.0), np.log(50.0)))
         p_i, p_t = _random_targets(rng, n)
         targets = TeacherTargets(p_i2i=p_i, p_t2t=p_t)
@@ -143,21 +141,10 @@ def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -
         _, lg = losses.batch_loss_and_grads(out, targets, _ALPHA, _BETA)
         grads = model.backward(out, params, lg)
 
-        for name in ("w_img", "w_txt", "u_img", "u_txt"):
-            fd = _fd_matrix(total, getattr(params, name))
+        fd = _fd_matrix(total, params.flat)
+        for name, start, stop, _ in params.segments:
             key = f"model.{name}"
-            worst[key] = max(worst[key], _max_err(getattr(grads, name), fd))
-
-        keep = params.log_inv_temp
-        params.log_inv_temp = keep + H
-        hi = total()
-        params.log_inv_temp = keep - H
-        lo = total()
-        params.log_inv_temp = keep
-        worst["model.log_inv_temp"] = max(
-            worst["model.log_inv_temp"],
-            _err(grads.log_inv_temp, (hi - lo) / (2.0 * H)),
-        )
+            worst[key] = max(worst[key], _max_err(grads.flat[start:stop], fd[start:stop]))
     return worst
 
 

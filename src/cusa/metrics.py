@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
     UnknownId,
 )
-from .mathops import _as_matrix, check_normalized
+from .mathops import _as_matrix, cosine_similarity
 
 # Query rows argsorted at once; the sort scratch is BLOCK_ROWS x gallery
 # int64 entries.
@@ -183,11 +183,7 @@ def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -
         {"i2t": {...}, "t2i": {...}, "rsum": float} with recalls in
         percent and R-P / mAP@R in both raw and percent form.
     """
-    ie = _as_matrix(img_emb, "img_emb")
-    te = _as_matrix(txt_emb, "txt_emb")
-    check_normalized(ie, "img_emb")
-    check_normalized(te, "txt_emb")
-    sims = ie @ te.T
+    sims = cosine_similarity(img_emb, txt_emb)
     i2t = _direction_report(rank_by_similarity(sims, img_ids, txt_ids, rel_i2t))
     t2i = _direction_report(rank_by_similarity(sims.T, txt_ids, img_ids, rel_t2i))
     total = rsum([i2t["r_at_1"], i2t["r_at_5"], i2t["r_at_10"],
@@ -197,7 +193,5 @@ def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -
 
 def evaluate_uni_modal(emb, ids, rel) -> dict:
     """R@1 within one modality, the query itself excluded."""
-    e = _as_matrix(emb, "emb")
-    check_normalized(e, "emb")
-    ranks = rank_by_similarity(e @ e.T, ids, ids, rel, exclude_self=True)
+    ranks = rank_by_similarity(cosine_similarity(emb, emb), ids, ids, rel, exclude_self=True)
     return {"r_at_1": 100.0 * recall_at_k(ranks, 1)}

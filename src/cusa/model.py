@@ -10,7 +10,7 @@ while keeping exact manual gradients tractable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,35 +23,83 @@ INV_TEMP_MIN = 1.0
 INV_TEMP_MAX = 100.0
 
 
-@dataclass
+def param_segments(dims, n_scalars: int) -> list:
+    """(name, start, stop, shape) of every parameter in StudentParams.flat.
+
+    The order is the checkpoint's: log_inv_temp, [log_inv_temp_uni],
+    then w_img | w_txt | u_img | u_txt row-major. dims is (d_bi, d_bt,
+    d_e, d_u); n_scalars is 2 with a separate uni-modal temperature,
+    else 1. Only index arithmetic: nothing is allocated.
+    """
+    d_bi, d_bt, d_e, d_u = dims
+    shapes = [(name, ()) for name in ("log_inv_temp", "log_inv_temp_uni")[:n_scalars]]
+    shapes += [("w_img", (d_bi, d_e)), ("w_txt", (d_bt, d_e)),
+               ("u_img", (d_e, d_u)), ("u_txt", (d_e, d_u))]
+    segments, start = [], 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        segments.append((name, start, stop, shape))
+        start = stop
+    return segments
+
+
+class _Segment:
+    """One named parameter of StudentParams: a view into `flat` for a
+    matrix, a float for a temperature. Assignment writes into `flat`."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, params, owner=None):
+        if params is None:
+            return self
+        view = params._views.get(self.name)
+        return float(view) if view is not None and view.ndim == 0 else view
+
+    def __set__(self, params, value):
+        view = params._views.get(self.name)
+        if view is None or np.shape(value) != view.shape:
+            raise ShapeMismatch(f"{self.name}: shape {np.shape(value)} does not fit the layout")
+        view[...] = value
+
+
 class StudentParams:
-    """Trainable parameters. log_inv_temp_uni is None when the
-    uni-modal softmaxes share the main temperature."""
+    """Trainable parameters in one float64 vector `flat`, laid out by
+    param_segments. log_inv_temp_uni is None when the uni-modal
+    softmaxes share the main temperature."""
 
-    w_img: np.ndarray  # (d_bi, d_e)
-    w_txt: np.ndarray  # (d_bt, d_e)
-    u_img: np.ndarray  # (d_e, d_u)
-    u_txt: np.ndarray  # (d_e, d_u)
-    log_inv_temp: float
-    log_inv_temp_uni: float | None = None
+    w_img = _Segment()  # (d_bi, d_e)
+    w_txt = _Segment()  # (d_bt, d_e)
+    u_img = _Segment()  # (d_e, d_u)
+    u_txt = _Segment()  # (d_e, d_u)
+    log_inv_temp = _Segment()
+    log_inv_temp_uni = _Segment()
 
-    @property
-    def dims(self) -> tuple:
-        return (
-            self.w_img.shape[0],
-            self.w_txt.shape[0],
-            self.w_img.shape[1],
-            self.u_img.shape[1],
-        )
+    def __init__(self, w_img, w_txt, u_img, u_txt, log_inv_temp, log_inv_temp_uni=None):
+        dims = (np.shape(w_img)[0], np.shape(w_txt)[0], np.shape(w_img)[-1], np.shape(u_img)[-1])
+        n_scalars = 1 if log_inv_temp_uni is None else 2
+        self._bind(np.empty(param_segments(dims, n_scalars)[-1][2]), dims, n_scalars)
+        self.w_img, self.w_txt, self.u_img, self.u_txt = w_img, w_txt, u_img, u_txt
+        self.log_inv_temp = log_inv_temp
+        if log_inv_temp_uni is not None:
+            self.log_inv_temp_uni = log_inv_temp_uni
 
-    def copy(self) -> "StudentParams":
-        return replace(
-            self,
-            w_img=self.w_img.copy(),
-            w_txt=self.w_txt.copy(),
-            u_img=self.u_img.copy(),
-            u_txt=self.u_txt.copy(),
-        )
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dims, n_scalars: int) -> "StudentParams":
+        """Parameters viewing `flat` itself (no copy), laid out by param_segments."""
+        params = cls.__new__(cls)
+        params._bind(flat, dims, n_scalars)
+        return params
+
+    def _bind(self, flat, dims, n_scalars):
+        self.dims = tuple(dims)
+        self.n_scalars = n_scalars
+        self.segments = param_segments(self.dims, n_scalars)
+        if flat.shape != (self.segments[-1][2],):
+            raise ShapeMismatch(f"flat parameters of shape {flat.shape} do not fit dims {self.dims}")
+        self.flat = flat
+        self._views = {name: flat[start:stop].reshape(shape)
+                       for name, start, stop, shape in self.segments}
 
 
 @dataclass
@@ -189,7 +237,7 @@ def backward(outputs: StudentOutputs, params: StudentParams,
     normalization Jacobian, and the linear maps, reading the forward
     intermediates from `outputs` and its tape (nothing is recomputed or
     modified). `params` must be the parameters `outputs` came from.
-    Returns a StudentParams-shaped container holding gradients. The
+    Returns the gradients as StudentParams, laid out like `params`. The
     temperature gradient is gated to zero whenever the clamp is active.
     """
     tape = outputs.tape

@@ -102,57 +102,36 @@ def make_batches(n_pairs: int, batch_size: int, seed: int, epoch: int) -> list:
 @dataclass
 class AdamState:
     step: int
-    m: dict
-    v: dict
-
-
-_DECAYED = ("w_img", "w_txt", "u_img", "u_txt")
-_SCALARS = ("log_inv_temp", "log_inv_temp_uni")
+    m: np.ndarray  # the moments are laid out like StudentParams.flat
+    v: np.ndarray
 
 
 def init_adam_state(params: StudentParams) -> AdamState:
-    m = {name: np.zeros_like(getattr(params, name)) for name in _DECAYED}
-    v = {name: np.zeros_like(getattr(params, name)) for name in _DECAYED}
-    for name in _SCALARS:
-        if getattr(params, name) is not None:
-            m[name] = 0.0
-            v[name] = 0.0
-    return AdamState(step=0, m=m, v=v)
+    return AdamState(step=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(params: StudentParams, grads: StudentParams, state: AdamState,
               config: TrainConfig):
-    """One bias-corrected adaptive-moment update.
+    """One bias-corrected adaptive-moment update over the flat parameters.
 
     Weight decay is decoupled (applied directly to the parameter, not
-    mixed into the gradient) and touches the projection matrices only.
-    Returns fresh (params, state); inputs are not mutated.
+    mixed into the gradient) and touches the projection matrices only,
+    which follow the temperatures in the layout. Returns fresh (params,
+    state); inputs are not mutated.
     """
     t = state.step + 1
     b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    new_m, new_v, new_vals = {}, {}, {}
-    for name in state.m:
-        g = getattr(grads, name)
-        p = getattr(params, name)
-        m = state.m[name] * b1 + (1.0 - b1) * g
-        v = state.v[name] * b2 + (1.0 - b2) * (g * g)
-        update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        if name in _DECAYED and config.weight_decay != 0.0:
-            p = p - lr * config.weight_decay * p
-        new_m[name], new_v[name] = m, v
-        new_vals[name] = p - update
-    new_params = StudentParams(
-        w_img=new_vals["w_img"],
-        w_txt=new_vals["w_txt"],
-        u_img=new_vals["u_img"],
-        u_txt=new_vals["u_txt"],
-        log_inv_temp=float(new_vals["log_inv_temp"]),
-        log_inv_temp_uni=(float(new_vals["log_inv_temp_uni"])
-                          if "log_inv_temp_uni" in new_vals else None),
-    )
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    g = grads.flat
+    m = state.m * b1 + (1.0 - b1) * g
+    v = state.v * b2 + (1.0 - b2) * (g * g)
+    update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    p = params.flat.copy()
+    if config.weight_decay != 0.0:
+        p[params.n_scalars:] -= lr * config.weight_decay * p[params.n_scalars:]
+    p -= update
+    return StudentParams.from_flat(p, params.dims, params.n_scalars), AdamState(step=t, m=m, v=v)
 
 
 def train(data: TrainData, config: TrainConfig):

@@ -68,6 +68,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 # ---------------------------------------------------------------- criterion 1
 
 
+@pytest.mark.slow
 def test_criterion_1_gradients_match_finite_differences():
     start = time.perf_counter()
     errors = gradcheck.run(trials=20, base_seed=0)
@@ -348,6 +349,7 @@ def _heldout_run(seed, alpha, beta):
     }
 
 
+@pytest.mark.slow
 def test_criterion_5_ablation_directions():
     seeds = range(5)
     med = {}

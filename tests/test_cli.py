@@ -267,6 +267,23 @@ class TestEvalCross:
                                                  ["--pairs", str(pairs)]))
         assert code == 4
 
+    def test_embedding_widths_differ(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        img_ids = [f"i{k}" for k in range(5)]
+        txt_ids = [f"t{k}" for k in range(5)]
+        write_features(tmp_path / "img.feat", img_ids, rng.standard_normal((5, 4)))
+        write_features(tmp_path / "txt.feat", txt_ids, rng.standard_normal((5, 6)))
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("".join(f"{i}\t{t}\n" for i, t in zip(img_ids, txt_ids)),
+                         encoding="utf-8")
+        code, report, err = run(capsys, ["eval", "--task", "cross",
+                                         "--img-emb", str(tmp_path / "img.feat"),
+                                         "--txt-emb", str(tmp_path / "txt.feat"),
+                                         "--pairs", str(pairs)])
+        assert code == 4
+        assert report is None
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_embedding_file(self, corpus, tmp_path, capsys):
         code, _, _ = run(capsys, ["eval", "--task", "cross",
                                   "--img-emb", str(tmp_path / "none.feat"),

@@ -6,6 +6,7 @@ documented in dataio.py; if the layout changes these must change too.
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,10 +336,18 @@ class TestCheckpointRoundTrip:
         with pytest.raises(NonFiniteValue):
             save_checkpoint(tmp_path / "ckpt", params, {})
 
+    @pytest.mark.parametrize("name", ["log_inv_temp", "log_inv_temp_uni"])
+    def test_non_finite_temperature_rejected_on_save(self, tmp_path, name):
+        params = init_params(3, 6, 5, 4, 3, separate_uni_temp=name == "log_inv_temp_uni")
+        setattr(params, name, float("nan"))
+        with pytest.raises(NonFiniteValue, match=f"checkpoint {name} contains"):
+            save_checkpoint(tmp_path / "ckpt", params, {})
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestCheckpointReadErrors:
-    def make(self, tmp_path):
-        params = init_params(0, 3, 2, 2, 2)
+    def make(self, tmp_path, separate_uni=False):
+        params = init_params(0, 3, 2, 2, 2, separate_uni_temp=separate_uni)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, params, {"seed": 0})
         return path
@@ -406,3 +415,55 @@ class TestCheckpointReadErrors:
         path.write_bytes(bytes(buf))
         with pytest.raises(NonFiniteValue):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, start", [("log_inv_temp", CHECKPOINT_HEADER),
+                                             ("log_inv_temp_uni", CHECKPOINT_HEADER + 8)])
+    def test_non_finite_stored_temperature(self, tmp_path, name, start):
+        path = self.make(tmp_path, separate_uni=True)
+        buf = bytearray(path.read_bytes())
+        buf[start:start + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(buf))
+        with pytest.raises(NonFiniteValue, match=f"checkpoint {name} contains"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("separate_uni", [False, True])
+    def test_every_prefix_reports_the_cut_segment(self, tmp_path, separate_uni):
+        path = self.make(tmp_path, separate_uni)
+        buf = path.read_bytes()
+        # (name, size in bytes) of each part after the fixed header, for
+        # d_bi=3, d_bt=2, d_e=2, d_u=2 and the config echo {"seed": 0}
+        sizes = ([("log_inv_temp", 8)] + [("log_inv_temp_uni", 8)] * separate_uni
+                 + [("w_img", 48), ("w_txt", 32), ("u_img", 32), ("u_txt", 32),
+                    ("config length", 4), ("config", len('{"seed": 0}'))])
+        parts, pos = [], CHECKPOINT_HEADER
+        for name, size in sizes:
+            parts.append((name, pos, pos + size))
+            pos += size
+        assert pos == len(buf)
+        for cut in range(len(buf)):
+            path.write_bytes(buf[:cut])
+            if cut < CHECKPOINT_HEADER:
+                name, start = "header", cut
+            else:
+                name, start = next((n, lo) for n, lo, hi in parts if cut < hi)
+            with pytest.raises(TruncatedFile) as excinfo:
+                load_checkpoint(path)
+            assert excinfo.value.offset == start, cut
+            assert str(excinfo.value).startswith(f"{name} "), cut
+
+    @pytest.mark.parametrize("dim", [2**32 - 1, 2**11])
+    def test_header_larger_than_file(self, tmp_path, dim):
+        # 49 bytes: header, log_inv_temp and 16 bytes of w_img, which the
+        # header declares as dim x dim
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(b"CUSC" + struct.pack("<IIIIIB", 1, dim, dim, dim, dim, 0)
+                         + bytes(24))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFile) as excinfo:
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.offset == CHECKPOINT_HEADER + 8
+        assert peak < 2**20

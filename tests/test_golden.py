@@ -1,4 +1,4 @@
-"""Byte identity of one small fixed-seed training run.
+"""Byte identity of one small fixed-seed training run and of a gradcheck report.
 
 The digests pin every bit of the checkpoint and the step log of a run
 with both teacher terms on (alpha, beta > 0) and a separate uni-modal
@@ -6,6 +6,12 @@ temperature. They were produced before the training step moved to
 in-place softmax/KL kernels, a forward tape and load-time teacher
 validation, changes that keep every floating-point operation and its
 order; any change that moves a bit of the trajectory fails here.
+
+The gradcheck digest pins the stdout of a small run. It was produced
+while the model-level check still ran one finite-difference loop per
+parameter matrix plus one for the temperature, before the parameters
+moved into one flat vector, so the single loop over that vector must
+reproduce every reported error bit for bit.
 
 The bytes depend on the floating-point stack (numpy build and BLAS
 kernels). On another stack, regenerate the digests from a commit whose
@@ -20,6 +26,7 @@ from cusa import cli
 
 CKPT_SHA256 = "e334ff10aa3ea9aabb861797328e9e681b7392e78a5f97f494719da90d753149"
 LOG_SHA256 = "858f8b95b7e42fe1433fa07dec05a9baa2a36719ff5e303e2bcd80ab3acf3c85"
+GRADCHECK_SHA256 = "230c52a3b410d48dffaf2894f9c5f0169604f20e5aab4c4f6b3363b0bae6be93"
 
 
 def _cli(argv):
@@ -49,3 +56,10 @@ def test_fixed_seed_train_run_is_byte_identical(tmp_path):
                  "--seed", "2"]) == 0
     assert _sha256(tmp_path / "model.ckpt") == CKPT_SHA256
     assert _sha256(tmp_path / "train.log") == LOG_SHA256
+
+
+def test_gradcheck_report_is_byte_identical():
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert cli.main(["gradcheck", "--trials", "2", "--dims", "5,4,3,2"]) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GRADCHECK_SHA256
