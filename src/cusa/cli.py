@@ -165,15 +165,6 @@ def _eval_inputs(args, need_img: bool, need_txt: bool):
     return img + txt
 
 
-def _relevance_from_pairs(pairs):
-    rel_i2t: dict = {}
-    rel_t2i: dict = {}
-    for img, txt in pairs:
-        rel_i2t.setdefault(img, set()).add(txt)
-        rel_t2i.setdefault(txt, set()).add(img)
-    return rel_i2t, rel_t2i
-
-
 def _eval_config(args) -> dict:
     keys = ("task", "ckpt", "img_emb", "txt_emb", "img_base", "txt_base",
             "pairs", "relevance", "usa_branch")
@@ -186,12 +177,16 @@ def cmd_eval(args) -> int:
         if (args.pairs is None) == (args.relevance is None):
             raise InvalidConfig("task cross needs exactly one of --pairs / --relevance")
         img_ids, img_emb, txt_ids, txt_emb = _eval_inputs(args, True, True)
+        # one id table over both modalities; an id string may name an
+        # image and a text at once
+        index = metrics.id_table(img_ids + txt_ids)
         if args.pairs is not None:
             pairs = dataio.read_pairs(args.pairs, img_ids=set(img_ids), txt_ids=set(txt_ids))
-            rel_i2t, rel_t2i = _relevance_from_pairs(pairs)
+            imgs, txts = zip(*pairs)
+            rel_i2t = metrics.Relevance.from_pairs(imgs, txts, index)
+            rel_t2i = metrics.Relevance.from_pairs(txts, imgs, index)
         else:
-            rel = dataio.read_relevance(args.relevance, known_ids=set(img_ids) | set(txt_ids))
-            rel_i2t = rel_t2i = rel
+            rel_i2t = rel_t2i = dataio.read_relevance(args.relevance, known_ids=index)
         payload = metrics.evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids,
                                                rel_i2t, rel_t2i)
     elif task == "img":

@@ -13,7 +13,8 @@ Pairs file: UTF-8 text, one "image_id<TAB>text_id" per line. Duplicate
 lines are kept; multiplicity matters for batching.
 
 Relevance file: one "query_id<TAB>id1,id2,..." per line, non-empty
-relevant sets, one line per query.
+relevant sets, one line per query. Read into an int32 CSR
+(metrics.Relevance) that holds each id string once.
 
 Scored pairs file: "id_a<TAB>id_b<TAB>score" per line (the similarity-
 with-gold-score evaluation input).
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,7 @@ from .errors import (
     UnknownId,
     VersionUnsupported,
 )
+from .metrics import Relevance, _interning_index, id_table
 from .model import StudentParams, param_segments
 
 FEATURE_MAGIC = b"CUSF"
@@ -191,8 +194,20 @@ def read_features(path) -> FeatureTable:
 # ---------------------------------------------------------------------------
 
 def _lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    """(line number, line) of a UTF-8 text file, the newline stripped.
+
+    Bytes that are not UTF-8 end as MalformedLine naming their line.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    # surrogateescape decodes a bad byte b to U+DC00 + b
+                    bad = ord(line[e.start]) - 0xDC00
+                    raise MalformedLine(
+                        lineno, f"line {lineno}: byte 0x{bad:02x} is not valid UTF-8") from None
             yield lineno, line.rstrip("\n")
 
 
@@ -217,29 +232,39 @@ def read_pairs(path, img_ids=None, txt_ids=None) -> list:
     return pairs
 
 
-def read_relevance(path, known_ids=None) -> dict:
-    """Query id -> set of relevant ids. One line per query."""
-    rel = {}
+def read_relevance(path, known_ids=None) -> Relevance:
+    """Relevant ids of each query, one line per query, as a Relevance
+    (int32 CSR over an id table).
+
+    With known_ids the table is known_ids, each id once in its first
+    position, and any other query or relevant id raises UnknownId.
+    Without, the table holds every id the file names.
+    """
+    index = _interning_index() if known_ids is None else id_table(known_ids)
+    seen = set()
+    queries, indptr, indices = array("i"), array("i", [0]), array("i")
     for lineno, line in _lines(path):
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise MalformedLine(lineno, f"line {lineno}: expected 'query_id<TAB>id,id,...', got {line!r}")
         query, id_blob = fields
-        if query in rel:
+        if query in seen:
             raise DuplicateId(f"line {lineno}: repeated query id {query!r}")
-        items = id_blob.split(",")
-        if any(not item for item in items):
+        seen.add(query)
+        if ",," in id_blob or id_blob.startswith(",") or id_blob.endswith(","):
             raise MalformedLine(lineno, f"line {lineno}: empty id in relevant list")
-        if known_ids is not None:
-            if query not in known_ids:
-                raise UnknownId(f"line {lineno}: unknown query id {query!r}")
-            for item in items:
-                if item not in known_ids:
-                    raise UnknownId(f"line {lineno}: unknown relevant id {item!r}")
-        rel[query] = set(items)
-    if not rel:
+        try:
+            queries.append(index[query])
+        except KeyError:
+            raise UnknownId(f"line {lineno}: unknown query id {query!r}") from None
+        try:
+            indices.extend(map(index.__getitem__, id_blob.split(",")))
+        except KeyError as e:
+            raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
+        indptr.append(len(indices))
+    if not queries:
         raise MalformedLine(0, "relevance file is empty")
-    return rel
+    return Relevance(index, queries, indptr, indices)
 
 
 def read_scored_pairs(path, ids=None) -> list:

@@ -1,14 +1,19 @@
 """Retrieval and similarity metrics over multi-positive relevance.
 
 Rankings are deterministic: descending similarity with ties broken by
-ascending gallery index (stable sort). A ranking is kept as the
-ascending 0-based ranks of each query's relevant gallery items, which is
-all R@K, R-Precision and mAP@R need. Relevance sets are intersected with
-the active gallery, so one relevance map can serve cross-modal and
-uni-modal tasks at once.
+ascending gallery index. A ranking is kept as the ascending 0-based
+ranks of each query's relevant gallery items, which is all R@K,
+R-Precision and mAP@R need. Relevance is a Relevance (an int32 CSR over
+one id table); relevant ids outside the active gallery are ignored, so
+one relevance structure can serve cross-modal and uni-modal tasks at
+once.
 """
 
 from __future__ import annotations
+
+import itertools
+from array import array
+from collections import defaultdict
 
 import numpy as np
 
@@ -26,11 +31,59 @@ from .mathops import _as_matrix, cosine_similarity
 BLOCK_ROWS = 128
 
 
-def _rel_for(rel, qid):
-    try:
-        return rel[qid]
-    except KeyError:
-        raise UnknownId(f"no relevance entry for query {qid!r}") from None
+def id_table(ids) -> dict:
+    """id -> table position of every distinct id, in first-seen order."""
+    return dict(zip(dict.fromkeys(ids), itertools.count()))
+
+
+def _interning_index() -> dict:
+    """An id -> table position dict that gives an unseen id the next
+    position on lookup."""
+    index = defaultdict()
+    index.default_factory = index.__len__
+    return index
+
+
+class Relevance:
+    """Relevant ids of each query as an int32 CSR over one id table.
+
+    `index` maps every id string to its table position (0 to
+    len(index) - 1); each string is held there once. Row r belongs to
+    the query at table position queries[r] and lists its relevant ids as
+    the table positions indices[indptr[r]:indptr[r + 1]]. A row may
+    repeat an id or be empty.
+    """
+
+    def __init__(self, index: dict, queries, indptr, indices):
+        self.index = dict(index)
+        self.queries = np.asarray(queries, dtype=np.int32)
+        self.indptr = np.asarray(indptr, dtype=np.int32)
+        self.indices = np.asarray(indices, dtype=np.int32)
+
+    @classmethod
+    def from_mapping(cls, rel) -> "Relevance":
+        """From a mapping of query id -> iterable of relevant ids."""
+        index = _interning_index()
+        queries = array("i", map(index.__getitem__, rel))
+        indptr, indices = array("i", [0]), array("i")
+        for items in rel.values():
+            indices.extend(map(index.__getitem__, items))
+            indptr.append(len(indices))
+        return cls(index, queries, indptr, indices)
+
+    @classmethod
+    def from_pairs(cls, queries, items, index: dict) -> "Relevance":
+        """Rows grouping `items` by `queries`, two aligned id sequences
+        such as the two sides of a pairs file, positioned by `index`."""
+        q = np.fromiter(map(index.__getitem__, queries), dtype=np.int32)
+        g = np.fromiter(map(index.__getitem__, items), dtype=np.int32)
+        order = np.argsort(q, kind="stable")
+        rows, starts = np.unique(q[order], return_index=True)
+        return cls(index, rows, np.append(starts, q.size), g[order])
+
+
+def _table_positions(index: dict, ids) -> np.ndarray:
+    return np.fromiter((index.get(i, -1) for i in ids), dtype=np.intp, count=len(ids))
 
 
 def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool = False) -> list:
@@ -38,9 +91,10 @@ def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool =
 
     Returns one ascending int64 array of 0-based ranks per query row.
     The rank of item j is #{k: s_k > s_j} + #{k < j: s_k = s_j}.
-    Relevant ids outside the gallery are ignored. With exclude_self=True
-    (uni-modal retrieval over one table) the matrix must be square and
-    entry (i, i) is dropped from query i's ranking.
+    `rel` is a Relevance; relevant ids outside the gallery are ignored.
+    With exclude_self=True (uni-modal retrieval over one table) the
+    matrix must be square and entry (i, i) is dropped from query i's
+    ranking.
     """
     s = _as_matrix(scores, "scores")
     nq, ng = s.shape
@@ -56,19 +110,47 @@ def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool =
     elif ng < 1:
         raise EmptyGallery("gallery is empty")
 
-    column = {g: j for j, g in enumerate(gallery_ids)}
-    is_relevant = np.zeros(ng, dtype=bool)
+    # table position -> gallery column; ids outside the gallery go to the
+    # extra column ng, which no ranking reads
+    column = np.full(len(rel.index), ng, dtype=np.intp)
+    in_table = _table_positions(rel.index, gallery_ids)
+    column[in_table[in_table >= 0]] = np.flatnonzero(in_table >= 0)
+    # table position -> CSR row; a query id outside the table looks up
+    # position -1, the last entry, which no row claims
+    row_of = np.full(len(rel.index) + 1, -1, dtype=np.intp)
+    row_of[rel.queries] = np.arange(rel.queries.size)
+    rows = row_of[_table_positions(rel.index, query_ids)]
+    if np.any(rows < 0):
+        missing = query_ids[int(np.argmax(rows < 0))]
+        raise UnknownId(f"no relevance entry for query {missing!r}")
+    starts = rel.indptr[rows].astype(np.intp)
+    counts = rel.indptr[rows + 1] - starts
+
     ranks = []
     for lo in range(0, nq, BLOCK_ROWS):
-        order = np.argsort(np.negative(s[lo:lo + BLOCK_ROWS], order="C"), axis=1, kind="stable")
-        for i, ranked in zip(range(lo, nq), order):
-            rset = _rel_for(rel, query_ids[i])
-            cols = np.fromiter((column[g] for g in rset if g in column), dtype=np.int64)
-            if exclude_self:
-                ranked = ranked[ranked != i]
-            is_relevant[cols] = True
-            ranks.append(np.flatnonzero(is_relevant[ranked]))
-            is_relevant[cols] = False
+        hi = min(lo + BLOCK_ROWS, nq)
+        block = np.arange(hi - lo)
+        neg = np.negative(s[lo:hi], order="C")
+        order = np.argsort(neg, axis=1)
+        # the default sort is not stable: re-sort the rows that hold equal
+        # scores so that ties keep ascending gallery order
+        ranked = np.take_along_axis(neg, order, axis=1)
+        tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
+
+        # positions in rel.indices of the block's rows, row after row
+        n = counts[lo:hi]
+        entries = np.arange(n.sum()) + np.repeat(starts[lo:hi] - (np.cumsum(n) - n), n)
+        relevant = np.zeros((hi - lo, ng + 1), dtype=bool)
+        relevant[np.repeat(block, n), column[rel.indices[entries]]] = True
+        if exclude_self:
+            relevant[block, lo + block] = False
+        hit_row, hit_rank = np.nonzero(np.take_along_axis(relevant, order, axis=1))
+        if exclude_self:
+            # items ranked after the query's own column move up by one
+            own = np.argmax(order == (lo + block)[:, None], axis=1)
+            hit_rank -= hit_rank > own[hit_row]
+        ranks += np.split(hit_rank, np.cumsum(np.bincount(hit_row, minlength=hi - lo))[:-1])
     return ranks
 
 
@@ -175,9 +257,9 @@ def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -
     Args:
         img_emb, txt_emb: normalized embedding matrices.
         img_ids, txt_ids: row ids, aligned with the matrices.
-        rel_i2t: image query id -> relevant ids (intersected with the
+        rel_i2t: Relevance of the image queries (intersected with the
             text gallery); rel_t2i analogous. The same co-membership
-            map may be passed for both.
+            relevance may be passed for both.
 
     Returns:
         {"i2t": {...}, "t2i": {...}, "rsum": float} with recalls in

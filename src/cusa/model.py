@@ -255,25 +255,26 @@ def backward(outputs: StudentOutputs, params: StudentParams,
             f"upstream d_s_i2t shape {g_it.shape} != batch {bi.shape[0]}"
         )
 
+    # the gradient matrices are written straight into views of one vector
+    grads = StudentParams.from_flat(np.empty_like(params.flat), params.dims, params.n_scalars)
+
     # uni-modal branches: s = f f^T pulls on f from both sides
     g_f_img = (upstream.d_s_i2i + upstream.d_s_i2i.T) @ f_img
     g_f_txt = (upstream.d_s_t2t + upstream.d_s_t2t.T) @ f_txt
     g_a_img = _normalize_backward(g_f_img, f_img, m_img)
     g_a_txt = _normalize_backward(g_f_txt, f_txt, m_txt)
-    g_u_img = e_img.T @ g_a_img
-    g_u_txt = e_txt.T @ g_a_txt
+    np.matmul(e_img.T, g_a_img, out=grads.u_img)
+    np.matmul(e_txt.T, g_a_txt, out=grads.u_txt)
 
     # retrieval embeddings collect the cross-modal and projector paths
     g_e_img = g_it @ e_txt + g_a_img @ params.u_img.T
     g_e_txt = g_it.T @ e_img + g_a_txt @ params.u_txt.T
     g_z_img = _normalize_backward(g_e_img, e_img, n_img)
     g_z_txt = _normalize_backward(g_e_txt, e_txt, n_txt)
-    g_w_img = bi.T @ g_z_img
-    g_w_txt = bt.T @ g_z_txt
+    np.matmul(bi.T, g_z_img, out=grads.w_img)
+    np.matmul(bt.T, g_z_txt, out=grads.w_txt)
 
-    g_log_it = upstream.d_log_inv_temp * _clamp_gate(params.log_inv_temp)
+    grads.log_inv_temp = upstream.d_log_inv_temp * _clamp_gate(params.log_inv_temp)
     if params.log_inv_temp_uni is not None:
-        g_log_it_uni = upstream.d_log_inv_temp_uni * _clamp_gate(params.log_inv_temp_uni)
-    else:
-        g_log_it_uni = None
-    return StudentParams(g_w_img, g_w_txt, g_u_img, g_u_txt, g_log_it, g_log_it_uni)
+        grads.log_inv_temp_uni = upstream.d_log_inv_temp_uni * _clamp_gate(params.log_inv_temp_uni)
+    return grads

@@ -37,6 +37,7 @@ from cusa.errors import BadMagic, TruncatedFile
 from cusa.losses import csa_loss, infonce_loss
 from cusa.mathops import kl_divergence_rows, l2_normalize_rows, row_softmax
 from cusa.metrics import (
+    Relevance,
     evaluate_cross_modal,
     evaluate_uni_modal,
     map_at_r,
@@ -236,7 +237,8 @@ def test_criterion_3_metrics_match_oracles():
         rng = np.random.default_rng(3000 + trial)
         square = trial % 3 == 0
         sims, qids, gids, rel = _random_retrieval_instance(rng, square)
-        ranks = rank_by_similarity(sims, qids, gids, rel, exclude_self=square)
+        ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel),
+                                   exclude_self=square)
         orders = [_oracle_order(sims[i], gids, skip=i if square else None)
                   for i in range(len(qids))]
         for k in (1, min(5, len(orders[0]))):
@@ -245,7 +247,7 @@ def test_criterion_3_metrics_match_oracles():
         rank_exact &= map_at_r(ranks) == _oracle_map_at_r(orders, qids, rel)
         if square:
             emb = l2_normalize_rows(sims + 2.0)
-            uni = evaluate_uni_modal(emb, qids, rel)
+            uni = evaluate_uni_modal(emb, qids, Relevance.from_mapping(rel))
             self_sims = emb @ emb.T
             oracle_orders = [_oracle_order(self_sims[i], qids, skip=i)
                              for i in range(len(qids))]
@@ -329,8 +331,9 @@ def _heldout_run(seed, alpha, beta):
     txt_emb = embed_texts(txt_base.take(held_txt), params)
 
     def co_members(ids):
-        return {q: {m for b, m in enumerate(ids) if clusters[b] == clusters[a] and b != a}
-                for a, q in enumerate(ids)}
+        return Relevance.from_mapping(
+            {q: {m for b, m in enumerate(ids) if clusters[b] == clusters[a] and b != a}
+             for a, q in enumerate(ids)})
 
     rel_i2t = {held_img[a]: {held_txt[b] for b in range(len(held_idx))
                              if clusters[b] == clusters[a]}
@@ -339,7 +342,7 @@ def _heldout_run(seed, alpha, beta):
                              if clusters[b] == clusters[a]}
                for a in range(len(held_idx))}
     cross = evaluate_cross_modal(img_emb, txt_emb, held_img, held_txt,
-                                 rel_i2t, rel_t2i)
+                                 Relevance.from_mapping(rel_i2t), Relevance.from_mapping(rel_t2i))
     return {
         "uni_img": evaluate_uni_modal(img_emb, held_img, co_members(held_img))["r_at_1"],
         "uni_txt": evaluate_uni_modal(txt_emb, held_txt, co_members(held_txt))["r_at_1"],

@@ -291,6 +291,50 @@ class TestEvalCross:
                                   "--pairs", str(corpus / "pairs.tsv")])
         assert code == 3
 
+    # Image and text tables that name their rows with the same id strings:
+    # relevance and pairs resolve every id in one table over both
+    # modalities. Values pinned from the dict-of-sets implementation.
+    SHARED_IDS_PAYLOAD = {
+        "--relevance": {
+            "i2t": {"map_at_r": 0.4333333333333333, "map_at_r_pct": 43.33333333333333,
+                    "r_at_1": 60.0, "r_at_5": 100.0, "r_at_10": 100.0,
+                    "r_precision": 0.4333333333333333,
+                    "r_precision_pct": 43.33333333333333},
+            "t2i": {"map_at_r": 0.4833333333333333, "map_at_r_pct": 48.33333333333333,
+                    "r_at_1": 60.0, "r_at_5": 100.0, "r_at_10": 100.0,
+                    "r_precision": 0.5333333333333333,
+                    "r_precision_pct": 53.333333333333336},
+            "rsum": 520.0},
+        "--pairs": {
+            "i2t": {"map_at_r": 0.5, "map_at_r_pct": 50.0,
+                    "r_at_1": 60.0, "r_at_5": 100.0, "r_at_10": 100.0,
+                    "r_precision": 0.5, "r_precision_pct": 50.0},
+            "t2i": {"map_at_r": 0.55, "map_at_r_pct": 55.00000000000001,
+                    "r_at_1": 60.0, "r_at_5": 100.0, "r_at_10": 100.0,
+                    "r_precision": 0.6, "r_precision_pct": 60.0},
+            "rsum": 520.0},
+    }
+
+    @pytest.mark.parametrize("flag", ["--relevance", "--pairs"])
+    def test_ids_shared_by_both_modalities(self, flag, tmp_path, capsys):
+        ids = ["a", "b", "c", "d", "e"]
+        write_features(tmp_path / "img.feat", ids, [
+            [1.0, 0.0, 0.2], [0.6, 0.8, 0.0], [0.0, 1.0, 0.5], [-0.6, 0.8, 0.1],
+            [0.3, -0.4, 1.0]])
+        write_features(tmp_path / "txt.feat", ids, [
+            [0.8, 0.6, 0.0], [0.9, -0.1, 0.3], [-0.2, 1.0, 0.4], [0.1, 0.7, -0.6],
+            [0.0, 0.0, 1.0]])
+        rel = tmp_path / "rel.tsv"
+        rel.write_text("a\ta,b\nb\tb,e\nc\tc,d,a\nd\td\ne\te,a\n", encoding="utf-8")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a\ta\nb\tb\nc\tc\nd\td\ne\te\na\tb\nc\td\n", encoding="utf-8")
+        code, report, _ = run(capsys, ["eval", "--task", "cross",
+                                       "--img-emb", str(tmp_path / "img.feat"),
+                                       "--txt-emb", str(tmp_path / "txt.feat"),
+                                       flag, str(rel if flag == "--relevance" else pairs)])
+        assert code == 0
+        assert report["payload"] == self.SHARED_IDS_PAYLOAD[flag]
+
 
 class TestEvalImg:
     def test_uni_modal_report(self, corpus, capsys):
@@ -450,6 +494,44 @@ class TestInspectCommand:
 # ---------------------------------------------------------------------------
 # top-level parsing and numeric failures
 # ---------------------------------------------------------------------------
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 in a text input ends as MalformedLine
+    (exit 3) naming its line, never as a traceback."""
+
+    @staticmethod
+    def corrupt_line_3(src, dst):
+        lines = src.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:5] + b"\xff" + lines[2][5:]
+        dst.write_bytes(b"".join(lines))
+        return str(dst)
+
+    def check(self, capsys, argv):
+        code, report, err = run(capsys, argv)
+        assert code == 3
+        assert report is None
+        assert err.startswith("error: line 3: byte 0xff is not valid UTF-8")
+        assert "Traceback" not in err
+
+    @staticmethod
+    def eval_cross(corpus, *flags):
+        return ["eval", "--task", "cross", "--img-emb", str(corpus / "img_base.feat"),
+                "--txt-emb", str(corpus / "txt_base.feat"), *flags]
+
+    def test_eval_relevance(self, corpus, tmp_path, capsys):
+        rel = self.corrupt_line_3(corpus / "relevance.tsv", tmp_path / "rel.tsv")
+        self.check(capsys, self.eval_cross(corpus, "--relevance", rel))
+
+    def test_eval_pairs(self, corpus, tmp_path, capsys):
+        pairs = self.corrupt_line_3(corpus / "pairs.tsv", tmp_path / "pairs.tsv")
+        self.check(capsys, self.eval_cross(corpus, "--pairs", pairs))
+
+    def test_train_pairs(self, corpus, tmp_path, capsys):
+        pairs = self.corrupt_line_3(corpus / "pairs.tsv", tmp_path / "pairs.tsv")
+        argv = train_flags(corpus, tmp_path)
+        argv[argv.index("--pairs") + 1] = pairs
+        self.check(capsys, argv)
+
 
 class TestTopLevel:
     def test_unknown_subcommand(self, capsys):

@@ -41,6 +41,13 @@ FEATURE_HEADER = 20   # magic + u32 version + u64 n + u32 d
 CHECKPOINT_HEADER = 25  # magic + <IIIIIB
 
 
+def relevance_sets(rel):
+    """Query id -> set of relevant ids, decoded from a Relevance."""
+    name = {t: i for i, t in rel.index.items()}
+    return {name[q]: {name[t] for t in rel.indices[lo:hi]}
+            for q, lo, hi in zip(rel.queries, rel.indptr[:-1], rel.indptr[1:])}
+
+
 def small_file(tmp_path, name="feats.bin"):
     path = tmp_path / name
     feats = np.array([[1.0, -2.0, 0.25], [0.5, 4.0, -8.0]])
@@ -255,7 +262,7 @@ class TestReadPairs:
 class TestReadRelevance:
     def test_basic(self, tmp_path):
         path = write_text(tmp_path, "r.tsv", "q1\ta,b\nq2\tc\n")
-        assert read_relevance(path) == {"q1": {"a", "b"}, "q2": {"c"}}
+        assert relevance_sets(read_relevance(path)) == {"q1": {"a", "b"}, "q2": {"c"}}
 
     def test_repeated_query(self, tmp_path):
         path = write_text(tmp_path, "r.tsv", "q\ta\nq\tb\n")
@@ -269,7 +276,7 @@ class TestReadRelevance:
 
     def test_unknown_ids_checked(self, tmp_path):
         path = write_text(tmp_path, "r.tsv", "q\ta,b\n")
-        assert read_relevance(path, known_ids={"q", "a", "b"})["q"] == {"a", "b"}
+        assert relevance_sets(read_relevance(path, known_ids={"q", "a", "b"}))["q"] == {"a", "b"}
         with pytest.raises(UnknownId):
             read_relevance(path, known_ids={"q", "a"})
         with pytest.raises(UnknownId):

@@ -13,6 +13,13 @@ parameter matrix plus one for the temperature, before the parameters
 moved into one flat vector, so the single loop over that vector must
 reproduce every reported error bit for bit.
 
+The eval digests pin the stdout of `eval --task cross --relevance`,
+`eval --task cross --pairs` and `eval --task img --relevance` on a
+fixed-seed bundle. They were produced while relevance was still a dict
+of id sets and every score row was stable-argsorted, before relevance
+became an int32 CSR and ranking a per-block default sort with stable
+re-sorts of tied rows only.
+
 The bytes depend on the floating-point stack (numpy build and BLAS
 kernels). On another stack, regenerate the digests from a commit whose
 outputs are trusted rather than from the change under test.
@@ -27,6 +34,11 @@ from cusa import cli
 CKPT_SHA256 = "e334ff10aa3ea9aabb861797328e9e681b7392e78a5f97f494719da90d753149"
 LOG_SHA256 = "858f8b95b7e42fe1433fa07dec05a9baa2a36719ff5e303e2bcd80ab3acf3c85"
 GRADCHECK_SHA256 = "230c52a3b410d48dffaf2894f9c5f0169604f20e5aab4c4f6b3363b0bae6be93"
+EVAL_SHA256 = {
+    "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
+    "cross-pairs": "aba60caad135f6ebe3b8acaa57b72e6840f19e3afbb253d90535010be79f7d24",
+    "img-relevance": "42664819cb7afbe616c08e57f14a79274792144c48016bc188f86052253732f4",
+}
 
 
 def _cli(argv):
@@ -63,3 +75,30 @@ def test_gradcheck_report_is_byte_identical():
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         assert cli.main(["gradcheck", "--trials", "2", "--dims", "5,4,3,2"]) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GRADCHECK_SHA256
+
+
+def test_fixed_seed_eval_reports_are_byte_identical(tmp_path, monkeypatch):
+    # relative paths, because the report echoes them
+    monkeypatch.chdir(tmp_path)
+    assert _cli(["synth", "--out", ".", "--clusters", "3", "--pairs-per-cluster", "12",
+                 "--seed", "21", "--noise", "0.4"]) == 0
+    assert _cli(["train", "--pairs", "pairs.tsv", "--img-base", "img_base.feat",
+                 "--txt-base", "txt_base.feat", "--img-teacher", "img_teacher.feat",
+                 "--txt-teacher", "txt_teacher.feat", "--out-ckpt", "model.ckpt",
+                 "--log", "train.log", "--batch-size", "12", "--epochs", "2",
+                 "--d-e", "6", "--d-u", "3", "--seed", "5"]) == 0
+    ckpt = ["--ckpt", "model.ckpt", "--img-base", "img_base.feat"]
+    runs = {
+        "cross-relevance": ["--task", "cross", *ckpt, "--txt-base", "txt_base.feat",
+                            "--relevance", "relevance.tsv"],
+        "cross-pairs": ["--task", "cross", *ckpt, "--txt-base", "txt_base.feat",
+                        "--pairs", "pairs.tsv"],
+        "img-relevance": ["--task", "img", *ckpt, "--relevance", "relevance.tsv"],
+    }
+    digests = {}
+    for name, flags in runs.items():
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(["eval", *flags]) == 0
+        digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digests == EVAL_SHA256

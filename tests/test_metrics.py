@@ -8,8 +8,12 @@ that ranking only depends on order, never on float arithmetic.
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cusa import metrics
+from cusa.dataio import read_relevance
 from cusa.errors import (
     DegenerateInput,
     EmptyGallery,
@@ -19,6 +23,7 @@ from cusa.errors import (
 )
 from cusa.mathops import l2_normalize_rows
 from cusa.metrics import (
+    Relevance,
     evaluate_cross_modal,
     evaluate_uni_modal,
     map_at_r,
@@ -72,7 +77,8 @@ def ranked_ids(scores, query_ids, gallery_ids, exclude_self=False):
     out = [[None] * (len(gallery_ids) - exclude_self) for _ in query_ids]
     for g in gallery_ids:
         ranks = rank_by_similarity(scores, query_ids, gallery_ids,
-                                   {q: {g} for q in query_ids}, exclude_self)
+                                   Relevance.from_mapping({q: {g} for q in query_ids}),
+                                   exclude_self)
         for row, r in zip(out, ranks):
             for pos in r:
                 row[pos] = g
@@ -88,7 +94,7 @@ def ranks_of(query_ids, ranked_lists, rel):
     for i, ids in enumerate(ranked_lists):
         for pos, g in enumerate(ids):
             scores[i, gallery.index(g)] = len(ids) - pos
-    return rank_by_similarity(scores, query_ids, gallery, rel)
+    return rank_by_similarity(scores, query_ids, gallery, Relevance.from_mapping(rel))
 
 
 def random_instance(rng, with_ties=False):
@@ -116,7 +122,8 @@ def random_instance(rng, with_ties=False):
 class TestRankBySimilarity:
     def test_orders_descending(self):
         assert ranked_ids([[0.1, 0.9, 0.5]], ["q"], ["a", "b", "c"])[0] == ["b", "c", "a"]
-        ranks = rank_by_similarity([[0.1, 0.9, 0.5]], ["q"], ["a", "b", "c"], {"q": {"a", "c"}})
+        ranks = rank_by_similarity([[0.1, 0.9, 0.5]], ["q"], ["a", "b", "c"],
+                                   Relevance.from_mapping({"q": {"a", "c"}}))
         assert ranks[0].tolist() == [1, 2]
 
     def test_ties_break_by_gallery_index(self):
@@ -125,17 +132,19 @@ class TestRankBySimilarity:
     def test_self_exclusion(self):
         sims = np.array([[1.0, 0.2], [0.2, 1.0]])
         assert ranked_ids(sims, ["a", "b"], ["a", "b"], exclude_self=True) == [["b"], ["a"]]
-        ranks = rank_by_similarity(sims, ["a", "b"], ["a", "b"], {"a": {"a", "b"}, "b": {"b"}},
+        ranks = rank_by_similarity(sims, ["a", "b"], ["a", "b"],
+                                   Relevance.from_mapping({"a": {"a", "b"}, "b": {"b"}}),
                                    exclude_self=True)
         assert [r.tolist() for r in ranks] == [[0], []]
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(EmptyGallery):
-            rank_by_similarity([[1.0]], ["a"], ["a"], {"a": {"a"}}, exclude_self=True)
+            rank_by_similarity([[1.0]], ["a"], ["a"], Relevance.from_mapping({"a": {"a"}}),
+                               exclude_self=True)
 
     def test_id_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            rank_by_similarity([[1.0, 0.0]], ["a"], ["x"], {"a": {"x"}})
+            rank_by_similarity([[1.0, 0.0]], ["a"], ["x"], Relevance.from_mapping({"a": {"x"}}))
 
     def test_monotone_transform_leaves_ranking(self):
         rng = np.random.default_rng(12)
@@ -159,7 +168,7 @@ class TestRecallAtK:
     def test_monotone_in_k(self):
         rng = np.random.default_rng(44)
         sims, qids, gids, rel = random_instance(rng)
-        ranks = rank_by_similarity(sims, qids, gids, rel)
+        ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel))
         values = [recall_at_k(ranks, k) for k in range(1, len(gids) + 1)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -198,7 +207,7 @@ class TestRPrecisionAndMapAtR:
         rng = np.random.default_rng(60)
         for _ in range(30):
             sims, qids, gids, rel = random_instance(rng)
-            ranks = rank_by_similarity(sims, qids, gids, rel)
+            ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel))
             assert map_at_r(ranks) <= r_precision(ranks) + 1e-15
 
 
@@ -206,7 +215,7 @@ def test_ranking_metrics_match_oracles_exactly():
     rng = np.random.default_rng(2024)
     for trial in range(100):
         sims, qids, gids, rel = random_instance(rng, with_ties=(trial % 2 == 0))
-        ranks = rank_by_similarity(sims, qids, gids, rel)
+        ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel))
         oracle_ranked = [(qid, [gids[j] for j in oracle_order(sims[i])])
                          for i, qid in enumerate(qids)]
         assert ranked_ids(sims, qids, gids) == [ids for _, ids in oracle_ranked]
@@ -226,7 +235,7 @@ def test_uni_modal_self_exclusion_matches_oracle():
                         if int(j) != i} or {ids[(i + 1) % n]}
                for i in range(n)}
         sims = emb @ emb.T
-        got = evaluate_uni_modal(emb, ids, rel)
+        got = evaluate_uni_modal(emb, ids, Relevance.from_mapping(rel))
         oracle_ranked = [(ids[i], [ids[j] for j in oracle_order(sims[i], exclude=i)])
                          for i in range(n)]
         assert got["r_at_1"] == 100.0 * oracle_recall(oracle_ranked, rel, 1)
@@ -308,7 +317,8 @@ class TestEvaluateCrossModal:
         emb = l2_normalize_rows(rng.standard_normal((6, 5)))
         ids = [f"p{i}" for i in range(6)]
         rel = {i: {i} for i in ids}
-        report = evaluate_cross_modal(emb, emb, ids, ids, rel, rel)
+        report = evaluate_cross_modal(emb, emb, ids, ids, Relevance.from_mapping(rel),
+                                      Relevance.from_mapping(rel))
         for direction in ("i2t", "t2i"):
             assert report[direction]["r_at_1"] == 100.0
             assert report[direction]["map_at_r"] == 1.0
@@ -317,7 +327,8 @@ class TestEvaluateCrossModal:
 
     def test_single_pair(self):
         emb = np.array([[1.0, 0.0]])
-        report = evaluate_cross_modal(emb, emb, ["i"], ["t"], {"i": {"t"}}, {"t": {"i"}})
+        report = evaluate_cross_modal(emb, emb, ["i"], ["t"], Relevance.from_mapping({"i": {"t"}}),
+                                      Relevance.from_mapping({"t": {"i"}}))
         assert report["rsum"] == 600.0
         assert report["i2t"]["map_at_r"] == 1.0
 
@@ -331,7 +342,8 @@ class TestEvaluateCrossModal:
                    for iid in img_ids}
         rel_t2i = {tid: {img_ids[int(j)] for j in rng.choice(20, 3, replace=False)}
                    for tid in txt_ids}
-        report = evaluate_cross_modal(img, txt, img_ids, txt_ids, rel_i2t, rel_t2i)
+        report = evaluate_cross_modal(img, txt, img_ids, txt_ids, Relevance.from_mapping(rel_i2t),
+                                      Relevance.from_mapping(rel_t2i))
         sims = img @ txt.T
         fwd = [(img_ids[i], [txt_ids[j] for j in oracle_order(sims[i])])
                for i in range(20)]
@@ -350,13 +362,13 @@ class TestEvaluateCrossModal:
 class TestEvaluateUniModal:
     def test_identical_embeddings_mutually_relevant(self):
         emb = np.array([[1.0, 0.0], [1.0, 0.0]])
-        got = evaluate_uni_modal(emb, ["a", "b"], {"a": {"b"}, "b": {"a"}})
+        got = evaluate_uni_modal(emb, ["a", "b"], Relevance.from_mapping({"a": {"b"}, "b": {"a"}}))
         assert got["r_at_1"] == 100.0
 
     def test_irrelevant_nearest_neighbor_scores_zero(self):
         emb = np.array([[1.0, 0.0], [0.9, np.sqrt(1 - 0.81)], [-1.0, 0.0]])
         rel = {"a": {"c"}, "b": {"a"}, "c": {"a"}}
-        got = evaluate_uni_modal(emb, ["a", "b", "c"], rel)
+        got = evaluate_uni_modal(emb, ["a", "b", "c"], Relevance.from_mapping(rel))
         # a's nearest is b (irrelevant), b's nearest is a (relevant),
         # c's nearest is b (irrelevant)
         assert got["r_at_1"] == pytest.approx(100.0 / 3.0)
@@ -387,8 +399,60 @@ class TestBlockBoundaries:
             oracle_ranked = [(qid, [gids[j] for j in oracle_order(sims[i], exclude=x)])
                              for i, (qid, x) in enumerate(zip(qids, skip))]
             assert ranked_ids(sims, qids, gids, exclude_self) == [ids for _, ids in oracle_ranked]
-            ranks = rank_by_similarity(sims, qids, gids, rel, exclude_self)
+            ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel), exclude_self)
             for k in (1, 5, 10):
                 assert recall_at_k(ranks, k) == oracle_recall(oracle_ranked, rel, k)
             assert r_precision(ranks) == oracle_r_precision(oracle_ranked, rel)
             assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
+
+
+# ---------------------------------------------------------------------------
+# property: ranking and metrics vs the oracles on tie-heavy inputs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tie_heavy_instances(draw, exclude_self):
+    ng = draw(st.integers(2, 12))
+    nq = ng if exclude_self else draw(st.integers(1, 12))
+    scale = 10 ** draw(st.sampled_from([1, 2]))  # one or two decimals
+    sims = draw(arrays(np.int64, (nq, ng), elements=st.integers(-scale, scale))) / scale
+    gids = [f"v{j}" for j in range(ng)]
+    qids = gids if exclude_self else [f"q{i}" for i in range(nq)]
+    pool = gids + ["out-a", "out-b"]  # ids outside the gallery are ignored
+    lines = {}
+    for i, qid in enumerate(qids):
+        # one relevant item in the gallery (not the query itself under
+        # self-exclusion), then any ids, repeats allowed
+        first = draw(st.sampled_from([g for j, g in enumerate(gids)
+                                      if not (exclude_self and j == i)]))
+        lines[qid] = [first] + draw(st.lists(st.sampled_from(pool), max_size=6))
+    return sims, qids, gids, lines
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 128])
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_ranking_and_metrics_match_oracles_on_ties(block_rows, exclude_self, monkeypatch,
+                                                    tmp_path):
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", block_rows)
+    path = tmp_path / "rel.tsv"
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tie_heavy_instances(exclude_self))
+    def check(instance):
+        sims, qids, gids, lines = instance
+        path.write_text("".join(f"{q}\t{','.join(ids)}\n" for q, ids in lines.items()),
+                        encoding="utf-8")
+        ranks = rank_by_similarity(sims, qids, gids, read_relevance(path), exclude_self)
+        rel = {q: set(ids) for q, ids in lines.items()}
+        oracle_ranked = [(qid, [gids[j] for j in oracle_order(sims[i], i if exclude_self
+                                                               else None)])
+                         for i, qid in enumerate(qids)]
+        assert [r.tolist() for r in ranks] == [
+            [pos for pos, g in enumerate(ids) if g in rel[q]] for q, ids in oracle_ranked]
+        for k in (1, 5, 10):
+            assert recall_at_k(ranks, k) == oracle_recall(oracle_ranked, rel, k)
+        assert r_precision(ranks) == oracle_r_precision(oracle_ranked, rel)
+        assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
+
+    check()

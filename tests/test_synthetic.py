@@ -13,6 +13,13 @@ SMALL = dict(n_clusters=3, pairs_per_cluster=5, d_student_img=8, d_student_txt=8
              d_teacher_img=12, d_teacher_txt=12)
 
 
+def relevance_sets(rel):
+    """Query id -> set of relevant ids, decoded from a Relevance."""
+    name = {t: i for i, t in rel.index.items()}
+    return {name[q]: {name[t] for t in rel.indices[lo:hi]}
+            for q, lo, hi in zip(rel.queries, rel.indptr[:-1], rel.indptr[1:])}
+
+
 class TestSynthConfig:
     @pytest.mark.parametrize("overrides", [
         {"n_clusters": 1},
@@ -135,7 +142,7 @@ class TestSynthGenerate:
 
     def test_relevance_is_symmetric_co_membership(self, tmp_path):
         paths = synth_generate(SynthConfig(**SMALL, seed=3), tmp_path / "out")
-        rel = read_relevance(paths["relevance"])
+        rel = relevance_sets(read_relevance(paths["relevance"]))
         data = generate(SynthConfig(**SMALL, seed=3))
         ppc = SMALL["pairs_per_cluster"]
         assert set(rel) == set(data.img_ids) | set(data.txt_ids)
