@@ -30,10 +30,8 @@ from .losses import (
     LossGradients,
     LossReport,
     batch_loss_and_grads,
-    csa_loss,
     cusa_total,
-    infonce_loss,
-    usa_loss,
+    loss_from_logits,
 )
 from .mathops import (
     cosine_similarity,
@@ -76,7 +74,7 @@ __all__ = [
     "CusaError", "UsageError", "FormatError", "DataError", "NumericError",
     "l2_normalize_rows", "cosine_similarity", "row_softmax", "kl_divergence_rows",
     "teacher_distribution", "build_batch_targets", "TeacherBatch", "TeacherTargets",
-    "infonce_loss", "csa_loss", "usa_loss", "cusa_total", "batch_loss_and_grads",
+    "loss_from_logits", "cusa_total", "batch_loss_and_grads",
     "LossReport", "LossGradients",
     "StudentParams", "StudentOutputs", "init_params", "forward", "backward",
     "embed_images", "embed_texts",

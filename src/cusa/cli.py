@@ -27,8 +27,8 @@ from .errors import (
     OutOfRange,
     UsageError,
 )
-from .losses import batch_loss_and_grads
-from .mathops import l2_normalize_rows, row_softmax
+from .losses import loss_from_logits
+from .mathops import l2_normalize_rows
 from .softlabels import TeacherBatch, build_batch_targets
 
 FORMAT_VERSION = 1
@@ -266,6 +266,10 @@ def _vectors(ids, emb) -> list:
 
 
 def cmd_inspect(args) -> int:
+    # the flags shared with train pass the same checks
+    config = trainer.TrainConfig(alpha=args.alpha, beta=args.beta, seed=args.seed,
+                                 teacher_inv_temp=args.teacher_inv_temp,
+                                 d_e=args.d_e, d_u=args.d_u)
     data = _load_train_data(args)
     indices = _parse_batch(args.batch, len(data.pairs))
     batch = [data.pairs[i] for i in indices]
@@ -275,36 +279,36 @@ def cmd_inspect(args) -> int:
     if args.ckpt is not None:
         params, _ = dataio.load_checkpoint(args.ckpt)
     else:
-        params = model.init_params(args.seed, data.img_base.d, data.txt_base.d,
-                                   args.d_e, args.d_u)
+        params = model.init_params(config.seed, data.img_base.d, data.txt_base.d,
+                                   config.d_e, config.d_u)
 
     outputs = model.forward(data.img_base.take(img_ids), data.txt_base.take(txt_ids), params)
     teacher = TeacherBatch(
         image_features=l2_normalize_rows(data.img_teacher.take(img_ids)),
         text_features=l2_normalize_rows(data.txt_teacher.take(txt_ids)),
     )
-    targets = build_batch_targets(teacher, args.teacher_inv_temp)
-    report, _ = batch_loss_and_grads(outputs, targets, args.alpha, args.beta)
-
-    s_i2t = outputs.img_emb @ outputs.txt_emb.T
-    it, it_u = outputs.inv_temp, outputs.inv_temp_uni
+    targets = build_batch_targets(teacher, config.teacher_inv_temp)
+    report, _, qs = loss_from_logits(
+        outputs.img_emb @ outputs.txt_emb.T,
+        outputs.img_usa @ outputs.img_usa.T,
+        outputs.txt_usa @ outputs.txt_usa.T,
+        targets, outputs.inv_temp, outputs.inv_temp_uni, config.alpha, config.beta,
+        keep_q=True,
+    )
     payload = {
         "batch": indices,
         "p_i2i": targets.p_i2i.tolist(),
         "p_t2t": targets.p_t2t.tolist(),
-        "q_i2t": row_softmax(s_i2t, it).tolist(),
-        "q_t2i": row_softmax(s_i2t.T, it).tolist(),
-        "q_i2i": row_softmax(outputs.img_usa @ outputs.img_usa.T, it_u).tolist(),
-        "q_t2t": row_softmax(outputs.txt_usa @ outputs.txt_usa.T, it_u).tolist(),
+        **{key: q.tolist() for key, q in qs.items()},
         "loss": report.as_dict(),
         "embeddings": {
             "images": _vectors(img_ids, outputs.img_emb),
             "texts": _vectors(txt_ids, outputs.txt_emb),
         },
     }
-    config = {"alpha": args.alpha, "beta": args.beta,
-              "teacher_inv_temp": args.teacher_inv_temp, "ckpt": args.ckpt}
-    _print_report("inspect", config, args.seed, payload)
+    _print_report("inspect", {"alpha": args.alpha, "beta": args.beta,
+                              "teacher_inv_temp": args.teacher_inv_temp, "ckpt": args.ckpt},
+                  args.seed, payload)
     return 0
 
 

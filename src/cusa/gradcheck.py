@@ -7,8 +7,8 @@ projector head). Temperatures are drawn strictly inside the clamp
 window so the gate stays open.
 
 Functions under test are looked up through their modules at call time,
-which keeps the checker honest: patching cusa.losses.infonce_loss is
-enough to make it fail.
+which keeps the checker honest: patching cusa.losses.loss_from_logits
+is enough to make it fail.
 """
 
 from __future__ import annotations
@@ -67,51 +67,34 @@ def _random_targets(rng, n: int) -> tuple:
 
 
 def check_losses(seed: int, batch_sizes=DEFAULT_BATCH_SIZES) -> dict:
-    """Max per-entry error for each loss-level gradient component."""
+    """Max per-entry error of loss_from_logits, the code training runs,
+    per logit matrix and per log-temperature, with both teacher terms
+    weighted."""
     rng = np.random.default_rng(seed)
-    worst = {"infonce.logits": 0.0, "infonce.log_inv_temp": 0.0,
-             "csa.logits": 0.0, "usa.logits": 0.0}
+    names = ("s_i2t", "s_i2i", "s_t2t")
+    worst = {f"loss.{name}": 0.0 for name in (*names, "log_inv_temp", "log_inv_temp_uni")}
     for n in batch_sizes:
-        s = rng.uniform(-1.0, 1.0, size=(n, n))
-        u = float(rng.uniform(np.log(2.0), np.log(50.0)))
-        it = float(np.exp(u))
+        logits = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in names]
+        log_its = rng.uniform(np.log(2.0), np.log(50.0), size=2)
+        targets = TeacherTargets(*_random_targets(rng, n))
 
-        value, lg = losses.infonce_loss(s, it)
-        fd = _fd_matrix(lambda: losses.infonce_loss(s, it)[0], s)
-        worst["infonce.logits"] = max(worst["infonce.logits"], _max_err(lg.d_s_i2t, fd))
-        hi = losses.infonce_loss(s, float(np.exp(u + H)))[0]
-        lo = losses.infonce_loss(s, float(np.exp(u - H)))[0]
-        worst["infonce.log_inv_temp"] = max(
-            worst["infonce.log_inv_temp"],
-            _err(lg.d_log_inv_temp, (hi - lo) / (2.0 * H)),
-        )
+        def core():
+            return losses.loss_from_logits(
+                *logits, targets, float(np.exp(log_its[0])), float(np.exp(log_its[1])),
+                _ALPHA, _BETA,
+            )
 
-        p_i, p_t = _random_targets(rng, n)
+        def total():
+            return core()[0].l_total
 
-        def csa_value():
-            return losses.csa_loss(
-                p_i, p_t, row_softmax(s, it), row_softmax(s.T, it), it
-            )[0]
-
-        _, d_s = losses.csa_loss(p_i, p_t, row_softmax(s, it), row_softmax(s.T, it), it)
-        worst["csa.logits"] = max(worst["csa.logits"], _max_err(d_s, _fd_matrix(csa_value, s)))
-
-        s_i = rng.uniform(-1.0, 1.0, size=(n, n))
-        s_t = rng.uniform(-1.0, 1.0, size=(n, n))
-
-        def usa_value():
-            return losses.usa_loss(
-                p_i, p_t, row_softmax(s_i, it), row_softmax(s_t, it), it
-            )[0]
-
-        _, d_i, d_t = losses.usa_loss(
-            p_i, p_t, row_softmax(s_i, it), row_softmax(s_t, it), it
-        )
-        worst["usa.logits"] = max(
-            worst["usa.logits"],
-            _max_err(d_i, _fd_matrix(usa_value, s_i)),
-            _max_err(d_t, _fd_matrix(usa_value, s_t)),
-        )
+        _, lg, _ = core()
+        for name, s in zip(names, logits):
+            key = f"loss.{name}"
+            worst[key] = max(worst[key], _max_err(getattr(lg, "d_" + name), _fd_matrix(total, s)))
+        fd = _fd_matrix(total, log_its)
+        for key, analytic, numeric in (("loss.log_inv_temp", lg.d_log_inv_temp, fd[0]),
+                                       ("loss.log_inv_temp_uni", lg.d_log_inv_temp_uni, fd[1])):
+            worst[key] = max(worst[key], _err(analytic, float(numeric)))
     return worst
 
 
@@ -120,15 +103,19 @@ def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -
 
     Differentiates the composition trainer.train runs each step: forward,
     batch_loss_and_grads on its outputs, then backward over the same
-    outputs and their forward tape.
+    outputs and their forward tape. The batch sizes alternate between
+    the shared and the separate uni-modal temperature layouts, starting
+    from a different one on odd and even seeds.
     """
     rng = np.random.default_rng(seed)
-    worst = {f"model.{name}": 0.0 for name, *_ in model.param_segments(dims, 1)}
-    for n in batch_sizes:
+    worst = {f"model.{name}": 0.0 for name, *_ in model.param_segments(dims, 2)}
+    for i, n in enumerate(batch_sizes):
         base_img = rng.standard_normal((n, dims[0]))
         base_txt = rng.standard_normal((n, dims[1]))
-        params = model.init_params(seed, *dims)
-        params.log_inv_temp = float(rng.uniform(np.log(2.0), np.log(50.0)))
+        params = model.init_params(seed, *dims, separate_uni_temp=(seed + i) % 2 == 1)
+        # the temperatures lead the layout
+        params.flat[:params.n_scalars] = rng.uniform(np.log(2.0), np.log(50.0),
+                                                     size=params.n_scalars)
         p_i, p_t = _random_targets(rng, n)
         targets = TeacherTargets(p_i2i=p_i, p_t2t=p_t)
 
@@ -153,6 +140,8 @@ def run(trials: int = 20, base_seed: int = 0, dims=DEFAULT_DIMS,
     """Worst error per component over `trials` seeded repetitions."""
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    if base_seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {base_seed}")
     worst: dict = {}
     for t in range(trials):
         seed = base_seed + t

@@ -23,12 +23,13 @@ back through that transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDistribution, NegativeWeight, ShapeMismatch
-from .mathops import _as_matrix, kl_rows_raw, log_prob, row_softmax_with_log
+from .errors import NegativeWeight, ShapeMismatch
+from .mathops import kl_rows_raw, log_prob, row_softmax_with_log
 
 
 @dataclass
@@ -61,8 +62,10 @@ class LossGradients:
     """Gradients of a scalar loss w.r.t. the similarity logits.
 
     d_s_i2t carries both cross-modal directions (the t2i part enters
-    transposed). d_log_inv_temp_uni stays 0.0 unless a separate
-    uni-modal temperature is in use.
+    transposed). loss_from_logits returns the derivatives w.r.t. the
+    two log-temperatures apart; batch_loss_and_grads folds the
+    uni-modal one into d_log_inv_temp, leaving d_log_inv_temp_uni 0.0,
+    unless a separate uni-modal temperature is in use.
     """
 
     d_s_i2t: np.ndarray
@@ -70,11 +73,6 @@ class LossGradients:
     d_s_t2t: np.ndarray
     d_log_inv_temp: float
     d_log_inv_temp_uni: float = 0.0
-
-
-def _check_square(m: np.ndarray, name: str) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got {m.shape}")
 
 
 def _infonce_logit_grad(q_i2t: np.ndarray, q_t2i: np.ndarray, it: float) -> np.ndarray:
@@ -88,169 +86,90 @@ def _infonce_logit_grad(q_i2t: np.ndarray, q_t2i: np.ndarray, it: float) -> np.n
     return d_s
 
 
-def _log_of(q: np.ndarray, name: str) -> np.ndarray:
-    if np.any(q <= 0.0):
-        raise InvalidDistribution(f"{name} has a non-positive entry")
-    return np.log(q)
+def _usa_direction(s: np.ndarray, p: np.ndarray, log_p: np.ndarray,
+                   it_u: float, beta: float, keep_q: bool):
+    """One uni-modal direction of the objective.
 
-
-def infonce_loss(s_i2t, inv_temp: float):
-    """Symmetric InfoNCE over cross-modal logits.
-
-    Args:
-        s_i2t: square N x N similarity logits; entry (i, i) is the
-            positive pair.
-        inv_temp: inverse temperature, > 0.
-
-    Returns:
-        (value, LossGradients): the averaged two-direction loss and its
-        gradients w.r.t. the logits and log(inv_temp). The uni-modal
-        gradient matrices are zero.
+    Returns (KL from p to softmax(s * it_u), the logit gradient
+    beta * it_u / 2n * (q - p), sum(gradient * s), a copy of q or None);
+    the gradient is zeros and the sum 0.0 when beta is 0. `s` and `p`
+    are not modified; the product is formed in the dead log q buffer.
     """
-    s = _as_matrix(s_i2t, "s_i2t")
-    _check_square(s, "s_i2t")
-    n = s.shape[0]
-    it = float(inv_temp)
-    q_i2t, log_i2t = row_softmax_with_log(s, it)
-    q_t2i, log_t2i = row_softmax_with_log(s.T, it)
-    value = -0.5 * (np.diagonal(log_i2t).mean() + np.diagonal(log_t2i).mean())
-    d_s = _infonce_logit_grad(q_i2t, q_t2i, it)
-    d_log_it = float((d_s * s).sum())
-    zero = np.zeros((n, n))
-    return float(value), LossGradients(d_s, zero, zero.copy(), d_log_it)
-
-
-def csa_loss(p_i2i, p_t2t, q_i2t, q_t2i, inv_temp: float = 1.0):
-    """Cross-modal alignment: KL from teacher targets to student Q's.
-
-    Args:
-        p_i2i, p_t2t: teacher target distributions (constants).
-        q_i2t, q_t2i: student cross-modal distributions from
-            row_softmax over logits scaled by inv_temp.
-        inv_temp: the inverse temperature those logits were scaled by;
-            needed because the returned gradient is w.r.t. the raw
-            logits.
-
-    Returns:
-        (value, d_s_i2t): the averaged two-direction KL and its
-        gradient w.r.t. the i2t logit matrix (t2i enters transposed).
-    """
-    pi = _as_matrix(p_i2i, "p_i2i")
-    pt = _as_matrix(p_t2t, "p_t2t")
-    qi = _as_matrix(q_i2t, "q_i2t")
-    qt = _as_matrix(q_t2i, "q_t2i")
-    for name, m in (("p_t2t", pt), ("q_i2t", qi), ("q_t2i", qt)):
-        if m.shape != pi.shape:
-            raise ShapeMismatch(f"{name} shape {m.shape} != p_i2i shape {pi.shape}")
-    _check_square(pi, "p_i2i")
-    n = pi.shape[0]
-    value = 0.5 * (
-        kl_rows_raw(pi, _log_of(qi, "q_i2t"), log_prob(pi)).mean()
-        + kl_rows_raw(pt, _log_of(qt, "q_t2i"), log_prob(pt)).mean()
-    )
-    d_s = (float(inv_temp) / (2.0 * n)) * ((qi - pi) + (qt - pt).T)
-    return float(value), d_s
-
-
-def usa_loss(p_i2i, p_t2t, q_i2i, q_t2t, inv_temp: float = 1.0):
-    """Uni-modal alignment: KL from teacher targets to the student's
-    within-modality distributions.
-
-    Same form as csa_loss but the gradients route to the two uni-modal
-    logit matrices instead of the shared cross-modal one.
-
-    Returns:
-        (value, d_s_i2i, d_s_t2t)
-    """
-    pi = _as_matrix(p_i2i, "p_i2i")
-    pt = _as_matrix(p_t2t, "p_t2t")
-    qi = _as_matrix(q_i2i, "q_i2i")
-    qt = _as_matrix(q_t2t, "q_t2t")
-    for name, m in (("p_t2t", pt), ("q_i2i", qi), ("q_t2t", qt)):
-        if m.shape != pi.shape:
-            raise ShapeMismatch(f"{name} shape {m.shape} != p_i2i shape {pi.shape}")
-    _check_square(pi, "p_i2i")
-    n = pi.shape[0]
-    value = 0.5 * (
-        kl_rows_raw(pi, _log_of(qi, "q_i2i"), log_prob(pi)).mean()
-        + kl_rows_raw(pt, _log_of(qt, "q_t2t"), log_prob(pt)).mean()
-    )
-    scale = float(inv_temp) / (2.0 * n)
-    return float(value), scale * (qi - pi), scale * (qt - pt)
-
-
-def _usa_direction(f: np.ndarray, p: np.ndarray, log_p: np.ndarray,
-                   it_u: float, beta: float):
-    """One uni-modal direction of the batch loss.
-
-    Returns (KL from p to softmax(f f^T * it_u), the logit gradient
-    beta * it_u / 2n * (q - p), sum(gradient * logits)); the gradient is
-    zeros and the sum 0.0 when beta is 0. Inputs are not modified.
-    """
-    s = f @ f.T
     q, log_q = row_softmax_with_log(s, it_u)
     kl = float(kl_rows_raw(p, log_q, log_p).mean())
+    kept = q.copy() if keep_q else None
     if beta == 0.0:
-        return kl, np.zeros(s.shape), 0.0
+        return kl, np.zeros(s.shape), 0.0, kept
     q -= p
     q *= beta * it_u / (2.0 * s.shape[0])
-    s *= q
-    return kl, q, s.sum()
+    return kl, q, np.multiply(s, q, out=log_q).sum(), kept
+
+
+def _check_weights(alpha: float, beta: float) -> None:
+    if not (math.isfinite(alpha) and math.isfinite(beta) and alpha >= 0.0 and beta >= 0.0):
+        raise NegativeWeight(f"alpha and beta must be finite and >= 0, got {alpha}, {beta}")
 
 
 def cusa_total(l_original: float, l_csa: float, l_usa: float,
                alpha: float, beta: float) -> float:
     """Weighted sum of the three loss terms."""
-    if alpha < 0.0 or beta < 0.0:
-        raise NegativeWeight(f"alpha and beta must be >= 0, got {alpha}, {beta}")
+    _check_weights(alpha, beta)
     return float(l_original + alpha * l_csa + beta * l_usa)
 
 
-def batch_loss_and_grads(outputs, targets, alpha: float, beta: float):
-    """Full forward loss and logit-level gradients for one batch.
+def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
+                     alpha: float, beta: float, keep_q: bool = False):
+    """The training objective and its gradients from the three logit matrices.
 
     Args:
-        outputs: StudentOutputs with normalized embeddings and the
-            clamped inverse temperature(s).
+        s_i2t: N x N cross-modal logits; entry (i, i) is the positive
+            pair and the t2i logits are its transpose.
+        s_i2i, s_t2t: N x N uni-modal logits of the projector branch.
         targets: TeacherTargets with constant p_i2i / p_t2t.
-        alpha: CSA weight.
-        beta: USA weight.
+        it: inverse temperature of the cross-modal softmaxes.
+        it_u: inverse temperature of the uni-modal softmaxes.
+        alpha: CSA weight; beta: USA weight. Both finite and >= 0.
+        keep_q: also return copies of the four student distributions.
 
     Returns:
-        (LossReport, LossGradients). Component gradients are skipped
-        entirely (not just scaled by zero) when their weight is zero,
-        so an alpha=beta=0 run is bit-identical to pure InfoNCE.
+        (LossReport, LossGradients, qs). d_log_inv_temp is the derivative
+        w.r.t. log(it) and d_log_inv_temp_uni the one w.r.t. log(it_u).
+        qs is None, or with keep_q a dict of q_i2t, q_t2i, q_i2i, q_t2t.
+        Component gradients are skipped entirely (not just scaled by
+        zero) when their weight is zero, so an alpha=beta=0 result is
+        bit-identical to pure InfoNCE. No input is modified.
     """
-    if alpha < 0.0 or beta < 0.0:
-        raise NegativeWeight(f"alpha and beta must be >= 0, got {alpha}, {beta}")
-    e_img, e_txt = outputs.img_emb, outputs.txt_emb
-    f_img, f_txt = outputs.img_usa, outputs.txt_usa
-    it = float(outputs.inv_temp)
-    it_u = float(outputs.inv_temp_uni)
-    n = e_img.shape[0]
+    _check_weights(alpha, beta)
+    n = s_i2t.shape[0]
     p_i2i, p_t2t = targets.p_i2i, targets.p_t2t
-    if p_i2i.shape != (n, n) or p_t2t.shape != (n, n):
-        raise ShapeMismatch(
-            f"teacher targets {p_i2i.shape}/{p_t2t.shape} do not match batch size {n}"
-        )
+    for name, m in (("s_i2t", s_i2t), ("s_i2i", s_i2i), ("s_t2t", s_t2t),
+                    ("p_i2i", p_i2i), ("p_t2t", p_t2t)):
+        if m.shape != (n, n):
+            raise ShapeMismatch(f"{name} shape {m.shape} does not match batch size {n}")
+    it, it_u = float(it), float(it_u)
+    qs = {} if keep_q else None
 
-    # Each student log-softmax is dropped after its KL term and every
-    # gradient is formed in buffers this function allocated, so few n x n
-    # arrays are alive at once; the in-place updates keep the association
-    # order of the written-out expressions, and so their bits. Each
-    # teacher log is shared by its CSA and USA terms.
+    # Each student log-softmax and teacher log is dropped after its last
+    # use and every gradient and sum(d * s) product is formed in buffers
+    # this function allocated, so few n x n arrays are alive at once (the
+    # caller holds the three logit matrices throughout); the in-place
+    # updates keep the association order of the written-out expressions,
+    # and so their bits. Each teacher log is shared by its CSA and USA
+    # terms.
     log_p_i2i = log_prob(p_i2i)
     log_p_t2t = log_prob(p_t2t)
 
     # cross-modal: InfoNCE and CSA share the i2t logits
-    s_i2t = e_img @ e_txt.T
     q_i2t, log_q = row_softmax_with_log(s_i2t, it)
     kl_i2t = float(kl_rows_raw(p_i2i, log_q, log_p_i2i).mean())
     diag_i2t = np.diagonal(log_q).mean()
+    del log_q
     q_t2i, log_q = row_softmax_with_log(s_i2t.T, it)
     kl_t2i = float(kl_rows_raw(p_t2t, log_q, log_p_t2t).mean())
     l_original = -0.5 * (diag_i2t + np.diagonal(log_q).mean())
     del log_q
+    if keep_q:
+        qs.update(q_i2t=q_i2t.copy(), q_t2i=q_t2i.copy())
     # d_s_i2t = c1 * ((q_i2t - I) + (q_t2i - I)^T)
     #         + c2 * ((q_i2t - P_i) + (q_t2i - P_t)^T), c2's term in the q's
     d_s_i2t = _infonce_logit_grad(q_i2t, q_t2i, it)
@@ -260,39 +179,64 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float):
         q_i2t += q_t2i.T
         q_i2t *= alpha * it / (2.0 * n)
         d_s_i2t += q_i2t
-    del q_i2t, q_t2i
-    s_i2t *= d_s_i2t
-    d_log_it = float(s_i2t.sum())
-    del s_i2t
+    del q_t2i
+    d_log_it = float(np.multiply(s_i2t, d_s_i2t, out=q_i2t).sum())
+    del q_i2t
 
     # uni-modal: USA
-    kl_i2i, d_s_i2i, d_img = _usa_direction(f_img, p_i2i, log_p_i2i, it_u, beta)
-    kl_t2t, d_s_t2t, d_txt = _usa_direction(f_txt, p_t2t, log_p_t2t, it_u, beta)
-    d_uni = float(d_img + d_txt)
+    kl_i2i, d_s_i2i, d_img, q_i2i = _usa_direction(s_i2i, p_i2i, log_p_i2i, it_u, beta, keep_q)
+    del log_p_i2i
+    kl_t2t, d_s_t2t, d_txt, q_t2t = _usa_direction(s_t2t, p_t2t, log_p_t2t, it_u, beta, keep_q)
+    if keep_q:
+        qs.update(q_i2i=q_i2i, q_t2t=q_t2t)
 
     l_csa = 0.5 * (kl_i2t + kl_t2i)
     l_usa = 0.5 * (kl_i2i + kl_t2t)
-    l_total = cusa_total(l_original, l_csa, l_usa, alpha, beta)
     report = LossReport(
         l_original=float(l_original),
         l_csa=l_csa,
         l_usa=l_usa,
-        l_total=l_total,
+        l_total=cusa_total(l_original, l_csa, l_usa, alpha, beta),
         per_direction={"i2t": kl_i2t, "t2i": kl_t2i, "i2i": kl_i2i, "t2t": kl_t2t},
     )
-    if getattr(outputs, "separate_uni_temp", False):
-        grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it, d_uni)
-    else:
-        grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it + d_uni)
+    grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it, float(d_img + d_txt))
+    return report, grads, qs
+
+
+def batch_loss_and_grads(outputs, targets, alpha: float, beta: float):
+    """Full forward loss and logit-level gradients for one batch.
+
+    Forms the three logit matrices from the student outputs and hands
+    them to loss_from_logits. Unless the outputs carry a separate
+    uni-modal temperature, its derivative is folded into d_log_inv_temp
+    and d_log_inv_temp_uni is 0.0.
+
+    Args:
+        outputs: StudentOutputs with normalized embeddings and the
+            clamped inverse temperature(s).
+        targets: TeacherTargets with constant p_i2i / p_t2t.
+        alpha: CSA weight.
+        beta: USA weight.
+
+    Returns:
+        (LossReport, LossGradients).
+    """
+    report, grads, _ = loss_from_logits(
+        outputs.img_emb @ outputs.txt_emb.T,
+        outputs.img_usa @ outputs.img_usa.T,
+        outputs.txt_usa @ outputs.txt_usa.T,
+        targets, outputs.inv_temp, outputs.inv_temp_uni, alpha, beta,
+    )
+    if not outputs.separate_uni_temp:
+        grads.d_log_inv_temp += grads.d_log_inv_temp_uni
+        grads.d_log_inv_temp_uni = 0.0
     return report, grads
 
 
 __all__ = [
     "LossReport",
     "LossGradients",
-    "infonce_loss",
-    "csa_loss",
-    "usa_loss",
     "cusa_total",
+    "loss_from_logits",
     "batch_loss_and_grads",
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -33,6 +34,10 @@ class TrainConfig:
     d_u: int = 16
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "learning_rate", "teacher_inv_temp",
+                     "weight_decay", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise InvalidConfig(f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}")
         if self.batch_size < 2:

@@ -34,7 +34,7 @@ from cusa.dataio import (
     write_features,
 )
 from cusa.errors import BadMagic, TruncatedFile
-from cusa.losses import csa_loss, infonce_loss
+from cusa.losses import loss_from_logits
 from cusa.mathops import kl_divergence_rows, l2_normalize_rows, row_softmax
 from cusa.metrics import (
     Relevance,
@@ -48,6 +48,7 @@ from cusa.metrics import (
     spearman,
 )
 from cusa.model import backward, embed_images, embed_texts, forward, init_params
+from cusa.softlabels import TeacherTargets
 from cusa.synthetic import SynthConfig, generate
 from cusa.trainer import (
     TrainConfig,
@@ -127,10 +128,10 @@ def test_criterion_2_loss_identities():
         e_txt = l2_normalize_rows(rng.standard_normal((n, 6)))
         s = e_img @ e_txt.T
         it = float(rng.uniform(2.0, 30.0))
-        nce, _ = infonce_loss(s, it)
-        eye = np.eye(n)
-        aligned, _ = csa_loss(eye, eye, row_softmax(s, it), row_softmax(s.T, it), it)
-        one_hot_worst = max(one_hot_worst, abs(aligned - nce))
+        eye, zero = np.eye(n), np.zeros((n, n))
+        report, _, _ = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye), it, 1.0,
+                                        0.0, 0.0)
+        one_hot_worst = max(one_hot_worst, abs(report.l_csa - report.l_original))
     one_hot_ok = one_hot_worst < 1e-9
 
     # (c) every logged step satisfies the weighted decomposition
@@ -154,8 +155,11 @@ def test_criterion_2_loss_identities():
     for epoch in range(cfg0.epochs):
         for idx in make_batches(len(data.img_ids), cfg0.batch_size, cfg0.seed, epoch):
             outputs = forward(base_img[idx], base_txt[idx], params)
-            _, lgrads = infonce_loss(outputs.img_emb @ outputs.txt_emb.T,
-                                     outputs.inv_temp)
+            # zero weights, one-hot targets, zero uni-modal logits
+            eye, zero = np.eye(len(idx)), np.zeros((len(idx), len(idx)))
+            _, lgrads, _ = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T, zero, zero,
+                                            TeacherTargets(eye, eye), outputs.inv_temp,
+                                            1.0, 0.0, 0.0)
             pgrads = backward(outputs, params, lgrads)
             params, state = adam_step(params, pgrads, state, cfg0)
     zero_worst = max(

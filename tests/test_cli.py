@@ -4,6 +4,7 @@ Everything runs in-process through cli.main(argv) so coverage and
 monkeypatching work; corpora are kept tiny (12 pairs) for speed.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -150,6 +151,19 @@ class TestTrainCommand:
     def test_negative_alpha_rejected(self, corpus, tmp_path, capsys):
         code, _, _ = run(capsys, train_flags(corpus, tmp_path, ["--alpha", "-0.5"]))
         assert code == 2
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--alpha", "alpha", "nan"), ("--beta", "beta", "nan"),
+        ("--weight-decay", "weight_decay", "nan"), ("--lr", "learning_rate", "inf"),
+        ("--teacher-inv-temp", "teacher_inv_temp", "inf"), ("--alpha", "alpha", "inf"),
+    ])
+    def test_non_finite_flag_rejected(self, corpus, tmp_path, capsys, flag, field, value):
+        code, report, err = run(capsys, train_flags(corpus, tmp_path, [flag, value]))
+        assert code == 2 and report is None
+        assert field in next(line for line in err.splitlines() if line.startswith("error:"))
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.ckpt").exists()
+        assert not (tmp_path / "train.log").exists()
 
     def test_missing_input_file(self, corpus, tmp_path, capsys):
         argv = train_flags(corpus, tmp_path)
@@ -385,9 +399,9 @@ class TestGradcheckCommand:
         payload = report["payload"]
         assert payload["passed"] is True
         assert payload["tolerance"] == 1e-4
-        expected = {"infonce.logits", "infonce.log_inv_temp", "csa.logits",
-                    "usa.logits", "model.w_img", "model.w_txt", "model.u_img",
-                    "model.u_txt", "model.log_inv_temp"}
+        expected = {"loss.s_i2t", "loss.s_i2i", "loss.s_t2t", "loss.log_inv_temp",
+                    "loss.log_inv_temp_uni", "model.w_img", "model.w_txt", "model.u_img",
+                    "model.u_txt", "model.log_inv_temp", "model.log_inv_temp_uni"}
         assert set(payload["max_errors"]) == expected
         assert all(v < 1e-4 for v in payload["max_errors"].values())
 
@@ -395,27 +409,33 @@ class TestGradcheckCommand:
         code, _, _ = run(capsys, ["gradcheck", "--trials", "0"])
         assert code == 2
 
+    def test_negative_seed_rejected(self, capsys):
+        code, report, err = run(capsys, ["gradcheck", "--seed", "-1", "--trials", "1"])
+        assert code == 2 and report is None
+        assert "seed" in err and "Traceback" not in err
+
     def test_malformed_dims(self, capsys):
         code, _, _ = run(capsys, ["gradcheck", "--dims", "3,3,3"])
         assert code == 2
         code, _, _ = run(capsys, ["gradcheck", "--dims", "a,b,c,d"])
         assert code == 2
 
-    def test_broken_gradient_detected(self, capsys, monkeypatch):
-        real = cusa.losses.infonce_loss
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(LossGradients)])
+    def test_broken_gradient_detected(self, capsys, monkeypatch, field):
+        real = cusa.losses.loss_from_logits
 
-        def flipped(s, inv_temp):
-            value, grads = real(s, inv_temp)
-            return value, LossGradients(-grads.d_s_i2t, grads.d_s_i2i,
-                                        grads.d_s_t2t, grads.d_log_inv_temp)
+        def flipped(*args, **kwargs):
+            report, grads, qs = real(*args, **kwargs)
+            setattr(grads, field, -getattr(grads, field))
+            return report, grads, qs
 
-        monkeypatch.setattr(cusa.losses, "infonce_loss", flipped)
+        monkeypatch.setattr(cusa.losses, "loss_from_logits", flipped)
         code, report, err = run(capsys, ["gradcheck", "--trials", "1",
                                          "--dims", "5,4,3,2"])
         assert code == 6
         assert report["payload"]["passed"] is False
-        assert "gradcheck failed:" in err
-        assert "infonce.logits" in err
+        failed = err.split("gradcheck failed: ")[1].splitlines()[0].split(", ")
+        assert "loss." + field.removeprefix("d_") in failed
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +501,15 @@ class TestInspectCommand:
             corpus, ["--batch", "0,1", "--ckpt", str(trained / "model.ckpt")]))
         assert code == 0
         assert fresh["payload"]["embeddings"] != loaded["payload"]["embeddings"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "nan"], ["--beta", "inf"], ["--teacher-inv-temp", "0"],
+        ["--teacher-inv-temp", "inf"], ["--seed", "-1"], ["--d-e", "0"], ["--d-u", "0"],
+    ], ids=" ".join)
+    def test_bad_flags_rejected(self, corpus, capsys, flags):
+        code, report, err = run(capsys, self.inspect_flags(corpus, ["--batch", "0,1", *flags]))
+        assert code == 2 and report is None
+        assert "error:" in err and "Traceback" not in err
 
     def test_bad_batch_values(self, corpus, capsys):
         code, _, _ = run(capsys, self.inspect_flags(corpus, ["--batch", "0,99"]))

@@ -7,11 +7,10 @@ in-place softmax/KL kernels, a forward tape and load-time teacher
 validation, changes that keep every floating-point operation and its
 order; any change that moves a bit of the trajectory fails here.
 
-The gradcheck digest pins the stdout of a small run. It was produced
-while the model-level check still ran one finite-difference loop per
-parameter matrix plus one for the temperature, before the parameters
-moved into one flat vector, so the single loop over that vector must
-reproduce every reported error bit for bit.
+The gradcheck digest pins the stdout of a small run: finite
+differences of the loss core over its three logit matrices and two
+log-temperatures, and of the model with its batch sizes alternating
+between the shared and the separate uni-modal temperature layouts.
 
 The eval digests pin the stdout of `eval --task cross --relevance`,
 `eval --task cross --pairs` and `eval --task img --relevance` on a
@@ -33,7 +32,7 @@ from cusa import cli
 
 CKPT_SHA256 = "e334ff10aa3ea9aabb861797328e9e681b7392e78a5f97f494719da90d753149"
 LOG_SHA256 = "858f8b95b7e42fe1433fa07dec05a9baa2a36719ff5e303e2bcd80ab3acf3c85"
-GRADCHECK_SHA256 = "230c52a3b410d48dffaf2894f9c5f0169604f20e5aab4c4f6b3363b0bae6be93"
+GRADCHECK_SHA256 = "62adae055834ae879ee55482fba4b88684e6519decf40efe73122afbbe4ac2bc"
 EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
     "cross-pairs": "aba60caad135f6ebe3b8acaa57b72e6840f19e3afbb253d90535010be79f7d24",

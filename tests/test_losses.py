@@ -7,14 +7,8 @@ gradient checker is never its own oracle.
 import numpy as np
 import pytest
 
-from cusa.errors import NegativeWeight
-from cusa.losses import (
-    batch_loss_and_grads,
-    csa_loss,
-    cusa_total,
-    infonce_loss,
-    usa_loss,
-)
+from cusa.errors import NegativeWeight, ShapeMismatch
+from cusa.losses import batch_loss_and_grads, cusa_total, loss_from_logits
 from cusa.mathops import l2_normalize_rows, row_softmax
 from cusa.model import StudentOutputs, forward, init_params
 from cusa.softlabels import TeacherTargets
@@ -45,14 +39,44 @@ def random_targets(rng, n):
             row_softmax(rng.standard_normal((n, n)), 1.0))
 
 
+def infonce(s, it):
+    """Pure InfoNCE through the loss core: zero weights, one-hot targets
+    and zero uni-modal logits. Returns (value, LossGradients)."""
+    s = np.asarray(s, dtype=np.float64)
+    n = s.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    report, grads, _ = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye),
+                                        it, 1.0, 0.0, 0.0)
+    return report.l_total, grads
+
+
+def csa(s, p_i, p_t, it):
+    """(l_csa, its gradient w.r.t. s): the core's i2t gradient at alpha = 1
+    less the one at alpha = 0, both directions from the one matrix s."""
+    zero = np.zeros(s.shape)
+    targets = TeacherTargets(p_i, p_t)
+    report, with_csa, _ = loss_from_logits(s, zero, zero, targets, it, 1.0, 1.0, 0.0)
+    _, without, _ = loss_from_logits(s, zero, zero, targets, it, 1.0, 0.0, 0.0)
+    return report.l_csa, with_csa.d_s_i2t - without.d_s_i2t
+
+
+def usa(p_i, p_t, s_i, s_t, it_u):
+    """(l_usa, d_s_i2i, d_s_t2t) from the core at beta = 1; a distribution
+    q enters as the logits log q at it_u = 1."""
+    zero = np.zeros(s_i.shape)
+    report, grads, _ = loss_from_logits(zero, s_i, s_t, TeacherTargets(p_i, p_t),
+                                        1.0, it_u, 0.0, 1.0)
+    return report.l_usa, grads.d_s_i2i, grads.d_s_t2t
+
+
 class TestInfonce:
     def test_singleton_batch_is_zero(self):
-        value, grads = infonce_loss([[0.37]], 5.0)
+        value, grads = infonce([[0.37]], 5.0)
         assert value == 0.0
         assert grads.d_s_i2t[0, 0] == 0.0
 
     def test_symmetric_two_pair_closed_form(self):
-        value, _ = infonce_loss(np.eye(2), 1.0)
+        value, _ = infonce(np.eye(2), 1.0)
         assert abs(value - INFONCE_2X2) < 1e-15
         np.testing.assert_allclose(value, 0.313262, rtol=0, atol=1e-6)
 
@@ -61,32 +85,32 @@ class TestInfonce:
         for n in (2, 4):
             s = rng.uniform(-1, 1, size=(n, n))
             it = float(np.exp(rng.uniform(np.log(2), np.log(50))))
-            _, grads = infonce_loss(s, it)
-            fd = central_diff(lambda: infonce_loss(s, it)[0], s)
+            _, grads = infonce(s, it)
+            fd = central_diff(lambda: infonce(s, it)[0], s)
             np.testing.assert_allclose(grads.d_s_i2t, fd, rtol=1e-5, atol=1e-8)
 
     def test_temperature_gradient(self):
         rng = np.random.default_rng(55)
         s = rng.uniform(-1, 1, size=(3, 3))
         u = 1.7
-        _, grads = infonce_loss(s, float(np.exp(u)))
+        _, grads = infonce(s, float(np.exp(u)))
         h = 1e-6
-        hi = infonce_loss(s, float(np.exp(u + h)))[0]
-        lo = infonce_loss(s, float(np.exp(u - h)))[0]
+        hi = infonce(s, float(np.exp(u + h)))[0]
+        lo = infonce(s, float(np.exp(u - h)))[0]
         assert abs(grads.d_log_inv_temp - (hi - lo) / (2 * h)) < 1e-7
 
     def test_perfect_separation_drives_loss_down(self):
         hard = 50.0 * np.eye(4) - 25.0
-        easy_value, _ = infonce_loss(hard, 1.0)
-        uniform_value, _ = infonce_loss(np.zeros((4, 4)), 1.0)
+        easy_value, _ = infonce(hard, 1.0)
+        uniform_value, _ = infonce(np.zeros((4, 4)), 1.0)
         assert easy_value < uniform_value
 
 
 class TestCsa:
     def test_matched_distributions_zero(self):
         rng = np.random.default_rng(3)
-        p_i, p_t = random_targets(rng, 4)
-        value, _ = csa_loss(p_i, p_t, p_i, p_t)
+        s = rng.standard_normal((4, 4))
+        value, _ = csa(s, row_softmax(s, 1.0), row_softmax(s.T, 1.0), 1.0)
         assert abs(value) < 1e-12
 
     def test_one_hot_targets_reduce_to_infonce(self):
@@ -97,19 +121,20 @@ class TestCsa:
             q_i2t = row_softmax(s, it)
             q_t2i = row_softmax(s.T, it)
             eye = np.eye(n)
-            value, _ = csa_loss(eye, eye, q_i2t, q_t2i, it)
+            value, _ = csa(s, eye, eye, it)
             want_ce = 0.5 * (-np.log(np.diagonal(q_i2t)).mean()
                              - np.log(np.diagonal(q_t2i)).mean())
             assert abs(value - want_ce) < 1e-9
-            assert abs(value - infonce_loss(s, it)[0]) < 1e-9
+            assert abs(value - infonce(s, it)[0]) < 1e-9
 
     def test_value_matches_double_sum_oracle(self):
         rng = np.random.default_rng(13)
         n = 3
         p_i, p_t = random_targets(rng, n)
-        q_i = row_softmax(rng.uniform(-1, 1, size=(n, n)), 2.0)
-        q_t = row_softmax(rng.uniform(-1, 1, size=(n, n)), 2.0)
-        value, _ = csa_loss(p_i, p_t, q_i, q_t)
+        s = rng.uniform(-1, 1, size=(n, n))
+        q_i = row_softmax(s, 2.0)
+        q_t = row_softmax(s.T, 2.0)
+        value, _ = csa(s, p_i, p_t, 2.0)
         per_direction = []
         for p, q in ((p_i, q_i), (p_t, q_t)):
             rows = []
@@ -127,9 +152,9 @@ class TestCsa:
         it = 11.0
 
         def value():
-            return csa_loss(p_i, p_t, row_softmax(s, it), row_softmax(s.T, it), it)[0]
+            return csa(s, p_i, p_t, it)[0]
 
-        _, d_s = csa_loss(p_i, p_t, row_softmax(s, it), row_softmax(s.T, it), it)
+        _, d_s = csa(s, p_i, p_t, it)
         np.testing.assert_allclose(d_s, central_diff(value, s), rtol=1e-5, atol=1e-8)
 
 
@@ -137,13 +162,13 @@ class TestUsa:
     def test_matched_distributions_zero(self):
         rng = np.random.default_rng(6)
         p_i, p_t = random_targets(rng, 5)
-        value, _, _ = usa_loss(p_i, p_t, p_i, p_t)
+        value, _, _ = usa(p_i, p_t, np.log(p_i), np.log(p_t), 1.0)
         assert abs(value) < 1e-9
 
     def test_two_by_two_uniform_q(self):
         p = np.array([SOFTMAX_1_0, SOFTMAX_1_0[::-1]])
         q = np.full((2, 2), 0.5)
-        value, _, _ = usa_loss(p, p, q, q)
+        value, _, _ = usa(p, p, np.log(q), np.log(q), 1.0)
         assert abs(value - USA_2X2_UNIFORM_Q) < 1e-15
         # same quantity out of the two-term closed form
         a, b = SOFTMAX_1_0
@@ -159,9 +184,9 @@ class TestUsa:
         it = 9.0
 
         def value():
-            return usa_loss(p_i, p_t, row_softmax(s_i, it), row_softmax(s_t, it), it)[0]
+            return usa(p_i, p_t, s_i, s_t, it)[0]
 
-        _, d_i, d_t = usa_loss(p_i, p_t, row_softmax(s_i, it), row_softmax(s_t, it), it)
+        _, d_i, d_t = usa(p_i, p_t, s_i, s_t, it)
         np.testing.assert_allclose(d_i, central_diff(value, s_i), rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(d_t, central_diff(value, s_t), rtol=1e-5, atol=1e-8)
 
@@ -181,6 +206,15 @@ class TestCusaTotal:
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeight):
             cusa_total(1.0, 0.1, 0.1, -0.5, 0.5)
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, 0.5), (float("nan"), 0.5),
+                                             (0.5, float("inf"))])
+    def test_bad_weights_rejected_by_total_and_core(self, alpha, beta):
+        with pytest.raises(NegativeWeight):
+            cusa_total(1.0, 0.1, 0.1, alpha, beta)
+        zero, eye = np.zeros((2, 2)), np.eye(2)
+        with pytest.raises(NegativeWeight):
+            loss_from_logits(zero, zero, zero, TeacherTargets(eye, eye), 1.0, 1.0, alpha, beta)
 
 
 def make_outputs(rng, n, d_e=6, d_u=4, inv_temp=10.0, inv_temp_uni=None):
@@ -211,7 +245,7 @@ class TestBatchLossAndGrads:
         targets = TeacherTargets(*random_targets(rng, 5))
         report, grads = batch_loss_and_grads(outputs, targets, 0.0, 0.0)
         s = outputs.img_emb @ outputs.txt_emb.T
-        want_value, want_grads = infonce_loss(s, outputs.inv_temp)
+        want_value, want_grads = infonce(s, outputs.inv_temp)
         assert report.l_total == want_value
         np.testing.assert_array_equal(grads.d_s_i2t, want_grads.d_s_i2t)
         np.testing.assert_array_equal(grads.d_s_i2i, 0.0)
@@ -296,3 +330,47 @@ class TestBatchLossAndGrads:
             batch_loss_and_grads(outputs, targets, alpha, beta)
             for now, before in zip(arrays, keep):
                 assert np.array_equal(now, before)
+
+
+class TestLossFromLogits:
+    def test_kept_q_are_the_student_softmaxes(self):
+        rng = np.random.default_rng(65)
+        n = 5
+        s_i2t, s_i2i, s_t2t = (rng.uniform(-1, 1, size=(n, n)) for _ in range(3))
+        targets = TeacherTargets(*random_targets(rng, n))
+        for alpha, beta in ((0.5, 0.5), (0.0, 0.0)):
+            report, grads, qs = loss_from_logits(s_i2t, s_i2i, s_t2t, targets, 7.0, 3.0,
+                                                 alpha, beta, keep_q=True)
+            want = {"q_i2t": row_softmax(s_i2t, 7.0), "q_t2i": row_softmax(s_i2t.T, 7.0),
+                    "q_i2i": row_softmax(s_i2i, 3.0), "q_t2t": row_softmax(s_t2t, 3.0)}
+            assert set(qs) == set(want)
+            for key, q in want.items():
+                np.testing.assert_array_equal(qs[key], q)
+            plain_report, plain_grads, none = loss_from_logits(
+                s_i2t, s_i2i, s_t2t, targets, 7.0, 3.0, alpha, beta)
+            assert none is None
+            assert plain_report == report
+            for name in ("d_s_i2t", "d_s_i2i", "d_s_t2t"):
+                np.testing.assert_array_equal(getattr(plain_grads, name), getattr(grads, name))
+
+    def test_logits_left_untouched(self):
+        # gradcheck perturbs the logit matrices in place between calls
+        rng = np.random.default_rng(66)
+        n = 4
+        logits = [rng.uniform(-1, 1, size=(n, n)) for _ in range(3)]
+        targets = TeacherTargets(*random_targets(rng, n))
+        keep = [m.copy() for m in logits]
+        for alpha, beta in ((0.5, 0.5), (0.0, 0.0)):
+            loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta, keep_q=True)
+            for now, before in zip(logits, keep):
+                assert np.array_equal(now, before)
+
+    def test_mismatched_shapes_rejected(self):
+        rng = np.random.default_rng(67)
+        targets = TeacherTargets(*random_targets(rng, 3))
+        square = np.zeros((3, 3))
+        with pytest.raises(ShapeMismatch):
+            loss_from_logits(square, np.zeros((3, 2)), square, targets, 1.0, 1.0, 0.5, 0.5)
+        with pytest.raises(ShapeMismatch):
+            loss_from_logits(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), targets,
+                             1.0, 1.0, 0.5, 0.5)

@@ -130,12 +130,14 @@ def fd_param_grad(f, m, h=1e-6):
 
 
 class TestBackward:
-    def _setup(self, seed, n=5, d_bi=6, d_bt=6, d_e=4, d_u=3):
+    def _setup(self, seed, n=5, d_bi=6, d_bt=6, d_e=4, d_u=3, separate_uni_temp=False):
         rng = np.random.default_rng(seed)
         base_img = rng.standard_normal((n, d_bi))
         base_txt = rng.standard_normal((n, d_bt))
-        params = init_params(seed, d_bi, d_bt, d_e, d_u)
+        params = init_params(seed, d_bi, d_bt, d_e, d_u, separate_uni_temp)
         params.log_inv_temp = float(rng.uniform(np.log(2), np.log(50)))
+        if separate_uni_temp:
+            params.log_inv_temp_uni = float(rng.uniform(np.log(2), np.log(50)))
         targets = TeacherTargets(
             row_softmax(rng.standard_normal((n, n)), 1.0),
             row_softmax(rng.standard_normal((n, n)), 1.0),
@@ -152,8 +154,9 @@ class TestBackward:
         assert grads.log_inv_temp == 0.0
 
     def test_full_model_matches_finite_differences(self):
-        for seed in (30, 31):
-            base_img, base_txt, params, targets = self._setup(seed)
+        for seed, separate_uni_temp in ((30, False), (31, False), (32, True)):
+            base_img, base_txt, params, targets = self._setup(
+                seed, separate_uni_temp=separate_uni_temp)
 
             def total():
                 out = forward(base_img, base_txt, params)
@@ -169,13 +172,15 @@ class TestBackward:
                                            rtol=2e-5, atol=1e-8)
 
             h = 1e-6
-            keep = params.log_inv_temp
-            params.log_inv_temp = keep + h
-            hi = total()
-            params.log_inv_temp = keep - h
-            lo = total()
-            params.log_inv_temp = keep
-            assert abs(grads.log_inv_temp - (hi - lo) / (2 * h)) < 1e-6
+            temps = ("log_inv_temp", "log_inv_temp_uni")[:params.n_scalars]
+            for name in temps:
+                keep = getattr(params, name)
+                setattr(params, name, keep + h)
+                hi = total()
+                setattr(params, name, keep - h)
+                lo = total()
+                setattr(params, name, keep)
+                assert abs(getattr(grads, name) - (hi - lo) / (2 * h)) < 1e-6
 
     def test_clamped_temperature_blocks_gradient(self):
         base_img, base_txt, params, targets = self._setup(40)

@@ -11,9 +11,10 @@ import pytest
 from cusa import trainer
 from cusa.dataio import FeatureTable
 from cusa.errors import BatchTooLarge, InvalidConfig, TrainAbort, ZeroRow
-from cusa.losses import infonce_loss
+from cusa.losses import loss_from_logits
 from cusa.mathops import l2_normalize_rows
 from cusa.model import backward, forward, init_params
+from cusa.softlabels import TeacherTargets
 from cusa.trainer import (
     TrainConfig,
     TrainData,
@@ -60,6 +61,13 @@ class TestTrainConfig:
     def test_bad_lr_rejected(self):
         with pytest.raises(InvalidConfig):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "learning_rate", "teacher_inv_temp",
+                                       "weight_decay", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            TrainConfig(**{field: value})
 
     def test_round_trips_through_dict(self):
         cfg = TrainConfig(alpha=0.25, epochs=3)
@@ -183,8 +191,11 @@ class TestTrain:
         for epoch in range(cfg.epochs):
             for idx in make_batches(30, cfg.batch_size, cfg.seed, epoch):
                 outputs = forward(base_img[idx], base_txt[idx], params)
-                _, lgrads = infonce_loss(outputs.img_emb @ outputs.txt_emb.T,
-                                         outputs.inv_temp)
+                # zero weights, one-hot targets, zero uni-modal logits
+                eye, zero = np.eye(len(idx)), np.zeros((len(idx), len(idx)))
+                _, lgrads, _ = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T, zero, zero,
+                                                TeacherTargets(eye, eye), outputs.inv_temp,
+                                                1.0, 0.0, 0.0)
                 pgrads = backward(outputs, params, lgrads)
                 params, state = adam_step(params, pgrads, state, cfg)
 
