@@ -17,8 +17,11 @@ log(inv_temp) follows from the identity d/d(log it) = sum(dL/ds * s),
 since every logit enters the loss only through s * inv_temp.
 
 The t2i direction is never stored separately: its logits are the
-transpose of the i2t matrix, and its gradient contribution is routed
-back through that transpose.
+transpose of the i2t matrix, so its softmax is taken along the columns
+of that matrix and its gradient lands there directly. Every KL comes
+from the log-sum-exp form, KL(p || q) = sum(p log p) - sum(p z) + lse
+per row, with z the shifted logits and lse their log-sum-exp; log q is
+never formed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NegativeWeight, ShapeMismatch
-from .mathops import kl_rows_raw, log_prob, row_softmax_with_log
+from .mathops import Workspace, row_softmax_with_log
 
 
 @dataclass
@@ -75,34 +78,34 @@ class LossGradients:
     d_log_inv_temp_uni: float = 0.0
 
 
-def _infonce_logit_grad(q_i2t: np.ndarray, q_t2i: np.ndarray, it: float) -> np.ndarray:
-    """(it / 2n) * ((q_i2t - I) + (q_t2i - I)^T), built without an identity
-    matrix: off the diagonal both subtractions are exact no-ops, so only
-    the diagonal is evaluated as written. Inputs are not modified."""
-    n = q_i2t.shape[0]
-    d_s = q_i2t + q_t2i.T
-    np.fill_diagonal(d_s, (np.diagonal(q_i2t) - 1.0) + (np.diagonal(q_t2i) - 1.0))
-    d_s *= it / (2.0 * n)
-    return d_s
+def _mean_kl(h: np.ndarray, p: np.ndarray, z: np.ndarray, lse: np.ndarray) -> float:
+    """Mean over rows of KL(p || q), from h = sum(p log p) per row and
+    the shifted logits z and log-sum-exp lse of q; p and z share a layout."""
+    return float((h.sum() - np.vdot(p, z) + lse.sum()) / h.shape[0])
 
 
-def _usa_direction(s: np.ndarray, p: np.ndarray, log_p: np.ndarray,
-                   it_u: float, beta: float, keep_q: bool):
+def _mean_diag_log_q(z: np.ndarray, lse: np.ndarray) -> float:
+    return float((np.diagonal(z) - lse.ravel()).mean())
+
+
+def _usa_direction(s: np.ndarray, p: np.ndarray, h: np.ndarray, it_u: float,
+                   beta: float, q: np.ndarray, z: np.ndarray, keep_q: bool):
     """One uni-modal direction of the objective.
 
     Returns (KL from p to softmax(s * it_u), the logit gradient
-    beta * it_u / 2n * (q - p), sum(gradient * s), a copy of q or None);
-    the gradient is zeros and the sum 0.0 when beta is 0. `s` and `p`
-    are not modified; the product is formed in the dead log q buffer.
+    beta * it_u / 2n * (q - p) formed in the buffer `q`, sum(gradient
+    * s), a copy of q or None); the gradient is zeros and the sum 0.0
+    when beta is 0. `s` and `p` are not modified.
     """
-    q, log_q = row_softmax_with_log(s, it_u)
-    kl = float(kl_rows_raw(p, log_q, log_p).mean())
+    q, z, lse = row_softmax_with_log(s, it_u, q, z)
+    kl = _mean_kl(h, p, z, lse)
     kept = q.copy() if keep_q else None
     if beta == 0.0:
-        return kl, np.zeros(s.shape), 0.0, kept
+        q.fill(0.0)
+        return kl, q, 0.0, kept
     q -= p
     q *= beta * it_u / (2.0 * s.shape[0])
-    return kl, q, np.multiply(s, q, out=log_q).sum(), kept
+    return kl, q, float(np.vdot(q, s)), kept
 
 
 def _check_weights(alpha: float, beta: float) -> None:
@@ -118,26 +121,30 @@ def cusa_total(l_original: float, l_csa: float, l_usa: float,
 
 
 def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
-                     alpha: float, beta: float, keep_q: bool = False):
+                     alpha: float, beta: float, keep_q: bool = False,
+                     ws: Workspace | None = None):
     """The training objective and its gradients from the three logit matrices.
 
     Args:
         s_i2t: N x N cross-modal logits; entry (i, i) is the positive
             pair and the t2i logits are its transpose.
         s_i2i, s_t2t: N x N uni-modal logits of the projector branch.
-        targets: TeacherTargets with constant p_i2i / p_t2t.
+        targets: TeacherTargets with constant p_i2i / p_t2t and their
+            row sums h_i2i / h_t2t of p log p.
         it: inverse temperature of the cross-modal softmaxes.
         it_u: inverse temperature of the uni-modal softmaxes.
         alpha: CSA weight; beta: USA weight. Both finite and >= 0.
         keep_q: also return copies of the four student distributions.
+        ws: Workspace for the softmaxes and gradients (a fresh one when
+            None).
 
     Returns:
         (LossReport, LossGradients, qs). d_log_inv_temp is the derivative
         w.r.t. log(it) and d_log_inv_temp_uni the one w.r.t. log(it_u).
-        qs is None, or with keep_q a dict of q_i2t, q_t2i, q_i2i, q_t2t.
-        Component gradients are skipped entirely (not just scaled by
-        zero) when their weight is zero, so an alpha=beta=0 result is
-        bit-identical to pure InfoNCE. No input is modified.
+        The gradient matrices are buffers of `ws`, valid until its next
+        use. qs is None, or with keep_q a dict of q_i2t, q_t2i, q_i2i,
+        q_t2t. Component gradients are skipped entirely (not just scaled
+        by zero) when their weight is zero. No input is modified.
     """
     _check_weights(alpha, beta)
     n = s_i2t.shape[0]
@@ -147,46 +154,47 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
         if m.shape != (n, n):
             raise ShapeMismatch(f"{name} shape {m.shape} does not match batch size {n}")
     it, it_u = float(it), float(it_u)
+    ws = Workspace() if ws is None else ws
     qs = {} if keep_q else None
 
-    # Each student log-softmax and teacher log is dropped after its last
-    # use and every gradient and sum(d * s) product is formed in buffers
-    # this function allocated, so few n x n arrays are alive at once (the
-    # caller holds the three logit matrices throughout); the in-place
-    # updates keep the association order of the written-out expressions,
-    # and so their bits. Each teacher log is shared by its CSA and USA
-    # terms.
-    log_p_i2i = log_prob(p_i2i)
-    log_p_t2t = log_prob(p_t2t)
+    def buf(name):
+        return ws.buffer(name, (n, n))
 
-    # cross-modal: InfoNCE and CSA share the i2t logits
-    q_i2t, log_q = row_softmax_with_log(s_i2t, it)
-    kl_i2t = float(kl_rows_raw(p_i2i, log_q, log_p_i2i).mean())
-    diag_i2t = np.diagonal(log_q).mean()
-    del log_q
-    q_t2i, log_q = row_softmax_with_log(s_i2t.T, it)
-    kl_t2i = float(kl_rows_raw(p_t2t, log_q, log_p_t2t).mean())
-    l_original = -0.5 * (diag_i2t + np.diagonal(log_q).mean())
-    del log_q
+    # cross-modal: InfoNCE and CSA share the i2t logits. The t2i softmax
+    # runs along the columns, so q_t2i and z_t2i are held transposed and
+    # C-ordered, like every other buffer here.
+    q_i2t, z_i2t, lse_i2t = row_softmax_with_log(s_i2t, it, buf("q_i2t"), buf("z_i2t"))
+    q_t2i_t, z_t2i_t, lse_t2i = row_softmax_with_log(s_i2t, it, buf("q_t2i"), buf("z_t2i"),
+                                                     axis=0)
+    l_original = -0.5 * (_mean_diag_log_q(z_i2t, lse_i2t) + _mean_diag_log_q(z_t2i_t, lse_t2i))
+    kl_i2t = _mean_kl(targets.h_i2i, p_i2i, z_i2t, lse_i2t)
+    p_sum = buf("scratch")
+    np.copyto(p_sum, p_t2t.T)  # P_t^T, laid out like z_t2i_t
+    kl_t2i = _mean_kl(targets.h_t2t, p_sum, z_t2i_t, lse_t2i)
     if keep_q:
-        qs.update(q_i2t=q_i2t.copy(), q_t2i=q_t2i.copy())
-    # d_s_i2t = c1 * ((q_i2t - I) + (q_t2i - I)^T)
-    #         + c2 * ((q_i2t - P_i) + (q_t2i - P_t)^T), c2's term in the q's
-    d_s_i2t = _infonce_logit_grad(q_i2t, q_t2i, it)
+        qs.update(q_i2t=q_i2t.copy(), q_t2i=q_t2i_t.T.copy())
+    # d_s_i2t = c1 * ((Q_i2t - I) + (Q_t2i - I)^T) + c2 * ((Q_i2t - P_i) + (Q_t2i - P_t)^T)
+    #         = (c1 + c2) * (Q_i2t + Q_t2i^T) - c2 * (P_i + P_t^T) - 2 c1 I,
+    # formed in the q_i2t buffer
+    c1 = it / (2.0 * n)
+    d_s_i2t = q_i2t
+    d_s_i2t += q_t2i_t
     if alpha != 0.0:
-        q_i2t -= p_i2i
-        q_t2i -= p_t2t
-        q_i2t += q_t2i.T
-        q_i2t *= alpha * it / (2.0 * n)
-        d_s_i2t += q_i2t
-    del q_t2i
-    d_log_it = float(np.multiply(s_i2t, d_s_i2t, out=q_i2t).sum())
-    del q_i2t
+        c2 = alpha * c1
+        d_s_i2t *= c1 + c2
+        p_sum += p_i2i
+        p_sum *= c2
+        d_s_i2t -= p_sum
+    else:
+        d_s_i2t *= c1
+    d_s_i2t.reshape(-1)[::n + 1] -= 2.0 * c1
+    d_log_it = float(np.vdot(d_s_i2t, s_i2t))
 
-    # uni-modal: USA
-    kl_i2i, d_s_i2i, d_img, q_i2i = _usa_direction(s_i2i, p_i2i, log_p_i2i, it_u, beta, keep_q)
-    del log_p_i2i
-    kl_t2t, d_s_t2t, d_txt, q_t2t = _usa_direction(s_t2t, p_t2t, log_p_t2t, it_u, beta, keep_q)
+    # uni-modal: USA, in the dead z buffers of the cross-modal softmaxes
+    kl_i2i, d_s_i2i, d_img, q_i2i = _usa_direction(
+        s_i2i, p_i2i, targets.h_i2i, it_u, beta, buf("q_i2i"), z_i2t, keep_q)
+    kl_t2t, d_s_t2t, d_txt, q_t2t = _usa_direction(
+        s_t2t, p_t2t, targets.h_t2t, it_u, beta, buf("q_t2t"), z_t2i_t, keep_q)
     if keep_q:
         qs.update(q_i2i=q_i2i, q_t2t=q_t2t)
 
@@ -203,13 +211,15 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
     return report, grads, qs
 
 
-def batch_loss_and_grads(outputs, targets, alpha: float, beta: float):
+def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
+                         ws: Workspace | None = None):
     """Full forward loss and logit-level gradients for one batch.
 
-    Forms the three logit matrices from the student outputs and hands
-    them to loss_from_logits. Unless the outputs carry a separate
-    uni-modal temperature, its derivative is folded into d_log_inv_temp
-    and d_log_inv_temp_uni is 0.0.
+    Forms the three logit matrices from the student outputs in `ws` (a
+    fresh Workspace when None) and hands them to loss_from_logits with
+    the same workspace. Unless the outputs carry a separate uni-modal
+    temperature, its derivative is folded into d_log_inv_temp and
+    d_log_inv_temp_uni is 0.0.
 
     Args:
         outputs: StudentOutputs with normalized embeddings and the
@@ -217,15 +227,22 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float):
         targets: TeacherTargets with constant p_i2i / p_t2t.
         alpha: CSA weight.
         beta: USA weight.
+        ws: Workspace; the returned gradients stay valid until its next use.
 
     Returns:
         (LossReport, LossGradients).
     """
+    ws = Workspace() if ws is None else ws
+    n = outputs.img_emb.shape[0]
+
+    def gram(a, b, name):
+        return np.matmul(a, b.T, out=ws.buffer(name, (n, n)))
+
     report, grads, _ = loss_from_logits(
-        outputs.img_emb @ outputs.txt_emb.T,
-        outputs.img_usa @ outputs.img_usa.T,
-        outputs.txt_usa @ outputs.txt_usa.T,
-        targets, outputs.inv_temp, outputs.inv_temp_uni, alpha, beta,
+        gram(outputs.img_emb, outputs.txt_emb, "s_i2t"),
+        gram(outputs.img_usa, outputs.img_usa, "s_i2i"),
+        gram(outputs.txt_usa, outputs.txt_usa, "s_t2t"),
+        targets, outputs.inv_temp, outputs.inv_temp_uni, alpha, beta, ws=ws,
     )
     if not outputs.separate_uni_temp:
         grads.d_log_inv_temp += grads.d_log_inv_temp_uni

@@ -1,8 +1,10 @@
 """Dense numeric kernels: normalization, cosine similarity, softmax, KL.
 
-Everything here computes in float64 regardless of input dtype, is pure,
-and validates its inputs rather than repairing them. These functions are
-the building blocks for the soft-label targets and every loss term.
+The public kernels compute in float64 regardless of input dtype, are
+pure, and validate their inputs rather than repairing them. They and the
+internal row_softmax_with_log, which writes into buffers its caller
+passes (usually from a Workspace), are the building blocks for the
+soft-label targets and every loss term.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ NORM_TOL = 1e-9
 ZERO_ROW_TOL = 1e-12
 
 ROW_SUM_TOL = 1e-9
+
+# Smallest row sum of exp(z) that row_softmax_with_log accepts after
+# shifting by the whole matrix's maximum: far above the subnormal range.
+LSE_FLOOR = 1e-250
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -115,24 +121,61 @@ def cosine_similarity(a, b) -> np.ndarray:
     return am @ bm.T
 
 
-def row_softmax_with_log(s: np.ndarray, inv_temp: float):
-    """Softmax of `s * inv_temp` per row, returned with its log.
+class Workspace:
+    """Named float64 buffers that outlive one call.
 
-    Internal fast path shared by the loss kernels: max-subtraction keeps
-    exp() in range, and the log is derived from the same shifted logits so
-    log q never goes through a lossy log(exp(...)) round trip.
-
-    Works in place on the two buffers it allocates, which keep the memory
-    layout of `s` (a transposed view stays column-major), so row sums run
-    in the same order as an out-of-place evaluation; `s` is not modified.
+    A training loop passes one workspace to every step, so its n x n
+    arrays are allocated once, at the first step, and rewritten after.
+    What a call writes into a workspace, including the arrays it
+    returns, stays valid until the next call that uses the same
+    workspace.
     """
-    shifted = s * inv_temp
-    shifted -= shifted.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    sums = expd.sum(axis=1, keepdims=True)
-    expd /= sums
-    shifted -= np.log(sums)
-    return expd, shifted
+
+    def __init__(self):
+        self._buffers = {}
+
+    def buffer(self, name: str, shape) -> np.ndarray:
+        """The C-ordered buffer `name`, allocated afresh only when its shape changes."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != tuple(shape):
+            buf = self._buffers[name] = np.empty(shape)
+        return buf
+
+
+def row_softmax_with_log(s: np.ndarray, inv_temp: float, q=None, z=None, axis: int = 1):
+    """Softmax of `s * inv_temp` along `axis` (per row by default).
+
+    Internal fast path shared by the loss kernels. Writes the shifted
+    logits z = s * inv_temp - shift (the maximum of the matrix, or of
+    each row when a row lies too far below it) into `z` and the softmax
+    q into `q`, and returns (q, z, lse) with lse = log sum exp(z) along
+    `axis` (kept as a length-1 axis). log q = z - lse is never formed:
+    a KL against q is sum(p log p) - sum(p z) + lse per row. The name
+    is kept from when it returned log q.
+
+    `q` and `z` default to fresh arrays laid out like `s` (a transposed
+    view stays column-major, so its rows sum in the same order as a
+    copy's); `z` may be `s` itself, which is then overwritten, and
+    otherwise `s` is not modified.
+    """
+    if q is None:
+        q = np.empty_like(s)
+    if z is None:
+        z = np.empty_like(s)
+    np.multiply(s, inv_temp, out=z)
+    # One shift for the whole matrix costs two scalar passes, where a
+    # shift per row costs a reduction and a broadcast. It keeps exp() in
+    # range; if some row then sits so far below the maximum that its sum
+    # loses precision, every row is shifted by its own maximum instead.
+    z -= z.max()
+    np.exp(z, out=q)
+    sums = q.sum(axis=axis, keepdims=True)
+    if sums.min() < LSE_FLOOR:
+        z -= z.max(axis=axis, keepdims=True)
+        np.exp(z, out=q)
+        sums = q.sum(axis=axis, keepdims=True)
+    q /= sums
+    return q, z, np.log(sums)
 
 
 def row_softmax(s, inv_temp: float) -> np.ndarray:
@@ -151,7 +194,7 @@ def row_softmax(s, inv_temp: float) -> np.ndarray:
     mat = _as_matrix(s, "s")
     if not (inv_temp > 0.0) or not np.isfinite(inv_temp):
         raise NonPositiveTemperature(f"inv_temp must be > 0, got {inv_temp!r}")
-    q, _ = row_softmax_with_log(mat, float(inv_temp))
+    q, _, _ = row_softmax_with_log(mat, float(inv_temp))
     return q
 
 

@@ -144,7 +144,8 @@ def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int,
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
     log_inv_temp starts at log(1/0.07). Identical seeds give
-    bit-identical parameters.
+    bit-identical parameters. Dimensions whose parameters cannot be
+    allocated raise InvalidDimension.
     """
     for name, d in (("d_bi", d_bi), ("d_bt", d_bt), ("d_e", d_e), ("d_u", d_u)):
         if int(d) < 1:
@@ -156,14 +157,22 @@ def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int,
         return rng.uniform(-bound, bound, size=shape)
 
     log_it = float(np.log(1.0 / INIT_TAU))
-    return StudentParams(
-        w_img=draw(d_bi, (d_bi, d_e)),
-        w_txt=draw(d_bt, (d_bt, d_e)),
-        u_img=draw(d_e, (d_e, d_u)),
-        u_txt=draw(d_e, (d_e, d_u)),
-        log_inv_temp=log_it,
-        log_inv_temp_uni=log_it if separate_uni_temp else None,
-    )
+    try:
+        return StudentParams(
+            w_img=draw(d_bi, (d_bi, d_e)),
+            w_txt=draw(d_bt, (d_bt, d_e)),
+            u_img=draw(d_e, (d_e, d_u)),
+            u_txt=draw(d_e, (d_e, d_u)),
+            log_inv_temp=log_it,
+            log_inv_temp_uni=log_it if separate_uni_temp else None,
+        )
+    except (MemoryError, ValueError) as err:
+        # numpy raises MemoryError when an array cannot be allocated and
+        # ValueError when its byte size overflows
+        raise InvalidDimension(
+            f"d_e={d_e} and d_u={d_u} (base dims {d_bi}, {d_bt}) give parameters "
+            f"too large to allocate: {err}"
+        ) from None
 
 
 def _project_normalize(base: np.ndarray, w: np.ndarray, name: str):
@@ -259,8 +268,8 @@ def backward(outputs: StudentOutputs, params: StudentParams,
     grads = StudentParams.from_flat(np.empty_like(params.flat), params.dims, params.n_scalars)
 
     # uni-modal branches: s = f f^T pulls on f from both sides
-    g_f_img = (upstream.d_s_i2i + upstream.d_s_i2i.T) @ f_img
-    g_f_txt = (upstream.d_s_t2t + upstream.d_s_t2t.T) @ f_txt
+    g_f_img = upstream.d_s_i2i @ f_img + upstream.d_s_i2i.T @ f_img
+    g_f_txt = upstream.d_s_t2t @ f_txt + upstream.d_s_t2t.T @ f_txt
     g_a_img = _normalize_backward(g_f_img, f_img, m_img)
     g_a_txt = _normalize_backward(g_f_txt, f_txt, m_txt)
     np.matmul(e_img.T, g_a_img, out=grads.u_img)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, NonPositiveTemperature, ShapeMismatch
-from .mathops import _as_matrix, check_normalized, row_softmax_with_log
+from .mathops import (Workspace, _as_matrix, check_normalized, log_prob,
+                      row_softmax_with_log)
 
 
 @dataclass
@@ -40,16 +41,40 @@ class TeacherBatch:
 
 @dataclass
 class TeacherTargets:
-    """Constant target distributions for one batch (no gradient flows here)."""
+    """Constant target distributions for one batch (no gradient flows here).
+
+    h_i2i and h_t2t hold each row's sum(p log p) (0 log 0 = 0), which
+    every KL against that target shares. build_batch_targets takes them
+    from the teacher's own log-softmax; left as None, they are computed
+    from p.
+    """
 
     p_i2i: np.ndarray
     p_t2t: np.ndarray
+    h_i2i: np.ndarray | None = None
+    h_t2t: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.h_i2i is None:
+            self.h_i2i = _neg_entropy(self.p_i2i, log_prob(self.p_i2i))
+        if self.h_t2t is None:
+            self.h_t2t = _neg_entropy(self.p_t2t, log_prob(self.p_t2t))
 
 
-def _distribution(feats: np.ndarray, teacher_inv_temp: float) -> np.ndarray:
-    # no validation: callers have checked the features and temperature
-    p, _ = row_softmax_with_log(feats @ feats.T, float(teacher_inv_temp))
-    return p
+def _neg_entropy(p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", p, log_p)
+
+
+def _distribution(feats: np.ndarray, teacher_inv_temp: float, p=None, gram=None):
+    """(p, per-row sum(p log p)) of the teacher similarity softmax; the
+    Gram matrix goes to `gram`, where the softmax leaves its shifted
+    logits. No validation: callers have checked features and temperature."""
+    gram = np.matmul(feats, feats.T, out=gram)
+    p, z, lse = row_softmax_with_log(gram, float(teacher_inv_temp), p, gram)
+    # log p = z - lse, and each row of p sums to 1
+    h = _neg_entropy(p, z)
+    h -= lse[:, 0]
+    return p, h
 
 
 def _check_batch(n_rows: int, teacher_inv_temp: float) -> None:
@@ -72,11 +97,11 @@ def teacher_distribution(features, teacher_inv_temp: float = 1.0) -> np.ndarray:
     feats = _as_matrix(features, "features")
     _check_batch(feats.shape[0], teacher_inv_temp)
     check_normalized(feats, "features")
-    return _distribution(feats, teacher_inv_temp)
+    return _distribution(feats, teacher_inv_temp)[0]
 
 
 def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float = 1.0,
-                        rows=None) -> TeacherTargets:
+                        rows=None, ws: Workspace | None = None) -> TeacherTargets:
     """Both uni-modal target distributions for a batch.
 
     The batch is `rows` of `teacher` (an index array; all rows when
@@ -84,12 +109,18 @@ def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float = 1.0,
     training loop builds one TeacherBatch over all its pairs and passes
     each batch's indices; only the batch size and the temperature are
     checked here.
+
+    The targets are written into `ws` (a fresh Workspace when None) and
+    stay valid until its next use.
     """
     img, txt = teacher.image_features, teacher.text_features
     if rows is not None:
         img, txt = img[rows], txt[rows]
-    _check_batch(img.shape[0], teacher_inv_temp)
-    return TeacherTargets(
-        p_i2i=_distribution(img, teacher_inv_temp),
-        p_t2t=_distribution(txt, teacher_inv_temp),
-    )
+    n = img.shape[0]
+    _check_batch(n, teacher_inv_temp)
+    ws = Workspace() if ws is None else ws
+    # "scratch" holds nothing past this call; the loss reuses it
+    gram = ws.buffer("scratch", (n, n))
+    p_i2i, h_i2i = _distribution(img, teacher_inv_temp, ws.buffer("p_i2i", (n, n)), gram)
+    p_t2t, h_t2t = _distribution(txt, teacher_inv_temp, ws.buffer("p_t2t", (n, n)), gram)
+    return TeacherTargets(p_i2i, p_t2t, h_i2i, h_t2t)

@@ -11,7 +11,7 @@ import numpy as np
 from .dataio import FeatureTable
 from .errors import BatchTooLarge, InvalidConfig, NumericError, TrainAbort
 from .losses import batch_loss_and_grads
-from .mathops import l2_normalize_rows
+from .mathops import Workspace, l2_normalize_rows
 from .model import StudentParams, backward, forward, init_params
 from .softlabels import TeacherBatch, build_batch_targets
 
@@ -139,14 +139,32 @@ def adam_step(params: StudentParams, grads: StudentParams, state: AdamState,
     return StudentParams.from_flat(p, params.dims, params.n_scalars), AdamState(step=t, m=m, v=v)
 
 
+def train_step(params: StudentParams, state: AdamState, base_img: np.ndarray,
+               base_txt: np.ndarray, teacher: TeacherBatch, rows: np.ndarray,
+               config: TrainConfig, ws: Workspace | None = None):
+    """One optimizer step on the pairs `rows` of the aligned training arrays.
+
+    forward -> teacher targets for the batch -> loss and logit gradients
+    -> backward over the forward tape -> Adam. The targets and logit
+    gradients live in `ws` and are dead once the step returns, so a
+    loop passes one workspace to every step. Returns (params, state,
+    LossReport, the clamped inverse temperature of the forward pass).
+    """
+    outputs = forward(base_img[rows], base_txt[rows], params)
+    targets = build_batch_targets(teacher, config.teacher_inv_temp, rows, ws=ws)
+    report, lgrads = batch_loss_and_grads(outputs, targets, config.alpha, config.beta, ws=ws)
+    pgrads = backward(outputs, params, lgrads)
+    params, state = adam_step(params, pgrads, state, config)
+    return params, state, report, outputs.inv_temp
+
+
 def train(data: TrainData, config: TrainConfig):
     """Run the full loop; returns (final StudentParams, TrainLog).
 
-    Each step: forward -> teacher targets for the batch -> loss and
-    logit gradients -> backward over the forward tape -> optimizer
-    update. Teacher features are normalized and validated once up front;
-    each step gathers its rows. Numeric failures abort with (epoch,
-    step) context.
+    Each step is a train_step, and all steps share one Workspace, so
+    the n x n arrays of the step are allocated once. Teacher features
+    are normalized and validated once up front; each step gathers its
+    rows. Numeric failures abort with (epoch, step) context.
     """
     img_ids = [p[0] for p in data.pairs]
     txt_ids = [p[1] for p in data.pairs]
@@ -164,17 +182,13 @@ def train(data: TrainData, config: TrainConfig):
         "config": config.to_dict(),
     })
     n_pairs = len(data.pairs)
+    ws = Workspace()
     for epoch in range(config.epochs):
         batches = make_batches(n_pairs, config.batch_size, config.seed, epoch)
         for step, idx in enumerate(batches):
             try:
-                outputs = forward(base_img[idx], base_txt[idx], params)
-                targets = build_batch_targets(teacher, config.teacher_inv_temp, idx)
-                report, lgrads = batch_loss_and_grads(
-                    outputs, targets, config.alpha, config.beta
-                )
-                pgrads = backward(outputs, params, lgrads)
-                params, state = adam_step(params, pgrads, state, config)
+                params, state, report, inv_temp = train_step(
+                    params, state, base_img, base_txt, teacher, idx, config, ws)
             except NumericError as err:
                 raise TrainAbort(epoch, step, err) from err
             log.records.append({
@@ -184,6 +198,6 @@ def train(data: TrainData, config: TrainConfig):
                 "l_csa": report.l_csa,
                 "l_usa": report.l_usa,
                 "l_total": report.l_total,
-                "inv_temp": outputs.inv_temp,
+                "inv_temp": inv_temp,
             })
     return params, log

@@ -165,6 +165,16 @@ class TestTrainCommand:
         assert not (tmp_path / "model.ckpt").exists()
         assert not (tmp_path / "train.log").exists()
 
+    @pytest.mark.parametrize("flag, field", [("--d-e", "d_e"), ("--d-u", "d_u")])
+    def test_unallocatable_dimension_rejected(self, corpus, tmp_path, capsys, flag, field):
+        # 10^12 columns need terabytes, so the allocation fails at once
+        code, report, err = run(capsys, train_flags(corpus, tmp_path, [flag, "1000000000000"]))
+        assert code == 2 and report is None
+        line = next(line for line in err.splitlines() if line.startswith("error:"))
+        assert f"{field}=1000000000000" in line
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_missing_input_file(self, corpus, tmp_path, capsys):
         argv = train_flags(corpus, tmp_path)
         argv[argv.index("--pairs") + 1] = str(tmp_path / "nope.tsv")
@@ -505,6 +515,7 @@ class TestInspectCommand:
     @pytest.mark.parametrize("flags", [
         ["--alpha", "nan"], ["--beta", "inf"], ["--teacher-inv-temp", "0"],
         ["--teacher-inv-temp", "inf"], ["--seed", "-1"], ["--d-e", "0"], ["--d-u", "0"],
+        ["--d-e", "1000000000000"], ["--d-u", "1000000000000"],
     ], ids=" ".join)
     def test_bad_flags_rejected(self, corpus, capsys, flags):
         code, report, err = run(capsys, self.inspect_flags(corpus, ["--batch", "0,1", *flags]))

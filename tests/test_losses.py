@@ -9,7 +9,7 @@ import pytest
 
 from cusa.errors import NegativeWeight, ShapeMismatch
 from cusa.losses import batch_loss_and_grads, cusa_total, loss_from_logits
-from cusa.mathops import l2_normalize_rows, row_softmax
+from cusa.mathops import Workspace, l2_normalize_rows, row_softmax
 from cusa.model import StudentOutputs, forward, init_params
 from cusa.softlabels import TeacherTargets
 
@@ -364,6 +364,25 @@ class TestLossFromLogits:
             loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta, keep_q=True)
             for now, before in zip(logits, keep):
                 assert np.array_equal(now, before)
+
+    def test_workspace_leaves_inputs_untouched_and_matches_a_fresh_one(self):
+        # the gradients alias the workspace; the logits and targets do not
+        rng = np.random.default_rng(68)
+        n = 5
+        logits = [rng.uniform(-1, 1, size=(n, n)) for _ in range(3)]
+        targets = TeacherTargets(*random_targets(rng, n))
+        inputs = [*logits, targets.p_i2i, targets.p_t2t, targets.h_i2i, targets.h_t2t]
+        keep = [m.copy() for m in inputs]
+        ws = Workspace()
+        for alpha, beta in ((0.5, 0.5), (0.0, 0.0), (0.8, 0.0), (0.0, 0.3)):
+            report, grads, _ = loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta, ws=ws)
+            for now, before in zip(inputs, keep):
+                assert np.array_equal(now, before)
+            fresh_report, fresh_grads, _ = loss_from_logits(*logits, targets, 4.0, 2.0,
+                                                            alpha, beta)
+            assert report == fresh_report
+            for name in ("d_s_i2t", "d_s_i2i", "d_s_t2t"):
+                np.testing.assert_array_equal(getattr(grads, name), getattr(fresh_grads, name))
 
     def test_mismatched_shapes_rejected(self):
         rng = np.random.default_rng(67)

@@ -24,7 +24,9 @@ from cusa.mathops import (
     row_softmax,
     row_softmax_with_log,
 )
-from cusa.softlabels import teacher_distribution
+from cusa.losses import loss_from_logits
+from cusa.softlabels import (TeacherBatch, TeacherTargets, build_batch_targets,
+                             teacher_distribution)
 
 # softmax([1, 0]) at inv_temp 1, 50-digit oracle
 SOFTMAX_1_0 = (0.73105857863000488, 0.26894142136999512)
@@ -132,6 +134,13 @@ class TestRowSoftmax:
             if inv_temp <= 100.0:  # far tails underflow to exact 0 beyond this
                 assert np.all(q > 0)
 
+    def test_rows_far_below_the_maximum_keep_their_distribution(self):
+        # a shift by the matrix maximum alone would underflow row 1
+        s = np.array([[1000.0, 999.0], [-1000.0, -1001.0]])
+        q, z, lse = row_softmax_with_log(s, 1.0)
+        np.testing.assert_allclose(q, [SOFTMAX_1_0] * 2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(z - lse, np.log([SOFTMAX_1_0] * 2), rtol=1e-15, atol=0)
+
     def test_non_positive_temperature(self):
         for bad in (0.0, -1.0):
             with pytest.raises(NonPositiveTemperature):
@@ -196,7 +205,8 @@ class TestInPlaceKernels:
         s = rng.uniform(-1.0, 1.0, size=(7, 7))
         keep = s.copy()
         for view in (s, s.T):
-            q, log_q = row_softmax_with_log(view, 9.0)
+            q, z, lse = row_softmax_with_log(view, 9.0)
+            log_q = z - lse
             assert np.array_equal(s, keep)
             # outputs keep the layout of the input, so a transposed
             # view's rows sum in the same order as before
@@ -207,7 +217,8 @@ class TestInPlaceKernels:
     def test_kl_leaves_inputs_untouched(self):
         rng = np.random.default_rng(62)
         p = row_softmax(rng.standard_normal((5, 5)), 1.0)
-        _, log_q = row_softmax_with_log(rng.standard_normal((5, 5)), 2.0)
+        _, z, lse = row_softmax_with_log(rng.standard_normal((5, 5)), 2.0)
+        log_q = z - lse
         log_p = log_prob(p)
         keep = [m.copy() for m in (p, log_q, log_p)]
         for view in (log_q, log_q.T):
@@ -225,7 +236,8 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(63)
         s = rng.uniform(-1.0, 1.0, size=p.shape)
         for view in (s, s.T):
-            _, log_q = row_softmax_with_log(view, 14.0)
+            _, z, lse = row_softmax_with_log(view, 14.0)
+            log_q = z - lse
             want = masked_kl(p, log_q)
             assert np.array_equal(kl_rows_raw(p, log_q, log_prob(p)), want)
 
@@ -234,3 +246,36 @@ class TestInPlaceKernels:
         got = log_prob(p)
         assert got[0, 1] == 0.0
         assert got[0, 0] == np.log(0.25) and got[0, 2] == np.log(0.75)
+
+
+class TestLogSumExpKl:
+    """The loss core takes each KL as sum(p log p) - sum(p z) + lse."""
+
+    def test_exact_zero_teacher_entries_match_masked_formula(self):
+        # as in TestInPlaceKernels: a large teacher inverse temperature
+        # underflows the targets of orthogonal rows to exact zeros
+        img = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                 [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
+        txt = l2_normalize_rows([[0, 0, 1], [1, 0, 0], [1, 0, 1],
+                                 [0, 1, 0], [1, 1, 0], [0.2, 1, 0]])
+        p_i, p_t = teacher_distribution(img, 1e3), teacher_distribution(txt, 1e3)
+        for p in (p_i, p_t):
+            assert np.any(p == 0.0)
+        rng = np.random.default_rng(64)
+        s_i2t, s_i2i, s_t2t = (rng.uniform(-1.0, 1.0, size=p_i.shape) for _ in range(3))
+        it, it_u = 14.0, 9.0
+
+        def oracle(p, s, inv_temp):
+            return masked_kl(p, np.log(row_softmax(s, inv_temp))).mean()
+
+        want = {"i2t": oracle(p_i, s_i2t, it), "t2i": oracle(p_t, s_i2t.T, it),
+                "i2i": oracle(p_i, s_i2i, it_u), "t2t": oracle(p_t, s_t2t, it_u)}
+        # row sums of p log p from log_prob, and from the teacher's own
+        # log-softmax as training computes them
+        built = build_batch_targets(TeacherBatch(img, txt), 1e3)
+        assert np.array_equal(built.p_i2i, p_i) and np.array_equal(built.p_t2t, p_t)
+        for targets in (TeacherTargets(p_i, p_t), built):
+            report, _, _ = loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it, it_u, 0.5, 0.5)
+            for key, value in report.per_direction.items():
+                assert np.isfinite(value)
+                assert abs(value - want[key]) <= 1e-12, key

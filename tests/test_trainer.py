@@ -5,16 +5,19 @@ zero-weight trajectory check rebuilds the loop from primitives so the
 composed trainer has an independent reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cusa import trainer
-from cusa.dataio import FeatureTable
+from cusa.dataio import FeatureTable, save_checkpoint
 from cusa.errors import BatchTooLarge, InvalidConfig, TrainAbort, ZeroRow
 from cusa.losses import loss_from_logits
-from cusa.mathops import l2_normalize_rows
+from cusa.mathops import Workspace, l2_normalize_rows
 from cusa.model import backward, forward, init_params
-from cusa.softlabels import TeacherTargets
+from cusa.softlabels import TeacherBatch, TeacherTargets
+from cusa.synthetic import SynthConfig, generate
 from cusa.trainer import (
     TrainConfig,
     TrainData,
@@ -22,6 +25,7 @@ from cusa.trainer import (
     init_adam_state,
     make_batches,
     train,
+    train_step,
 )
 
 # first update for a fresh moment state with g=1, lr=1e-3:
@@ -235,3 +239,86 @@ class TestTrain:
         assert header["n_pairs"] == 8
         assert header["config"]["batch_size"] == 4
         assert [json.loads(x) for x in lines[1:]] == log.records
+
+
+class NanWorkspace(Workspace):
+    """A workspace whose buffers start as NaN, so that reading a buffer
+    before writing it shows up in the results."""
+
+    def __init__(self):
+        super().__init__()
+        self._poisoned = set()
+
+    def buffer(self, name, shape):
+        buf = super().buffer(name, shape)
+        if name not in self._poisoned:
+            self._poisoned.add(name)
+            buf.fill(np.nan)
+        return buf
+
+
+def synth_train_data(config: SynthConfig) -> TrainData:
+    data = generate(config)
+    return TrainData(
+        pairs=list(zip(data.img_ids, data.txt_ids)),
+        img_base=FeatureTable(data.img_ids, data.img_base),
+        txt_base=FeatureTable(data.txt_ids, data.txt_base),
+        img_teacher=FeatureTable(data.img_ids, data.img_teacher),
+        txt_teacher=FeatureTable(data.txt_ids, data.txt_teacher),
+    )
+
+
+def step_inputs(data: TrainData):
+    """The aligned base arrays and the TeacherBatch that train builds."""
+    img_ids = [p[0] for p in data.pairs]
+    txt_ids = [p[1] for p in data.pairs]
+    teacher = TeacherBatch(l2_normalize_rows(data.img_teacher.take(img_ids)),
+                           l2_normalize_rows(data.txt_teacher.take(txt_ids)))
+    return data.img_base.take(img_ids), data.txt_base.take(txt_ids), teacher
+
+
+class TestWorkspace:
+    def test_reused_workspace_gives_the_bits_of_a_fresh_one(self, tmp_path):
+        # the settings of the golden run in test_golden.py
+        data = synth_train_data(SynthConfig(n_clusters=3, pairs_per_cluster=10, seed=13,
+                                            d_student_img=6, d_student_txt=7,
+                                            d_teacher_img=8, d_teacher_txt=9))
+        cfg = TrainConfig(alpha=0.6, beta=0.4, batch_size=10, epochs=4, learning_rate=1e-2,
+                          seed=2, teacher_inv_temp=8.0, separate_uni_temp=True, d_e=5, d_u=3)
+        reused, _ = train(data, cfg)
+
+        base_img, base_txt, teacher = step_inputs(data)
+        params = init_params(cfg.seed, base_img.shape[1], base_txt.shape[1], cfg.d_e, cfg.d_u,
+                             cfg.separate_uni_temp)
+        state = init_adam_state(params)
+        for epoch in range(cfg.epochs):
+            for idx in make_batches(len(data.pairs), cfg.batch_size, cfg.seed, epoch):
+                params, state, _, _ = train_step(params, state, base_img, base_txt, teacher,
+                                                 idx, cfg, NanWorkspace())
+        save_checkpoint(tmp_path / "reused.ckpt", reused, cfg.to_dict())
+        save_checkpoint(tmp_path / "fresh.ckpt", params, cfg.to_dict())
+        assert (tmp_path / "reused.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+
+    def test_warm_batch_200_step_allocates_no_n_by_n_arrays(self):
+        # the train-b200 benchmark settings on the default corpus
+        data = synth_train_data(SynthConfig())
+        cfg = TrainConfig(batch_size=200, learning_rate=1e-2, teacher_inv_temp=8.0,
+                          d_e=4, d_u=4)
+        base_img, base_txt, teacher = step_inputs(data)
+        params = init_params(cfg.seed, base_img.shape[1], base_txt.shape[1], cfg.d_e, cfg.d_u)
+        state = init_adam_state(params)
+        first, second = make_batches(len(data.pairs), cfg.batch_size, cfg.seed, 0)[:2]
+        ws = Workspace()
+        params, state, _, _ = train_step(params, state, base_img, base_txt, teacher,
+                                         first, cfg, ws)
+        tracemalloc.start()
+        try:
+            train_step(params, state, base_img, base_txt, teacher, second, cfg, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured: 1.28 blocks of n x n float64 (the batch's gathered
+        # feature rows and the n x d arrays of forward and backward);
+        # allocating every n x n array afresh each step peaked at 11.6.
+        block = 200 * 200 * 8
+        assert peak < 2 * block, f"traced peak {peak / block:.2f} n x n blocks"
