@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import dataio, gradcheck, metrics, model, synthetic, trainer
 from .errors import (
@@ -29,9 +29,12 @@ from .errors import (
 )
 from .losses import loss_from_logits
 from .mathops import l2_normalize_rows
-from .softlabels import TeacherBatch, build_batch_targets
+from .softlabels import build_batch_targets
 
 FORMAT_VERSION = 1
+
+# exit code of each error family; anything else is a bug and propagates
+EXIT_CODES = {UsageError: 2, FormatError: 3, OSError: 3, DataError: 4, NumericError: 5}
 
 
 def _print_report(command: str, config: dict, seed: int, payload: dict) -> None:
@@ -49,24 +52,20 @@ def _print_report(command: str, config: dict, seed: int, payload: dict) -> None:
 # synth
 # ---------------------------------------------------------------------------
 
+def _config(cls, args):
+    """A `cls` config from the parsed flags: every flag stores into the
+    field of the same name, and fields without a flag keep their default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
+
+
 def cmd_synth(args) -> int:
-    config = synthetic.SynthConfig(
-        n_clusters=args.clusters,
-        pairs_per_cluster=args.pairs_per_cluster,
-        d_student_img=args.d_student_img,
-        d_student_txt=args.d_student_txt,
-        d_teacher_img=args.d_teacher_img,
-        d_teacher_txt=args.d_teacher_txt,
-        intra_noise=args.noise,
-        cross_modal_gap=args.gap,
-        seed=args.seed,
-    )
+    config = _config(synthetic.SynthConfig, args)
     paths = synthetic.synth_generate(config, args.out)
     payload = {
         "files": paths,
         "n_pairs": config.n_clusters * config.pairs_per_cluster,
     }
-    _print_report("synth", asdict(config), args.seed, payload)
+    _print_report("synth", asdict(config), config.seed, payload)
     return 0
 
 
@@ -90,19 +89,7 @@ def _load_train_data(args) -> trainer.TrainData:
 
 
 def cmd_train(args) -> int:
-    config = trainer.TrainConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-        teacher_inv_temp=args.teacher_inv_temp,
-        separate_uni_temp=args.separate_uni_temp,
-        weight_decay=args.weight_decay,
-        d_e=args.d_e,
-        d_u=args.d_u,
-    )
+    config = _config(trainer.TrainConfig, args)
     data = _load_train_data(args)
     params, log = trainer.train(data, config)
     dataio.save_checkpoint(args.out_ckpt, params, config.to_dict())
@@ -267,26 +254,19 @@ def _vectors(ids, emb) -> list:
 
 def cmd_inspect(args) -> int:
     # the flags shared with train pass the same checks
-    config = trainer.TrainConfig(alpha=args.alpha, beta=args.beta, seed=args.seed,
-                                 teacher_inv_temp=args.teacher_inv_temp,
-                                 d_e=args.d_e, d_u=args.d_u)
+    config = _config(trainer.TrainConfig, args)
     data = _load_train_data(args)
     indices = _parse_batch(args.batch, len(data.pairs))
     batch = [data.pairs[i] for i in indices]
-    img_ids = [img for img, _ in batch]
-    txt_ids = [txt for _, txt in batch]
+    base_img, base_txt, teacher = data.aligned(batch)
 
     if args.ckpt is not None:
         params, _ = dataio.load_checkpoint(args.ckpt)
     else:
-        params = model.init_params(config.seed, data.img_base.d, data.txt_base.d,
+        params = model.init_params(config.seed, base_img.shape[1], base_txt.shape[1],
                                    config.d_e, config.d_u)
 
-    outputs = model.forward(data.img_base.take(img_ids), data.txt_base.take(txt_ids), params)
-    teacher = TeacherBatch(
-        image_features=l2_normalize_rows(data.img_teacher.take(img_ids)),
-        text_features=l2_normalize_rows(data.txt_teacher.take(txt_ids)),
-    )
+    outputs = model.forward(base_img, base_txt, params)
     targets = build_batch_targets(teacher, config.teacher_inv_temp)
     report, _, qs = loss_from_logits(
         outputs.img_emb @ outputs.txt_emb.T,
@@ -302,8 +282,8 @@ def cmd_inspect(args) -> int:
         **{key: q.tolist() for key, q in qs.items()},
         "loss": report.as_dict(),
         "embeddings": {
-            "images": _vectors(img_ids, outputs.img_emb),
-            "texts": _vectors(txt_ids, outputs.txt_emb),
+            "images": _vectors([img for img, _ in batch], outputs.img_emb),
+            "texts": _vectors([txt for _, txt in batch], outputs.txt_emb),
         },
     }
     _print_report("inspect", {"alpha": args.alpha, "beta": args.beta,
@@ -324,6 +304,25 @@ def _add_train_files(p: argparse.ArgumentParser) -> None:
     p.add_argument("--txt-teacher", required=True, help="teacher text features")
 
 
+def _add_config_flag(p: argparse.ArgumentParser, flag: str, cls, field: str,
+                     help: str | None = None) -> None:
+    """`flag` storing into args.<field>, with the type and default of
+    that field of the config dataclass `cls`."""
+    default = getattr(cls, field)
+    p.add_argument(flag, dest=field, type=type(default), default=default, help=help)
+
+
+def _add_shared_train_flags(p: argparse.ArgumentParser) -> None:
+    """The TrainConfig flags that train and inspect share."""
+    cfg = trainer.TrainConfig
+    _add_config_flag(p, "--alpha", cfg, "alpha", "CSA weight")
+    _add_config_flag(p, "--beta", cfg, "beta", "USA weight")
+    _add_config_flag(p, "--teacher-inv-temp", cfg, "teacher_inv_temp")
+    _add_config_flag(p, "--seed", cfg, "seed", "init seed (train: also the batch order)")
+    _add_config_flag(p, "--d-e", cfg, "d_e", "retrieval embedding width")
+    _add_config_flag(p, "--d-u", cfg, "d_u", "projector head width")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cusa",
                                      description="soft-label alignment toolkit")
@@ -331,32 +330,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a clustered synthetic corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--pairs-per-cluster", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.15, help="intra-cluster noise scale")
-    p.add_argument("--gap", type=float, default=0.1,
-                   help="fraction of pair noise private to each modality")
-    p.add_argument("--d-student-img", type=int, default=32)
-    p.add_argument("--d-student-txt", type=int, default=32)
-    p.add_argument("--d-teacher-img", type=int, default=64)
-    p.add_argument("--d-teacher-txt", type=int, default=64)
+    for flag, field, help in (
+            ("--clusters", "n_clusters", None),
+            ("--pairs-per-cluster", "pairs_per_cluster", None),
+            ("--seed", "seed", None),
+            ("--noise", "intra_noise", "intra-cluster noise scale"),
+            ("--gap", "cross_modal_gap", "fraction of pair noise private to each modality"),
+            ("--d-student-img", "d_student_img", None),
+            ("--d-student-txt", "d_student_txt", None),
+            ("--d-teacher-img", "d_teacher_img", None),
+            ("--d-teacher-txt", "d_teacher_txt", None)):
+        _add_config_flag(p, flag, synthetic.SynthConfig, field, help)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the projection student")
     _add_train_files(p)
     p.add_argument("--out-ckpt", required=True, help="checkpoint output path")
     p.add_argument("--log", required=True, help="step log output path")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--teacher-inv-temp", type=float, default=1.0)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--d-e", type=int, default=32, help="retrieval embedding width")
-    p.add_argument("--d-u", type=int, default=16, help="projector head width")
+    _add_shared_train_flags(p)
+    for flag, field in (("--batch-size", "batch_size"), ("--epochs", "epochs"),
+                        ("--lr", "learning_rate"), ("--weight-decay", "weight_decay")):
+        _add_config_flag(p, flag, trainer.TrainConfig, field)
     p.add_argument("--separate-uni-temp", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -376,20 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--dims", default="6,6,4,3",
+    p.add_argument("--dims", default=",".join(map(str, gradcheck.DEFAULT_DIMS)),
                    help="d_base_img,d_base_txt,d_e,d_u")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("inspect", help="dump P/Q matrices and losses for one batch")
     _add_train_files(p)
     p.add_argument("--batch", required=True, help="comma-separated pair indices")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--teacher-inv-temp", type=float, default=1.0)
     p.add_argument("--ckpt", help="checkpoint to inspect (default: fresh init)")
-    p.add_argument("--seed", type=int, default=0, help="init seed when no --ckpt")
-    p.add_argument("--d-e", type=int, default=32)
-    p.add_argument("--d-u", type=int, default=16)
+    _add_shared_train_flags(p)
     p.set_defaults(func=cmd_inspect)
     return parser
 
@@ -403,21 +392,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
-    except UsageError as exc:
+    except tuple(EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except DataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except NumericError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 5
+        return next(exit_code for family, exit_code in EXIT_CODES.items()
+                    if isinstance(exc, family))
     sys.stderr.write(f"wall_time_s={time.perf_counter() - start:.3f}\n")
     return code
 

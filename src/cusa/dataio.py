@@ -72,7 +72,7 @@ class FeatureTable:
         self._index = {}
         for i, item_id in enumerate(self.ids):
             if item_id in self._index:
-                raise DuplicateId(f"duplicate id {item_id!r}")
+                raise DuplicateId(f"duplicate id {item_id!r} (record {i})")
             self._index[item_id] = i
 
     @property
@@ -117,12 +117,9 @@ def write_features(path, ids, features) -> None:
         raise InvalidConfig(f"{len(ids)} ids for {n} feature rows")
     if not np.all(np.isfinite(feats)):
         raise NonFiniteValue("features contain NaN or Inf")
-    seen = set()
+    FeatureTable(list(ids), feats)  # rejects duplicate ids
     encoded = []
     for item_id in ids:
-        if item_id in seen:
-            raise DuplicateId(f"duplicate id {item_id!r}")
-        seen.add(item_id)
         raw = str(item_id).encode("utf-8")
         if not raw:
             raise InvalidConfig("empty id")
@@ -155,7 +152,6 @@ def read_features(path) -> FeatureTable:
         raise FormatError(f"header declares {n} rows x {d} dims; both must be >= 1")
     offset = header
     ids = []
-    seen = set()
     row_bytes = 4 * d
     # Every record takes at least 2 + row_bytes bytes, so a header that
     # declares more rows than the file can hold fails in the loop below
@@ -173,9 +169,6 @@ def read_features(path) -> FeatureTable:
         except UnicodeDecodeError as e:
             raise FormatError(f"record {rec}: id is not valid UTF-8 ({e})") from None
         offset += id_len
-        if item_id in seen:
-            raise DuplicateId(f"duplicate id {item_id!r} (record {rec})")
-        seen.add(item_id)
         if offset + row_bytes > len(buf):
             raise TruncatedFile(offset, f"record {rec}: values cut off at byte {offset}")
         values = np.frombuffer(buf, dtype="<f4", count=d, offset=offset)
@@ -186,7 +179,7 @@ def read_features(path) -> FeatureTable:
         rows[rec] = values
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after record {n - 1}")
-    return FeatureTable(ids=ids, features=rows)
+    return FeatureTable(ids=ids, features=rows)  # rejects duplicate ids
 
 
 # ---------------------------------------------------------------------------

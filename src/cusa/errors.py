@@ -5,6 +5,8 @@ usage problems, unreadable or corrupt files, inconsistent data, and
 numeric breakdowns. The CLI maps each family to a stable exit code.
 """
 
+from contextlib import contextmanager
+
 
 class CusaError(Exception):
     """Base class for all errors raised by this package."""
@@ -139,3 +141,15 @@ class TrainAbort(NumericError):
         self.epoch = epoch
         self.step = step
         super().__init__(f"training aborted at epoch {epoch}, step {step}: {cause}")
+
+
+@contextmanager
+def too_large_to_allocate(error_cls, sizes: str):
+    """Raise `error_cls` ("<sizes> too large to allocate: ...") when an
+    array allocated in the block cannot be. numpy raises MemoryError when
+    it cannot get the memory and ValueError when the byte size overflows,
+    so keep the block to the allocations themselves."""
+    try:
+        yield
+    except (MemoryError, ValueError) as err:
+        raise error_cls(f"{sizes} too large to allocate: {err}") from None

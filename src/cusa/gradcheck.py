@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses, model
-from .errors import InvalidConfig
+from .errors import InvalidConfig, InvalidDimension, too_large_to_allocate
 from .mathops import row_softmax
 from .softlabels import TeacherTargets
 
@@ -110,8 +110,10 @@ def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -
     rng = np.random.default_rng(seed)
     worst = {f"model.{name}": 0.0 for name, *_ in model.param_segments(dims, 2)}
     for i, n in enumerate(batch_sizes):
-        base_img = rng.standard_normal((n, dims[0]))
-        base_txt = rng.standard_normal((n, dims[1]))
+        with too_large_to_allocate(InvalidDimension, f"d_base_img={dims[0]} and "
+                                   f"d_base_txt={dims[1]} give base features"):
+            base_img = rng.standard_normal((n, dims[0]))
+            base_txt = rng.standard_normal((n, dims[1]))
         params = model.init_params(seed, *dims, separate_uni_temp=(seed + i) % 2 == 1)
         # the temperatures lead the layout
         params.flat[:params.n_scalars] = rng.uniform(np.log(2.0), np.log(50.0),

@@ -65,10 +65,11 @@ class LossGradients:
     """Gradients of a scalar loss w.r.t. the similarity logits.
 
     d_s_i2t carries both cross-modal directions (the t2i part enters
-    transposed). loss_from_logits returns the derivatives w.r.t. the
-    two log-temperatures apart; batch_loss_and_grads folds the
-    uni-modal one into d_log_inv_temp, leaving d_log_inv_temp_uni 0.0,
-    unless a separate uni-modal temperature is in use.
+    transposed). d_log_inv_temp is the derivative w.r.t. the log of the
+    cross-modal temperature and d_log_inv_temp_uni the one w.r.t. the
+    log of the uni-modal temperature, always apart: model.backward adds
+    the second into the first when the parameters have no separate
+    uni-modal temperature.
     """
 
     d_s_i2t: np.ndarray
@@ -217,9 +218,7 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
 
     Forms the three logit matrices from the student outputs in `ws` (a
     fresh Workspace when None) and hands them to loss_from_logits with
-    the same workspace. Unless the outputs carry a separate uni-modal
-    temperature, its derivative is folded into d_log_inv_temp and
-    d_log_inv_temp_uni is 0.0.
+    the same workspace, whose gradients it returns unchanged.
 
     Args:
         outputs: StudentOutputs with normalized embeddings and the
@@ -244,9 +243,6 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
         gram(outputs.txt_usa, outputs.txt_usa, "s_t2t"),
         targets, outputs.inv_temp, outputs.inv_temp_uni, alpha, beta, ws=ws,
     )
-    if not outputs.separate_uni_temp:
-        grads.d_log_inv_temp += grads.d_log_inv_temp_uni
-        grads.d_log_inv_temp_uni = 0.0
     return report, grads
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, ShapeMismatch, ZeroRow
+from .errors import (DimensionMismatch, InvalidDimension, ShapeMismatch, ZeroRow,
+                     too_large_to_allocate)
 from .losses import LossGradients
 from .mathops import _as_matrix, ZERO_ROW_TOL
 
@@ -124,7 +125,6 @@ class StudentOutputs:
     txt_usa: np.ndarray
     inv_temp: float
     inv_temp_uni: float
-    separate_uni_temp: bool = False
     tape: ForwardTape | None = None
 
 
@@ -157,7 +157,8 @@ def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int,
         return rng.uniform(-bound, bound, size=shape)
 
     log_it = float(np.log(1.0 / INIT_TAU))
-    try:
+    with too_large_to_allocate(InvalidDimension, f"d_e={d_e} and d_u={d_u} (base dims "
+                               f"{d_bi}, {d_bt}) give parameters"):
         return StudentParams(
             w_img=draw(d_bi, (d_bi, d_e)),
             w_txt=draw(d_bt, (d_bt, d_e)),
@@ -166,13 +167,6 @@ def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int,
             log_inv_temp=log_it,
             log_inv_temp_uni=log_it if separate_uni_temp else None,
         )
-    except (MemoryError, ValueError) as err:
-        # numpy raises MemoryError when an array cannot be allocated and
-        # ValueError when its byte size overflows
-        raise InvalidDimension(
-            f"d_e={d_e} and d_u={d_u} (base dims {d_bi}, {d_bt}) give parameters "
-            f"too large to allocate: {err}"
-        ) from None
 
 
 def _project_normalize(base: np.ndarray, w: np.ndarray, name: str):
@@ -188,23 +182,19 @@ def _project_normalize(base: np.ndarray, w: np.ndarray, name: str):
     return z / norms[:, None], norms
 
 
+def _embed(base, w, u, side: str, usa_branch: bool) -> np.ndarray:
+    emb, _ = _project_normalize(_as_matrix(base, f"base_{side}"), w, f"{side}_emb")
+    return _project_normalize(emb, u, f"{side}_usa")[0] if usa_branch else emb
+
+
 def embed_images(base_img, params: StudentParams, usa_branch: bool = False) -> np.ndarray:
     """Retrieval embeddings for images; optionally the projector branch."""
-    base = _as_matrix(base_img, "base_img")
-    emb, _ = _project_normalize(base, params.w_img, "img_emb")
-    if not usa_branch:
-        return emb
-    usa, _ = _project_normalize(emb, params.u_img, "img_usa")
-    return usa
+    return _embed(base_img, params.w_img, params.u_img, "img", usa_branch)
 
 
 def embed_texts(base_txt, params: StudentParams, usa_branch: bool = False) -> np.ndarray:
-    base = _as_matrix(base_txt, "base_txt")
-    emb, _ = _project_normalize(base, params.w_txt, "txt_emb")
-    if not usa_branch:
-        return emb
-    usa, _ = _project_normalize(emb, params.u_txt, "txt_usa")
-    return usa
+    """Retrieval embeddings for texts; optionally the projector branch."""
+    return _embed(base_txt, params.w_txt, params.u_txt, "txt", usa_branch)
 
 
 def forward(base_img, base_txt, params: StudentParams) -> StudentOutputs:
@@ -225,11 +215,10 @@ def forward(base_img, base_txt, params: StudentParams) -> StudentOutputs:
     txt_emb, n_txt = _project_normalize(bt, params.w_txt, "txt_emb")
     img_usa, m_img = _project_normalize(img_emb, params.u_img, "img_usa")
     txt_usa, m_txt = _project_normalize(txt_emb, params.u_txt, "txt_usa")
-    separate = params.log_inv_temp_uni is not None
     it = clamped_inv_temp(params.log_inv_temp)
-    it_u = clamped_inv_temp(params.log_inv_temp_uni) if separate else it
+    it_u = it if params.log_inv_temp_uni is None else clamped_inv_temp(params.log_inv_temp_uni)
     tape = ForwardTape(bi, bt, n_img, n_txt, m_img, m_txt)
-    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, it_u, separate, tape)
+    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, it_u, tape)
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -246,8 +235,10 @@ def backward(outputs: StudentOutputs, params: StudentParams,
     normalization Jacobian, and the linear maps, reading the forward
     intermediates from `outputs` and its tape (nothing is recomputed or
     modified). `params` must be the parameters `outputs` came from.
-    Returns the gradients as StudentParams, laid out like `params`. The
-    temperature gradient is gated to zero whenever the clamp is active.
+    Returns the gradients as StudentParams, laid out like `params`. When
+    `params` has no separate uni-modal temperature, d_log_inv_temp_uni
+    is added into the shared temperature's gradient. A temperature
+    gradient is gated to zero whenever its clamp is active.
     """
     tape = outputs.tape
     if tape is None:
@@ -283,7 +274,11 @@ def backward(outputs: StudentOutputs, params: StudentParams,
     np.matmul(bi.T, g_z_img, out=grads.w_img)
     np.matmul(bt.T, g_z_txt, out=grads.w_txt)
 
-    grads.log_inv_temp = upstream.d_log_inv_temp * _clamp_gate(params.log_inv_temp)
-    if params.log_inv_temp_uni is not None:
+    d_it = upstream.d_log_inv_temp
+    if params.log_inv_temp_uni is None:
+        # the uni-modal softmaxes share the main temperature
+        d_it += upstream.d_log_inv_temp_uni
+    else:
         grads.log_inv_temp_uni = upstream.d_log_inv_temp_uni * _clamp_gate(params.log_inv_temp_uni)
+    grads.log_inv_temp = d_it * _clamp_gate(params.log_inv_temp)
     return grads

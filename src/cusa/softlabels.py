@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, NonPositiveTemperature, ShapeMismatch
-from .mathops import (Workspace, _as_matrix, check_normalized, log_prob,
+from .mathops import (Workspace, _as_matrix, check_normalized, neg_entropy_rows,
                       row_softmax_with_log)
 
 
@@ -43,10 +43,10 @@ class TeacherBatch:
 class TeacherTargets:
     """Constant target distributions for one batch (no gradient flows here).
 
-    h_i2i and h_t2t hold each row's sum(p log p) (0 log 0 = 0), which
-    every KL against that target shares. build_batch_targets takes them
-    from the teacher's own log-softmax; left as None, they are computed
-    from p.
+    h_i2i and h_t2t hold each row's sum(p log p), which every KL against
+    that target shares. build_batch_targets takes them from the
+    teacher's own log-softmax; left as None, they come from p through
+    mathops.neg_entropy_rows (0 log 0 = 0).
     """
 
     p_i2i: np.ndarray
@@ -56,13 +56,9 @@ class TeacherTargets:
 
     def __post_init__(self):
         if self.h_i2i is None:
-            self.h_i2i = _neg_entropy(self.p_i2i, log_prob(self.p_i2i))
+            self.h_i2i = neg_entropy_rows(self.p_i2i)
         if self.h_t2t is None:
-            self.h_t2t = _neg_entropy(self.p_t2t, log_prob(self.p_t2t))
-
-
-def _neg_entropy(p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", p, log_p)
+            self.h_t2t = neg_entropy_rows(self.p_t2t)
 
 
 def _distribution(feats: np.ndarray, teacher_inv_temp: float, p=None, gram=None):
@@ -72,7 +68,7 @@ def _distribution(feats: np.ndarray, teacher_inv_temp: float, p=None, gram=None)
     gram = np.matmul(feats, feats.T, out=gram)
     p, z, lse = row_softmax_with_log(gram, float(teacher_inv_temp), p, gram)
     # log p = z - lse, and each row of p sums to 1
-    h = _neg_entropy(p, z)
+    h = np.einsum("ij,ij->i", p, z)
     h -= lse[:, 0]
     return p, h
 

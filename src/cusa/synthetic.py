@@ -23,14 +23,19 @@ active gallery, so it serves cross-modal and uni-modal evaluation).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import write_features
-from .errors import InvalidConfig
+from .errors import InvalidConfig, too_large_to_allocate
 from .mathops import l2_normalize_rows
+
+
+_SIZE_FIELDS = ("n_clusters", "pairs_per_cluster", "d_student_img", "d_student_txt",
+                "d_teacher_img", "d_teacher_txt")
 
 
 @dataclass
@@ -52,11 +57,11 @@ class SynthConfig:
             raise InvalidConfig(
                 f"pairs_per_cluster must be >= 2, got {self.pairs_per_cluster}"
             )
-        for name in ("d_student_img", "d_student_txt", "d_teacher_img", "d_teacher_txt"):
+        for name in _SIZE_FIELDS[2:]:
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.intra_noise < 0.0:
-            raise InvalidConfig(f"intra_noise must be >= 0, got {self.intra_noise}")
+        if not (0.0 <= self.intra_noise < math.inf):
+            raise InvalidConfig(f"intra_noise must be finite and >= 0, got {self.intra_noise}")
         if not (0.0 <= self.cross_modal_gap <= 1.0):
             raise InvalidConfig(
                 f"cross_modal_gap must be in [0, 1], got {self.cross_modal_gap}"
@@ -82,30 +87,31 @@ def generate(config: SynthConfig) -> SynthData:
     rng = np.random.default_rng(config.seed)
     c = config.n_clusters
     n = c * config.pairs_per_cluster
-    dims = (config.d_student_img, config.d_student_txt,
-            config.d_teacher_img, config.d_teacher_txt)
+    dims = tuple(getattr(config, name) for name in _SIZE_FIELDS[2:])
     latent = max(dims)
 
-    z = l2_normalize_rows(rng.standard_normal((c, latent)))
-    projections = [rng.normal(0.0, 1.0 / np.sqrt(latent), size=(latent, d)) for d in dims]
-    w = rng.standard_normal((n, latent))
-    eps = [rng.standard_normal((n, d)) for d in dims]
+    sizes = ", ".join(f"{name}={getattr(config, name)}" for name in _SIZE_FIELDS)
+    with too_large_to_allocate(InvalidConfig, f"{sizes} give a corpus"):
+        z = l2_normalize_rows(rng.standard_normal((c, latent)))
+        projections = [rng.normal(0.0, 1.0 / np.sqrt(latent), size=(latent, d)) for d in dims]
+        w = rng.standard_normal((n, latent))
+        eps = [rng.standard_normal((n, d)) for d in dims]
 
-    clusters = np.repeat(np.arange(c), config.pairs_per_cluster)
-    gap = config.cross_modal_gap
-    shared_scale = np.sqrt(1.0 - gap)
-    private_scale = np.sqrt(gap)
+        clusters = np.repeat(np.arange(c), config.pairs_per_cluster)
+        gap = config.cross_modal_gap
+        shared_scale = np.sqrt(1.0 - gap)
+        private_scale = np.sqrt(gap)
 
-    tables = []
-    for space, proj in enumerate(projections):
-        centroids = l2_normalize_rows(z @ proj)
-        if space < 2:
-            deviation = shared_scale * (w @ proj) + private_scale * eps[space]
-            scale = config.intra_noise
-        else:
-            deviation = eps[space]
-            scale = 0.25 * config.intra_noise
-        tables.append(l2_normalize_rows(centroids[clusters] + scale * deviation))
+        tables = []
+        for space, proj in enumerate(projections):
+            centroids = l2_normalize_rows(z @ proj)
+            if space < 2:
+                deviation = shared_scale * (w @ proj) + private_scale * eps[space]
+                scale = config.intra_noise
+            else:
+                deviation = eps[space]
+                scale = 0.25 * config.intra_noise
+            tables.append(l2_normalize_rows(centroids[clusters] + scale * deviation))
 
     img_ids = [f"img-c{cl:03d}-p{m:04d}"
                for cl in range(c) for m in range(config.pairs_per_cluster)]

@@ -75,6 +75,15 @@ class TrainData:
     img_teacher: FeatureTable
     txt_teacher: FeatureTable
 
+    def aligned(self, pairs) -> tuple:
+        """(base_img, base_txt, TeacherBatch) for `pairs`, row i from pair
+        i; the teacher rows are normalized and validated here, once."""
+        img_ids = [img for img, _ in pairs]
+        txt_ids = [txt for _, txt in pairs]
+        teacher = TeacherBatch(l2_normalize_rows(self.img_teacher.take(img_ids)),
+                               l2_normalize_rows(self.txt_teacher.take(txt_ids)))
+        return self.img_base.take(img_ids), self.txt_base.take(txt_ids), teacher
+
 
 @dataclass
 class TrainLog:
@@ -162,16 +171,11 @@ def train(data: TrainData, config: TrainConfig):
     """Run the full loop; returns (final StudentParams, TrainLog).
 
     Each step is a train_step, and all steps share one Workspace, so
-    the n x n arrays of the step are allocated once. Teacher features
-    are normalized and validated once up front; each step gathers its
-    rows. Numeric failures abort with (epoch, step) context.
+    the n x n arrays of the step are allocated once. The pairs become
+    aligned arrays once up front; each step gathers its rows. Numeric
+    failures abort with (epoch, step) context.
     """
-    img_ids = [p[0] for p in data.pairs]
-    txt_ids = [p[1] for p in data.pairs]
-    base_img = data.img_base.take(img_ids)
-    base_txt = data.txt_base.take(txt_ids)
-    teacher = TeacherBatch(l2_normalize_rows(data.img_teacher.take(img_ids)),
-                           l2_normalize_rows(data.txt_teacher.take(txt_ids)))
+    base_img, base_txt, teacher = data.aligned(data.pairs)
 
     params = init_params(config.seed, base_img.shape[1], base_txt.shape[1],
                          config.d_e, config.d_u, config.separate_uni_temp)

@@ -10,9 +10,11 @@ import json
 import numpy as np
 import pytest
 
+import cusa.cli
 import cusa.losses
 from cusa.cli import main
 from cusa.dataio import read_features, save_checkpoint, write_features
+from cusa.errors import BadMagic, InvalidConfig, NotNormalized, UnknownId
 from cusa.losses import LossGradients
 from cusa.mathops import l2_normalize_rows
 
@@ -114,6 +116,28 @@ class TestSynthCommand:
         code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "c"),
                                     "--clusters", "1"])
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("flag, field", [("--pairs-per-cluster", "pairs_per_cluster"),
+                                             ("--clusters", "n_clusters"),
+                                             ("--d-student-img", "d_student_img")])
+    def test_unallocatable_size_rejected(self, capsys, tmp_path, flag, field):
+        # 10^12 rows or columns need terabytes, so the allocation fails at once
+        out = tmp_path / "big"
+        code, report, err = run(capsys, ["synth", "--out", str(out), flag, "1000000000000"])
+        assert code == 2 and report is None
+        line = next(line for line in err.splitlines() if line.startswith("error:"))
+        assert f"{field}=1000000000000" in line
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_rejected(self, capsys, tmp_path, value):
+        out = tmp_path / "noisy"
+        code, report, err = run(capsys, ["synth", "--out", str(out), "--noise", value])
+        assert code == 2 and report is None
+        assert "intra_noise" in next(line for line in err.splitlines() if line.startswith("error:"))
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +454,15 @@ class TestGradcheckCommand:
         code, _, _ = run(capsys, ["gradcheck", "--dims", "a,b,c,d"])
         assert code == 2
 
+    def test_unallocatable_dims_rejected(self, capsys):
+        # 10^12 base columns need terabytes, so the allocation fails at once
+        code, report, err = run(capsys, ["gradcheck", "--dims", "1000000000000,6,4,3",
+                                         "--trials", "1"])
+        assert code == 2 and report is None
+        line = next(line for line in err.splitlines() if line.startswith("error:"))
+        assert "d_base_img=1000000000000" in line
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(LossGradients)])
     def test_broken_gradient_detected(self, capsys, monkeypatch, field):
         real = cusa.losses.loss_from_logits
@@ -595,3 +628,28 @@ class TestTopLevel:
                                     "--txt-base", str(corpus / "txt_base.feat"),
                                     "--pairs", str(corpus / "pairs.tsv")])
         assert code == 5 and "error:" in err
+
+    @pytest.mark.parametrize("error, exit_code", [
+        (InvalidConfig("bad flag"), 2),
+        (BadMagic("bad magic"), 3),
+        (OSError("disk unreadable"), 3),
+        (UnknownId("unknown id"), 4),
+        (NotNormalized("row 0 has norm 2"), 5),
+    ])
+    def test_each_error_family_has_its_exit_code(self, capsys, monkeypatch, tmp_path,
+                                                 error, exit_code):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(cusa.cli, "cmd_synth", failing)
+        code, report, err = run(capsys, ["synth", "--out", str(tmp_path / "x")])
+        assert code == exit_code and report is None
+        assert err == f"error: {error}\n"
+
+    def test_other_exceptions_propagate(self, monkeypatch, tmp_path):
+        def failing(args):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cusa.cli, "cmd_synth", failing)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["synth", "--out", str(tmp_path / "x")])

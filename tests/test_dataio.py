@@ -183,7 +183,7 @@ class TestFeatureReadErrors:
         path = tmp_path / "f.bin"
         row = struct.pack("<H", 1) + b"a" + struct.pack("<2f", 1.0, 2.0)
         path.write_bytes(b"CUSF" + struct.pack("<IQI", 1, 2, 2) + row + row)
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId, match=r"'a' \(record 1\)"):
             read_features(path)
 
     def test_invalid_utf8_id(self, tmp_path):

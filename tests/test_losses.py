@@ -10,7 +10,7 @@ import pytest
 from cusa.errors import NegativeWeight, ShapeMismatch
 from cusa.losses import batch_loss_and_grads, cusa_total, loss_from_logits
 from cusa.mathops import Workspace, l2_normalize_rows, row_softmax
-from cusa.model import StudentOutputs, forward, init_params
+from cusa.model import StudentOutputs, _clamp_gate, backward, forward, init_params
 from cusa.softlabels import TeacherTargets
 
 # log(1 + e^-1): symmetric 2x2 InfoNCE with unit logits on the diagonal
@@ -305,15 +305,30 @@ class TestBatchLossAndGrads:
         assert soft_push < hard_push
 
     def test_separate_uni_temperature_splits_gradient(self):
+        # the loss returns both log-temperature derivatives apart in
+        # either layout; model.backward owns the fold into a shared one
         rng = np.random.default_rng(63)
-        outputs = make_outputs(rng, 4, inv_temp=8.0, inv_temp_uni=3.0)
-        outputs.separate_uni_temp = True
-        targets = TeacherTargets(*random_targets(rng, 4))
-        _, grads = batch_loss_and_grads(outputs, targets, 0.5, 0.5)
-        assert grads.d_log_inv_temp_uni != 0.0
-        shared = make_outputs(rng, 4, inv_temp=8.0)
-        _, shared_grads = batch_loss_and_grads(shared, targets, 0.5, 0.5)
-        assert shared_grads.d_log_inv_temp_uni == 0.0
+        n = 4
+        base_img, base_txt = rng.standard_normal((n, 5)), rng.standard_normal((n, 7))
+        targets = TeacherTargets(*random_targets(rng, n))
+        for separate in (False, True):
+            params = init_params(3, 5, 7, 4, 3, separate_uni_temp=separate)
+            params.log_inv_temp = float(np.log(8.0))
+            if separate:
+                params.log_inv_temp_uni = float(np.log(3.0))
+            outputs = forward(base_img, base_txt, params)
+            _, lg = batch_loss_and_grads(outputs, targets, 0.5, 0.5)
+            assert lg.d_log_inv_temp != 0.0 and lg.d_log_inv_temp_uni != 0.0
+            grads = backward(outputs, params, lg)
+            gate = _clamp_gate(params.log_inv_temp)
+            assert gate == 1.0
+            if separate:
+                assert grads.log_inv_temp == lg.d_log_inv_temp * gate
+                assert grads.log_inv_temp_uni == (lg.d_log_inv_temp_uni
+                                                  * _clamp_gate(params.log_inv_temp_uni))
+            else:
+                assert grads.n_scalars == 1
+                assert grads.log_inv_temp == (lg.d_log_inv_temp + lg.d_log_inv_temp_uni) * gate
 
     def test_inputs_left_untouched(self):
         # the loss forms its gradients in buffers it allocates; the

@@ -3,6 +3,8 @@
 Frozen constants were computed independently with 50-digit arithmetic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,8 @@ from cusa.errors import (
 from cusa.mathops import (
     cosine_similarity,
     kl_divergence_rows,
-    kl_rows_raw,
     l2_normalize_rows,
-    log_prob,
+    neg_entropy_rows,
     row_softmax,
     row_softmax_with_log,
 )
@@ -147,6 +148,14 @@ class TestRowSoftmax:
                 row_softmax([[1.0, 0.0]], bad)
 
 
+def masked_kl(p, log_q):
+    """The per-row KL as a boolean-mask gather over p > 0."""
+    pos = p > 0.0
+    terms = np.zeros_like(p)
+    terms[pos] = p[pos] * (np.log(p[pos]) - log_q[pos])
+    return terms.sum(axis=1)
+
+
 class TestKlDivergenceRows:
     def test_self_divergence_zero(self):
         rng = np.random.default_rng(41)
@@ -188,13 +197,36 @@ class TestKlDivergenceRows:
         with pytest.raises(InvalidDistribution):
             kl_divergence_rows([[0.7, 0.7]], [[0.5, 0.5]])
 
+    def test_exact_zero_teacher_entries_match_masked_formula(self):
+        # orthogonal rows at a large inverse temperature underflow to
+        # exact zeros; rows at 45 degrees keep small positive mass
+        feats = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                   [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
+        p = teacher_distribution(feats, teacher_inv_temp=1e3)
+        assert np.any(p == 0.0) and np.any((p > 0.0) & (p < 1e-100))
+        rng = np.random.default_rng(63)
+        s = rng.uniform(-1.0, 1.0, size=p.shape)
+        for view in (s, s.T):
+            q = row_softmax(view, 14.0)
+            keep = (p.copy(), q.copy())
+            per_row, mean = kl_divergence_rows(p, q)
+            assert np.all(np.isfinite(per_row))
+            np.testing.assert_allclose(per_row, masked_kl(p, np.log(q)), rtol=0, atol=1e-12)
+            assert mean == float(per_row.mean())
+            assert np.array_equal(p, keep[0]) and np.array_equal(q, keep[1])
 
-def masked_kl(p, log_q):
-    """The per-row KL as a boolean-mask gather over p > 0."""
-    pos = p > 0.0
-    terms = np.zeros_like(p)
-    terms[pos] = p[pos] * (np.log(p[pos]) - log_q[pos])
-    return terms.sum(axis=1)
+
+class TestNegEntropyRows:
+    def test_zero_log_zero_is_zero(self):
+        p = np.array([[0.25, 0.0, 0.75], [0.0, 1.0, 0.0]])
+        keep = p.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = neg_entropy_rows(p)
+        assert got.shape == (2,)
+        assert abs(got[0] - (0.25 * np.log(0.25) + 0.75 * np.log(0.75))) <= 1e-16
+        assert got[1] == 0.0
+        assert np.array_equal(p, keep)
 
 
 class TestInPlaceKernels:
@@ -214,45 +246,12 @@ class TestInPlaceKernels:
             assert log_q.flags.f_contiguous == view.flags.f_contiguous
             np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_kl_leaves_inputs_untouched(self):
-        rng = np.random.default_rng(62)
-        p = row_softmax(rng.standard_normal((5, 5)), 1.0)
-        _, z, lse = row_softmax_with_log(rng.standard_normal((5, 5)), 2.0)
-        log_q = z - lse
-        log_p = log_prob(p)
-        keep = [m.copy() for m in (p, log_q, log_p)]
-        for view in (log_q, log_q.T):
-            kl_rows_raw(p, view, log_p)
-            for now, before in zip((p, log_q, log_p), keep):
-                assert np.array_equal(now, before)
-
-    def test_kl_with_exact_zero_teacher_entries_matches_masked_formula(self):
-        # orthogonal rows at a large inverse temperature underflow to
-        # exact zeros; rows at 45 degrees keep small positive mass
-        feats = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
-                                   [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
-        p = teacher_distribution(feats, teacher_inv_temp=1e3)
-        assert np.any(p == 0.0) and np.any((p > 0.0) & (p < 1e-100))
-        rng = np.random.default_rng(63)
-        s = rng.uniform(-1.0, 1.0, size=p.shape)
-        for view in (s, s.T):
-            _, z, lse = row_softmax_with_log(view, 14.0)
-            log_q = z - lse
-            want = masked_kl(p, log_q)
-            assert np.array_equal(kl_rows_raw(p, log_q, log_prob(p)), want)
-
-    def test_log_prob_zero_convention(self):
-        p = np.array([[0.25, 0.0, 0.75]])
-        got = log_prob(p)
-        assert got[0, 1] == 0.0
-        assert got[0, 0] == np.log(0.25) and got[0, 2] == np.log(0.75)
-
 
 class TestLogSumExpKl:
     """The loss core takes each KL as sum(p log p) - sum(p z) + lse."""
 
     def test_exact_zero_teacher_entries_match_masked_formula(self):
-        # as in TestInPlaceKernels: a large teacher inverse temperature
+        # as in TestKlDivergenceRows: a large teacher inverse temperature
         # underflows the targets of orthogonal rows to exact zeros
         img = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
                                  [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
@@ -270,7 +269,7 @@ class TestLogSumExpKl:
 
         want = {"i2t": oracle(p_i, s_i2t, it), "t2i": oracle(p_t, s_i2t.T, it),
                 "i2i": oracle(p_i, s_i2i, it_u), "t2t": oracle(p_t, s_t2t, it_u)}
-        # row sums of p log p from log_prob, and from the teacher's own
+        # row sums of p log p from neg_entropy_rows, and from the teacher's own
         # log-softmax as training computes them
         built = build_batch_targets(TeacherBatch(img, txt), 1e3)
         assert np.array_equal(built.p_i2i, p_i) and np.array_equal(built.p_t2t, p_t)
