@@ -197,24 +197,6 @@ class TestKlDivergenceRows:
         with pytest.raises(InvalidDistribution):
             kl_divergence_rows([[0.7, 0.7]], [[0.5, 0.5]])
 
-    def test_exact_zero_teacher_entries_match_masked_formula(self):
-        # orthogonal rows at a large inverse temperature underflow to
-        # exact zeros; rows at 45 degrees keep small positive mass
-        feats = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
-                                   [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
-        p = teacher_distribution(feats, teacher_inv_temp=1e3)
-        assert np.any(p == 0.0) and np.any((p > 0.0) & (p < 1e-100))
-        rng = np.random.default_rng(63)
-        s = rng.uniform(-1.0, 1.0, size=p.shape)
-        for view in (s, s.T):
-            q = row_softmax(view, 14.0)
-            keep = (p.copy(), q.copy())
-            per_row, mean = kl_divergence_rows(p, q)
-            assert np.all(np.isfinite(per_row))
-            np.testing.assert_allclose(per_row, masked_kl(p, np.log(q)), rtol=0, atol=1e-12)
-            assert mean == float(per_row.mean())
-            assert np.array_equal(p, keep[0]) and np.array_equal(q, keep[1])
-
 
 class TestNegEntropyRows:
     def test_zero_log_zero_is_zero(self):
@@ -246,12 +228,39 @@ class TestInPlaceKernels:
             assert log_q.flags.f_contiguous == view.flags.f_contiguous
             np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
+    def test_kl_leaves_inputs_untouched(self):
+        rng = np.random.default_rng(62)
+        p = row_softmax(rng.standard_normal((5, 5)), 1.0)
+        s = rng.standard_normal((5, 5))
+        # row_softmax keeps the input layout, so the second q is a
+        # column-major matrix like the one a transposed view gives
+        for q in (row_softmax(s, 2.0), row_softmax(s.T, 2.0)):
+            keep = (p.copy(), q.copy())
+            kl_divergence_rows(p, q)
+            assert np.array_equal(p, keep[0]) and np.array_equal(q, keep[1])
+
+    def test_kl_with_exact_zero_teacher_entries_matches_masked_formula(self):
+        # orthogonal rows at a large inverse temperature underflow to
+        # exact zeros; rows at 45 degrees keep small positive mass
+        feats = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                   [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
+        p = teacher_distribution(feats, teacher_inv_temp=1e3)
+        assert np.any(p == 0.0) and np.any((p > 0.0) & (p < 1e-100))
+        rng = np.random.default_rng(63)
+        s = rng.uniform(-1.0, 1.0, size=p.shape)
+        for view in (s, s.T):
+            q = row_softmax(view, 14.0)
+            per_row, mean = kl_divergence_rows(p, q)
+            assert np.all(np.isfinite(per_row))
+            np.testing.assert_allclose(per_row, masked_kl(p, np.log(q)), rtol=0, atol=1e-12)
+            assert mean == float(per_row.mean())
+
 
 class TestLogSumExpKl:
     """The loss core takes each KL as sum(p log p) - sum(p z) + lse."""
 
     def test_exact_zero_teacher_entries_match_masked_formula(self):
-        # as in TestKlDivergenceRows: a large teacher inverse temperature
+        # as in TestInPlaceKernels: a large teacher inverse temperature
         # underflows the targets of orthogonal rows to exact zeros
         img = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
                                  [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
