@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from collections import defaultdict
 from dataclasses import asdict, fields
 
 from . import dataio, gradcheck, metrics, model, synthetic, trainer
@@ -22,12 +23,11 @@ from .errors import (
     DataError,
     FormatError,
     InvalidConfig,
-    MissingFeature,
     NumericError,
     OutOfRange,
     UsageError,
 )
-from .losses import loss_from_logits
+from .losses import loss_from_logits, student_logits
 from .mathops import l2_normalize_rows
 from .softlabels import build_batch_targets
 
@@ -76,16 +76,11 @@ def cmd_synth(args) -> int:
 def _load_train_data(args) -> trainer.TrainData:
     img_base = dataio.read_features(args.img_base)
     txt_base = dataio.read_features(args.txt_base)
-    img_teacher = dataio.read_features(args.img_teacher)
-    txt_teacher = dataio.read_features(args.txt_teacher)
-    pairs = dataio.read_pairs(args.pairs, img_ids=img_base, txt_ids=txt_base)
-    for img, txt in pairs:
-        if img not in img_teacher:
-            raise MissingFeature(f"image id {img!r} missing from teacher features")
-        if txt not in txt_teacher:
-            raise MissingFeature(f"text id {txt!r} missing from teacher features")
-    return trainer.TrainData(pairs=pairs, img_base=img_base, txt_base=txt_base,
-                             img_teacher=img_teacher, txt_teacher=txt_teacher)
+    return trainer.TrainData(
+        img_base=img_base, txt_base=txt_base,
+        img_teacher=dataio.read_features(args.img_teacher),
+        txt_teacher=dataio.read_features(args.txt_teacher),
+        pairs=dataio.read_pairs(args.pairs, img_ids=img_base, txt_ids=txt_base))
 
 
 def cmd_train(args) -> int:
@@ -108,48 +103,31 @@ def cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _read_embeddings(path):
-    """Feature file holding already-embedded vectors; rows re-normalized
-    in float64 to absorb the 32-bit storage rounding."""
-    table = dataio.read_features(path)
-    return table.ids, l2_normalize_rows(table.features)
-
-
-def _embed_side(ckpt_params, base_path, embed_fn, usa_branch: bool):
-    table = dataio.read_features(base_path)
-    return table.ids, embed_fn(table.features, ckpt_params, usa_branch=usa_branch)
-
-
-def _eval_inputs(args, need_img: bool, need_txt: bool):
-    """Resolve (img_ids, img_emb, txt_ids, txt_emb) from either direct
-    embedding files or a checkpoint plus base features."""
-    direct = [p for p in (args.img_emb, args.txt_emb) if p is not None]
-    if args.ckpt is not None:
-        if direct:
+def _eval_inputs(args, sides) -> list:
+    """(ids, embeddings) of each side in `sides` ("img", "txt"): either
+    a checkpoint's embeddings of the --*-base features or the --*-emb
+    files of already-embedded vectors, whose rows are re-normalized in
+    float64 to absorb the 32-bit storage rounding."""
+    ckpt = args.ckpt is not None
+    if ckpt:
+        if args.img_emb is not None or args.txt_emb is not None:
             raise InvalidConfig("pass either --ckpt or --img-emb/--txt-emb, not both")
         params, _ = dataio.load_checkpoint(args.ckpt)
-        img = txt = (None, None)
-        if need_img:
-            if args.img_base is None:
-                raise InvalidConfig("--ckpt evaluation needs --img-base")
-            img = _embed_side(params, args.img_base, model.embed_images, args.usa_branch)
-        if need_txt:
-            if args.txt_base is None:
-                raise InvalidConfig("--ckpt evaluation needs --txt-base")
-            txt = _embed_side(params, args.txt_base, model.embed_texts, args.usa_branch)
-        return img + txt
-    if args.usa_branch:
+    elif args.usa_branch:
         raise InvalidConfig("--usa-branch requires --ckpt (embeddings are computed)")
-    img = txt = (None, None)
-    if need_img:
-        if args.img_emb is None:
-            raise InvalidConfig("task needs --img-emb (or --ckpt with --img-base)")
-        img = _read_embeddings(args.img_emb)
-    if need_txt:
-        if args.txt_emb is None:
-            raise InvalidConfig("task needs --txt-emb (or --ckpt with --txt-base)")
-        txt = _read_embeddings(args.txt_emb)
-    return img + txt
+    inputs = []
+    for side in sides:
+        path = getattr(args, f"{side}_base" if ckpt else f"{side}_emb")
+        if path is None:
+            raise InvalidConfig(f"--ckpt evaluation needs --{side}-base" if ckpt else
+                                f"task needs --{side}-emb (or --ckpt with --{side}-base)")
+        table = dataio.read_features(path)
+        if ckpt:
+            embed = model.embed_images if side == "img" else model.embed_texts
+            inputs.append((table.ids, embed(table.features, params, usa_branch=args.usa_branch)))
+        else:
+            inputs.append((table.ids, l2_normalize_rows(table.features)))
+    return inputs
 
 
 def _eval_config(args) -> dict:
@@ -163,30 +141,32 @@ def cmd_eval(args) -> int:
     if task == "cross":
         if (args.pairs is None) == (args.relevance is None):
             raise InvalidConfig("task cross needs exactly one of --pairs / --relevance")
-        img_ids, img_emb, txt_ids, txt_emb = _eval_inputs(args, True, True)
-        # one id table over both modalities; an id string may name an
-        # image and a text at once
-        index = metrics.id_table(img_ids + txt_ids)
+        (img_ids, img_emb), (txt_ids, txt_emb) = _eval_inputs(args, ("img", "txt"))
         if args.pairs is not None:
             pairs = dataio.read_pairs(args.pairs, img_ids=set(img_ids), txt_ids=set(txt_ids))
-            imgs, txts = zip(*pairs)
-            rel_i2t = metrics.Relevance.from_pairs(imgs, txts, index)
-            rel_t2i = metrics.Relevance.from_pairs(txts, imgs, index)
+            i2t, t2i = defaultdict(list), defaultdict(list)
+            for img, txt in pairs:
+                i2t[img].append(txt)
+                t2i[txt].append(img)
+            rel_i2t, rel_t2i = map(metrics.Relevance.from_mapping, (i2t, t2i))
         else:
-            rel_i2t = rel_t2i = dataio.read_relevance(args.relevance, known_ids=index)
+            # one id table over both modalities; an id string may name an
+            # image and a text at once
+            rel_i2t = rel_t2i = dataio.read_relevance(args.relevance,
+                                                      known_ids=img_ids + txt_ids)
         payload = metrics.evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids,
                                                rel_i2t, rel_t2i)
     elif task == "img":
         if args.relevance is None:
             raise InvalidConfig("task img needs --relevance")
-        img_ids, img_emb, _, _ = _eval_inputs(args, True, False)
+        [(img_ids, img_emb)] = _eval_inputs(args, ("img",))
         rel = dataio.read_relevance(args.relevance)
         payload = metrics.evaluate_uni_modal(img_emb, img_ids, rel)
     elif task == "sts":
         if args.pairs is None:
             raise InvalidConfig("task sts needs --pairs (id_a, id_b, score)")
-        _, _, txt_ids, txt_emb = _eval_inputs(args, False, True)
-        index = {tid: i for i, tid in enumerate(txt_ids)}
+        [(txt_ids, txt_emb)] = _eval_inputs(args, ("txt",))
+        index = metrics.id_table(txt_ids)
         triples = dataio.read_scored_pairs(args.pairs, ids=index)
         pred = [float(txt_emb[index[a]] @ txt_emb[index[b]]) for a, b, _ in triples]
         gold = [score for _, _, score in triples]
@@ -269,18 +249,15 @@ def cmd_inspect(args) -> int:
     outputs = model.forward(base_img, base_txt, params)
     targets = build_batch_targets(teacher, config.teacher_inv_temp)
     report, _, qs = loss_from_logits(
-        outputs.img_emb @ outputs.txt_emb.T,
-        outputs.img_usa @ outputs.img_usa.T,
-        outputs.txt_usa @ outputs.txt_usa.T,
-        targets, outputs.inv_temp, outputs.inv_temp_uni, config.alpha, config.beta,
-        keep_q=True,
+        *student_logits(outputs), targets, outputs.inv_temp, outputs.inv_temp_uni,
+        config.alpha, config.beta, keep_q=True,
     )
     payload = {
         "batch": indices,
         "p_i2i": targets.p_i2i.tolist(),
         "p_t2t": targets.p_t2t.tolist(),
         **{key: q.tolist() for key, q in qs.items()},
-        "loss": report.as_dict(),
+        "loss": asdict(report),
         "embeddings": {
             "images": _vectors([img for img, _ in batch], outputs.img_emb),
             "texts": _vectors([txt for _, txt in batch], outputs.txt_emb),

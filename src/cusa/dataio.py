@@ -6,8 +6,8 @@ input with positioned errors; nothing is repaired silently.
 Feature file ("CUSF"):
     magic 4 bytes "CUSF" | version u32 = 1 | n u64 | d u32
     then n records: id_len u16 | id UTF-8 bytes | d float32 values
-    ids unique, n >= 1, d >= 1, all values finite. Stored 32-bit,
-    computed 64-bit: read_features upconverts.
+    ids non-empty and unique, n >= 1, d >= 1, all values finite.
+    Stored 32-bit, computed 64-bit: read_features upconverts.
 
 Pairs file: UTF-8 text, one "image_id<TAB>text_id" per line. Duplicate
 lines are kept; multiplicity matters for batching.
@@ -23,10 +23,11 @@ Checkpoint ("CUSC"):
     magic "CUSC" | version u32 = 1 | d_bi u32 | d_bt u32 | d_e u32 |
     d_u u32 | has_uni_temp u8 | parameters | config_len u32 |
     config JSON UTF-8
-    The parameter block is the bytes of StudentParams.flat (f64), laid
-    out by model.param_segments: log_inv_temp | [log_inv_temp_uni] |
-    w_img | w_txt | u_img | u_txt (row-major). Every value, the
-    temperatures included, must be finite on save and on load.
+    Every dim is >= 1. The parameter block is the bytes of
+    StudentParams.flat (f64), laid out by model.param_segments:
+    log_inv_temp | [log_inv_temp_uni] | w_img | w_txt | u_img | u_txt
+    (row-major). Every value, the temperatures included, must be finite
+    on save and on load.
 """
 
 from __future__ import annotations
@@ -171,6 +172,8 @@ def read_features(path) -> FeatureTable:
         offset += id_len
         if offset + row_bytes > len(buf):
             raise TruncatedFile(offset, f"record {rec}: values cut off at byte {offset}")
+        if not id_len:
+            raise FormatError(f"record {rec}: empty id")
         values = np.frombuffer(buf, dtype="<f4", count=d, offset=offset)
         offset += row_bytes
         if not np.all(np.isfinite(values)):
@@ -204,24 +207,34 @@ def _lines(path):
             yield lineno, line.rstrip("\n")
 
 
+def _records(path, kind: str, form: str):
+    """(line number, fields) of each line of a tab-separated text file
+    laid out as `form`, e.g. 'image_id<TAB>text_id': as many fields as
+    `form` names, the first two non-empty. A file without lines is
+    MalformedLine too, named by `kind`."""
+    n_fields = form.count("<TAB>") + 1
+    lineno = 0
+    for lineno, line in _lines(path):
+        fields = line.split("\t")
+        if len(fields) != n_fields or not fields[0] or not fields[1]:
+            raise MalformedLine(lineno, f"line {lineno}: expected {form!r}, got {line!r}")
+        yield lineno, fields
+    if lineno == 0:
+        raise MalformedLine(0, f"{kind} file is empty")
+
+
 def read_pairs(path, img_ids=None, txt_ids=None) -> list:
     """Ordered (image_id, text_id) list; duplicates preserved.
 
     When id universes are supplied, unknown references raise UnknownId.
     """
     pairs = []
-    for lineno, line in _lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise MalformedLine(lineno, f"line {lineno}: expected 'image_id<TAB>text_id', got {line!r}")
-        img, txt = fields
+    for lineno, (img, txt) in _records(path, "pairs", "image_id<TAB>text_id"):
         if img_ids is not None and img not in img_ids:
             raise UnknownId(f"line {lineno}: unknown image id {img!r}")
         if txt_ids is not None and txt not in txt_ids:
             raise UnknownId(f"line {lineno}: unknown text id {txt!r}")
         pairs.append((img, txt))
-    if not pairs:
-        raise MalformedLine(0, "pairs file is empty")
     return pairs
 
 
@@ -236,11 +249,7 @@ def read_relevance(path, known_ids=None) -> Relevance:
     index = _interning_index() if known_ids is None else id_table(known_ids)
     seen = set()
     queries, indptr, indices = array("i"), array("i", [0]), array("i")
-    for lineno, line in _lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise MalformedLine(lineno, f"line {lineno}: expected 'query_id<TAB>id,id,...', got {line!r}")
-        query, id_blob = fields
+    for lineno, (query, id_blob) in _records(path, "relevance", "query_id<TAB>id,id,..."):
         if query in seen:
             raise DuplicateId(f"line {lineno}: repeated query id {query!r}")
         seen.add(query)
@@ -255,19 +264,13 @@ def read_relevance(path, known_ids=None) -> Relevance:
         except KeyError as e:
             raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
         indptr.append(len(indices))
-    if not queries:
-        raise MalformedLine(0, "relevance file is empty")
     return Relevance(index, queries, indptr, indices)
 
 
 def read_scored_pairs(path, ids=None) -> list:
     """Ordered (id_a, id_b, score) triples for similarity scoring."""
     triples = []
-    for lineno, line in _lines(path):
-        fields = line.split("\t")
-        if len(fields) != 3 or not fields[0] or not fields[1]:
-            raise MalformedLine(lineno, f"line {lineno}: expected 'id_a<TAB>id_b<TAB>score', got {line!r}")
-        a, b, raw_score = fields
+    for lineno, (a, b, raw_score) in _records(path, "scored-pairs", "id_a<TAB>id_b<TAB>score"):
         try:
             score = float(raw_score)
         except ValueError:
@@ -279,8 +282,6 @@ def read_scored_pairs(path, ids=None) -> list:
                 if item not in ids:
                     raise UnknownId(f"line {lineno}: unknown id {item!r}")
         triples.append((a, b, score))
-    if not triples:
-        raise MalformedLine(0, "scored-pairs file is empty")
     return triples
 
 
@@ -320,6 +321,8 @@ def load_checkpoint(path):
     version, *dims, has_uni = struct.unpack_from("<IIIIIB", buf, 4)
     if version != CHECKPOINT_VERSION:
         raise VersionUnsupported(f"checkpoint version {version}, supported: 1")
+    if 0 in dims:
+        raise FormatError(f"header declares d_bi, d_bt, d_e, d_u = {dims}; each must be >= 1")
     n_scalars = 2 if has_uni else 1
     # sizes come from the header alone, so a header declaring more
     # parameters than the file holds fails here before any allocation

@@ -50,15 +50,6 @@ class LossReport:
     l_total: float
     per_direction: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "l_original": self.l_original,
-            "l_csa": self.l_csa,
-            "l_usa": self.l_usa,
-            "l_total": self.l_total,
-            "per_direction": dict(self.per_direction),
-        }
-
 
 @dataclass
 class LossGradients:
@@ -212,13 +203,27 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
     return report, grads, qs
 
 
+def student_logits(outputs, ws: Workspace | None = None) -> tuple:
+    """(s_i2t, s_i2i, s_t2t) of a batch: the Gram matrix of the image
+    and text embeddings and the Gram matrix of each projector head,
+    written into buffers of `ws` when one is given."""
+    n = outputs.img_emb.shape[0]
+
+    def gram(a, b, name):
+        return np.matmul(a, b.T, out=None if ws is None else ws.buffer(name, (n, n)))
+
+    return (gram(outputs.img_emb, outputs.txt_emb, "s_i2t"),
+            gram(outputs.img_usa, outputs.img_usa, "s_i2i"),
+            gram(outputs.txt_usa, outputs.txt_usa, "s_t2t"))
+
+
 def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
                          ws: Workspace | None = None):
     """Full forward loss and logit-level gradients for one batch.
 
-    Forms the three logit matrices from the student outputs in `ws` (a
-    fresh Workspace when None) and hands them to loss_from_logits with
-    the same workspace, whose gradients it returns unchanged.
+    Forms the three logit matrices with student_logits in `ws` (fresh
+    arrays when None) and hands them to loss_from_logits with the same
+    workspace, whose gradients it returns unchanged.
 
     Args:
         outputs: StudentOutputs with normalized embeddings and the
@@ -231,17 +236,9 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
     Returns:
         (LossReport, LossGradients).
     """
-    ws = Workspace() if ws is None else ws
-    n = outputs.img_emb.shape[0]
-
-    def gram(a, b, name):
-        return np.matmul(a, b.T, out=ws.buffer(name, (n, n)))
-
     report, grads, _ = loss_from_logits(
-        gram(outputs.img_emb, outputs.txt_emb, "s_i2t"),
-        gram(outputs.img_usa, outputs.img_usa, "s_i2i"),
-        gram(outputs.txt_usa, outputs.txt_usa, "s_t2t"),
-        targets, outputs.inv_temp, outputs.inv_temp_uni, alpha, beta, ws=ws,
+        *student_logits(outputs, ws), targets, outputs.inv_temp, outputs.inv_temp_uni,
+        alpha, beta, ws=ws,
     )
     return report, grads
 
@@ -251,5 +248,6 @@ __all__ = [
     "LossGradients",
     "cusa_total",
     "loss_from_logits",
+    "student_logits",
     "batch_loss_and_grads",
 ]

@@ -71,16 +71,6 @@ class Relevance:
             indptr.append(len(indices))
         return cls(index, queries, indptr, indices)
 
-    @classmethod
-    def from_pairs(cls, queries, items, index: dict) -> "Relevance":
-        """Rows grouping `items` by `queries`, two aligned id sequences
-        such as the two sides of a pairs file, positioned by `index`."""
-        q = np.fromiter(map(index.__getitem__, queries), dtype=np.int32)
-        g = np.fromiter(map(index.__getitem__, items), dtype=np.int32)
-        order = np.argsort(q, kind="stable")
-        rows, starts = np.unique(q[order], return_index=True)
-        return cls(index, rows, np.append(starts, q.size), g[order])
-
 
 def _table_positions(index: dict, ids) -> np.ndarray:
     return np.fromiter((index.get(i, -1) for i in ids), dtype=np.intp, count=len(ids))

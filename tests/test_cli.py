@@ -555,6 +555,34 @@ class TestInspectCommand:
         assert code == 2 and report is None
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.fixture
+    def partial_teacher(self, corpus, tmp_path):
+        """An image teacher table without the row of the last pair's
+        image, and that pair's index."""
+        pairs = (corpus / "pairs.tsv").read_text(encoding="utf-8").splitlines()
+        dropped = pairs[-1].split("\t")[0]
+        table = read_features(corpus / "img_teacher.feat")
+        keep = [k for k, i in enumerate(table.ids) if i != dropped]
+        path = tmp_path / "partial.feat"
+        write_features(path, [table.ids[k] for k in keep], table.features[keep])
+        return path, len(pairs) - 1
+
+    def test_teacher_rows_needed_only_for_the_batch(self, corpus, partial_teacher, capsys):
+        path, _ = partial_teacher
+        argv = self.inspect_flags(corpus, ["--batch", "0,1"])
+        argv[argv.index("--img-teacher") + 1] = str(path)
+        code, report, _ = run(capsys, argv)
+        assert code == 0
+        assert report["payload"]["batch"] == [0, 1]
+
+    def test_teacher_missing_batch_pair(self, corpus, partial_teacher, capsys):
+        path, missing = partial_teacher
+        argv = self.inspect_flags(corpus, ["--batch", f"0,{missing}"])
+        argv[argv.index("--img-teacher") + 1] = str(path)
+        code, report, err = run(capsys, argv)
+        assert code == 4 and report is None
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_batch_values(self, corpus, capsys):
         code, _, _ = run(capsys, self.inspect_flags(corpus, ["--batch", "0,99"]))
         assert code == 2

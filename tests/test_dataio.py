@@ -35,7 +35,7 @@ from cusa.errors import (
     UnknownId,
     VersionUnsupported,
 )
-from cusa.model import init_params
+from cusa.model import init_params, param_segments
 
 FEATURE_HEADER = 20   # magic + u32 version + u64 n + u32 d
 CHECKPOINT_HEADER = 25  # magic + <IIIIIB
@@ -193,6 +193,22 @@ class TestFeatureReadErrors:
         with pytest.raises(FormatError, match="UTF-8"):
             read_features(path)
 
+    def test_empty_id(self, tmp_path, capsys):
+        # a zero-length id after a valid record; write_features refuses one
+        path = tmp_path / "f.bin"
+        rec = struct.pack("<H", 1) + b"a" + struct.pack("<2f", 1.0, 2.0)
+        empty = struct.pack("<H", 0) + struct.pack("<2f", 3.0, 4.0)
+        path.write_bytes(b"CUSF" + struct.pack("<IQI", 1, 2, 2) + rec + empty)
+        with pytest.raises(FormatError, match="record 1: empty id"):
+            read_features(path)
+        rel = write_text(tmp_path, "rel.tsv", "a\ta\n")
+        argv = ["eval", "--task", "img", "--img-emb", str(path), "--relevance", str(rel)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: record 1: empty id")
+        assert "Traceback" not in captured.err
+
     def test_non_finite_stored_value(self, tmp_path):
         path = tmp_path / "f.bin"
         rec = struct.pack("<H", 1) + b"a" + struct.pack("<2f", 1.0, float("nan"))
@@ -311,6 +327,40 @@ class TestReadScoredPairs:
         path = write_text(tmp_path, "s.tsv", "a\tb\t1.0\n")
         with pytest.raises(UnknownId):
             read_scored_pairs(path, ids={"a"})
+
+
+class TestRecordLayout:
+    """The layout checks the three text readers share."""
+
+    READERS = {
+        "pairs": (read_pairs, "i\tt"),
+        "relevance": (read_relevance, "q\ta,b"),
+        "scored_pairs": (read_scored_pairs, "a\tb\t0.5"),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("bad", ["field_count", "empty_first", "empty_second"])
+    def test_malformed_line_is_positioned(self, tmp_path, reader, bad):
+        read, good = self.READERS[reader]
+        fields = good.split("\t")
+        if bad == "field_count":
+            fields.append("extra")
+        else:
+            fields[0 if bad == "empty_first" else 1] = ""
+        line = "\t".join(fields)
+        path = write_text(tmp_path, "f.tsv", f"{good}\n{line}\n")
+        with pytest.raises(MalformedLine, match=r"^line 2: expected '") as excinfo:
+            read(path)
+        assert excinfo.value.lineno == 2
+        assert str(excinfo.value).endswith(f", got {line!r}")
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_empty_file(self, tmp_path, reader):
+        read, _ = self.READERS[reader]
+        path = write_text(tmp_path, "f.tsv", "")
+        with pytest.raises(MalformedLine, match="file is empty") as excinfo:
+            read(path)
+        assert excinfo.value.lineno == 0
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +507,42 @@ class TestCheckpointReadErrors:
                 load_checkpoint(path)
             assert excinfo.value.offset == start, cut
             assert str(excinfo.value).startswith(f"{name} "), cut
+
+    @staticmethod
+    def consistent_checkpoint(path, dims):
+        """A checkpoint whose parameter block and config fit the header
+        `dims`, with finite nonzero values."""
+        stop = param_segments(dims, 1)[-1][2]
+        flat = np.linspace(-1.0, 1.0, stop + 1)[1:]
+        config = json.dumps({"seed": 0}).encode("utf-8")
+        path.write_bytes(b"CUSC" + struct.pack("<IIIIIB", 1, *dims, 0)
+                         + flat.astype("<f8").tobytes()
+                         + struct.pack("<I", len(config)) + config)
+        return path
+
+    @pytest.mark.parametrize("zero", range(4), ids=["d_bi", "d_bt", "d_e", "d_u"])
+    def test_zero_dimension(self, tmp_path, zero):
+        dims = [3, 2, 2, 2]
+        dims[zero] = 0
+        path = self.consistent_checkpoint(tmp_path / "ckpt.bin", dims)
+        with pytest.raises(FormatError, match="each must be >= 1"):
+            load_checkpoint(path)
+
+    def test_zero_projector_width_rejected_by_eval(self, tmp_path, capsys):
+        # d_u = 0 leaves the retrieval embeddings usable, so only the
+        # header check stops eval from reporting on an empty projector head
+        path = self.consistent_checkpoint(tmp_path / "ckpt.bin", [3, 2, 2, 0])
+        rng = np.random.default_rng(0)
+        write_features(tmp_path / "img.feat", ["i0", "i1"], rng.standard_normal((2, 3)))
+        write_features(tmp_path / "txt.feat", ["t0", "t1"], rng.standard_normal((2, 2)))
+        pairs = write_text(tmp_path, "pairs.tsv", "i0\tt0\ni1\tt1\n")
+        code = main(["eval", "--task", "cross", "--ckpt", str(path),
+                     "--img-base", str(tmp_path / "img.feat"),
+                     "--txt-base", str(tmp_path / "txt.feat"), "--pairs", str(pairs)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: header declares") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("dim", [2**32 - 1, 2**11])
     def test_header_larger_than_file(self, tmp_path, dim):

@@ -28,6 +28,14 @@ of id sets and every score row was stable-argsorted, before relevance
 became an int32 CSR and ranking a per-block default sort with stable
 re-sorts of tied rows only.
 
+The report digests pin the stdout of `inspect` from a fresh init and
+from a checkpoint with a separate uni-modal temperature (alpha = beta =
+0), of `eval --task sts` from direct embeddings and from a checkpoint's
+projector head (`--usa-branch`), and of `eval --task cross` from direct
+embeddings. They were produced at commit fb14666, before `inspect` took
+its logits from `losses.student_logits` and before the eval inputs and
+the text readers each got one code path.
+
 The bytes depend on the floating-point stack (numpy build and BLAS
 kernels). On another stack, regenerate the digests from a commit whose
 outputs are trusted rather than from the change under test.
@@ -38,6 +46,7 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 
 from cusa import cli
+from cusa.dataio import read_features
 
 CKPT_SHA256 = "a9bd6283de03929c06156639ecddf6f86f89efb3923c816ecd29c8e06c47afe7"
 LOG_SHA256 = "6c8b69bceac00403e85bb3b01cc6ea5aa9addf43e4a84d4e8cf853a8bfb32a45"
@@ -46,6 +55,14 @@ EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
     "cross-pairs": "aba60caad135f6ebe3b8acaa57b72e6840f19e3afbb253d90535010be79f7d24",
     "img-relevance": "42664819cb7afbe616c08e57f14a79274792144c48016bc188f86052253732f4",
+}
+REPORT_SHA256 = {
+    "inspect-fresh": "5d5992c4d220cc32467570405a14eb299d7043d825c35115e6f6fa0411d15e6a",
+    "inspect-ckpt-separate-uni-temp":
+        "318329b5eda9eff6f2f7d6ba2e336532c61fa52d0575aa78faaaabc705d4ff22",
+    "sts-emb": "280b45d8ed1d53051114b48412452ee9b9851c10de63082915025075daf4b02d",
+    "sts-ckpt-usa-branch": "d28f6c98219862f4002d8eb24d33ba8ae8a3a57de538ddb981c697114914b497",
+    "cross-emb": "346a161ef07a3ccda21f1f21942d173ebb8b6a9623599677d6eaf2de436f3703",
 }
 
 
@@ -110,3 +127,42 @@ def test_fixed_seed_eval_reports_are_byte_identical(tmp_path, monkeypatch):
             assert cli.main(["eval", *flags]) == 0
         digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digests == EVAL_SHA256
+
+
+def test_fixed_seed_inspect_and_eval_input_reports_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _cli(["synth", "--out", ".", "--clusters", "3", "--pairs-per-cluster", "8",
+                 "--seed", "17", "--d-student-img", "6", "--d-student-txt", "6",
+                 "--d-teacher-img", "7", "--d-teacher-txt", "5"]) == 0
+    files = ["--pairs", "pairs.tsv", "--img-base", "img_base.feat",
+             "--txt-base", "txt_base.feat", "--img-teacher", "img_teacher.feat",
+             "--txt-teacher", "txt_teacher.feat"]
+    assert _cli(["train", *files, "--out-ckpt", "model.ckpt", "--log", "train.log",
+                 "--batch-size", "6", "--epochs", "2", "--separate-uni-temp",
+                 "--d-e", "4", "--d-u", "3", "--seed", "3"]) == 0
+    ids = read_features("txt_base.feat").ids
+    with open("scored.tsv", "w", encoding="utf-8") as fh:
+        for k in range(12):
+            fh.write(f"{ids[k]}\t{ids[(5 * k + 3) % len(ids)]}\t{(7 * k) % 5 / 4}\n")
+    runs = {
+        "inspect-fresh": ["inspect", *files, "--batch", "0,5,9,20", "--alpha", "0.3",
+                          "--beta", "0.7", "--teacher-inv-temp", "6", "--d-e", "4",
+                          "--d-u", "3", "--seed", "4"],
+        "inspect-ckpt-separate-uni-temp": ["inspect", *files, "--batch", "2,11,23",
+                                           "--ckpt", "model.ckpt", "--alpha", "0",
+                                           "--beta", "0", "--d-e", "4", "--d-u", "3"],
+        "sts-emb": ["eval", "--task", "sts", "--txt-emb", "txt_base.feat",
+                    "--pairs", "scored.tsv"],
+        "sts-ckpt-usa-branch": ["eval", "--task", "sts", "--ckpt", "model.ckpt",
+                                "--txt-base", "txt_base.feat", "--pairs", "scored.tsv",
+                                "--usa-branch"],
+        "cross-emb": ["eval", "--task", "cross", "--img-emb", "img_base.feat",
+                      "--txt-emb", "txt_base.feat", "--relevance", "relevance.tsv"],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digests == REPORT_SHA256
