@@ -115,6 +115,8 @@ def _eval_inputs(args, sides) -> list:
         params, _ = dataio.load_checkpoint(args.ckpt)
     elif args.usa_branch:
         raise InvalidConfig("--usa-branch requires --ckpt (embeddings are computed)")
+    elif args.img_base is not None or args.txt_base is not None:
+        raise InvalidConfig("--img-base/--txt-base are read only with --ckpt")
     inputs = []
     for side in sides:
         path = getattr(args, f"{side}_base" if ckpt else f"{side}_emb")
@@ -138,6 +140,11 @@ def _eval_config(args) -> dict:
 
 def cmd_eval(args) -> int:
     task = args.task
+    reads = {"cross": ("img", "txt", "pairs", "relevance"), "img": ("img", "relevance"),
+             "sts": ("txt", "pairs")}[task]
+    for name in ("img_emb", "img_base", "txt_emb", "txt_base", "pairs", "relevance"):
+        if getattr(args, name) is not None and name.split("_")[0] not in reads:
+            raise InvalidConfig(f"task {task} does not read --{name.replace('_', '-')}")
     if task == "cross":
         if (args.pairs is None) == (args.relevance is None):
             raise InvalidConfig("task cross needs exactly one of --pairs / --relevance")

@@ -60,6 +60,34 @@ FEATURE_VERSION = 1
 CHECKPOINT_VERSION = 1
 
 
+def _read_header(path, magic: bytes, version: int, fmt: str, kind: str):
+    """(bytes, header fields after the version, offset past the header) of a
+    `kind` file headed by `magic` and struct `fmt`; length, magic and version checked."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    header = 4 + struct.calcsize(fmt)
+    if len(buf) < header:
+        raise TruncatedFile(len(buf), f"header needs {header} bytes, file has {len(buf)}")
+    if buf[:4] != magic:
+        raise BadMagic(f"expected magic {magic!r}, found {buf[:4]!r}")
+    found, *fields = struct.unpack_from(fmt, buf, 4)
+    if found != version:
+        raise VersionUnsupported(f"{kind} version {found}, supported: {version}")
+    return buf, fields, header
+
+
+def _field_end(buf: bytes, offset: int, size: int, what: str) -> int:
+    """The offset past a `size`-byte field `what` that starts at `offset`."""
+    if offset + size > len(buf):
+        raise TruncatedFile(offset, f"{what} cut off at byte {offset}")
+    return offset + size
+
+
+def _no_trailing_bytes(buf: bytes, offset: int, last: str) -> None:
+    if offset != len(buf):
+        raise FormatError(f"{len(buf) - offset} trailing bytes after {last}")
+
+
 @dataclass
 class FeatureTable:
     """In-memory id-indexed feature matrix (float64)."""
@@ -70,28 +98,13 @@ class FeatureTable:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self._index = {}
-        for i, item_id in enumerate(self.ids):
-            if item_id in self._index:
-                raise DuplicateId(f"duplicate id {item_id!r} (record {i})")
-            self._index[item_id] = i
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @property
-    def d(self) -> int:
-        return int(self.features.shape[1])
+        self._index = id_table(self.ids)
+        if len(self._index) != len(self.ids):
+            i = next(i for i, item_id in enumerate(self.ids) if self._index[item_id] < i)
+            raise DuplicateId(f"duplicate id {self.ids[i]!r} (record {i})")
 
     def __contains__(self, item_id) -> bool:
         return item_id in self._index
-
-    def row(self, item_id) -> np.ndarray:
-        try:
-            return self.features[self._index[item_id]]
-        except KeyError:
-            raise MissingFeature(f"no feature row for id {item_id!r}") from None
 
     def take(self, wanted_ids) -> np.ndarray:
         """Rows for the given ids, in order; duplicates allowed."""
@@ -139,49 +152,33 @@ def write_features(path, ids, features) -> None:
 
 def read_features(path) -> FeatureTable:
     """Read a feature file back into a float64 FeatureTable."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    header = struct.calcsize("<IQI") + 4
-    if len(buf) < header:
-        raise TruncatedFile(len(buf), f"header needs {header} bytes, file has {len(buf)}")
-    if buf[:4] != FEATURE_MAGIC:
-        raise BadMagic(f"expected magic {FEATURE_MAGIC!r}, found {buf[:4]!r}")
-    version, n, d = struct.unpack_from("<IQI", buf, 4)
-    if version != FEATURE_VERSION:
-        raise VersionUnsupported(f"feature file version {version}, supported: 1")
+    buf, (n, d), offset = _read_header(path, FEATURE_MAGIC, FEATURE_VERSION, "<IQI",
+                                       "feature file")
     if n < 1 or d < 1:
         raise FormatError(f"header declares {n} rows x {d} dims; both must be >= 1")
-    offset = header
     ids = []
     row_bytes = 4 * d
     # Every record takes at least 2 + row_bytes bytes, so a header that
     # declares more rows than the file can hold fails in the loop below
     # with the offset where the records stop; never allocate beyond that.
-    rows = np.empty((min(n, (len(buf) - header) // (2 + row_bytes)), d), dtype=np.float64)
+    rows = np.empty((min(n, (len(buf) - offset) // (2 + row_bytes)), d), dtype=np.float64)
     for rec in range(n):
-        if offset + 2 > len(buf):
-            raise TruncatedFile(offset, f"record {rec}: id length cut off at byte {offset}")
+        id_at = _field_end(buf, offset, 2, f"record {rec}: id length")
         (id_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        if offset + id_len > len(buf):
-            raise TruncatedFile(offset, f"record {rec}: id cut off at byte {offset}")
+        values_at = _field_end(buf, id_at, id_len, f"record {rec}: id")
         try:
-            item_id = buf[offset:offset + id_len].decode("utf-8")
+            item_id = buf[id_at:values_at].decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"record {rec}: id is not valid UTF-8 ({e})") from None
-        offset += id_len
-        if offset + row_bytes > len(buf):
-            raise TruncatedFile(offset, f"record {rec}: values cut off at byte {offset}")
+        offset = _field_end(buf, values_at, row_bytes, f"record {rec}: values")
         if not id_len:
             raise FormatError(f"record {rec}: empty id")
-        values = np.frombuffer(buf, dtype="<f4", count=d, offset=offset)
-        offset += row_bytes
+        values = np.frombuffer(buf, dtype="<f4", count=d, offset=values_at)
         if not np.all(np.isfinite(values)):
             raise NonFiniteValue(f"record {rec} (id {item_id!r}) contains NaN or Inf")
         ids.append(item_id)
         rows[rec] = values
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} trailing bytes after record {n - 1}")
+    _no_trailing_bytes(buf, offset, f"record {n - 1}")
     return FeatureTable(ids=ids, features=rows)  # rejects duplicate ids
 
 
@@ -253,14 +250,15 @@ def read_relevance(path, known_ids=None) -> Relevance:
         if query in seen:
             raise DuplicateId(f"line {lineno}: repeated query id {query!r}")
         seen.add(query)
-        if ",," in id_blob or id_blob.startswith(",") or id_blob.endswith(","):
+        relevant = id_blob.split(",")
+        if not all(relevant):
             raise MalformedLine(lineno, f"line {lineno}: empty id in relevant list")
         try:
             queries.append(index[query])
         except KeyError:
             raise UnknownId(f"line {lineno}: unknown query id {query!r}") from None
         try:
-            indices.extend(map(index.__getitem__, id_blob.split(",")))
+            indices.extend(map(index.__getitem__, relevant))
         except KeyError as e:
             raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
         indptr.append(len(indices))
@@ -311,39 +309,24 @@ def save_checkpoint(path, params: StudentParams, config: dict) -> None:
 
 def load_checkpoint(path):
     """Read a checkpoint, returning (StudentParams, config dict)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    fixed = 4 + struct.calcsize("<IIIIIB")
-    if len(buf) < fixed:
-        raise TruncatedFile(len(buf), f"header needs {fixed} bytes, file has {len(buf)}")
-    if buf[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"expected magic {CHECKPOINT_MAGIC!r}, found {buf[:4]!r}")
-    version, *dims, has_uni = struct.unpack_from("<IIIIIB", buf, 4)
-    if version != CHECKPOINT_VERSION:
-        raise VersionUnsupported(f"checkpoint version {version}, supported: 1")
+    buf, (*dims, has_uni), fixed = _read_header(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                                "<IIIIIB", "checkpoint")
     if 0 in dims:
         raise FormatError(f"header declares d_bi, d_bt, d_e, d_u = {dims}; each must be >= 1")
     n_scalars = 2 if has_uni else 1
     # sizes come from the header alone, so a header declaring more
     # parameters than the file holds fails here before any allocation
     for name, start, stop, _ in param_segments(dims, n_scalars):
-        if fixed + 8 * stop > len(buf):
-            raise TruncatedFile(fixed + 8 * start, f"{name} cut off at byte {fixed + 8 * start}")
+        offset = _field_end(buf, fixed + 8 * start, 8 * (stop - start), name)
     flat = np.frombuffer(buf, dtype="<f8", count=stop, offset=fixed).copy()
-    offset = fixed + 8 * stop
-    if offset + 4 > len(buf):
-        raise TruncatedFile(offset, f"config length cut off at byte {offset}")
+    config_at = _field_end(buf, offset, 4, "config length")
     (cfg_len,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    if offset + cfg_len > len(buf):
-        raise TruncatedFile(offset, f"config cut off at byte {offset}")
+    offset = _field_end(buf, config_at, cfg_len, "config")
     try:
-        config = json.loads(buf[offset:offset + cfg_len].decode("utf-8"))
+        config = json.loads(buf[config_at:offset].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"config echo is not valid JSON: {e}") from None
-    offset += cfg_len
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} trailing bytes after config")
+    _no_trailing_bytes(buf, offset, "config")
     params = StudentParams.from_flat(flat, dims, n_scalars)
     _check_finite(params)
     return params, config

@@ -24,7 +24,7 @@ H = 1e-5
 TOLERANCE = 1e-4
 _ABS_FLOOR = 1e-7
 
-DEFAULT_BATCH_SIZES = (2, 3, 5, 8)
+BATCH_SIZES = (2, 3, 5, 8)
 DEFAULT_DIMS = (6, 6, 4, 3)
 _ALPHA, _BETA = 0.7, 0.4
 
@@ -66,14 +66,14 @@ def _random_targets(rng, n: int) -> tuple:
     return p_i, p_t
 
 
-def check_losses(seed: int, batch_sizes=DEFAULT_BATCH_SIZES) -> dict:
+def check_losses(seed: int) -> dict:
     """Max per-entry error of loss_from_logits, the code training runs,
     per logit matrix and per log-temperature, with both teacher terms
     weighted."""
     rng = np.random.default_rng(seed)
     names = ("s_i2t", "s_i2i", "s_t2t")
     worst = {f"loss.{name}": 0.0 for name in (*names, "log_inv_temp", "log_inv_temp_uni")}
-    for n in batch_sizes:
+    for n in BATCH_SIZES:
         logits = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in names]
         log_its = rng.uniform(np.log(2.0), np.log(50.0), size=2)
         targets = TeacherTargets(*_random_targets(rng, n))
@@ -98,7 +98,7 @@ def check_losses(seed: int, batch_sizes=DEFAULT_BATCH_SIZES) -> dict:
     return worst
 
 
-def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -> dict:
+def check_model(seed: int, dims=DEFAULT_DIMS) -> dict:
     """Max per-entry error for the full backward pass, per parameter.
 
     Differentiates the composition trainer.train runs each step: forward,
@@ -109,7 +109,7 @@ def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -
     """
     rng = np.random.default_rng(seed)
     worst = {f"model.{name}": 0.0 for name, *_ in model.param_segments(dims, 2)}
-    for i, n in enumerate(batch_sizes):
+    for i, n in enumerate(BATCH_SIZES):
         with too_large_to_allocate(InvalidDimension, f"d_base_img={dims[0]} and "
                                    f"d_base_txt={dims[1]} give base features"):
             base_img = rng.standard_normal((n, dims[0]))
@@ -137,8 +137,7 @@ def check_model(seed: int, dims=DEFAULT_DIMS, batch_sizes=DEFAULT_BATCH_SIZES) -
     return worst
 
 
-def run(trials: int = 20, base_seed: int = 0, dims=DEFAULT_DIMS,
-        batch_sizes=DEFAULT_BATCH_SIZES) -> dict:
+def run(trials: int = 20, base_seed: int = 0, dims=DEFAULT_DIMS) -> dict:
     """Worst error per component over `trials` seeded repetitions."""
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
@@ -147,7 +146,7 @@ def run(trials: int = 20, base_seed: int = 0, dims=DEFAULT_DIMS,
     worst: dict = {}
     for t in range(trials):
         seed = base_seed + t
-        for part in (check_losses(seed, batch_sizes), check_model(seed, dims, batch_sizes)):
+        for part in (check_losses(seed), check_model(seed, dims)):
             for key, val in part.items():
                 worst[key] = max(worst.get(key, 0.0), val)
     return worst

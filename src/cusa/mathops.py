@@ -84,12 +84,16 @@ def l2_normalize_rows(m) -> np.ndarray:
     Raises:
         ZeroRow: if a row norm falls below 1e-12.
     """
-    mat = _as_matrix(m, "m")
-    norms = np.linalg.norm(mat, axis=1)
-    denorm = norms < ZERO_ROW_TOL
-    if np.any(denorm):
-        raise ZeroRow(int(np.argmax(denorm)))
-    return mat / norms[:, None]
+    return unit_rows(_as_matrix(m, "m"))[0]
+
+
+def unit_rows(m: np.ndarray, message: str | None = None) -> tuple:
+    """(rows of `m` scaled to unit norm, their norms); ZeroRow(message) below ZERO_ROW_TOL."""
+    norms = np.linalg.norm(m, axis=1)
+    collapsed = norms < ZERO_ROW_TOL
+    if np.any(collapsed):
+        raise ZeroRow(int(np.argmax(collapsed)), message)
+    return m / norms[:, None], norms
 
 
 def cosine_similarity(a, b) -> np.ndarray:

@@ -215,15 +215,13 @@ def spearman(pred, gold) -> float:
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
     order = np.argsort(x, kind="stable")
+    ranked = x[order]
+    starts = np.r_[True, ranked[1:] != ranked[:-1]]
+    first = np.flatnonzero(starts)
+    last = np.r_[first[1:], x.shape[0]] - 1
     ranks = np.empty(x.shape[0], dtype=np.float64)
-    i = 0
-    n = x.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # each sorted position takes the mean position of its run of equal values
+    ranks[order] = ((first + last) / 2.0 + 1.0)[np.cumsum(starts) - 1]
     return ranks
 
 

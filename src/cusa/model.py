@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidDimension, ShapeMismatch, ZeroRow,
-                     too_large_to_allocate)
+from .errors import DimensionMismatch, InvalidDimension, ShapeMismatch, too_large_to_allocate
 from .losses import LossGradients
-from .mathops import _as_matrix, ZERO_ROW_TOL
+from .mathops import _as_matrix, unit_rows
 
 INIT_TAU = 0.07
 INV_TEMP_MIN = 1.0
@@ -174,12 +173,7 @@ def _project_normalize(base: np.ndarray, w: np.ndarray, name: str):
         raise DimensionMismatch(
             f"{name}: base feature dim {base.shape[1]} != weight rows {w.shape[0]}"
         )
-    z = base @ w
-    norms = np.linalg.norm(z, axis=1)
-    collapsed = norms < ZERO_ROW_TOL
-    if np.any(collapsed):
-        raise ZeroRow(int(np.argmax(collapsed)), f"{name}: projected row collapsed")
-    return z / norms[:, None], norms
+    return unit_rows(base @ w, f"{name}: projected row collapsed")
 
 
 def _embed(base, w, u, side: str, usa_branch: bool) -> np.ndarray:

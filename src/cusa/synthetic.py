@@ -124,16 +124,16 @@ def generate(config: SynthConfig) -> SynthData:
 
 
 def _write_relevance(path, data: SynthData) -> None:
-    # every id maps to all other same-cluster ids, both modalities
+    # every id maps to all other same-cluster ids, both modalities: the query
+    # at position j of its cluster's images + texts is left out by position
     per_cluster = data.config.pairs_per_cluster
+    clusters = [data.img_ids[lo:lo + per_cluster] + data.txt_ids[lo:lo + per_cluster]
+                for lo in range(0, len(data.img_ids), per_cluster)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ids in (data.img_ids, data.txt_ids):
-            for i, qid in enumerate(ids):
-                cl = i // per_cluster
-                lo, hi = cl * per_cluster, (cl + 1) * per_cluster
-                members = [m for m in data.img_ids[lo:hi] if m != qid]
-                members += [m for m in data.txt_ids[lo:hi] if m != qid]
-                fh.write(f"{qid}\t{','.join(members)}\n")
+        for first in (0, per_cluster):  # every image query, then every text query
+            for members in clusters:
+                for j in range(first, first + per_cluster):
+                    fh.write(f"{members[j]}\t{','.join(members[:j] + members[j + 1:])}\n")
 
 
 def synth_generate(config: SynthConfig, out_dir) -> dict:

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataio import FeatureTable
-from .errors import BatchTooLarge, InvalidConfig, NumericError, TrainAbort
+from .errors import BatchTooLarge, InvalidConfig, MissingFeature, NumericError, TrainAbort
 from .losses import batch_loss_and_grads
 from .mathops import Workspace, l2_normalize_rows
 from .model import StudentParams, backward, forward, init_params
@@ -80,8 +80,12 @@ class TrainData:
         i; the teacher rows are normalized and validated here, once."""
         img_ids = [img for img, _ in pairs]
         txt_ids = [txt for _, txt in pairs]
-        teacher = TeacherBatch(l2_normalize_rows(self.img_teacher.take(img_ids)),
-                               l2_normalize_rows(self.txt_teacher.take(txt_ids)))
+        try:
+            teacher = TeacherBatch(l2_normalize_rows(self.img_teacher.take(img_ids)),
+                                   l2_normalize_rows(self.txt_teacher.take(txt_ids)))
+        except MissingFeature as e:
+            side = "text" if all(i in self.img_teacher for i in img_ids) else "image"
+            raise MissingFeature(f"{side} teacher table: {e}") from None
         return self.img_base.take(img_ids), self.txt_base.take(txt_ids), teacher
 
 

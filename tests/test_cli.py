@@ -222,6 +222,16 @@ class TestTrainCommand:
         code, _, _ = run(capsys, argv)
         assert code == 4
 
+    def test_teacher_missing_pair_id_names_the_teacher_table(self, corpus, tmp_path, capsys):
+        table = read_features(corpus / "txt_teacher.feat")
+        partial = tmp_path / "partial.feat"
+        write_features(partial, table.ids[:-1], table.features[:-1])
+        argv = train_flags(corpus, tmp_path)
+        argv[argv.index("--txt-teacher") + 1] = str(partial)
+        code, _, err = run(capsys, argv)
+        assert code == 4
+        assert err == f"error: text teacher table: no feature row for id {table.ids[-1]!r}\n"
+
 
 # ---------------------------------------------------------------------------
 # eval
@@ -421,6 +431,37 @@ class TestEvalSts:
         assert code == 2
 
 
+class TestEvalUnreadFlags:
+    """A path flag the task would not read is a usage error that names
+    the flag, before any file is opened."""
+
+    CASES = [
+        ("img", ["--img-emb", "img_base.feat", "--relevance", "relevance.tsv"], "--pairs"),
+        ("sts", ["--txt-emb", "txt_base.feat", "--pairs", "pairs.tsv"], "--relevance"),
+        ("sts", ["--txt-emb", "txt_base.feat", "--pairs", "pairs.tsv"], "--img-emb"),
+        ("sts", ["--ckpt", "model.ckpt", "--txt-base", "txt_base.feat",
+                 "--pairs", "pairs.tsv"], "--img-base"),
+        ("img", ["--img-emb", "img_base.feat", "--relevance", "relevance.tsv"], "--txt-emb"),
+        ("img", ["--ckpt", "model.ckpt", "--img-base", "img_base.feat",
+                 "--relevance", "relevance.tsv"], "--txt-base"),
+        ("cross", ["--img-emb", "img_base.feat", "--txt-emb", "txt_base.feat",
+                   "--relevance", "relevance.tsv"], "--img-base"),
+        ("cross", ["--img-emb", "img_base.feat", "--txt-emb", "txt_base.feat",
+                   "--relevance", "relevance.tsv"], "--txt-base"),
+    ]
+
+    @pytest.mark.parametrize("task, inputs, flag", CASES,
+                             ids=[f"{task} {flag}" for task, _, flag in CASES])
+    def test_rejected(self, corpus, trained, capsys, task, inputs, flag):
+        paths = [v if v.startswith("--") else str((trained if v == "model.ckpt" else corpus) / v)
+                 for v in inputs]
+        code, report, err = run(capsys, ["eval", "--task", task, *paths,
+                                         flag, str(corpus / "nonexistent")])
+        assert code == 2 and report is None
+        assert err.startswith("error:") and flag in err
+        assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
@@ -582,6 +623,15 @@ class TestInspectCommand:
         code, report, err = run(capsys, argv)
         assert code == 4 and report is None
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_teacher_missing_batch_pair_names_the_teacher_table(self, corpus, partial_teacher,
+                                                                 capsys):
+        path, missing = partial_teacher
+        argv = self.inspect_flags(corpus, ["--batch", f"0,{missing}"])
+        argv[argv.index("--img-teacher") + 1] = str(path)
+        code, _, err = run(capsys, argv)
+        assert code == 4
+        assert err.startswith("error: image teacher table: no feature row for id ")
 
     def test_bad_batch_values(self, corpus, capsys):
         code, _, _ = run(capsys, self.inspect_flags(corpus, ["--batch", "0,99"]))

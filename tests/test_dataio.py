@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from cusa.cli import main
@@ -63,8 +65,8 @@ class TestFeatureTable:
     def test_lookup(self):
         table = FeatureTable(["x", "y"], np.eye(2))
         assert "x" in table and "nope" not in table
-        assert_array_equal(table.row("y"), [0.0, 1.0])
-        assert table.n == 2 and table.d == 2
+        assert_array_equal(table.take(["y"]), [[0.0, 1.0]])
+        assert table.take(["x", "y"]).shape == (2, 2)
 
     def test_take_preserves_order_and_duplicates(self):
         table = FeatureTable(["x", "y"], np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -78,7 +80,7 @@ class TestFeatureTable:
     def test_missing_row(self):
         table = FeatureTable(["x"], np.ones((1, 2)))
         with pytest.raises(MissingFeature):
-            table.row("y")
+            table.take(["y"])
         with pytest.raises(MissingFeature):
             table.take(["x", "y"])
 
@@ -560,3 +562,47 @@ class TestCheckpointReadErrors:
             tracemalloc.stop()
         assert excinfo.value.offset == CHECKPOINT_HEADER + 8
         assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# damaged binary files
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def valid_binaries(tmp_path_factory):
+    """The bytes of a small feature file with a non-ASCII id and of a
+    checkpoint with two temperatures, by reader."""
+    out = tmp_path_factory.mktemp("binaries")
+    write_features(out / "f.feat", ["a", "\u00e9t\u00e9", "z"],
+                   np.array([[1.0, -2.0], [0.5, 4.0], [0.0, 3.0]]))
+    save_checkpoint(out / "c.ckpt", init_params(1, 2, 3, 2, 1, separate_uni_temp=True),
+                    {"seed": 1})
+    return {read_features: (out / "f.feat").read_bytes(),
+            load_checkpoint: (out / "c.ckpt").read_bytes()}
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reader=st.sampled_from([read_features, load_checkpoint]), data=st.data())
+def test_damaged_binaries_load_or_raise_format_errors(valid_binaries, tmp_path, reader, data):
+    """Truncation, appended bytes and byte flips of a valid file either
+    load or raise a FormatError; a truncation offset lies inside the file,
+    and a feature file that loads writes back to the same bytes."""
+    raw = bytearray(valid_binaries[reader])
+    del raw[data.draw(st.integers(0, len(raw)), label="cut"):]
+    raw += data.draw(st.binary(max_size=8), label="appended")
+    for _ in range(data.draw(st.integers(0, 3), label="flips") if raw else 0):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] ^= data.draw(st.integers(1, 255))
+    path = tmp_path / "damaged.bin"
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = reader(path)
+    except TruncatedFile as e:
+        assert 0 <= e.offset <= len(raw)
+        return
+    except FormatError:
+        return
+    if reader is read_features:
+        write_features(tmp_path / "rewritten.bin", loaded.ids, loaded.features)
+        assert (tmp_path / "rewritten.bin").read_bytes() == bytes(raw)

@@ -36,6 +36,15 @@ embeddings. They were produced at commit fb14666, before `inspect` took
 its logits from `losses.student_logits` and before the eval inputs and
 the text readers each got one code path.
 
+The synth-bundle digests pin each of the six files of a fixed-seed
+`synth` bundle, `relevance.tsv` included. The reader-error digest pins
+the (exception class, offset, message) that `read_features` and
+`load_checkpoint` give for every prefix, one appended byte and every
+single-byte flip of a small feature file with a non-ASCII id and of a
+checkpoint with two temperatures. Both were produced at commit f13f42e,
+before the binary framing checks, the relevance writer and the
+relevance reader's empty-id check each got one code path.
+
 The bytes depend on the floating-point stack (numpy build and BLAS
 kernels). On another stack, regenerate the digests from a commit whose
 outputs are trusted rather than from the change under test.
@@ -45,8 +54,11 @@ import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
+
 from cusa import cli
-from cusa.dataio import read_features
+from cusa.dataio import load_checkpoint, read_features, save_checkpoint, write_features
+from cusa.model import init_params
 
 CKPT_SHA256 = "a9bd6283de03929c06156639ecddf6f86f89efb3923c816ecd29c8e06c47afe7"
 LOG_SHA256 = "6c8b69bceac00403e85bb3b01cc6ea5aa9addf43e4a84d4e8cf853a8bfb32a45"
@@ -64,6 +76,15 @@ REPORT_SHA256 = {
     "sts-ckpt-usa-branch": "d28f6c98219862f4002d8eb24d33ba8ae8a3a57de538ddb981c697114914b497",
     "cross-emb": "346a161ef07a3ccda21f1f21942d173ebb8b6a9623599677d6eaf2de436f3703",
 }
+SYNTH_SHA256 = {
+    "img_base.feat": "74f6424777a911397cb8acb3c2105815805f7d6e285c82300c587dd7d60c5be7",
+    "txt_base.feat": "759d332eaf2858402a9a2b25eb005f21a9d12d02f926ad83fd9e760b86ef721c",
+    "img_teacher.feat": "1b9e16c8f1818f45dd3223ccce453ee0e4704f9d268007373c1f6bcd23bcad96",
+    "txt_teacher.feat": "2bf7d4c87dbeed9f4cf5512eab84fe33eaa2bff308de2fd2bd35964af3aa90d4",
+    "pairs.tsv": "7ecdd3d8ef7bbee91d1ac0fdfdb595df99a8a267b503eeceac3c5c7662ba6660",
+    "relevance.tsv": "52019b78855972fc6ea7308f083e6970f449d940547fd2070b2a54f262a4240c",
+}
+READER_ERRORS_SHA256 = "0617e2019fc04396e0a698dbebfa6862763bf213efc4b49fa04f798027f89656"
 
 
 def _cli(argv):
@@ -166,3 +187,38 @@ def test_fixed_seed_inspect_and_eval_input_reports_are_byte_identical(tmp_path, 
             assert cli.main(argv) == 0
         digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digests == REPORT_SHA256
+
+
+def test_fixed_seed_synth_bundle_is_byte_identical(tmp_path):
+    assert _cli(["synth", "--out", str(tmp_path), "--clusters", "3",
+                 "--pairs-per-cluster", "7", "--seed", "9",
+                 "--d-student-img", "5", "--d-student-txt", "4",
+                 "--d-teacher-img", "6", "--d-teacher-txt", "3"]) == 0
+    assert {name: _sha256(tmp_path / name) for name in SYNTH_SHA256} == SYNTH_SHA256
+
+
+def _variants(raw: bytes):
+    """Every prefix, one appended byte and every single-byte flip of raw."""
+    yield from (raw[:k] for k in range(len(raw)))
+    yield raw + b"\x00"
+    for k in range(len(raw)):
+        yield raw[:k] + bytes([raw[k] ^ 0xFF]) + raw[k + 1:]
+
+
+def test_reader_errors_are_byte_identical(tmp_path):
+    feat, ckpt = tmp_path / "small.feat", tmp_path / "small.ckpt"
+    write_features(feat, ["a", "\u00e9t\u00e9"], np.array([[1.0, -2.0], [0.5, 4.0]]))
+    save_checkpoint(ckpt, init_params(3, 2, 3, 2, 1, separate_uni_temp=True), {"seed": 3})
+    outcomes = []
+    for reader, path in ((read_features, feat), (load_checkpoint, ckpt)):
+        variant_path = tmp_path / ("variant" + path.suffix)
+        for raw in _variants(path.read_bytes()):
+            variant_path.write_bytes(raw)
+            try:
+                reader(variant_path)
+            except Exception as e:  # noqa: BLE001 - the class is what is pinned
+                outcomes.append((type(e).__name__, getattr(e, "offset", None), str(e)))
+            else:
+                outcomes.append(("loaded", None, ""))
+    digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
+    assert digest == READER_ERRORS_SHA256
