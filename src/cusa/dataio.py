@@ -47,6 +47,7 @@ from .errors import (
     MalformedLine,
     MissingFeature,
     NonFiniteValue,
+    ShapeMismatch,
     TruncatedFile,
     UnknownId,
     VersionUnsupported,
@@ -98,6 +99,8 @@ class FeatureTable:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2 or len(self.features) != len(self.ids):
+            raise ShapeMismatch(f"{len(self.ids)} ids for features of shape {self.features.shape}")
         self._index = id_table(self.ids)
         if len(self._index) != len(self.ids):
             i = next(i for i, item_id in enumerate(self.ids) if self._index[item_id] < i)

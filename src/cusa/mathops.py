@@ -114,15 +114,19 @@ def cosine_similarity(a, b) -> np.ndarray:
         DimensionMismatch: if the column counts differ.
         NotNormalized: if any row norm deviates from 1 by more than 1e-9.
     """
+    am, bm = unit_pair(a, b)
+    return am @ bm.T
+
+
+def unit_pair(a, b) -> tuple:
+    """`a` and `b` as float64 matrices, checked as cosine_similarity's inputs."""
     am = _as_matrix(a, "a")
     bm = _as_matrix(b, "b")
     if am.shape[1] != bm.shape[1]:
-        raise DimensionMismatch(
-            f"column counts differ: {am.shape[1]} vs {bm.shape[1]}"
-        )
+        raise DimensionMismatch(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
     check_normalized(am, "a")
     check_normalized(bm, "b")
-    return am @ bm.T
+    return am, bm
 
 
 class Workspace:

@@ -6,7 +6,7 @@ ranks of each query's relevant gallery items, which is all R@K,
 R-Precision and mAP@R need. Relevance is a Relevance (an int32 CSR over
 one id table); relevant ids outside the active gallery are ignored, so
 one relevance structure can serve cross-modal and uni-modal tasks at
-once.
+once. Evaluation ranks query rows block by block and holds no score matrix.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .errors import (
     ShapeMismatch,
     UnknownId,
 )
-from .mathops import _as_matrix, cosine_similarity
+from .mathops import _as_matrix, unit_pair
 
-# Query rows argsorted at once; the sort scratch is BLOCK_ROWS x gallery
-# int64 entries.
+# Query rows scored and argsorted at once, in BLOCK_ROWS x gallery arrays.
 BLOCK_ROWS = 128
 
 
@@ -87,10 +86,15 @@ def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool =
     ranking.
     """
     s = _as_matrix(scores, "scores")
-    nq, ng = s.shape
+    return _rank_blocks(lambda lo, hi: s[lo:hi], s.shape, query_ids, gallery_ids, rel, exclude_self)
+
+
+def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self) -> list:
+    """rank_by_similarity over the score rows block_scores(lo, hi)."""
+    nq, ng = shape
     if len(query_ids) != nq or len(gallery_ids) != ng:
         raise ShapeMismatch(
-            f"scores {s.shape} vs {len(query_ids)} queries / {len(gallery_ids)} gallery ids"
+            f"scores {shape} vs {len(query_ids)} queries / {len(gallery_ids)} gallery ids"
         )
     if exclude_self:
         if nq != ng:
@@ -116,17 +120,19 @@ def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool =
     starts = rel.indptr[rows].astype(np.intp)
     counts = rel.indptr[rows + 1] - starts
 
+    # no 1-row tail block: a 1-row product can differ in bits from a GEMM row
+    edges = [*range(0, max(nq - 1, 1), BLOCK_ROWS), nq]
     ranks = []
-    for lo in range(0, nq, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, nq)
+    for lo, hi in zip(edges, edges[1:]):
         block = np.arange(hi - lo)
-        neg = np.negative(s[lo:hi], order="C")
+        neg = np.negative(block_scores(lo, hi), order="C")
         order = np.argsort(neg, axis=1)
         # the default sort is not stable: re-sort the rows that hold equal
         # scores so that ties keep ascending gallery order
         ranked = np.take_along_axis(neg, order, axis=1)
         tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
         order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
+        del neg, ranked  # the next block's scores take their place
 
         # positions in rel.indices of the block's rows, row after row
         n = counts[lo:hi]
@@ -136,6 +142,7 @@ def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool =
         if exclude_self:
             relevant[block, lo + block] = False
         hit_row, hit_rank = np.nonzero(np.take_along_axis(relevant, order, axis=1))
+        hit_rank = hit_rank.copy()  # kept alone, not as a view of nonzero's (hits, 2) array
         if exclude_self:
             # items ranked after the query's own column move up by one
             own = np.argmax(order == (lo + block)[:, None], axis=1)
@@ -239,8 +246,14 @@ def _direction_report(ranks) -> dict:
     }
 
 
+def _rank_products(queries, gallery, query_ids, gallery_ids, rel, exclude_self=False) -> list:
+    """Ranks by cosine similarity, from C-ordered row blocks of queries @ gallery.T."""
+    return _rank_blocks(lambda lo, hi: queries[lo:hi] @ gallery.T,
+                        (len(queries), len(gallery)), query_ids, gallery_ids, rel, exclude_self)
+
+
 def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -> dict:
-    """Both retrieval directions over one similarity matrix.
+    """Both retrieval directions.
 
     Args:
         img_emb, txt_emb: normalized embedding matrices.
@@ -253,9 +266,9 @@ def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -
         {"i2t": {...}, "t2i": {...}, "rsum": float} with recalls in
         percent and R-P / mAP@R in both raw and percent form.
     """
-    sims = cosine_similarity(img_emb, txt_emb)
-    i2t = _direction_report(rank_by_similarity(sims, img_ids, txt_ids, rel_i2t))
-    t2i = _direction_report(rank_by_similarity(sims.T, txt_ids, img_ids, rel_t2i))
+    img, txt = unit_pair(img_emb, txt_emb)
+    i2t = _direction_report(_rank_products(img, txt, img_ids, txt_ids, rel_i2t))
+    t2i = _direction_report(_rank_products(txt, img, txt_ids, img_ids, rel_t2i))
     total = rsum([i2t["r_at_1"], i2t["r_at_5"], i2t["r_at_10"],
                   t2i["r_at_1"], t2i["r_at_5"], t2i["r_at_10"]])
     return {"i2t": i2t, "t2i": t2i, "rsum": total}
@@ -263,5 +276,5 @@ def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -
 
 def evaluate_uni_modal(emb, ids, rel) -> dict:
     """R@1 within one modality, the query itself excluded."""
-    ranks = rank_by_similarity(cosine_similarity(emb, emb), ids, ids, rel, exclude_self=True)
+    ranks = _rank_products(*unit_pair(emb, emb), ids, ids, rel, exclude_self=True)
     return {"r_at_1": 100.0 * recall_at_k(ranks, 1)}

@@ -33,6 +33,7 @@ from cusa.errors import (
     MalformedLine,
     MissingFeature,
     NonFiniteValue,
+    ShapeMismatch,
     TruncatedFile,
     UnknownId,
     VersionUnsupported,
@@ -76,6 +77,14 @@ class TestFeatureTable:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DuplicateId):
             FeatureTable(["x", "x"], np.eye(2))
+
+    def test_fewer_rows_than_ids_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            FeatureTable(["x", "y", "z"], np.ones((2, 2)))
+
+    def test_more_rows_than_ids_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            FeatureTable(["x", "y"], np.ones((3, 2)))
 
     def test_missing_row(self):
         table = FeatureTable(["x"], np.ones((1, 2)))

@@ -5,6 +5,8 @@ asserted exactly (==) for the ranking metrics, matching the contract
 that ranking only depends on order, never on float arithmetic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -404,6 +406,82 @@ class TestBlockBoundaries:
                 assert recall_at_k(ranks, k) == oracle_recall(oracle_ranked, rel, k)
             assert r_precision(ranks) == oracle_r_precision(oracle_ranked, rel)
             assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
+
+
+    @staticmethod
+    def dyadic_unit_rows(rng, n, dup):
+        """n unit rows of d = 16 whose dot products are exact multiples of
+        1/16 in any summation order; the last `dup` rows repeat earlier
+        ones, so their scores tie exactly."""
+        rows = np.zeros((n, 16))
+        for row in rows:
+            k = int(rng.choice([1, 4, 16]))  # entries +-1, +-1/2 or +-1/4
+            row[rng.choice(16, size=k, replace=False)] = rng.choice([-1.0, 1.0], size=k)
+            row /= np.sqrt(k)
+        rows[n - dup:] = rows[rng.integers(0, n - dup, size=dup)]
+        return rows[rng.permutation(n)]
+
+    @staticmethod
+    def relevance(rng, qids, gids):
+        return {q: set(rng.choice(gids, size=int(rng.integers(1, 5)), replace=False))
+                | ({"outside-the-gallery"} if rng.random() < 0.3 else set()) for q in qids}
+
+    @pytest.mark.parametrize("block_rows, n", [(3, 4), (3, 7), (3, 11), (3, 12), (128, 127),
+                                               (128, 128), (128, 129), (128, 257)])
+    def test_streamed_eval_matches_oracles(self, monkeypatch, block_rows, n):
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(n + block_rows)
+        img = self.dyadic_unit_rows(rng, n, dup=n // 3)
+        txt = self.dyadic_unit_rows(rng, n, dup=n // 3)
+        img_ids = [f"i{k}" for k in range(n)]
+        txt_ids = [f"t{k}" for k in range(n)]
+        rel_i2t = self.relevance(rng, img_ids, txt_ids)
+        rel_t2i = self.relevance(rng, txt_ids, img_ids)
+        report = evaluate_cross_modal(img, txt, img_ids, txt_ids,
+                                      Relevance.from_mapping(rel_i2t),
+                                      Relevance.from_mapping(rel_t2i))
+        sims = img @ txt.T
+        for direction, s, qids, gids, rel in (("i2t", sims, img_ids, txt_ids, rel_i2t),
+                                              ("t2i", sims.T, txt_ids, img_ids, rel_t2i)):
+            oracle_ranked = [(q, [gids[j] for j in oracle_order(s[i])])
+                             for i, q in enumerate(qids)]
+            got = report[direction]
+            for k in (1, 5, 10):
+                assert got[f"r_at_{k}"] == 100.0 * oracle_recall(oracle_ranked, rel, k)
+            assert got["r_precision"] == oracle_r_precision(oracle_ranked, rel)
+            assert got["map_at_r"] == oracle_map_at_r(oracle_ranked, rel)
+
+        rel = {q: (ids - {q}) | {img_ids[(i + 1) % n]} for i, (q, ids)
+               in enumerate(self.relevance(rng, img_ids, img_ids).items())}
+        rel[img_ids[0]].add(img_ids[0])  # the query itself is never ranked
+        got = evaluate_uni_modal(img, img_ids, Relevance.from_mapping(rel))
+        sims = img @ img.T
+        oracle_ranked = [(q, [img_ids[j] for j in oracle_order(sims[i], exclude=i)])
+                         for i, q in enumerate(img_ids)]
+        assert got["r_at_1"] == 100.0 * oracle_recall(oracle_ranked, rel, 1)
+
+
+def test_eval_holds_no_score_matrix():
+    """Peak traced memory of both evaluations stays below half of one
+    n x n float64 matrix."""
+    n = 1500
+    rng = np.random.default_rng(15)
+    img = l2_normalize_rows(rng.standard_normal((n, 8)))
+    txt = l2_normalize_rows(rng.standard_normal((n, 8)))
+    img_ids = [f"i{k}" for k in range(n)]
+    txt_ids = [f"t{k}" for k in range(n)]
+    rel_i2t = Relevance.from_mapping({i: [t] for i, t in zip(img_ids, txt_ids)})
+    rel_t2i = Relevance.from_mapping({t: [i] for i, t in zip(img_ids, txt_ids)})
+    rel_img = Relevance.from_mapping({img_ids[k]: [img_ids[(k + 1) % n]] for k in range(n)})
+    for evaluate in (lambda: evaluate_cross_modal(img, txt, img_ids, txt_ids, rel_i2t, rel_t2i),
+                     lambda: evaluate_uni_modal(img, img_ids, rel_img)):
+        tracemalloc.start()
+        try:
+            evaluate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
 
 
 # ---------------------------------------------------------------------------
