@@ -38,6 +38,7 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadMagic,
@@ -159,30 +160,36 @@ def read_features(path) -> FeatureTable:
                                        "feature file")
     if n < 1 or d < 1:
         raise FormatError(f"header declares {n} rows x {d} dims; both must be >= 1")
-    ids = []
+    ids, starts = [], []
     row_bytes = 4 * d
-    # Every record takes at least 2 + row_bytes bytes, so a header that
-    # declares more rows than the file can hold fails in the loop below
-    # with the offset where the records stop; never allocate beyond that.
-    rows = np.empty((min(n, (len(buf) - offset) // (2 + row_bytes)), d), dtype=np.float64)
-    for rec in range(n):
-        id_at = _field_end(buf, offset, 2, f"record {rec}: id length")
-        (id_len,) = struct.unpack_from("<H", buf, offset)
-        values_at = _field_end(buf, id_at, id_len, f"record {rec}: id")
-        try:
-            item_id = buf[id_at:values_at].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"record {rec}: id is not valid UTF-8 ({e})") from None
-        offset = _field_end(buf, values_at, row_bytes, f"record {rec}: values")
-        if not id_len:
-            raise FormatError(f"record {rec}: empty id")
-        values = np.frombuffer(buf, dtype="<f4", count=d, offset=values_at)
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteValue(f"record {rec} (id {item_id!r}) contains NaN or Inf")
-        ids.append(item_id)
-        rows[rec] = values
+    # a header that declares more rows than the file holds fails in this
+    # loop, at the offset where the records stop, before any allocation
+    try:
+        for rec in range(n):
+            id_at = _field_end(buf, offset, 2, f"record {rec}: id length")
+            (id_len,) = struct.unpack_from("<H", buf, offset)
+            values_at = _field_end(buf, id_at, id_len, f"record {rec}: id")
+            try:
+                item_id = buf[id_at:values_at].decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"record {rec}: id is not valid UTF-8 ({e})") from None
+            offset = _field_end(buf, values_at, row_bytes, f"record {rec}: values")
+            if not id_len:
+                raise FormatError(f"record {rec}: empty id")
+            ids.append(item_id)
+            starts.append(values_at)
+    finally:
+        # one gather of the complete records' values, also on a fault, so
+        # that a record with NaN or Inf is reported before a later fault
+        if starts:
+            rows = sliding_window_view(np.frombuffer(buf, dtype=np.uint8),
+                                       row_bytes)[starts].view("<f4")
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if bad.size:
+                raise NonFiniteValue(f"record {bad[0]} (id {ids[bad[0]]!r}) contains NaN or Inf")
     _no_trailing_bytes(buf, offset, f"record {n - 1}")
-    return FeatureTable(ids=ids, features=rows)  # rejects duplicate ids
+    del buf  # the file's bytes need not sit beside the float64 copy
+    return FeatureTable(ids=ids, features=rows)  # float64; rejects duplicate ids
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +260,14 @@ def read_relevance(path, known_ids=None) -> Relevance:
         if query in seen:
             raise DuplicateId(f"line {lineno}: repeated query id {query!r}")
         seen.add(query)
-        relevant = id_blob.split(",")
-        if not all(relevant):
+        if id_blob.startswith(",") or id_blob.endswith(",") or ",," in id_blob:
             raise MalformedLine(lineno, f"line {lineno}: empty id in relevant list")
         try:
             queries.append(index[query])
         except KeyError:
             raise UnknownId(f"line {lineno}: unknown query id {query!r}") from None
         try:
-            indices.extend(map(index.__getitem__, relevant))
+            indices.fromlist(list(map(index.__getitem__, id_blob.split(","))))
         except KeyError as e:
             raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
         indptr.append(len(indices))

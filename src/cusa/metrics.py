@@ -26,7 +26,7 @@ from .errors import (
 )
 from .mathops import _as_matrix, unit_pair
 
-# Query rows scored and argsorted at once, in BLOCK_ROWS x gallery arrays.
+# Query rows scored and sorted at once, in BLOCK_ROWS x gallery arrays.
 BLOCK_ROWS = 128
 
 
@@ -126,13 +126,12 @@ def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self)
     for lo, hi in zip(edges, edges[1:]):
         block = np.arange(hi - lo)
         neg = np.negative(block_scores(lo, hi), order="C")
-        order = np.argsort(neg, axis=1)
-        # the default sort is not stable: re-sort the rows that hold equal
-        # scores so that ties keep ascending gallery order
-        ranked = np.take_along_axis(neg, order, axis=1)
+        ranked = np.sort(neg, axis=1)
+        # a row that holds equal scores takes its stable argsort's positions
+        # as scores, so that ties keep ascending gallery order
         tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
-        del neg, ranked  # the next block's scores take their place
+        neg[tied[:, None], np.argsort(neg[tied], axis=1, kind="stable")] = np.arange(ng)
+        ranked[tied] = np.arange(ng)
 
         # positions in rel.indices of the block's rows, row after row
         n = counts[lo:hi]
@@ -141,13 +140,14 @@ def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self)
         relevant[np.repeat(block, n), column[rel.indices[entries]]] = True
         if exclude_self:
             relevant[block, lo + block] = False
-        hit_row, hit_rank = np.nonzero(np.take_along_axis(relevant, order, axis=1))
-        hit_rank = hit_rank.copy()  # kept alone, not as a view of nonzero's (hits, 2) array
-        if exclude_self:
-            # items ranked after the query's own column move up by one
-            own = np.argmax(order == (lo + block)[:, None], axis=1)
-            hit_rank -= hit_rank > own[hit_row]
-        ranks += np.split(hit_rank, np.cumsum(np.bincount(hit_row, minlength=hi - lo))[:-1])
+        for i in range(hi - lo):
+            # an item's rank is the number of scores below its own in neg
+            r = ranked[i].searchsorted(np.sort(neg[i].compress(relevant[i, :ng])))
+            if exclude_self:
+                # items ranked after the query itself move up by one
+                r -= r > ranked[i].searchsorted(neg[i, lo + i])
+            ranks.append(r)
+        del neg, ranked  # the next block's scores take their place
     return ranks
 
 

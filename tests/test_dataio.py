@@ -227,6 +227,18 @@ class TestFeatureReadErrors:
         with pytest.raises(NonFiniteValue):
             read_features(path)
 
+    @pytest.mark.parametrize("fault", [
+        struct.pack("<H", 1) + b"b" + struct.pack("<f", 3.0),
+        struct.pack("<H", 1) + b"\xff" + struct.pack("<2f", 3.0, 4.0),
+        struct.pack("<H", 0) + struct.pack("<2f", 3.0, 4.0),
+    ], ids=["values-cut-off", "id-not-utf8", "empty-id"])
+    def test_non_finite_record_reported_before_a_later_fault(self, tmp_path, fault):
+        path = tmp_path / "f.bin"
+        rec = struct.pack("<H", 1) + b"a" + struct.pack("<2f", 1.0, float("inf"))
+        path.write_bytes(b"CUSF" + struct.pack("<IQI", 1, 2, 2) + rec + fault)
+        with pytest.raises(NonFiniteValue, match=r"record 0 \(id 'a'\)"):
+            read_features(path)
+
     def test_zero_rows_declared(self, tmp_path):
         path = tmp_path / "f.bin"
         path.write_bytes(b"CUSF" + struct.pack("<IQI", 1, 0, 2))

@@ -377,7 +377,7 @@ class TestEvaluateUniModal:
 
 
 class TestBlockBoundaries:
-    """Queries are argsorted BLOCK_ROWS rows at a time; a block size of 3
+    """Queries are sorted BLOCK_ROWS rows at a time; a block size of 3
     splits every instance below into several blocks and a remainder."""
 
     @pytest.mark.parametrize("exclude_self", [False, True])
@@ -463,7 +463,9 @@ class TestBlockBoundaries:
 
 def test_eval_holds_no_score_matrix():
     """Peak traced memory of both evaluations stays below half of one
-    n x n float64 matrix."""
+    n x n float64 matrix, and below three BLOCK_ROWS x n float64 blocks:
+    a block's scores, their sorted copy and the next block's product
+    must not all be alive at once."""
     n = 1500
     rng = np.random.default_rng(15)
     img = l2_normalize_rows(rng.standard_normal((n, 8)))
@@ -482,11 +484,25 @@ def test_eval_holds_no_score_matrix():
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 2
+        assert peak < 3 * metrics.BLOCK_ROWS * n * 8
 
 
 # ---------------------------------------------------------------------------
-# property: ranking and metrics vs the oracles on tie-heavy inputs
+# property: ranking and metrics vs the oracles on tie-heavy and mixed inputs
 # ---------------------------------------------------------------------------
+
+def relevance_lines(draw, qids, gids, exclude_self):
+    """One relevant item in the gallery per query (not the query itself
+    under self-exclusion), then any ids, repeats and ids outside the
+    gallery allowed."""
+    pool = gids + ["out-a", "out-b"]  # ids outside the gallery are ignored
+    lines = {}
+    for i, qid in enumerate(qids):
+        first = draw(st.sampled_from([g for j, g in enumerate(gids)
+                                      if not (exclude_self and j == i)]))
+        lines[qid] = [first] + draw(st.lists(st.sampled_from(pool), max_size=6))
+    return lines
+
 
 @st.composite
 def tie_heavy_instances(draw, exclude_self):
@@ -496,27 +512,30 @@ def tie_heavy_instances(draw, exclude_self):
     sims = draw(arrays(np.int64, (nq, ng), elements=st.integers(-scale, scale))) / scale
     gids = [f"v{j}" for j in range(ng)]
     qids = gids if exclude_self else [f"q{i}" for i in range(nq)]
-    pool = gids + ["out-a", "out-b"]  # ids outside the gallery are ignored
-    lines = {}
-    for i, qid in enumerate(qids):
-        # one relevant item in the gallery (not the query itself under
-        # self-exclusion), then any ids, repeats allowed
-        first = draw(st.sampled_from([g for j, g in enumerate(gids)
-                                      if not (exclude_self and j == i)]))
-        lines[qid] = [first] + draw(st.lists(st.sampled_from(pool), max_size=6))
-    return sims, qids, gids, lines
+    return sims, qids, gids, relevance_lines(draw, qids, gids, exclude_self)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 128])
-@pytest.mark.parametrize("exclude_self", [False, True])
-def test_ranking_and_metrics_match_oracles_on_ties(block_rows, exclude_self, monkeypatch,
-                                                    tmp_path):
-    monkeypatch.setattr(metrics, "BLOCK_ROWS", block_rows)
-    path = tmp_path / "rel.tsv"
+@st.composite
+def mixed_tie_instances(draw, exclude_self):
+    """Rows of distinct scores beside rows that hold equal scores (-0.0
+    and 0.0 among them), so one block ranks rows both ways."""
+    ng = draw(st.integers(2, 12))
+    nq = ng if exclude_self else draw(st.integers(1, 12))
+    distinct = st.lists(st.floats(-1e3, 1e3), min_size=ng, max_size=ng, unique=True)
+    tied = st.lists(st.sampled_from([-0.5, -0.0, 0.0, 0.5]), min_size=ng, max_size=ng)
+    sims = np.array([draw(st.one_of(distinct, tied)) for _ in range(nq)])
+    gids = [f"v{j}" for j in range(ng)]
+    qids = gids if exclude_self else [f"q{i}" for i in range(nq)]
+    return sims, qids, gids, relevance_lines(draw, qids, gids, exclude_self)
+
+
+def check_against_oracles(instances, exclude_self, path):
+    """Ranks and metrics of every drawn instance, its relevance read from
+    a file, equal the oracles' exactly."""
 
     @settings(deadline=None, max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(tie_heavy_instances(exclude_self))
+    @given(instances)
     def check(instance):
         sims, qids, gids, lines = instance
         path.write_text("".join(f"{q}\t{','.join(ids)}\n" for q, ids in lines.items()),
@@ -534,3 +553,19 @@ def test_ranking_and_metrics_match_oracles_on_ties(block_rows, exclude_self, mon
         assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
 
     check()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 128])
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_ranking_and_metrics_match_oracles_on_ties(block_rows, exclude_self, monkeypatch,
+                                                    tmp_path):
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", block_rows)
+    check_against_oracles(tie_heavy_instances(exclude_self), exclude_self, tmp_path / "rel.tsv")
+
+
+@pytest.mark.parametrize("block_rows", [3, 128])
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_ranking_and_metrics_match_oracles_on_mixed_rows(block_rows, exclude_self,
+                                                         monkeypatch, tmp_path):
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", block_rows)
+    check_against_oracles(mixed_tie_instances(exclude_self), exclude_self, tmp_path / "rel.tsv")
