@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
         [(img_ids, img_emb)] = _eval_inputs(args, ("img",))
         rel = dataio.read_relevance(args.relevance)
         payload = metrics.evaluate_uni_modal(img_emb, img_ids, rel)
-    elif task == "sts":
+    else:  # sts
         if args.pairs is None:
             raise InvalidConfig("task sts needs --pairs (id_a, id_b, score)")
         [(txt_ids, txt_emb)] = _eval_inputs(args, ("txt",))
@@ -178,8 +178,6 @@ def cmd_eval(args) -> int:
         pred = [float(txt_emb[index[a]] @ txt_emb[index[b]]) for a, b, _ in triples]
         gold = [score for _, _, score in triples]
         payload = {"spearman": metrics.spearman(pred, gold), "n_pairs": len(triples)}
-    else:  # argparse choices make this unreachable
-        raise InvalidConfig(f"unknown task {task!r}")
     _print_report("eval", _eval_config(args), 0, payload)
     return 0
 

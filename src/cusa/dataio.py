@@ -135,7 +135,7 @@ def write_features(path, ids, features) -> None:
         raise InvalidConfig(f"{len(ids)} ids for {n} feature rows")
     if not np.all(np.isfinite(feats)):
         raise NonFiniteValue("features contain NaN or Inf")
-    FeatureTable(list(ids), feats)  # rejects duplicate ids
+    FeatureTable(list(map(str, ids)), feats)  # rejects duplicates of the stored ids
     encoded = []
     for item_id in ids:
         raw = str(item_id).encode("utf-8")

@@ -86,15 +86,13 @@ def _usa_direction(s: np.ndarray, p: np.ndarray, h: np.ndarray, it_u: float,
 
     Returns (KL from p to softmax(s * it_u), the logit gradient
     beta * it_u / 2n * (q - p) formed in the buffer `q`, sum(gradient
-    * s), a copy of q or None); the gradient is zeros and the sum 0.0
-    when beta is 0. `s` and `p` are not modified.
+    * s), a copy of q or None). With beta = 0 the gradient's entries and
+    its sum are +-0.0, which backward and Adam take as zeros. `s` and
+    `p` are not modified.
     """
     q, z, lse = row_softmax_with_log(s, it_u, q, z)
     kl = _mean_kl(h, p, z, lse)
     kept = q.copy() if keep_q else None
-    if beta == 0.0:
-        q.fill(0.0)
-        return kl, q, 0.0, kept
     q -= p
     q *= beta * it_u / (2.0 * s.shape[0])
     return kl, q, float(np.vdot(q, s)), kept
@@ -135,8 +133,9 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
         w.r.t. log(it) and d_log_inv_temp_uni the one w.r.t. log(it_u).
         The gradient matrices are buffers of `ws`, valid until its next
         use. qs is None, or with keep_q a dict of q_i2t, q_t2i, q_i2i,
-        q_t2t. Component gradients are skipped entirely (not just scaled
-        by zero) when their weight is zero. No input is modified.
+        q_t2t. A zero weight scales its term's gradient by zero: with
+        alpha = 0 the cross-modal gradient keeps the bits of pure
+        InfoNCE (c1 + 0 = c1 and d - 0 = d). No input is modified.
     """
     _check_weights(alpha, beta)
     n = s_i2t.shape[0]
@@ -171,14 +170,11 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
     c1 = it / (2.0 * n)
     d_s_i2t = q_i2t
     d_s_i2t += q_t2i_t
-    if alpha != 0.0:
-        c2 = alpha * c1
-        d_s_i2t *= c1 + c2
-        p_sum += p_i2i
-        p_sum *= c2
-        d_s_i2t -= p_sum
-    else:
-        d_s_i2t *= c1
+    c2 = alpha * c1
+    d_s_i2t *= c1 + c2
+    p_sum += p_i2i
+    p_sum *= c2
+    d_s_i2t -= p_sum
     d_s_i2t.reshape(-1)[::n + 1] -= 2.0 * c1
     d_log_it = float(np.vdot(d_s_i2t, s_i2t))
 

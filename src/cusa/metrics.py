@@ -126,6 +126,9 @@ def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self)
     for lo, hi in zip(edges, edges[1:]):
         block = np.arange(hi - lo)
         neg = np.negative(block_scores(lo, hi), order="C")
+        if exclude_self:
+            # the query's own score sorts after every gallery item
+            neg[block, lo + block] = np.inf
         ranked = np.sort(neg, axis=1)
         # a row that holds equal scores takes its stable argsort's positions
         # as scores, so that ties keep ascending gallery order
@@ -139,14 +142,11 @@ def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self)
         relevant = np.zeros((hi - lo, ng + 1), dtype=bool)
         relevant[np.repeat(block, n), column[rel.indices[entries]]] = True
         if exclude_self:
+            # a query may list itself as relevant
             relevant[block, lo + block] = False
         for i in range(hi - lo):
             # an item's rank is the number of scores below its own in neg
-            r = ranked[i].searchsorted(np.sort(neg[i].compress(relevant[i, :ng])))
-            if exclude_self:
-                # items ranked after the query itself move up by one
-                r -= r > ranked[i].searchsorted(neg[i, lo + i])
-            ranks.append(r)
+            ranks.append(ranked[i].searchsorted(np.sort(neg[i].compress(relevant[i, :ng]))))
         del neg, ranked  # the next block's scores take their place
     return ranks
 

@@ -221,6 +221,20 @@ def _normalize_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.n
     return (g - proj * y) / norms[:, None]
 
 
+def _modality_backward(d_uni, d_cross, other, e, f, base, norms, usa_norms, u,
+                       g_u, g_w) -> None:
+    """One modality's chain: from the uni-modal logit gradient d_uni and
+    the cross-modal one d_cross (rows are this side's queries, columns
+    the `other` side's embeddings) to the gradients of its projector u
+    and retrieval head w, written into g_u and g_w."""
+    # uni-modal branch: s = f f^T pulls on f from both sides
+    g_a = _normalize_backward(d_uni @ f + d_uni.T @ f, f, usa_norms)
+    np.matmul(e.T, g_a, out=g_u)
+    # the retrieval embedding collects the cross-modal and projector paths
+    g_z = _normalize_backward(d_cross @ other + g_a @ u.T, e, norms)
+    np.matmul(base.T, g_z, out=g_w)
+
+
 def backward(outputs: StudentOutputs, params: StudentParams,
              upstream: LossGradients) -> StudentParams:
     """Exact parameter gradients for the batch loss.
@@ -237,36 +251,19 @@ def backward(outputs: StudentOutputs, params: StudentParams,
     tape = outputs.tape
     if tape is None:
         raise ShapeMismatch("backward needs the outputs of forward, which carry its tape")
-    bi, bt = tape.base_img, tape.base_txt
-    e_img, n_img = outputs.img_emb, tape.img_norms
-    e_txt, n_txt = outputs.txt_emb, tape.txt_norms
-    f_img, m_img = outputs.img_usa, tape.img_usa_norms
-    f_txt, m_txt = outputs.txt_usa, tape.txt_usa_norms
-
     g_it = upstream.d_s_i2t
-    if g_it.shape != (bi.shape[0], bi.shape[0]):
-        raise ShapeMismatch(
-            f"upstream d_s_i2t shape {g_it.shape} != batch {bi.shape[0]}"
-        )
+    n = tape.base_img.shape[0]
+    if g_it.shape != (n, n):
+        raise ShapeMismatch(f"upstream d_s_i2t shape {g_it.shape} != batch {n}")
 
     # the gradient matrices are written straight into views of one vector
     grads = StudentParams.from_flat(np.empty_like(params.flat), params.dims, params.n_scalars)
-
-    # uni-modal branches: s = f f^T pulls on f from both sides
-    g_f_img = upstream.d_s_i2i @ f_img + upstream.d_s_i2i.T @ f_img
-    g_f_txt = upstream.d_s_t2t @ f_txt + upstream.d_s_t2t.T @ f_txt
-    g_a_img = _normalize_backward(g_f_img, f_img, m_img)
-    g_a_txt = _normalize_backward(g_f_txt, f_txt, m_txt)
-    np.matmul(e_img.T, g_a_img, out=grads.u_img)
-    np.matmul(e_txt.T, g_a_txt, out=grads.u_txt)
-
-    # retrieval embeddings collect the cross-modal and projector paths
-    g_e_img = g_it @ e_txt + g_a_img @ params.u_img.T
-    g_e_txt = g_it.T @ e_img + g_a_txt @ params.u_txt.T
-    g_z_img = _normalize_backward(g_e_img, e_img, n_img)
-    g_z_txt = _normalize_backward(g_e_txt, e_txt, n_txt)
-    np.matmul(bi.T, g_z_img, out=grads.w_img)
-    np.matmul(bt.T, g_z_txt, out=grads.w_txt)
+    _modality_backward(upstream.d_s_i2i, g_it, outputs.txt_emb, outputs.img_emb,
+                       outputs.img_usa, tape.base_img, tape.img_norms, tape.img_usa_norms,
+                       params.u_img, grads.u_img, grads.w_img)
+    _modality_backward(upstream.d_s_t2t, g_it.T, outputs.img_emb, outputs.txt_emb,
+                       outputs.txt_usa, tape.base_txt, tape.txt_norms, tape.txt_usa_norms,
+                       params.u_txt, grads.u_txt, grads.w_txt)
 
     d_it = upstream.d_log_inv_temp
     if params.log_inv_temp_uni is None:

@@ -145,6 +145,12 @@ class TestFeatureWriteValidation:
         with pytest.raises(DuplicateId):
             write_features(tmp_path / "f", ["a", "a"], np.eye(2))
 
+    def test_ids_that_are_stored_alike_are_duplicates(self, tmp_path):
+        # the file stores str(id), so 1 and "1" would read back as one id twice
+        with pytest.raises(DuplicateId, match=r"'1' \(record 1\)"):
+            write_features(tmp_path / "f", [1, "1"], np.eye(2))
+        assert not (tmp_path / "f").exists()
+
     def test_empty_id(self, tmp_path):
         with pytest.raises(InvalidConfig):
             write_features(tmp_path / "f", ["a", ""], np.eye(2))

@@ -15,6 +15,11 @@ checkpoint moved by a few ulps (at most 5e-15 relative on a logged
 loss of the batch-200 benchmark run); the values are otherwise the
 same.
 
+The zero-weight digests pin the same run with alpha, beta or both at
+0. They were produced at commit 2706335, while the loss core still had
+a separate branch for each zero weight, before every weight took the
+one general path.
+
 The gradcheck digest pins the stdout of a small run: finite
 differences of the loss core over its three logit matrices and two
 log-temperatures, and of the model with its batch sizes alternating
@@ -55,6 +60,7 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 
 from cusa import cli
 from cusa.dataio import load_checkpoint, read_features, save_checkpoint, write_features
@@ -62,6 +68,15 @@ from cusa.model import init_params
 
 CKPT_SHA256 = "a9bd6283de03929c06156639ecddf6f86f89efb3923c816ecd29c8e06c47afe7"
 LOG_SHA256 = "6c8b69bceac00403e85bb3b01cc6ea5aa9addf43e4a84d4e8cf853a8bfb32a45"
+# (alpha, beta) -> (checkpoint, step log) of the same run with a weight at 0
+ZERO_WEIGHT_SHA256 = {
+    ("0", "0"): ("512754994679ec122f7003896d6f8029f0a0889766120a49eb7196797c090237",
+                 "dd267641d757669dd8a509651e1c458f828580e71c2d6d99e6393844e73ff121"),
+    ("0", "0.4"): ("13b30ae9cd2021029623397c0543f49842eefc405017b66d8983c11e35b1d712",
+                   "79846c3e91f2d5f1e4ce4cfb46cff00e66c6972c999bb42e5b2769028ac34727"),
+    ("0.6", "0"): ("001310b8693c7ef109a1477c47a2a392bcbd33c10ef64304ccba6768acb01f66",
+                   "f42f3eb6447d970e599c52c1900262bdb4d3785f08420e502e58d612890091c7"),
+}
 GRADCHECK_SHA256 = "74f4e428eb7fee975ca1b5cda45509106d65d007e5b74dd4d00fbef26de8ad01"
 EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
@@ -96,7 +111,8 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_fixed_seed_train_run_is_byte_identical(tmp_path):
+def _train_digests(tmp_path, alpha, beta):
+    """sha256 of the checkpoint and the step log of one golden-corpus run."""
     assert _cli(["synth", "--out", str(tmp_path), "--clusters", "3",
                  "--pairs-per-cluster", "10", "--seed", "13",
                  "--d-student-img", "6", "--d-student-txt", "7",
@@ -109,11 +125,19 @@ def test_fixed_seed_train_run_is_byte_identical(tmp_path):
                  "--out-ckpt", str(tmp_path / "model.ckpt"),
                  "--log", str(tmp_path / "train.log"),
                  "--batch-size", "10", "--epochs", "4", "--lr", "1e-2",
-                 "--alpha", "0.6", "--beta", "0.4", "--teacher-inv-temp", "8",
+                 "--alpha", alpha, "--beta", beta, "--teacher-inv-temp", "8",
                  "--separate-uni-temp", "--d-e", "5", "--d-u", "3",
                  "--seed", "2"]) == 0
-    assert _sha256(tmp_path / "model.ckpt") == CKPT_SHA256
-    assert _sha256(tmp_path / "train.log") == LOG_SHA256
+    return _sha256(tmp_path / "model.ckpt"), _sha256(tmp_path / "train.log")
+
+
+def test_fixed_seed_train_run_is_byte_identical(tmp_path):
+    assert _train_digests(tmp_path, "0.6", "0.4") == (CKPT_SHA256, LOG_SHA256)
+
+
+@pytest.mark.parametrize("alpha, beta", ZERO_WEIGHT_SHA256)
+def test_zero_weight_train_runs_are_byte_identical(tmp_path, alpha, beta):
+    assert _train_digests(tmp_path, alpha, beta) == ZERO_WEIGHT_SHA256[alpha, beta]
 
 
 def test_gradcheck_report_is_byte_identical():

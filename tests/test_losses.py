@@ -251,7 +251,7 @@ class TestBatchLossAndGrads:
         np.testing.assert_array_equal(grads.d_s_i2i, 0.0)
         np.testing.assert_array_equal(grads.d_s_t2t, 0.0)
         assert grads.d_log_inv_temp == want_grads.d_log_inv_temp
-        # loss values for the skipped components still reported
+        # loss values of the zero-weighted components are still reported
         assert report.l_csa > 0.0 and report.l_usa > 0.0
 
     def test_permutation_leaves_scalars_unchanged(self):

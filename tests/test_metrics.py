@@ -139,6 +139,16 @@ class TestRankBySimilarity:
                                    exclude_self=True)
         assert [r.tolist() for r in ranks] == [[0], []]
 
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_scores_are_left_bit_identical(self, exclude_self):
+        # a float64 matrix reaches the ranker as the caller's own array
+        sims = np.round(np.random.default_rng(5).standard_normal((6, 6)), 1)
+        before = sims.copy()
+        ids = list("abcdef")
+        rank_by_similarity(sims, ids, ids, Relevance.from_mapping({i: set(ids) for i in ids}),
+                           exclude_self=exclude_self)
+        assert sims.tobytes() == before.tobytes()
+
     def test_empty_gallery_rejected(self):
         with pytest.raises(EmptyGallery):
             rank_by_similarity([[1.0]], ["a"], ["a"], Relevance.from_mapping({"a": {"a"}}),
