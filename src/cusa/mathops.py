@@ -89,10 +89,10 @@ def l2_normalize_rows(m) -> np.ndarray:
 
 def unit_rows(m: np.ndarray, message: str | None = None) -> tuple:
     """(rows of `m` scaled to unit norm, their norms); ZeroRow(message) below ZERO_ROW_TOL."""
-    norms = np.linalg.norm(m, axis=1)
-    collapsed = norms < ZERO_ROW_TOL
-    if np.any(collapsed):
-        raise ZeroRow(int(np.argmax(collapsed)), message)
+    # np.linalg.norm(m, axis=1) of a real matrix, without its dispatch
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    if norms.min() < ZERO_ROW_TOL:
+        raise ZeroRow(int(np.argmax(norms < ZERO_ROW_TOL)), message)
     return m / norms[:, None], norms
 
 

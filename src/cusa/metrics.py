@@ -1,12 +1,14 @@
 """Retrieval and similarity metrics over multi-positive relevance.
 
 Rankings are deterministic: descending similarity with ties broken by
-ascending gallery index. A ranking is kept as the ascending 0-based
-ranks of each query's relevant gallery items, which is all R@K,
-R-Precision and mAP@R need. Relevance is a Relevance (an int32 CSR over
-one id table); relevant ids outside the active gallery are ignored, so
-one relevance structure can serve cross-modal and uni-modal tasks at
-once. Evaluation ranks query rows block by block and holds no score matrix.
+ascending gallery index. A query's ranking is the ascending 0-based
+ranks of its relevant gallery items, which is all R@K, R-Precision and
+mAP@R need. Relevance is a Relevance (an int32 CSR over one id table);
+relevant ids outside the active gallery are ignored, so one relevance
+structure can serve cross-modal and uni-modal tasks at once. Evaluation
+ranks query rows block by block and reduces each query's ranks to its
+metric terms at once: it holds the CSR and about three BLOCK_ROWS x
+gallery score blocks, never a score matrix or every query's ranks.
 """
 
 from __future__ import annotations
@@ -86,11 +88,13 @@ def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool =
     ranking.
     """
     s = _as_matrix(scores, "scores")
-    return _rank_blocks(lambda lo, hi: s[lo:hi], s.shape, query_ids, gallery_ids, rel, exclude_self)
+    return list(_rank_blocks(lambda lo, hi: s[lo:hi], s.shape, query_ids, gallery_ids, rel,
+                             exclude_self))
 
 
-def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self) -> list:
-    """rank_by_similarity over the score rows block_scores(lo, hi)."""
+def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self):
+    """rank_by_similarity over the score rows block_scores(lo, hi),
+    yielding one query row's ranks at a time."""
     nq, ng = shape
     if len(query_ids) != nq or len(gallery_ids) != ng:
         raise ShapeMismatch(
@@ -117,12 +121,11 @@ def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self)
     if np.any(rows < 0):
         missing = query_ids[int(np.argmax(rows < 0))]
         raise UnknownId(f"no relevance entry for query {missing!r}")
-    starts = rel.indptr[rows].astype(np.intp)
-    counts = rel.indptr[rows + 1] - starts
+    starts = rel.indptr[rows].tolist()
+    stops = rel.indptr[rows + 1].tolist()
 
     # no 1-row tail block: a 1-row product can differ in bits from a GEMM row
     edges = [*range(0, max(nq - 1, 1), BLOCK_ROWS), nq]
-    ranks = []
     for lo, hi in zip(edges, edges[1:]):
         block = np.arange(hi - lo)
         neg = np.negative(block_scores(lo, hi), order="C")
@@ -136,58 +139,66 @@ def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self)
         neg[tied[:, None], np.argsort(neg[tied], axis=1, kind="stable")] = np.arange(ng)
         ranked[tied] = np.arange(ng)
 
-        # positions in rel.indices of the block's rows, row after row
-        n = counts[lo:hi]
-        entries = np.arange(n.sum()) + np.repeat(starts[lo:hi] - (np.cumsum(n) - n), n)
-        relevant = np.zeros((hi - lo, ng + 1), dtype=bool)
-        relevant[np.repeat(block, n), column[rel.indices[entries]]] = True
-        if exclude_self:
-            # a query may list itself as relevant
-            relevant[block, lo + block] = False
-        for i in range(hi - lo):
+        for q in range(lo, hi):
+            relevant = np.zeros(ng + 1, dtype=bool)
+            relevant[column[rel.indices[starts[q]:stops[q]]]] = True
+            if exclude_self:
+                # a query may list itself as relevant
+                relevant[q] = False
             # an item's rank is the number of scores below its own in neg
-            ranks.append(ranked[i].searchsorted(np.sort(neg[i].compress(relevant[i, :ng]))))
+            yield ranked[q - lo].searchsorted(np.sort(neg[q - lo].compress(relevant[:ng])))
         del neg, ranked  # the next block's scores take their place
-    return ranks
+
+
+def _metric_sums(ranks, ks=(), need_relevant=True) -> tuple:
+    """(hits at each k, R-Precision sum, AP@R sum, query count) of one
+    pass over the ascending ranks of each query, summed in query order.
+
+    R is a query's number of relevant items in the gallery. A query
+    without one raises DegenerateInput, or, with need_relevant=False,
+    misses at every k and adds nothing to either sum.
+    """
+    hits = [0] * len(ks)
+    rp_sum = ap_sum = 0.0
+    n = 0
+    for n, r in enumerate(ranks, start=1):
+        n_rel = r.size
+        if n_rel == 0:
+            if need_relevant:
+                raise DegenerateInput(f"query row {n - 1} has no relevant item in the gallery")
+            continue
+        first = int(r[0])
+        hits = [h + (first < k) for h, k in zip(hits, ks)]
+        found = int(np.searchsorted(r, n_rel))
+        # precision terms are added in rank order (cumsum, not pairwise sum),
+        # so AP is bit-identical to a left-to-right loop
+        ap = np.cumsum(np.arange(1, found + 1) / (r[:found] + 1))[-1] if found else 0.0
+        rp_sum += found / n_rel
+        ap_sum += float(ap) / n_rel
+    if n == 0:
+        raise DegenerateInput("no query to evaluate")
+    return hits, rp_sum, ap_sum, n
 
 
 def recall_at_k(ranks, k: int) -> float:
     """Fraction of queries with at least one relevant item in the top k."""
     if k < 1:
         raise OutOfRange(f"k must be >= 1, got {k}")
-    hits = sum(1 for r in ranks if r.size and r[0] < k)
-    return hits / len(ranks)
-
-
-def _relevant_count(r, i) -> int:
-    if r.size == 0:
-        raise DegenerateInput(f"query row {i} has no relevant item in the gallery")
-    return r.size
+    hits, _, _, n = _metric_sums(ranks, (k,), need_relevant=False)
+    return hits[0] / n
 
 
 def r_precision(ranks) -> float:
     """Mean over queries of (relevant found in top-R) / R, R = number of
     relevant items present in the gallery."""
-    total = 0.0
-    for i, r in enumerate(ranks):
-        n_rel = _relevant_count(r, i)
-        total += int(np.searchsorted(r, n_rel)) / n_rel
-    return total / len(ranks)
+    _, rp_sum, _, n = _metric_sums(ranks)
+    return rp_sum / n
 
 
 def map_at_r(ranks) -> float:
-    """Mean average precision restricted to the top-R ranks.
-
-    Precision terms are added in rank order (cumsum, not pairwise sum),
-    so the result is bit-identical to a left-to-right loop.
-    """
-    total = 0.0
-    for i, r in enumerate(ranks):
-        n_rel = _relevant_count(r, i)
-        top = r[:np.searchsorted(r, n_rel)]
-        ap = np.cumsum(np.arange(1, top.size + 1) / (top + 1))[-1] if top.size else 0.0
-        total += float(ap) / n_rel
-    return total / len(ranks)
+    """Mean average precision restricted to the top-R ranks."""
+    _, _, ap_sum, n = _metric_sums(ranks)
+    return ap_sum / n
 
 
 def rsum(recalls) -> float:
@@ -233,12 +244,13 @@ def _fractional_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _direction_report(ranks) -> dict:
-    rp = r_precision(ranks)
-    ap = map_at_r(ranks)
+    hits, rp_sum, ap_sum, n = _metric_sums(ranks, (1, 5, 10))
+    rp = rp_sum / n
+    ap = ap_sum / n
     return {
-        "r_at_1": 100.0 * recall_at_k(ranks, 1),
-        "r_at_5": 100.0 * recall_at_k(ranks, 5),
-        "r_at_10": 100.0 * recall_at_k(ranks, 10),
+        "r_at_1": 100.0 * (hits[0] / n),
+        "r_at_5": 100.0 * (hits[1] / n),
+        "r_at_10": 100.0 * (hits[2] / n),
         "r_precision": rp,
         "r_precision_pct": 100.0 * rp,
         "map_at_r": ap,
@@ -246,7 +258,7 @@ def _direction_report(ranks) -> dict:
     }
 
 
-def _rank_products(queries, gallery, query_ids, gallery_ids, rel, exclude_self=False) -> list:
+def _rank_products(queries, gallery, query_ids, gallery_ids, rel, exclude_self=False):
     """Ranks by cosine similarity, from C-ordered row blocks of queries @ gallery.T."""
     return _rank_blocks(lambda lo, hi: queries[lo:hi] @ gallery.T,
                         (len(queries), len(gallery)), query_ids, gallery_ids, rel, exclude_self)

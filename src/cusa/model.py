@@ -9,6 +9,7 @@ while keeping exact manual gradients tractable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ INV_TEMP_MIN = 1.0
 INV_TEMP_MAX = 100.0
 
 
-def param_segments(dims, n_scalars: int) -> list:
+def param_segments(dims, n_scalars: int) -> tuple:
     """(name, start, stop, shape) of every parameter in StudentParams.flat.
 
     The order is the checkpoint's: log_inv_temp, [log_inv_temp_uni],
@@ -40,7 +41,12 @@ def param_segments(dims, n_scalars: int) -> list:
         stop = start + math.prod(shape)
         segments.append((name, start, stop, shape))
         start = stop
-    return segments
+    return tuple(segments)
+
+
+# layouts by (dims tuple, n_scalars): training binds its parameters and
+# their gradients anew at every step
+_shared_segments = functools.lru_cache(maxsize=16)(param_segments)
 
 
 class _Segment:
@@ -94,7 +100,7 @@ class StudentParams:
     def _bind(self, flat, dims, n_scalars):
         self.dims = tuple(dims)
         self.n_scalars = n_scalars
-        self.segments = param_segments(self.dims, n_scalars)
+        self.segments = _shared_segments(self.dims, n_scalars)
         if flat.shape != (self.segments[-1][2],):
             raise ShapeMismatch(f"flat parameters of shape {flat.shape} do not fit dims {self.dims}")
         self.flat = flat

@@ -215,6 +215,11 @@ class TestRPrecisionAndMapAtR:
         with pytest.raises(DegenerateInput):
             map_at_r(ranks)
 
+    def test_empty_rank_list_rejected(self):
+        for metric in (lambda r: recall_at_k(r, 1), r_precision, map_at_r):
+            with pytest.raises(DegenerateInput):
+                metric([])
+
     def test_map_bounded_by_r_precision(self):
         rng = np.random.default_rng(60)
         for _ in range(30):
@@ -475,26 +480,34 @@ def test_eval_holds_no_score_matrix():
     """Peak traced memory of both evaluations stays below half of one
     n x n float64 matrix, and below three BLOCK_ROWS x n float64 blocks:
     a block's scores, their sorted copy and the next block's product
-    must not all be alive at once."""
+    must not all be alive at once. Under the two-cluster relevance every
+    query has n / 2 relevant items, whose ranks must not be kept for
+    every query."""
     n = 1500
     rng = np.random.default_rng(15)
     img = l2_normalize_rows(rng.standard_normal((n, 8)))
     txt = l2_normalize_rows(rng.standard_normal((n, 8)))
     img_ids = [f"i{k}" for k in range(n)]
     txt_ids = [f"t{k}" for k in range(n)]
-    rel_i2t = Relevance.from_mapping({i: [t] for i, t in zip(img_ids, txt_ids)})
-    rel_t2i = Relevance.from_mapping({t: [i] for i, t in zip(img_ids, txt_ids)})
-    rel_img = Relevance.from_mapping({img_ids[k]: [img_ids[(k + 1) % n]] for k in range(n)})
-    for evaluate in (lambda: evaluate_cross_modal(img, txt, img_ids, txt_ids, rel_i2t, rel_t2i),
-                     lambda: evaluate_uni_modal(img, img_ids, rel_img)):
-        tracemalloc.start()
-        try:
-            evaluate()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8 / 2
-        assert peak < 3 * metrics.BLOCK_ROWS * n * 8
+    one_pair = ({i: [t] for i, t in zip(img_ids, txt_ids)},
+                {t: [i] for i, t in zip(img_ids, txt_ids)},
+                {img_ids[k]: [img_ids[(k + 1) % n]] for k in range(n)})
+    two_clusters = ({img_ids[k]: txt_ids[k % 2::2] for k in range(n)},
+                    {txt_ids[k]: img_ids[k % 2::2] for k in range(n)},
+                    {img_ids[k]: img_ids[k % 2::2] for k in range(n)})
+    for rel_i2t, rel_t2i, rel_img in (map(Relevance.from_mapping, rels)
+                                      for rels in (one_pair, two_clusters)):
+        for evaluate in (
+                lambda: evaluate_cross_modal(img, txt, img_ids, txt_ids, rel_i2t, rel_t2i),
+                lambda: evaluate_uni_modal(img, img_ids, rel_img)):
+            tracemalloc.start()
+            try:
+                evaluate()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8 / 2
+            assert peak < 3 * metrics.BLOCK_ROWS * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -579,3 +592,88 @@ def test_ranking_and_metrics_match_oracles_on_mixed_rows(block_rows, exclude_sel
                                                          monkeypatch, tmp_path):
     monkeypatch.setattr(metrics, "BLOCK_ROWS", block_rows)
     check_against_oracles(mixed_tie_instances(exclude_self), exclude_self, tmp_path / "rel.tsv")
+
+
+# ---------------------------------------------------------------------------
+# property: the streamed reports vs the metrics over rank_by_similarity's lists
+# ---------------------------------------------------------------------------
+
+def exact_embeddings(sims, exclude_self):
+    """Unit rows whose products are exact in any summation order, so the
+    evaluation's blocked products equal the full one bit for bit.
+
+    Cross-modal: one-hot image rows, text rows carrying the columns of
+    `sims` scaled by a power of two; their product is that scaled `sims`.
+    Uni-modal: rows of `sims` rounded to sixteenths and scaled by a power
+    of two, each padded to unit norm in a column of its own, so that only
+    the excluded diagonal holds an inexact term."""
+    nq, ng = sims.shape
+    if exclude_self:
+        rows = np.round(sims * 16)
+        rows /= 2.0 ** np.ceil(np.log2(max(np.linalg.norm(rows, axis=1).max(), 1.0)) + 1)
+        return np.hstack([rows, np.diag(np.sqrt(1.0 - (rows * rows).sum(axis=1)))]), None
+    cols = sims.T / 2.0 ** np.ceil(np.log2(max(np.linalg.norm(sims, axis=0).max(), 1.0)) + 1)
+    pad = np.sqrt(1.0 - (cols * cols).sum(axis=1))
+    return np.eye(nq, nq + 1), np.hstack([cols, pad[:, None]])
+
+
+def list_report(scores, qids, gids, rel):
+    """One direction's report from recall_at_k, r_precision and map_at_r
+    over rank_by_similarity's lists."""
+    ranks = rank_by_similarity(scores, qids, gids, rel)
+    rp, ap = r_precision(ranks), map_at_r(ranks)
+    return {"r_at_1": 100.0 * recall_at_k(ranks, 1), "r_at_5": 100.0 * recall_at_k(ranks, 5),
+            "r_at_10": 100.0 * recall_at_k(ranks, 10), "r_precision": rp,
+            "r_precision_pct": 100.0 * rp, "map_at_r": ap, "map_at_r_pct": 100.0 * ap}
+
+
+def outcome(compute):
+    """compute()'s value, or the message of the DegenerateInput it raises."""
+    try:
+        return compute()
+    except DegenerateInput as exc:
+        return ("DegenerateInput", str(exc))
+
+
+def check_reports_against_lists(instances, exclude_self, path):
+    """Each report value of the streamed evaluations equals the list
+    metrics' bit for bit, and a query without a relevant item raises
+    the same DegenerateInput in both."""
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instances)
+    def check(instance):
+        sims, qids, gids, lines = instance
+        path.write_text("".join(f"{q}\t{','.join(ids)}\n" for q, ids in lines.items()),
+                        encoding="utf-8")
+        rel = read_relevance(path)
+        img, txt = exact_embeddings(sims, exclude_self)
+        if exclude_self:
+            ranks = rank_by_similarity(img @ img.T, qids, qids, rel, exclude_self=True)
+            assert evaluate_uni_modal(img, qids, rel) == {"r_at_1": 100.0 * recall_at_k(ranks, 1)}
+            return
+        scores = img @ txt.T
+        # a text query is relevant to the image queries that list it; one
+        # listed by none has no relevant item, unless it is given the first
+        inverse = {g: [q for q, ids in lines.items() if g in ids] for g in gids}
+        for t2i in (inverse, {g: found or qids[:1] for g, found in inverse.items()}):
+            rel_t2i = Relevance.from_mapping(t2i)
+            want = outcome(lambda: {"i2t": list_report(scores, qids, gids, rel),
+                                    "t2i": list_report(scores.T, gids, qids, rel_t2i)})
+            got = outcome(lambda: evaluate_cross_modal(img, txt, qids, gids, rel, rel_t2i))
+            if isinstance(got, dict):
+                del got["rsum"]
+                assert {type(v) for report in got.values() for v in report.values()} == {float}
+            assert repr(got) == repr(want)
+
+    check()
+
+
+@pytest.mark.parametrize("block_rows", [3, 128])
+@pytest.mark.parametrize("exclude_self", [False, True])
+@pytest.mark.parametrize("strategy", [tie_heavy_instances, mixed_tie_instances])
+def test_streamed_reports_equal_list_metrics(strategy, exclude_self, block_rows, monkeypatch,
+                                             tmp_path):
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", block_rows)
+    check_reports_against_lists(strategy(exclude_self), exclude_self, tmp_path / "rel.tsv")
