@@ -133,9 +133,8 @@ def _eval_inputs(args, sides) -> list:
 
 
 def _eval_config(args) -> dict:
-    keys = ("task", "ckpt", "img_emb", "txt_emb", "img_base", "txt_base",
-            "pairs", "relevance", "usa_branch")
-    return {k: getattr(args, k) for k in keys}
+    """The report's config echo: every eval flag, as parsed."""
+    return {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")}
 
 
 def cmd_eval(args) -> int:

@@ -23,7 +23,8 @@ Checkpoint ("CUSC"):
     magic "CUSC" | version u32 = 1 | d_bi u32 | d_bt u32 | d_e u32 |
     d_u u32 | has_uni_temp u8 | parameters | config_len u32 |
     config JSON UTF-8
-    Every dim is >= 1. The parameter block is the bytes of
+    Every dim is >= 1 and has_uni_temp is 0 or 1 (1: a separate
+    uni-modal temperature). The parameter block is the bytes of
     StudentParams.flat (f64), laid out by model.param_segments:
     log_inv_temp | [log_inv_temp_uni] | w_img | w_txt | u_img | u_txt
     (row-major). Every value, the temperatures included, must be finite
@@ -322,7 +323,9 @@ def load_checkpoint(path):
                                                 "<IIIIIB", "checkpoint")
     if 0 in dims:
         raise FormatError(f"header declares d_bi, d_bt, d_e, d_u = {dims}; each must be >= 1")
-    n_scalars = 2 if has_uni else 1
+    if has_uni not in (0, 1):
+        raise FormatError(f"header byte has_uni_temp is {has_uni}; it must be 0 or 1")
+    n_scalars = 1 + has_uni
     # sizes come from the header alone, so a header declaring more
     # parameters than the file holds fails here before any allocation
     for name, start, stop, _ in param_segments(dims, n_scalars):
@@ -336,6 +339,6 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"config echo is not valid JSON: {e}") from None
     _no_trailing_bytes(buf, offset, "config")
-    params = StudentParams.from_flat(flat, dims, n_scalars)
+    params = StudentParams(flat, dims, n_scalars)
     _check_finite(params)
     return params, config

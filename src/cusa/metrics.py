@@ -105,8 +105,6 @@ def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self)
             raise ShapeMismatch("self-exclusion needs a square score matrix")
         if ng < 2:
             raise EmptyGallery("gallery is empty after self-exclusion")
-    elif ng < 1:
-        raise EmptyGallery("gallery is empty")
 
     # table position -> gallery column; ids outside the gallery go to the
     # extra column ng, which no ranking reads

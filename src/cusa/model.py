@@ -70,9 +70,9 @@ class _Segment:
 
 
 class StudentParams:
-    """Trainable parameters in one float64 vector `flat`, laid out by
-    param_segments. log_inv_temp_uni is None when the uni-modal
-    softmaxes share the main temperature."""
+    """Trainable parameters viewing one float64 vector `flat` (no copy),
+    laid out by param_segments(dims, n_scalars). log_inv_temp_uni is None
+    when the uni-modal softmaxes share the main temperature."""
 
     w_img = _Segment()  # (d_bi, d_e)
     w_txt = _Segment()  # (d_bt, d_e)
@@ -81,23 +81,7 @@ class StudentParams:
     log_inv_temp = _Segment()
     log_inv_temp_uni = _Segment()
 
-    def __init__(self, w_img, w_txt, u_img, u_txt, log_inv_temp, log_inv_temp_uni=None):
-        dims = (np.shape(w_img)[0], np.shape(w_txt)[0], np.shape(w_img)[-1], np.shape(u_img)[-1])
-        n_scalars = 1 if log_inv_temp_uni is None else 2
-        self._bind(np.empty(param_segments(dims, n_scalars)[-1][2]), dims, n_scalars)
-        self.w_img, self.w_txt, self.u_img, self.u_txt = w_img, w_txt, u_img, u_txt
-        self.log_inv_temp = log_inv_temp
-        if log_inv_temp_uni is not None:
-            self.log_inv_temp_uni = log_inv_temp_uni
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, dims, n_scalars: int) -> "StudentParams":
-        """Parameters viewing `flat` itself (no copy), laid out by param_segments."""
-        params = cls.__new__(cls)
-        params._bind(flat, dims, n_scalars)
-        return params
-
-    def _bind(self, flat, dims, n_scalars):
+    def __init__(self, flat: np.ndarray, dims, n_scalars: int):
         self.dims = tuple(dims)
         self.n_scalars = n_scalars
         self.segments = _shared_segments(self.dims, n_scalars)
@@ -161,17 +145,18 @@ def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int,
         bound = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    log_it = float(np.log(1.0 / INIT_TAU))
+    dims, n_scalars = (d_bi, d_bt, d_e, d_u), 2 if separate_uni_temp else 1
     with too_large_to_allocate(InvalidDimension, f"d_e={d_e} and d_u={d_u} (base dims "
                                f"{d_bi}, {d_bt}) give parameters"):
-        return StudentParams(
-            w_img=draw(d_bi, (d_bi, d_e)),
-            w_txt=draw(d_bt, (d_bt, d_e)),
-            u_img=draw(d_e, (d_e, d_u)),
-            u_txt=draw(d_e, (d_e, d_u)),
-            log_inv_temp=log_it,
-            log_inv_temp_uni=log_it if separate_uni_temp else None,
-        )
+        params = StudentParams(np.empty(param_segments(dims, n_scalars)[-1][2]), dims, n_scalars)
+        params.w_img = draw(d_bi, (d_bi, d_e))
+        params.w_txt = draw(d_bt, (d_bt, d_e))
+        params.u_img = draw(d_e, (d_e, d_u))
+        params.u_txt = draw(d_e, (d_e, d_u))
+    params.log_inv_temp = float(np.log(1.0 / INIT_TAU))
+    if separate_uni_temp:
+        params.log_inv_temp_uni = params.log_inv_temp
+    return params
 
 
 def _project_normalize(base: np.ndarray, w: np.ndarray, name: str):
@@ -263,7 +248,7 @@ def backward(outputs: StudentOutputs, params: StudentParams,
         raise ShapeMismatch(f"upstream d_s_i2t shape {g_it.shape} != batch {n}")
 
     # the gradient matrices are written straight into views of one vector
-    grads = StudentParams.from_flat(np.empty_like(params.flat), params.dims, params.n_scalars)
+    grads = StudentParams(np.empty_like(params.flat), params.dims, params.n_scalars)
     _modality_backward(upstream.d_s_i2i, g_it, outputs.txt_emb, outputs.img_emb,
                        outputs.img_usa, tape.base_img, tape.img_norms, tape.img_usa_norms,
                        params.u_img, grads.u_img, grads.w_img)

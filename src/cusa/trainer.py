@@ -149,7 +149,7 @@ def adam_step(params: StudentParams, grads: StudentParams, state: AdamState,
     if config.weight_decay != 0.0:
         p[params.n_scalars:] -= lr * config.weight_decay * p[params.n_scalars:]
     p -= update
-    return StudentParams.from_flat(p, params.dims, params.n_scalars), AdamState(step=t, m=m, v=v)
+    return StudentParams(p, params.dims, params.n_scalars), AdamState(step=t, m=m, v=v)
 
 
 def train_step(params: StudentParams, state: AdamState, base_img: np.ndarray,

@@ -189,6 +189,14 @@ class TestTrainCommand:
         assert not (tmp_path / "model.ckpt").exists()
         assert not (tmp_path / "train.log").exists()
 
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--epochs", "epochs", "0"), ("--weight-decay", "weight_decay", "-0.5"),
+    ])
+    def test_out_of_range_flag_rejected(self, corpus, tmp_path, capsys, flag, field, value):
+        code, report, err = run(capsys, train_flags(corpus, tmp_path, [flag, value]))
+        assert code == 2 and report is None
+        assert field in next(line for line in err.splitlines() if line.startswith("error:"))
+
     @pytest.mark.parametrize("flag, field", [("--d-e", "d_e"), ("--d-u", "d_u")])
     def test_unallocatable_dimension_rejected(self, corpus, tmp_path, capsys, flag, field):
         # 10^12 columns need terabytes, so the allocation fails at once
@@ -310,6 +318,16 @@ class TestEvalCross:
             corpus, trained, ["--img-emb", str(corpus / "img_base.feat"),
                               "--pairs", str(corpus / "pairs.tsv")]))
         assert code == 2
+
+    @pytest.mark.parametrize("with_ckpt, flag", [(True, "--txt-base"), (False, "--txt-emb")])
+    def test_missing_text_input_is_named(self, corpus, trained, capsys, with_ckpt, flag):
+        inputs = (["--ckpt", str(trained / "model.ckpt"),
+                   "--img-base", str(corpus / "img_base.feat")] if with_ckpt
+                  else ["--img-emb", str(corpus / "img_base.feat")])
+        code, report, err = run(capsys, ["eval", "--task", "cross", *inputs,
+                                         "--pairs", str(corpus / "pairs.tsv")])
+        assert code == 2 and report is None
+        assert flag in next(line for line in err.splitlines() if line.startswith("error:"))
 
     def test_usa_branch_needs_ckpt(self, corpus, capsys):
         emb = str(corpus / "img_base.feat")
@@ -494,6 +512,8 @@ class TestGradcheckCommand:
         assert code == 2
         code, _, _ = run(capsys, ["gradcheck", "--dims", "a,b,c,d"])
         assert code == 2
+        code, _, err = run(capsys, ["gradcheck", "--dims", "6,6,0,3"])
+        assert code == 2 and "--dims entries must be >= 1" in err
 
     def test_unallocatable_dims_rejected(self, capsys):
         # 10^12 base columns need terabytes, so the allocation fails at once

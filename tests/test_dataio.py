@@ -155,6 +155,11 @@ class TestFeatureWriteValidation:
         with pytest.raises(InvalidConfig):
             write_features(tmp_path / "f", ["a", ""], np.eye(2))
 
+    def test_id_too_long(self, tmp_path):
+        with pytest.raises(InvalidConfig, match=r"id too long \(65536 bytes\)"):
+            write_features(tmp_path / "f", ["a" * 65536], np.eye(1))
+        assert not (tmp_path / "f").exists()
+
     def test_non_finite_values(self, tmp_path):
         with pytest.raises(NonFiniteValue):
             write_features(tmp_path / "f", ["a"], [[1.0, np.inf]])
@@ -450,6 +455,29 @@ class TestCheckpointReadErrors:
         path.write_bytes(buf[:4] + struct.pack("<I", 9) + buf[8:])
         with pytest.raises(VersionUnsupported):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("byte", [2, 255])
+    def test_layout_byte_other_than_0_or_1(self, tmp_path, capsys, byte):
+        path = self.make(tmp_path, separate_uni=True)
+        buf = bytearray(path.read_bytes())
+        buf[CHECKPOINT_HEADER - 1] = byte  # has_uni_temp, the header's last byte
+        path.write_bytes(bytes(buf))
+        with pytest.raises(FormatError, match=f"has_uni_temp is {byte}; it must be 0 or 1"):
+            load_checkpoint(path)
+        # eval reads the checkpoint before any other input
+        code = main(["eval", "--task", "img", "--ckpt", str(path),
+                     "--img-base", str(path), "--relevance", str(path)])
+        assert code == 3
+        assert "has_uni_temp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("byte", [0, 1])
+    def test_layout_byte_round_trips(self, tmp_path, byte):
+        path = self.make(tmp_path, separate_uni=bool(byte))
+        assert path.read_bytes()[CHECKPOINT_HEADER - 1] == byte
+        params, config = load_checkpoint(path)
+        assert params.n_scalars == 1 + byte
+        save_checkpoint(tmp_path / "again.bin", params, config)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_truncated_header(self, tmp_path):
         path = self.make(tmp_path)

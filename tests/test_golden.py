@@ -48,7 +48,11 @@ the (exception class, offset, message) that `read_features` and
 single-byte flip of a small feature file with a non-ASCII id and of a
 checkpoint with two temperatures. Both were produced at commit f13f42e,
 before the binary framing checks, the relevance writer and the
-relevance reader's empty-id check each got one code path.
+relevance reader's empty-id check each got one code path. The reader
+digest was re-pinned once since, when `load_checkpoint` began to reject
+a `has_uni_temp` byte other than 0 or 1: exactly one of the 430
+outcomes moved, index 286 (that byte flipped from 0x01 to 0xFE), from
+loading as a two-temperature checkpoint to a FormatError.
 
 The bytes depend on the floating-point stack (numpy build and BLAS
 kernels). On another stack, regenerate the digests from a commit whose
@@ -99,7 +103,7 @@ SYNTH_SHA256 = {
     "pairs.tsv": "7ecdd3d8ef7bbee91d1ac0fdfdb595df99a8a267b503eeceac3c5c7662ba6660",
     "relevance.tsv": "52019b78855972fc6ea7308f083e6970f449d940547fd2070b2a54f262a4240c",
 }
-READER_ERRORS_SHA256 = "0617e2019fc04396e0a698dbebfa6862763bf213efc4b49fa04f798027f89656"
+READER_ERRORS_SHA256 = "dc398092ebb6fe86272413489cce8116b876798038726992fa18579777269cbf"
 
 
 def _cli(argv):

@@ -287,3 +287,14 @@ class TestLogSumExpKl:
             for key, value in report.per_direction.items():
                 assert np.isfinite(value)
                 assert abs(value - want[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: l2_normalize_rows(np.ones(3)), ShapeMismatch, "must be 2-D"),
+    (lambda: l2_normalize_rows(np.empty((0, 3))), ShapeMismatch, "must be non-empty"),
+    (lambda: kl_divergence_rows([[1.5, -0.5]], [[0.5, 0.5]]), InvalidDistribution,
+     "p has negative entries"),
+], ids=["matrix-1d", "matrix-empty", "row-stochastic-negative-p"])
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

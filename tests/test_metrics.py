@@ -154,6 +154,25 @@ class TestRankBySimilarity:
             rank_by_similarity([[1.0]], ["a"], ["a"], Relevance.from_mapping({"a": {"a"}}),
                                exclude_self=True)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: rank_by_similarity([[1.0, 0.0]], ["a"], ["a", "b"],
+                                    Relevance.from_mapping({"a": {"b"}}), exclude_self=True),
+         ShapeMismatch, "square"),
+        # an empty gallery stops at the matrix check of either ranking feeder
+        (lambda: rank_by_similarity(np.empty((1, 0)), ["a"], [],
+                                    Relevance.from_mapping({"a": {"b"}})),
+         ShapeMismatch, "non-empty"),
+        (lambda: evaluate_cross_modal(np.eye(2), np.empty((0, 2)), ["a", "b"], [],
+                                      Relevance.from_mapping({"a": {"b"}}),
+                                      Relevance.from_mapping({"b": {"a"}})),
+         ShapeMismatch, "non-empty"),
+        (lambda: spearman([1.0], [2.0]), DegenerateInput, "at least 2"),
+    ], ids=["self-exclusion-not-square", "empty-gallery", "empty-text-gallery",
+            "spearman-one-observation"])
+    def test_bad_input_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_id_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             rank_by_similarity([[1.0, 0.0]], ["a"], ["x"], Relevance.from_mapping({"a": {"x"}}))
@@ -183,6 +202,9 @@ class TestRecallAtK:
         ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel))
         values = [recall_at_k(ranks, k) for k in range(1, len(gids) + 1)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_query_without_relevant_items_is_a_miss(self):
+        assert recall_at_k([np.array([], dtype=np.int64), np.array([0])], 1) == 0.5
 
     def test_bad_k(self):
         with pytest.raises(OutOfRange):
@@ -389,6 +411,12 @@ class TestEvaluateUniModal:
         # a's nearest is b (irrelevant), b's nearest is a (relevant),
         # c's nearest is b (irrelevant)
         assert got["r_at_1"] == pytest.approx(100.0 / 3.0)
+
+
+    def test_query_relevant_only_to_itself_is_a_miss(self):
+        emb = np.array([[1.0, 0.0], [1.0, 0.0]])
+        rel = Relevance.from_mapping({"a": {"a"}, "b": {"a"}})
+        assert evaluate_uni_modal(emb, ["a", "b"], rel)["r_at_1"] == 50.0
 
 
 class TestBlockBoundaries:

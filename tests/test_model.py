@@ -50,6 +50,26 @@ class TestInitParams:
             init_params(0, 6, 0, 4, 3)
 
 
+class TestStudentParams:
+    def test_binds_the_vector_without_a_copy(self):
+        flat = np.arange(1.0, 25.0)
+        p = StudentParams(flat, (2, 3, 2, 3), 2)
+        assert p.log_inv_temp == 1.0 and p.log_inv_temp_uni == 2.0
+        np.testing.assert_array_equal(p.w_img, [[3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(p.u_txt, flat[-6:].reshape(2, 3))
+        p.w_txt = np.zeros((3, 2))
+        assert not flat[6:12].any()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: setattr(p, "w_img", np.zeros((4, 3))), r"w_img: shape \(4, 3\)"),
+        (lambda p: setattr(p, "log_inv_temp_uni", 1.0), "log_inv_temp_uni: shape"),
+        (lambda p: StudentParams(p.flat[1:], p.dims, p.n_scalars), "do not fit dims"),
+    ], ids=["wrong-shaped-matrix", "uni-temperature-on-shared-layout", "flat-too-short"])
+    def test_layout_mismatch_raises(self, call, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            call(init_params(0, 4, 4, 4, 2))
+
+
 class TestForward:
     def test_identity_projection_passes_rows_through(self):
         rng = np.random.default_rng(1)
@@ -241,3 +261,12 @@ def test_forward_deterministic():
     b = forward(base_img, base_txt, p)
     np.testing.assert_array_equal(a.img_emb, b.img_emb)
     np.testing.assert_array_equal(a.txt_usa, b.txt_usa)
+
+
+def test_backward_rejects_upstream_of_another_batch_size():
+    rng = np.random.default_rng(4)
+    p = init_params(0, 6, 6, 4, 3)
+    out = forward(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), p)
+    upstream = LossGradients(np.zeros((4, 4)), np.zeros((3, 3)), np.zeros((3, 3)), 0.0)
+    with pytest.raises(ShapeMismatch, match=r"d_s_i2t shape \(4, 4\) != batch 3"):
+        backward(out, p, upstream)

@@ -34,11 +34,9 @@ ADAM_FIRST_STEP = 0.0009999999900000001
 
 
 def tiny_params(value=0.0):
-    one = np.full((1, 1), value)
-    return trainer.StudentParams(
-        w_img=one.copy(), w_txt=one.copy(), u_img=one.copy(), u_txt=one.copy(),
-        log_inv_temp=0.0,
-    )
+    params = trainer.StudentParams(np.full(5, value), (1, 1, 1, 1), 1)
+    params.log_inv_temp = 0.0
+    return params
 
 
 def make_dataset(rng, n_pairs, d_b=10, d_t=12):
@@ -73,6 +71,14 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfig, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("beta1", 1.0), ("beta2", -0.1), ("epsilon", 0.0),
+        ("weight_decay", -0.5),
+    ])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            TrainConfig(**{field: value})
+
     def test_round_trips_through_dict(self):
         cfg = TrainConfig(alpha=0.25, epochs=3)
         assert TrainConfig(**cfg.to_dict()) == cfg
@@ -101,6 +107,10 @@ class TestMakeBatches:
     def test_batch_too_large(self):
         with pytest.raises(BatchTooLarge):
             make_batches(4, 5, seed=0, epoch=0)
+
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(InvalidConfig, match="batch_size must be >= 1"):
+            make_batches(4, 0, seed=0, epoch=0)
 
 
 class TestAdamStep:
