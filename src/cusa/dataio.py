@@ -14,7 +14,13 @@ lines are kept; multiplicity matters for batching.
 
 Relevance file: one "query_id<TAB>id1,id2,..." per line, non-empty
 relevant sets, one line per query. Read into an int32 CSR
-(metrics.Relevance) that holds each id string once.
+(metrics.Relevance) that holds each id string once. The parse uses up
+to one process per usable CPU, in parts of at least PART_BYTES (1 MiB)
+that end on line boundaries: the calling process parses the first, a
+forked child each other, and the parent merges them in order. Outputs
+and errors (class, message, line number) do not depend on the part
+count, and no child outlives the call. Where os.fork or
+os.sched_getaffinity is missing, the file is parsed in one process.
 
 Scored pairs file: "id_a<TAB>id_b<TAB>score" per line (the similarity-
 with-gold-score evaluation input).
@@ -33,7 +39,13 @@ Checkpoint ("CUSC"):
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import json
+import mmap
+import os
+import signal
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -61,6 +73,11 @@ FEATURE_MAGIC = b"CUSF"
 CHECKPOINT_MAGIC = b"CUSC"
 FEATURE_VERSION = 1
 CHECKPOINT_VERSION = 1
+PART_BYTES = 1 << 20  # the fewest bytes of a relevance file parsed in a process
+_CHUNK_INTS = PART_BYTES // 4  # int32 positions merged at a time
+# a parsed part as a child sends it: status byte 0, then its line count,
+# the length of its new ids' text and its query and index counts
+_PART_HEAD = struct.Struct("<Bqqqq")
 
 
 def _read_header(path, magic: bytes, version: int, fmt: str, kind: str):
@@ -197,13 +214,36 @@ def read_features(path) -> FeatureTable:
 # text formats
 # ---------------------------------------------------------------------------
 
-def _lines(path):
+class _Window(io.RawIOBase):
+    """The next `size` bytes of a raw binary file, as a raw stream."""
+
+    def __init__(self, raw, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(memoryview(buf)[:self._left])
+        self._left -= n
+        return n
+
+
+def _lines(path, start=0, stop=None, first_lineno=1):
     """(line number, line) of a UTF-8 text file, the newline stripped.
 
-    Bytes that are not UTF-8 end as MalformedLine naming their line.
+    Only bytes start..stop are read (stop None: to the end), numbered
+    from first_lineno. Bytes that are not UTF-8 end as MalformedLine
+    naming their line.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb", buffering=0) as raw:
+        if start:
+            raw.seek(start)
+        if stop is not None:
+            raw = _Window(raw, stop - start)
+        text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                                errors="surrogateescape")
+        for lineno, line in enumerate(text, start=first_lineno):
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -215,19 +255,20 @@ def _lines(path):
             yield lineno, line.rstrip("\n")
 
 
-def _records(path, kind: str, form: str):
+def _records(path, kind: str, form: str, start=0, stop=None, first_lineno=1):
     """(line number, fields) of each line of a tab-separated text file
     laid out as `form`, e.g. 'image_id<TAB>text_id': as many fields as
-    `form` names, the first two non-empty. A file without lines is
-    MalformedLine too, named by `kind`."""
+    `form` names, the first two non-empty. start, stop and first_lineno
+    are _lines'. A file without lines is MalformedLine too, named by
+    `kind`."""
     n_fields = form.count("<TAB>") + 1
-    lineno = 0
-    for lineno, line in _lines(path):
+    lineno = first_lineno - 1
+    for lineno, line in _lines(path, start, stop, first_lineno):
         fields = line.split("\t")
         if len(fields) != n_fields or not fields[0] or not fields[1]:
             raise MalformedLine(lineno, f"line {lineno}: expected {form!r}, got {line!r}")
         yield lineno, fields
-    if lineno == 0:
+    if lineno < first_lineno:
         raise MalformedLine(0, f"{kind} file is empty")
 
 
@@ -252,12 +293,51 @@ def read_relevance(path, known_ids=None) -> Relevance:
 
     With known_ids the table is known_ids, each id once in its first
     position, and any other query or relevant id raises UnknownId.
-    Without, the table holds every id the file names.
+    Without, the table holds every id the file names, in first-seen
+    order. The file is parsed in parts at once (see _part_cuts); the
+    result and any error are those of one pass over the whole file.
     """
     index = _interning_index() if known_ids is None else id_table(known_ids)
-    seen = set()
+    cuts = _part_cuts(path)
+    table = list(index)  # the id table each child starts from
+    children = []
+    try:
+        later_parts = list(zip(cuts[1:-1], cuts[2:]))
+        for start, stop in later_parts:
+            children.append(_fork_part(path, index, start, stop))
+        seen = set()
+        queries, indptr, indices, lineno = _relevance_part(path, index, seen, 0, cuts[1], 1)
+        for (start, stop), (_, fh) in zip(later_parts, children):
+            n_lines = _merge_child(fh, table, index, seen, queries, indptr, indices)
+            if n_lines is None:
+                # the child failed or names an earlier part's query: parse
+                # its part here, which raises what one pass would raise
+                part_queries, part_indptr, part_indices, last = _relevance_part(
+                    path, index, seen, start, stop, lineno + 1)
+                base = len(indices)
+                queries.extend(part_queries)
+                indptr.extend(base + p for p in part_indptr[1:])
+                indices.extend(part_indices)
+                n_lines = last - lineno
+            lineno += n_lines
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return Relevance(index, queries, indptr, indices)
+
+
+def _relevance_part(path, index, seen, start, stop, first_lineno):
+    """Parse bytes start..stop of a relevance file, its first line being
+    line first_lineno: (queries, indptr, indices, last line number), the
+    positions looked up in `index` and each query added to `seen`."""
     queries, indptr, indices = array("i"), array("i", [0]), array("i")
-    for lineno, (query, id_blob) in _records(path, "relevance", "query_id<TAB>id,id,..."):
+    lineno = first_lineno - 1
+    for lineno, (query, id_blob) in _records(path, "relevance", "query_id<TAB>id,id,...",
+                                             start, stop, first_lineno):
         if query in seen:
             raise DuplicateId(f"line {lineno}: repeated query id {query!r}")
         seen.add(query)
@@ -272,7 +352,106 @@ def read_relevance(path, known_ids=None) -> Relevance:
         except KeyError as e:
             raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
         indptr.append(len(indices))
-    return Relevance(index, queries, indptr, indices)
+    return queries, indptr, indices, lineno
+
+
+def _part_cuts(path) -> list:
+    """[0, c1, ..., None]: where each part of a text file starts, then
+    None for its end. There is one part per usable CPU, each of at least
+    PART_BYTES, and one where os.fork or os.sched_getaffinity is
+    missing. Each cut sits just after a b"\\n", so a CRLF pair never
+    straddles one and every part holds whole lines."""
+    size = os.stat(path).st_size
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = max(1, min(len(os.sched_getaffinity(0)), size // PART_BYTES))
+    cuts = [0]
+    if k > 1:
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            for j in range(1, k):
+                cut = mm.find(b"\n", max(cuts[-1], size * j // k - 1)) + 1
+                if 0 < cut < size:
+                    cuts.append(cut)
+    return cuts + [None]
+
+
+def _fork_part(path, index, start, stop):
+    """(pid, read end of a pipe) of a child that parses bytes start..stop
+    of a relevance file and sends the part through the pipe. When no
+    child can be started, pid is None and the pipe is at its end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid != 0:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    try:  # the child, which always ends in os._exit
+        os.close(r)
+        with os.fdopen(w, "wb") as out:
+            n_known = len(index)
+            try:
+                queries, indptr, indices, n_lines = _relevance_part(path, index, set(),
+                                                                    start, stop, 1)
+            except BaseException:  # noqa: BLE001 - the parent parses the part again
+                out.write(b"\x01")
+            else:
+                new_ids = "".join(f"{i}\n" for i in itertools.islice(index, n_known, None))
+                new_ids = new_ids.encode("utf-8")
+                out.write(_PART_HEAD.pack(0, n_lines, len(new_ids), len(queries), len(indices)))
+                for block in (new_ids, queries, indptr, indices):
+                    out.write(block)
+    finally:
+        os._exit(0)
+
+
+def _read_exact(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) < size:
+        raise EOFError(f"{len(data)} of {size} bytes")
+    return data
+
+
+def _merge_child(fh, table, index, seen, queries, indptr, indices):
+    """Append the part a child sent through fh to the CSR queries, indptr
+    and indices, its positions moved to `index`'s, and return its line
+    count. `table` is the id table the child started from. Return None,
+    with nothing changed, when the child failed, ended early or names a
+    query that an earlier part (`seen`) holds."""
+    try:
+        status, n_lines, n_text, n_queries, n_indices = _PART_HEAD.unpack(
+            _read_exact(fh, _PART_HEAD.size))
+        new_ids = _read_exact(fh, n_text).decode("utf-8").split("\n")[:-1]
+        part_queries = _read_exact(fh, 4 * n_queries)
+        part_indptr = array("i", _read_exact(fh, 4 * n_queries + 4))
+    except (struct.error, EOFError):
+        return None
+    ids = table + new_ids  # the child's id table
+    query_ids = [ids[q] for q in array("i", part_queries)]
+    if status or not seen.isdisjoint(query_ids):
+        return None
+    remap = None
+    if new_ids:  # the positions `index` gives them below, in first-seen order
+        fresh = itertools.count(len(index))
+        remap = np.array([index[i] if i in index else next(fresh) for i in ids], dtype=np.int32)
+
+    def moved(positions: bytes) -> bytes:
+        return positions if remap is None else remap[np.frombuffer(positions, np.int32)].tobytes()
+
+    base = len(indices)
+    try:
+        for left in range(n_indices, 0, -_CHUNK_INTS):
+            indices.frombytes(moved(_read_exact(fh, 4 * min(left, _CHUNK_INTS))))
+    except EOFError:
+        del indices[base:]
+        return None
+    for item_id in new_ids:
+        index.setdefault(item_id, len(index))
+    queries.frombytes(moved(part_queries))
+    indptr.extend(base + p for p in part_indptr[1:])
+    seen.update(query_ids)
+    return n_lines
 
 
 def read_scored_pairs(path, ids=None) -> list:

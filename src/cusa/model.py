@@ -123,7 +123,10 @@ def clamped_inv_temp(log_inv_temp: float) -> float:
 
 
 def _clamp_gate(log_inv_temp: float) -> float:
-    # zero gradient once the clamp is active (boundary included)
+    # zero gradient once the clamp is active (boundary included). The
+    # lower boundary is reachable: exp(0.0) is exactly INV_TEMP_MIN. The
+    # upper one is not: no float64 x has exp(x) == INV_TEMP_MAX (the two
+    # around log(100.0) give 99.99999999999996 and 100.00000000000004).
     it = math.exp(log_inv_temp)
     return 1.0 if INV_TEMP_MIN < it < INV_TEMP_MAX else 0.0
 

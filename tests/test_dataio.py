@@ -5,15 +5,17 @@ documented in dataio.py; if the layout changes these must change too.
 """
 
 import json
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from cusa import dataio
 from cusa.cli import main
 from cusa.dataio import (
     FeatureTable,
@@ -336,6 +338,179 @@ class TestReadRelevance:
         path = write_text(tmp_path, "r.tsv", "q\n")
         with pytest.raises(MalformedLine):
             read_relevance(path)
+
+
+RELEVANCE_IDS = ["a", "b", "\u00e9", "q"]
+
+
+def relevance_outcome(path, known_ids=None):
+    """(class, line number, message) of read_relevance's error, or the CSR
+    and the id table order it reads."""
+    try:
+        rel = read_relevance(path, known_ids=known_ids)
+    except Exception as e:  # noqa: BLE001 - the class is what is compared
+        return type(e).__name__, getattr(e, "lineno", None), str(e)
+    return list(rel.index), rel.queries.tolist(), rel.indptr.tolist(), rel.indices.tolist()
+
+
+@st.composite
+def relevance_files(draw):
+    """A small relevance file: ids of RELEVANCE_IDS, an unknown id 'z' and
+    empty ids, repeated queries, LF, CRLF and lone CR line ends, maybe no
+    last line end and maybe a byte that is not UTF-8."""
+    token = st.sampled_from(RELEVANCE_IDS * 3 + ["z", ""])
+    lines = draw(st.lists(st.tuples(token, st.lists(token, min_size=1, max_size=4),
+                                    st.sampled_from(["\n", "\r\n", "\r"])),
+                          min_size=1, max_size=8))
+    raw = bytearray("".join(f"{q}\t{','.join(rel)}{end}" for q, rel, end in lines),
+                    "utf-8")
+    if draw(st.booleans()):
+        del raw[-1]
+    if draw(st.booleans()):
+        raw.insert(draw(st.integers(0, len(raw))), 0xFF)
+    return bytes(raw)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=relevance_files())
+@example(raw=b"a\tb\nb\ta\nq\ta\na\tq\n")  # a query repeated in a later part
+@example(raw=b"a\tb\nb\ta\nq\tz\n")  # an unknown id in a later part
+@example(raw=b"a\tb\nb\ta\nq\ta,,b\n")  # an empty id in a later part
+@example(raw=b"a\tb\nb\ta\nq\t\xc3\n")  # bad UTF-8 in a later part
+@example(raw=b"a\tb\rb\ta\r\nq\t\xc3\xa9\r\n\xc3\xa9\tq\n")  # CR and CRLF ends
+@example(raw=b"a\tb,q\n")  # one line
+@example(raw=b"a\tb\rb\ta\rq\ta")  # no b"\n" at all
+def test_any_part_count_parses_like_one_part(tmp_path, relevance_parts, raw):
+    path = tmp_path / "relevance.tsv"
+    path.write_bytes(raw)
+    for known_ids in (RELEVANCE_IDS, None):
+        with relevance_parts(1):
+            whole = relevance_outcome(path, known_ids)
+        for parts in (2, 3, 4):
+            with relevance_parts(parts):
+                assert relevance_outcome(path, known_ids) == whole, (parts, known_ids)
+
+
+def write_relevance_of_size(path, size):
+    """A valid relevance file of exactly `size` bytes (at least 1024), in
+    lines of 1 KiB, each query with one relevant id."""
+    lines = [f"q{i:07d}\t" + "r" * 1014 + "\n" for i in range(size // 1024)]
+    lines[-1] = lines[-1][:-1] + "r" * (size % 1024) + "\n"
+    path.write_text("".join(lines), encoding="ascii")
+    assert path.stat().st_size == size
+    return path
+
+
+class TestRelevanceParts:
+    """How read_relevance splits a file and runs its parts."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of os.fork calls, counted in this process."""
+        calls, real_fork = [], os.fork
+
+        def fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def test_cuts_sit_after_line_feeds(self, tmp_path, relevance_parts):
+        path = write_text(tmp_path, "r.tsv", "a\tb\r\nb\ta\r\nq\ta\n")
+        with relevance_parts(3):
+            assert dataio._part_cuts(path) == [0, 5, 10, None]
+        path.write_bytes(b"a\tb\nq\ta\n")  # the middle byte starts a line
+        with relevance_parts(2):
+            assert dataio._part_cuts(path) == [0, 4, None]
+        path.write_bytes(b"a\tb\rb\ta\rq\ta\r")
+        with relevance_parts(3):
+            assert dataio._part_cuts(path) == [0, None]
+
+    @pytest.mark.parametrize("cpus, size", [(1, 2 * dataio.PART_BYTES + 5),
+                                            (4, dataio.PART_BYTES - 1)])
+    def test_one_cpu_or_a_file_under_a_part_forks_nothing(self, tmp_path, monkeypatch, forks,
+                                                         cpus, size):
+        path = write_relevance_of_size(tmp_path / "r.tsv", size)
+        self.cpus(monkeypatch, cpus)
+        rel = read_relevance(path)
+        assert forks == [] and len(rel.queries) == size // 1024
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_a_platform_without_fork_or_affinity_parses_in_one_process(
+            self, tmp_path, monkeypatch, missing):
+        path = write_relevance_of_size(tmp_path / "r.tsv", 2 * dataio.PART_BYTES)
+        whole = relevance_outcome(path)
+        monkeypatch.delattr(os, missing)
+        assert dataio._part_cuts(path) == [0, None]
+        assert relevance_outcome(path) == whole
+
+    def test_two_cpus_and_two_parts_fork_one_child(self, tmp_path, monkeypatch, forks):
+        path = write_relevance_of_size(tmp_path / "r.tsv", 2 * dataio.PART_BYTES)
+        self.cpus(monkeypatch, 1)
+        whole = relevance_outcome(path)
+        self.cpus(monkeypatch, 2)
+        assert dataio._part_cuts(path) == [0, dataio.PART_BYTES, None]
+        assert relevance_outcome(path) == whole
+        assert forks == [1]
+
+    @pytest.mark.parametrize("bad_line", [1, 2000], ids=["part-0", "part-1"])
+    def test_a_fault_in_any_part_leaves_no_child(self, tmp_path, monkeypatch, bad_line):
+        path = write_relevance_of_size(tmp_path / "r.tsv", 2 * dataio.PART_BYTES)
+        lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+        lines[bad_line - 1] = lines[bad_line - 1].replace("\t", " ")
+        path.write_text("".join(lines), encoding="ascii")
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(MalformedLine) as excinfo:
+            read_relevance(path)
+        assert excinfo.value.lineno == bad_line
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_cannot_start_or_dies_leaves_its_part_to_the_parent(
+            self, tmp_path, monkeypatch, relevance_parts):
+        path = write_text(tmp_path, "r.tsv", "a\tb\nb\ta,\u00e9\nq\ta\n\u00e9\tb,q\n")
+        whole = [relevance_outcome(path, known) for known in (RELEVANCE_IDS, None)]
+        real_fork = os.fork
+
+        def dying_fork():
+            pid = real_fork()
+            if pid == 0:
+                os._exit(0)
+            return pid
+
+        def failing_fork():
+            raise OSError("no process to spare")
+
+        for fork in (dying_fork, failing_fork):
+            with relevance_parts(3):
+                monkeypatch.setattr(os, "fork", fork)
+                assert [relevance_outcome(path, known)
+                        for known in (RELEVANCE_IDS, None)] == whole
+
+    def test_a_child_stream_that_ends_early_is_parsed_again(self, tmp_path, monkeypatch,
+                                                           relevance_parts):
+        # the second part is the last line, its 5 ids sent in chunks of 2
+        path = write_text(tmp_path, "r.tsv", "a\tb,q,a,b,q,a\nq\ta\nb\ta,\u00e9,q,b,a\n")
+        whole = relevance_outcome(path)
+        real_read, reads = dataio._read_exact, []
+
+        def read_exact(fh, size):
+            reads.append(size)  # head, new ids, queries, indptr, chunks
+            if len(reads) == 6:
+                raise EOFError("cut off")
+            return real_read(fh, size)
+
+        with relevance_parts(2):
+            monkeypatch.setattr(dataio, "_CHUNK_INTS", 2)
+            monkeypatch.setattr(dataio, "_read_exact", read_exact)
+            assert relevance_outcome(path) == whole
+        assert reads[4:] == [8, 8]
 
 
 class TestReadScoredPairs:

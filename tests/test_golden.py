@@ -54,6 +54,15 @@ a `has_uni_temp` byte other than 0 or 1: exactly one of the 430
 outcomes moved, index 286 (that byte flipped from 0x01 to 0xFE), from
 loading as a two-temperature checkpoint to a FormatError.
 
+The relevance-reader digest pins what `read_relevance` gives for every
+prefix, one appended byte and every single-byte flip of a small
+relevance file (a non-ASCII id, a CRLF line end, an unknown id and a
+repeated query), read with an id table and with interning: the
+(exception class, line number, message) of its error, or the CSR and
+the order of its id table. It was produced at commit 6b33e30, while the
+reader still parsed every file in one process, and it must hold with
+the file split into 1, 2 and 3 parts.
+
 The bytes depend on the floating-point stack (numpy build and BLAS
 kernels). On another stack, regenerate the digests from a commit whose
 outputs are trusted rather than from the change under test.
@@ -67,7 +76,13 @@ import numpy as np
 import pytest
 
 from cusa import cli
-from cusa.dataio import load_checkpoint, read_features, save_checkpoint, write_features
+from cusa.dataio import (
+    load_checkpoint,
+    read_features,
+    read_relevance,
+    save_checkpoint,
+    write_features,
+)
 from cusa.model import init_params
 
 CKPT_SHA256 = "a9bd6283de03929c06156639ecddf6f86f89efb3923c816ecd29c8e06c47afe7"
@@ -104,6 +119,11 @@ SYNTH_SHA256 = {
     "relevance.tsv": "52019b78855972fc6ea7308f083e6970f449d940547fd2070b2a54f262a4240c",
 }
 READER_ERRORS_SHA256 = "dc398092ebb6fe86272413489cce8116b876798038726992fa18579777269cbf"
+# a non-ASCII id, one CRLF line end, an id outside RELEVANCE_IDS and a
+# repeated query; read with RELEVANCE_IDS as the id table and without
+RELEVANCE_TEXT = "q\ta,\u00e9\r\n\u00e9\tq\nb\tb,a\na\t\u00e9,z\nb\tq\n"
+RELEVANCE_IDS = ["q", "a", "b", "\u00e9"]
+RELEVANCE_OUTCOMES_SHA256 = "95d63fafdb194c6303e4624923a988239f55ba93128dcf95ccfc4c74060d8f7b"
 
 
 def _cli(argv):
@@ -250,3 +270,30 @@ def test_reader_errors_are_byte_identical(tmp_path):
                 outcomes.append(("loaded", None, ""))
     digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
     assert digest == READER_ERRORS_SHA256
+
+
+def _relevance_outcomes(tmp_path):
+    """What read_relevance gives for every variant of RELEVANCE_TEXT, with
+    the id table and interning: (class, line number, message) of its
+    error, or the CSR and the index order."""
+    path = tmp_path / "variant.tsv"
+    outcomes = []
+    for raw in _variants(RELEVANCE_TEXT.encode("utf-8")):
+        path.write_bytes(raw)
+        for known_ids in (RELEVANCE_IDS, None):
+            try:
+                rel = read_relevance(path, known_ids=known_ids)
+            except Exception as e:  # noqa: BLE001 - the class is what is pinned
+                outcomes.append((type(e).__name__, getattr(e, "lineno", None), str(e)))
+            else:
+                outcomes.append((list(rel.index), rel.queries.tolist(), rel.indptr.tolist(),
+                                 rel.indices.tolist()))
+    return outcomes
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_relevance_reader_outcomes_are_byte_identical(tmp_path, relevance_parts, parts):
+    with relevance_parts(parts):
+        outcomes = _relevance_outcomes(tmp_path)
+    digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
+    assert digest == RELEVANCE_OUTCOMES_SHA256

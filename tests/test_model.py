@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from cusa.losses import LossGradients, batch_loss_and_grads
 from cusa.mathops import l2_normalize_rows
 from cusa.model import (
     INV_TEMP_MAX,
+    INV_TEMP_MIN,
     StudentParams,
+    _clamp_gate,
     backward,
     clamped_inv_temp,
     embed_images,
@@ -213,6 +217,29 @@ class TestBackward:
         assert lgrads.d_log_inv_temp != 0.0
         grads = backward(out, params, lgrads)
         assert grads.log_inv_temp == 0.0
+
+    @pytest.mark.parametrize("separate_uni_temp", [False, True])
+    def test_temperature_on_the_lower_clamp_boundary_gets_no_gradient(self, separate_uni_temp):
+        base_img, base_txt, params, targets = self._setup(41, separate_uni_temp=separate_uni_temp)
+        temps = ("log_inv_temp", "log_inv_temp_uni")[:params.n_scalars]
+        for name in temps:
+            setattr(params, name, 0.0)  # exp(0.0) == INV_TEMP_MIN exactly
+        out = forward(base_img, base_txt, params)
+        assert out.inv_temp == INV_TEMP_MIN
+        _, lgrads = batch_loss_and_grads(out, targets, 0.5, 0.5)
+        assert lgrads.d_log_inv_temp != 0.0 and lgrads.d_log_inv_temp_uni != 0.0
+        grads = backward(out, params, lgrads)
+        assert [getattr(grads, name) for name in temps] == [0.0] * len(temps)
+
+    def test_no_float64_temperature_sits_on_the_upper_clamp_boundary(self):
+        below = math.log(INV_TEMP_MAX)
+        while math.exp(below) >= INV_TEMP_MAX:
+            below = math.nextafter(below, -math.inf)
+        while math.exp(math.nextafter(below, math.inf)) < INV_TEMP_MAX:
+            below = math.nextafter(below, math.inf)
+        above = math.nextafter(below, math.inf)
+        assert math.exp(below) < INV_TEMP_MAX < math.exp(above)
+        assert (_clamp_gate(below), _clamp_gate(above)) == (1.0, 0.0)
 
     def test_backward_leaves_outputs_and_tape_untouched(self):
         base_img, base_txt, params, targets = self._setup(42)

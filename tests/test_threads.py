@@ -1,13 +1,16 @@
-"""Outputs do not depend on the BLAS thread count.
+"""Outputs do not depend on the BLAS thread count or on the number of
+parts the relevance file is parsed in.
 
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads, so each
 thread count runs in its own `python -m cusa.cli` child; only the
-child's environment is changed.
+child's environment is changed. The part count is forced in process.
 """
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,14 @@ import cusa
 from cusa.cli import main
 
 SRC = str(Path(cusa.__file__).resolve().parents[1])
+
+
+def _eval_argv(bundle, task):
+    argv = ["eval", "--task", task, "--img-emb", str(bundle / "img_base.feat"),
+            "--relevance", str(bundle / "relevance.tsv")]
+    if task == "cross":
+        argv += ["--txt-emb", str(bundle / "txt_base.feat")]
+    return argv
 
 
 def _cli_stdout(argv, threads):
@@ -37,10 +48,19 @@ def bundle(tmp_path_factory):
 @pytest.mark.slow
 @pytest.mark.parametrize("task", ["cross", "img"])
 def test_eval_report_is_thread_count_invariant(bundle, task):
-    argv = ["eval", "--task", task, "--img-emb", str(bundle / "img_base.feat"),
-            "--relevance", str(bundle / "relevance.tsv")]
-    if task == "cross":
-        argv += ["--txt-emb", str(bundle / "txt_base.feat")]
+    argv = _eval_argv(bundle, task)
     one = _cli_stdout(argv, 1)
     assert b'"payload"' in one
     assert _cli_stdout(argv, 2) == one
+
+
+@pytest.mark.parametrize("task", ["cross", "img"])
+def test_eval_report_is_relevance_part_count_invariant(bundle, relevance_parts, task):
+    reports = []
+    for parts in (1, 2):
+        out = io.StringIO()
+        with relevance_parts(parts), redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert main(_eval_argv(bundle, task)) == 0
+        reports.append(out.getvalue())
+    assert '"payload"' in reports[0]
+    assert reports[1] == reports[0]
