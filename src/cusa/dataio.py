@@ -43,9 +43,7 @@ import contextlib
 import io
 import itertools
 import json
-import mmap
 import os
-import signal
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -324,8 +322,7 @@ def read_relevance(path, known_ids=None) -> Relevance:
         for pid, fh in children:
             fh.close()
             if pid is not None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
+                _kill(pid)
                 os.waitpid(pid, 0)
     return Relevance(index, queries, indptr, indices)
 
@@ -367,11 +364,12 @@ def _part_cuts(path) -> list:
         k = max(1, min(len(os.sched_getaffinity(0)), size // PART_BYTES))
     cuts = [0]
     if k > 1:
-        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        with open(path, "rb") as fh:
             for j in range(1, k):
-                cut = mm.find(b"\n", max(cuts[-1], size * j // k - 1)) + 1
-                if 0 < cut < size:
-                    cuts.append(cut)
+                fh.seek(max(cuts[-1], size * j // k - 1))
+                fh.readline()  # to just past the next b"\n", or to the end
+                if fh.tell() < size:
+                    cuts.append(fh.tell())
     return cuts + [None]
 
 
@@ -404,6 +402,13 @@ def _fork_part(path, index, start, stop):
                     out.write(block)
     finally:
         os._exit(0)
+
+
+def _kill(pid: int) -> None:
+    import signal  # not at the top: its enum classes cost each CLI start 5 ms
+
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
 
 
 def _read_exact(fh, size: int) -> bytes:
