@@ -72,7 +72,9 @@ CHECKPOINT_MAGIC = b"CUSC"
 FEATURE_VERSION = 1
 CHECKPOINT_VERSION = 1
 PART_BYTES = 1 << 20  # the fewest bytes of a relevance file parsed in a process
-_CHUNK_INTS = PART_BYTES // 4  # int32 positions merged at a time
+# int32 positions merged at a time (64 KiB): with 1 MiB chunks the
+# eval-2k command peaked 0.45 MB higher
+_CHUNK_INTS = 1 << 14
 # a parsed part as a child sends it: status byte 0, then its line count,
 # the length of its new ids' text and its query and index counts
 _PART_HEAD = struct.Struct("<Bqqqq")
