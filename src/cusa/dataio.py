@@ -432,7 +432,7 @@ def _merge_child(fh, table, index, seen, queries, indptr, indices):
         new_ids = _read_exact(fh, n_text).decode("utf-8").split("\n")[:-1]
         part_queries = _read_exact(fh, 4 * n_queries)
         part_indptr = array("i", _read_exact(fh, 4 * n_queries + 4))
-    except (struct.error, EOFError):
+    except EOFError:  # a failed child sends its status byte alone
         return None
     ids = table + new_ids  # the child's id table
     query_ids = [ids[q] for q in array("i", part_queries)]

@@ -26,7 +26,8 @@ def _parts_forced(parts: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "PART_BYTES", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
-        mp.setattr(os, "fork", os.fork if parts > 1 else _no_fork, raising=False)
+        if parts == 1:
+            mp.setattr(os, "fork", _no_fork, raising=False)
         yield
 
 
