@@ -35,7 +35,6 @@ from .losses import (
 )
 from .mathops import (
     cosine_similarity,
-    kl_divergence_rows,
     l2_normalize_rows,
     row_softmax,
 )
@@ -72,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CusaError", "UsageError", "FormatError", "DataError", "NumericError",
-    "l2_normalize_rows", "cosine_similarity", "row_softmax", "kl_divergence_rows",
+    "l2_normalize_rows", "cosine_similarity", "row_softmax",
     "teacher_distribution", "build_batch_targets", "TeacherBatch", "TeacherTargets",
     "loss_from_logits", "cusa_total", "batch_loss_and_grads",
     "LossReport", "LossGradients",

@@ -75,9 +75,9 @@ PART_BYTES = 1 << 20  # the fewest bytes of a relevance file parsed in a process
 # int32 positions merged at a time (64 KiB): with 1 MiB chunks the
 # eval-2k command peaked 0.45 MB higher
 _CHUNK_INTS = 1 << 14
-# a parsed part as a child sends it: status byte 0, then its line count,
-# the length of its new ids' text and its query and index counts
-_PART_HEAD = struct.Struct("<Bqqqq")
+# a parsed part as a child sends it: its line count, the length of its
+# new ids' text and its query and index counts
+_PART_HEAD = struct.Struct("<qqqq")
 
 
 def _read_header(path, magic: bytes, version: int, fmt: str, kind: str):
@@ -299,27 +299,25 @@ def read_relevance(path, known_ids=None) -> Relevance:
     """
     index = _interning_index() if known_ids is None else id_table(known_ids)
     cuts = _part_cuts(path)
+    parts = list(zip(cuts[:-1], cuts[1:]))
     table = list(index)  # the id table each child starts from
     children = []
     try:
-        later_parts = list(zip(cuts[1:-1], cuts[2:]))
-        for start, stop in later_parts:
+        for start, stop in parts[1:]:
             children.append(_fork_part(path, index, start, stop))
         seen = set()
-        queries, indptr, indices, lineno = _relevance_part(path, index, seen, 0, cuts[1], 1)
-        for (start, stop), (_, fh) in zip(later_parts, children):
-            n_lines = _merge_child(fh, table, index, seen, queries, indptr, indices)
+        queries, indptr, indices = array("i"), array("i", [0]), array("i")
+        lineno = 0
+        for (start, stop), child in zip(parts, [None, *children]):
+            n_lines = None if child is None else _merge_child(child[1], table, index, seen,
+                                                              queries, indptr, indices)
             if n_lines is None:
-                # the child failed or names an earlier part's query: parse
-                # its part here, which raises what one pass would raise
-                part_queries, part_indptr, part_indices, last = _relevance_part(
-                    path, index, seen, start, stop, lineno + 1)
-                base = len(indices)
-                queries.extend(part_queries)
-                indptr.extend(base + p for p in part_indptr[1:])
-                indices.extend(part_indices)
-                n_lines = last - lineno
-            lineno += n_lines
+                # part 0, or a child that failed or names an earlier part's
+                # query: parse the part here, which raises what one pass would
+                lineno = _relevance_part(path, index, seen, start, stop, lineno + 1,
+                                         queries, indptr, indices)
+            else:
+                lineno += n_lines
     finally:
         for pid, fh in children:
             fh.close()
@@ -329,11 +327,11 @@ def read_relevance(path, known_ids=None) -> Relevance:
     return Relevance(index, queries, indptr, indices)
 
 
-def _relevance_part(path, index, seen, start, stop, first_lineno):
+def _relevance_part(path, index, seen, start, stop, first_lineno, queries, indptr, indices):
     """Parse bytes start..stop of a relevance file, its first line being
-    line first_lineno: (queries, indptr, indices, last line number), the
-    positions looked up in `index` and each query added to `seen`."""
-    queries, indptr, indices = array("i"), array("i", [0]), array("i")
+    line first_lineno, onto the CSR queries, indptr and indices, the
+    positions looked up in `index` and each query added to `seen`; return
+    the last line number."""
     lineno = first_lineno - 1
     for lineno, (query, id_blob) in _records(path, "relevance", "query_id<TAB>id,id,...",
                                              start, stop, first_lineno):
@@ -351,7 +349,7 @@ def _relevance_part(path, index, seen, start, stop, first_lineno):
         except KeyError as e:
             raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
         indptr.append(len(indices))
-    return queries, indptr, indices, lineno
+    return lineno
 
 
 def _part_cuts(path) -> list:
@@ -377,8 +375,10 @@ def _part_cuts(path) -> list:
 
 def _fork_part(path, index, start, stop):
     """(pid, read end of a pipe) of a child that parses bytes start..stop
-    of a relevance file and sends the part through the pipe. When no
-    child can be started, pid is None and the pipe is at its end."""
+    of a relevance file and sends the part through the pipe: _PART_HEAD,
+    the text of its new ids, then its queries, indptr and indices. A
+    child whose part does not parse sends nothing. When no child can be
+    started, pid is None and the pipe is at its end."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -391,17 +391,13 @@ def _fork_part(path, index, start, stop):
         os.close(r)
         with os.fdopen(w, "wb") as out:
             n_known = len(index)
-            try:
-                queries, indptr, indices, n_lines = _relevance_part(path, index, set(),
-                                                                    start, stop, 1)
-            except BaseException:  # noqa: BLE001 - the parent parses the part again
-                out.write(b"\x01")
-            else:
-                new_ids = "".join(f"{i}\n" for i in itertools.islice(index, n_known, None))
-                new_ids = new_ids.encode("utf-8")
-                out.write(_PART_HEAD.pack(0, n_lines, len(new_ids), len(queries), len(indices)))
-                for block in (new_ids, queries, indptr, indices):
-                    out.write(block)
+            queries, indptr, indices = array("i"), array("i", [0]), array("i")
+            n_lines = _relevance_part(path, index, set(), start, stop, 1, queries, indptr, indices)
+            new_ids = "".join(f"{i}\n" for i in itertools.islice(index, n_known, None))
+            new_ids = new_ids.encode("utf-8")
+            out.write(_PART_HEAD.pack(n_lines, len(new_ids), len(queries), len(indices)))
+            for block in (new_ids, queries, indptr, indices):
+                out.write(block)
     finally:
         os._exit(0)
 
@@ -424,19 +420,18 @@ def _merge_child(fh, table, index, seen, queries, indptr, indices):
     """Append the part a child sent through fh to the CSR queries, indptr
     and indices, its positions moved to `index`'s, and return its line
     count. `table` is the id table the child started from. Return None,
-    with nothing changed, when the child failed, ended early or names a
-    query that an earlier part (`seen`) holds."""
+    with nothing changed, when the stream ends early (a child that failed
+    sends nothing) or names a query that an earlier part (`seen`) holds."""
     try:
-        status, n_lines, n_text, n_queries, n_indices = _PART_HEAD.unpack(
-            _read_exact(fh, _PART_HEAD.size))
+        n_lines, n_text, n_queries, n_indices = _PART_HEAD.unpack(_read_exact(fh, _PART_HEAD.size))
         new_ids = _read_exact(fh, n_text).decode("utf-8").split("\n")[:-1]
         part_queries = _read_exact(fh, 4 * n_queries)
         part_indptr = array("i", _read_exact(fh, 4 * n_queries + 4))
-    except EOFError:  # a failed child sends its status byte alone
+    except EOFError:
         return None
     ids = table + new_ids  # the child's id table
     query_ids = [ids[q] for q in array("i", part_queries)]
-    if status or not seen.isdisjoint(query_ids):
+    if not seen.isdisjoint(query_ids):
         return None
     remap = None
     if new_ids:  # the positions `index` gives them below, in first-seen order

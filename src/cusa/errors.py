@@ -130,10 +130,6 @@ class NonPositiveTemperature(NumericError):
     pass
 
 
-class InvalidDistribution(NumericError):
-    pass
-
-
 class TrainAbort(NumericError):
     """Numeric failure inside the training loop, with step context."""
 

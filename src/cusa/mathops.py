@@ -1,10 +1,12 @@
-"""Dense numeric kernels: normalization, cosine similarity, softmax, KL.
+"""Dense numeric kernels: normalization, cosine similarity, softmax, p log p.
 
 The public kernels compute in float64 regardless of input dtype, are
 pure, and validate their inputs rather than repairing them. They and the
 internal row_softmax_with_log, which writes into buffers its caller
 passes (usually from a Workspace), are the building blocks for the
-soft-label targets and every loss term.
+soft-label targets and every loss term. No KL is formed here: the one
+KL, losses._mean_kl, takes the shifted logits and log-sum-exp of
+row_softmax_with_log and the p log p row sums of neg_entropy_rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvalidDistribution,
     NonFiniteValue,
     NonPositiveTemperature,
     NotNormalized,
@@ -27,8 +28,6 @@ NORM_TOL = 1e-9
 
 # Below this Euclidean norm a row is treated as the zero vector.
 ZERO_ROW_TOL = 1e-12
-
-ROW_SUM_TOL = 1e-9
 
 # Smallest row sum of exp(z) that row_softmax_with_log accepts after
 # shifting by the whole matrix's maximum: far above the subnormal range.
@@ -54,17 +53,6 @@ def check_normalized(m: np.ndarray, name: str = "matrix") -> None:
         row = int(np.argmax(bad))
         raise NotNormalized(
             f"{name} row {row} has norm {norms[row]!r}, expected 1 within {NORM_TOL}"
-        )
-
-
-def _check_row_stochastic(m: np.ndarray, name: str) -> None:
-    if np.any(m < 0.0):
-        raise InvalidDistribution(f"{name} has negative entries")
-    sums = m.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        row = int(np.argmax(np.abs(sums - 1.0)))
-        raise InvalidDistribution(
-            f"{name} row {row} sums to {sums[row]!r}, expected 1 within {ROW_SUM_TOL}"
         )
 
 
@@ -204,35 +192,6 @@ def row_softmax(s, inv_temp: float) -> np.ndarray:
         raise NonPositiveTemperature(f"inv_temp must be > 0, got {inv_temp!r}")
     q, _, _ = row_softmax_with_log(mat, float(inv_temp))
     return q
-
-
-def kl_divergence_rows(p, q):
-    """Row-wise KL divergence D(p_i || q_i) and its mean over rows.
-
-    Uses the convention 0 * log 0 = 0, so one-hot rows in `p` are valid.
-
-    Args:
-        p: N x M row-stochastic matrix (entries may be zero).
-        q: N x M row-stochastic matrix with strictly positive entries.
-
-    Returns:
-        (per_row, mean): length-N float64 vector and its average.
-
-    Raises:
-        ShapeMismatch: if the shapes differ.
-        InvalidDistribution: if q has an entry <= 0 or either input's rows
-            do not sum to 1 within 1e-9.
-    """
-    pm = _as_matrix(p, "p")
-    qm = _as_matrix(q, "q")
-    if pm.shape != qm.shape:
-        raise ShapeMismatch(f"shapes differ: {pm.shape} vs {qm.shape}")
-    if np.any(qm <= 0.0):
-        raise InvalidDistribution("q has a non-positive entry")
-    _check_row_stochastic(pm, "p")
-    _check_row_stochastic(qm, "q")
-    per_row = neg_entropy_rows(pm) - np.einsum("ij,ij->i", pm, np.log(qm))
-    return per_row, float(per_row.mean())
 
 
 def neg_entropy_rows(p: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from cusa.dataio import (
 )
 from cusa.errors import BadMagic, TruncatedFile
 from cusa.losses import loss_from_logits
-from cusa.mathops import kl_divergence_rows, l2_normalize_rows, row_softmax
+from cusa.mathops import l2_normalize_rows, row_softmax
 from cusa.metrics import (
     Relevance,
     evaluate_cross_modal,
@@ -108,14 +108,18 @@ def _train_setup(data, alpha, beta):
 
 
 def test_criterion_2_loss_identities():
-    # (a) KL of a distribution against itself vanishes
+    # (a) KL of a distribution against itself vanishes, on the training
+    # path: each teacher target is the student's own softmax, so all four
+    # per-direction KLs are self-divergences
     kl_self_worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
-        p = row_softmax(rng.standard_normal((n, n)) * 3.0, 1.0)
-        per_row, mean = kl_divergence_rows(p, p)
-        kl_self_worst = max(kl_self_worst, float(np.abs(per_row).max()), abs(mean))
+        s = rng.standard_normal((n, n)) * 3.0
+        it = 1.0
+        targets = TeacherTargets(row_softmax(s, it), row_softmax(s.T, it))
+        report, _, _ = loss_from_logits(s, s, s.T.copy(), targets, it, it, 1.0, 1.0)
+        kl_self_worst = max(kl_self_worst, *map(abs, report.per_direction.values()))
     kl_self_ok = kl_self_worst < 1e-12
 
     # (b) one-hot targets reduce the alignment loss to diagonal

@@ -6,6 +6,7 @@ documented in dataio.py; if the layout changes these must change too.
 
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -343,6 +344,21 @@ class TestReadRelevance:
 RELEVANCE_IDS = ["a", "b", "\u00e9", "q"]
 
 
+def assert_names_its_line(outcome, raw, allowed=("MalformedLine", "UnknownId")):
+    """An error outcome (class, line number, message) of a text reader on
+    the bytes `raw` is one of `allowed`, and its message begins 'line N:'
+    with N a line of the file (MalformedLine's lineno too). The one
+    exception is MalformedLine with lineno 0, for an empty file."""
+    name, lineno, message = outcome
+    assert name in allowed, outcome
+    if (name, lineno) == ("MalformedLine", 0):
+        assert raw == b"" and message.endswith("file is empty"), outcome
+        return
+    match = re.match(r"line ([0-9]+): ", message)
+    assert match and 1 <= int(match[1]) <= len(raw.splitlines()), outcome
+    assert lineno in (None, int(match[1])), outcome
+
+
 def relevance_outcome(path, known_ids=None):
     """(class, line number, message) of read_relevance's error, or the CSR
     and the id table order it reads."""
@@ -387,6 +403,8 @@ def test_any_part_count_parses_like_one_part(tmp_path, relevance_parts, raw):
     for known_ids in (RELEVANCE_IDS, None):
         with relevance_parts(1):
             whole = relevance_outcome(path, known_ids)
+        if len(whole) == 3:  # an error, not the four lists of a Relevance
+            assert_names_its_line(whole, raw, ("MalformedLine", "UnknownId", "DuplicateId"))
         for parts in (2, 3, 4):
             with relevance_parts(parts):
                 assert relevance_outcome(path, known_ids) == whole, (parts, known_ids)
@@ -570,6 +588,43 @@ class TestRecordLayout:
         with pytest.raises(MalformedLine, match="file is empty") as excinfo:
             read(path)
         assert excinfo.value.lineno == 0
+
+
+TEXT_IDS = ["a", "b", "\u00e9"]
+TEXT_READERS = {  # reader(path, known ids or None), fields per line
+    "pairs": (lambda path, known: read_pairs(path, known, known), 2),
+    "scored_pairs": (lambda path, known: read_scored_pairs(path, known), 3),
+}
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reader=st.sampled_from(sorted(TEXT_READERS)),
+       lines=st.lists(st.tuples(st.sampled_from(TEXT_IDS), st.sampled_from(TEXT_IDS),
+                                st.sampled_from(["0.5", "-1", "2e3"])),
+                      min_size=1, max_size=4),
+       end=st.sampled_from(["\n", "\r\n"]), flip=st.integers(1, 255),
+       appended=st.integers(0, 255))
+def test_damaged_text_files_parse_or_name_their_line(tmp_path, reader, lines, end, flip,
+                                                      appended):
+    """Every truncation of a valid pairs or scored-pairs file, every one
+    of its bytes xor-ed with `flip`, and the file with one more byte,
+    either parse or raise MalformedLine or UnknownId naming their line,
+    with and without known ids."""
+    read, n_fields = TEXT_READERS[reader]
+    raw = "".join("\t".join(line[:n_fields]) + end for line in lines).encode("utf-8")
+    variants = [raw[:cut] for cut in range(len(raw))]
+    variants += [raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:] for at in range(len(raw))]
+    variants.append(raw + bytes([appended]))
+    path = tmp_path / "damaged.tsv"
+    for variant in variants:
+        path.write_bytes(variant)
+        for known in (None, set(TEXT_IDS)):
+            try:
+                read(path, known)
+            except Exception as e:  # noqa: BLE001 - the class is what is checked
+                assert_names_its_line((type(e).__name__, getattr(e, "lineno", None), str(e)),
+                                      variant)
 
 
 # ---------------------------------------------------------------------------

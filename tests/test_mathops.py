@@ -10,7 +10,6 @@ import pytest
 
 from cusa.errors import (
     DimensionMismatch,
-    InvalidDistribution,
     NonFiniteValue,
     NonPositiveTemperature,
     NotNormalized,
@@ -19,13 +18,12 @@ from cusa.errors import (
 )
 from cusa.mathops import (
     cosine_similarity,
-    kl_divergence_rows,
     l2_normalize_rows,
     neg_entropy_rows,
     row_softmax,
     row_softmax_with_log,
 )
-from cusa.losses import loss_from_logits
+from cusa.losses import _mean_kl, loss_from_logits
 from cusa.softlabels import (TeacherBatch, TeacherTargets, build_batch_targets,
                              teacher_distribution)
 
@@ -156,46 +154,52 @@ def masked_kl(p, log_q):
     return terms.sum(axis=1)
 
 
+def training_kl(p, s, inv_temp=1.0):
+    """Mean over rows of KL(p || softmax(s * inv_temp)) as training forms
+    every KL: losses._mean_kl of the shifted logits and log-sum-exp of
+    row_softmax_with_log and the p log p row sums of neg_entropy_rows."""
+    p = np.asarray(p, dtype=np.float64)
+    _, z, lse = row_softmax_with_log(np.asarray(s, dtype=np.float64), inv_temp)
+    return _mean_kl(neg_entropy_rows(p), p, z, lse)
+
+
 class TestKlDivergenceRows:
+    """The training KL against the explicit formula of masked_kl."""
+
     def test_self_divergence_zero(self):
         rng = np.random.default_rng(41)
-        p = row_softmax(rng.standard_normal((5, 7)), 1.0)
-        per_row, mean = kl_divergence_rows(p, p)
-        np.testing.assert_allclose(per_row, 0.0, rtol=0, atol=1e-12)
-        assert abs(mean) < 1e-12
+        s = rng.standard_normal((5, 7))
+        p = row_softmax(s, 1.0)
+        np.testing.assert_allclose(masked_kl(p, np.log(p)), 0.0, rtol=0, atol=1e-12)
+        for row in range(5):
+            assert abs(training_kl(p[row:row + 1], s[row:row + 1])) < 1e-12
+        assert abs(training_kl(p, s)) < 1e-12
 
     def test_one_hot_vs_uniform_is_log_two(self):
-        per_row, mean = kl_divergence_rows([[1.0, 0.0]], [[0.5, 0.5]])
-        assert abs(per_row[0] - LOG_2) < 1e-15
-        assert abs(mean - LOG_2) < 1e-15
+        p, s = np.array([[1.0, 0.0]]), np.zeros((1, 2))
+        assert abs(masked_kl(p, np.log([[0.5, 0.5]]))[0] - LOG_2) < 1e-15
+        for inv_temp in (1.0, 37.0):
+            assert abs(training_kl(p, s, inv_temp) - LOG_2) < 1e-15
 
     def test_two_term_oracle(self):
-        _, mean = kl_divergence_rows([[0.5, 0.5]], [[0.75, 0.25]])
-        assert abs(mean - KL_HALF_VS_3Q) < 1e-15
+        p, q = np.array([[0.5, 0.5]]), np.array([[0.75, 0.25]])
+        assert abs(masked_kl(p, np.log(q))[0] - KL_HALF_VS_3Q) < 1e-15
+        assert abs(training_kl(p, np.log(q)) - KL_HALF_VS_3Q) < 1e-15
 
     def test_nonnegative_and_positive_when_different(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             p = row_softmax(rng.standard_normal((3, 4)), 1.0)
-            q = row_softmax(rng.standard_normal((3, 4)), 1.0)
-            per_row, _ = kl_divergence_rows(p, q)
+            s = rng.standard_normal((3, 4))
+            per_row = masked_kl(p, np.log(row_softmax(s, 1.0)))
             assert np.all(per_row >= 0.0)
+            for row in range(3):
+                got = training_kl(p[row:row + 1], s[row:row + 1])
+                assert got >= 0.0 and abs(got - per_row[row]) <= 1e-12
         p = row_softmax(rng.standard_normal((2, 3)), 1.0)
         bumped = p + np.array([[0.01, -0.01, 0.0], [0.0, 0.01, -0.01]])
-        _, mean = kl_divergence_rows(p, bumped)
-        assert mean > 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            kl_divergence_rows([[1.0, 0.0]], [[0.5, 0.25, 0.25]])
-
-    def test_q_with_zero_entry_rejected(self):
-        with pytest.raises(InvalidDistribution):
-            kl_divergence_rows([[0.5, 0.5]], [[1.0, 0.0]])
-
-    def test_non_stochastic_rows_rejected(self):
-        with pytest.raises(InvalidDistribution):
-            kl_divergence_rows([[0.7, 0.7]], [[0.5, 0.5]])
+        assert training_kl(p, np.log(bumped)) > 0.0
+        assert masked_kl(p, np.log(bumped)).mean() > 0.0
 
 
 class TestNegEntropyRows:
@@ -232,12 +236,12 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(62)
         p = row_softmax(rng.standard_normal((5, 5)), 1.0)
         s = rng.standard_normal((5, 5))
-        # row_softmax keeps the input layout, so the second q is a
-        # column-major matrix like the one a transposed view gives
-        for q in (row_softmax(s, 2.0), row_softmax(s.T, 2.0)):
-            keep = (p.copy(), q.copy())
-            kl_divergence_rows(p, q)
-            assert np.array_equal(p, keep[0]) and np.array_equal(q, keep[1])
+        # a transposed view gives column-major logits, as the t2i
+        # direction's are
+        for view in (s, s.T):
+            keep = (p.copy(), s.copy())
+            training_kl(p, view, 2.0)
+            assert np.array_equal(p, keep[0]) and np.array_equal(s, keep[1])
 
     def test_kl_with_exact_zero_teacher_entries_matches_masked_formula(self):
         # orthogonal rows at a large inverse temperature underflow to
@@ -249,11 +253,12 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(63)
         s = rng.uniform(-1.0, 1.0, size=p.shape)
         for view in (s, s.T):
-            q = row_softmax(view, 14.0)
-            per_row, mean = kl_divergence_rows(p, q)
-            assert np.all(np.isfinite(per_row))
-            np.testing.assert_allclose(per_row, masked_kl(p, np.log(q)), rtol=0, atol=1e-12)
-            assert mean == float(per_row.mean())
+            per_row = masked_kl(p, np.log(row_softmax(view, 14.0)))
+            for row in range(len(p)):
+                got = training_kl(p[row:row + 1], view[row:row + 1], 14.0)
+                assert np.isfinite(got) and abs(got - per_row[row]) <= 1e-12
+            mean = training_kl(p, view, 14.0)
+            assert np.isfinite(mean) and abs(mean - per_row.mean()) <= 1e-12
 
 
 class TestLogSumExpKl:
@@ -292,9 +297,7 @@ class TestLogSumExpKl:
 @pytest.mark.parametrize("call, error, message", [
     (lambda: l2_normalize_rows(np.ones(3)), ShapeMismatch, "must be 2-D"),
     (lambda: l2_normalize_rows(np.empty((0, 3))), ShapeMismatch, "must be non-empty"),
-    (lambda: kl_divergence_rows([[1.5, -0.5]], [[0.5, 0.5]]), InvalidDistribution,
-     "p has negative entries"),
-], ids=["matrix-1d", "matrix-empty", "row-stochastic-negative-p"])
+], ids=["matrix-1d", "matrix-empty"])
 def test_input_checks_raise(call, error, message):
     with pytest.raises(error, match=message):
         call()
