@@ -178,8 +178,7 @@ class TestKlDivergenceRows:
     def test_one_hot_vs_uniform_is_log_two(self):
         p, s = np.array([[1.0, 0.0]]), np.zeros((1, 2))
         assert abs(masked_kl(p, np.log([[0.5, 0.5]]))[0] - LOG_2) < 1e-15
-        for inv_temp in (1.0, 37.0):
-            assert abs(training_kl(p, s, inv_temp) - LOG_2) < 1e-15
+        assert abs(training_kl(p, s) - LOG_2) < 1e-15
 
     def test_two_term_oracle(self):
         p, q = np.array([[0.5, 0.5]]), np.array([[0.75, 0.25]])
