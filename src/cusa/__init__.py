@@ -62,7 +62,6 @@ from .softlabels import (
     TeacherBatch,
     TeacherTargets,
     build_batch_targets,
-    teacher_distribution,
 )
 from .synthetic import SynthConfig, SynthData, generate, synth_generate
 from .trainer import TrainConfig, TrainData, TrainLog, train
@@ -72,7 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CusaError", "UsageError", "FormatError", "DataError", "NumericError",
     "l2_normalize_rows", "cosine_similarity", "row_softmax",
-    "teacher_distribution", "build_batch_targets", "TeacherBatch", "TeacherTargets",
+    "build_batch_targets", "TeacherBatch", "TeacherTargets",
     "loss_from_logits", "cusa_total", "batch_loss_and_grads",
     "LossReport", "LossGradients",
     "StudentParams", "StudentOutputs", "init_params", "forward", "backward",

@@ -1,24 +1,26 @@
 """Finite-difference verification of every analytic gradient.
 
 Central differences with step 1e-5 against the closed-form gradients,
-at loss level (logit and temperature derivatives) and at model level
-(full backward pass through projection, normalization, and the
-projector head). Temperatures are drawn strictly inside the clamp
-window so the gate stays open.
+at loss level (logit and temperature derivatives of the loss core) and
+at model level (the parameter gradients of trainer.step_gradients, the
+forward, teacher targets, loss and backward that every training step
+runs). Temperatures are drawn strictly inside the clamp window so the
+gate stays open, and the teacher targets come from build_batch_targets
+on seeded teacher features.
 
 Functions under test are looked up through their modules at call time,
 which keeps the checker honest: patching cusa.losses.loss_from_logits
-is enough to make it fail.
+or cusa.trainer.backward is enough to make it fail.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import losses, model
+from . import losses, model, trainer
 from .errors import InvalidConfig, InvalidDimension, too_large_to_allocate
-from .mathops import row_softmax
-from .softlabels import TeacherTargets
+from .mathops import Workspace, l2_normalize_rows
+from .softlabels import TeacherBatch, build_batch_targets
 
 H = 1e-5
 TOLERANCE = 1e-4
@@ -60,10 +62,11 @@ def _max_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     return worst
 
 
-def _random_targets(rng, n: int) -> tuple:
-    p_i = row_softmax(rng.standard_normal((n, n)), 1.0)
-    p_t = row_softmax(rng.standard_normal((n, n)), 1.0)
-    return p_i, p_t
+def _teacher(rng, n: int, d_img: int, d_txt: int) -> tuple:
+    """A TeacherBatch of n seeded unit rows per modality, and a teacher
+    inverse temperature."""
+    feats = [l2_normalize_rows(rng.standard_normal((n, d))) for d in (d_img, d_txt)]
+    return TeacherBatch(*feats), float(rng.uniform(1.0, 10.0))
 
 
 def check_losses(seed: int) -> dict:
@@ -76,7 +79,7 @@ def check_losses(seed: int) -> dict:
     for n in BATCH_SIZES:
         logits = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in names]
         log_its = rng.uniform(np.log(2.0), np.log(50.0), size=2)
-        targets = TeacherTargets(*_random_targets(rng, n))
+        targets = build_batch_targets(*_teacher(rng, n, n, n))
 
         def core():
             return losses.loss_from_logits(
@@ -99,13 +102,14 @@ def check_losses(seed: int) -> dict:
 
 
 def check_model(seed: int, dims=DEFAULT_DIMS) -> dict:
-    """Max per-entry error for the full backward pass, per parameter.
+    """Max per-entry error of trainer.step_gradients, per parameter.
 
-    Differentiates the composition trainer.train runs each step: forward,
-    batch_loss_and_grads on its outputs, then backward over the same
-    outputs and their forward tape. The batch sizes alternate between
-    the shared and the separate uni-modal temperature layouts, starting
-    from a different one on odd and even seeds.
+    Each batch is a seeded permutation of its pairs, with a seeded
+    teacher, and the step reuses one workspace: the checked gradients
+    come from its second call, as in every training step after the
+    first. The batch sizes alternate between the shared and the
+    separate uni-modal temperature layouts, starting from a different
+    one on odd and even seeds.
     """
     rng = np.random.default_rng(seed)
     worst = {f"model.{name}": 0.0 for name, *_ in model.param_segments(dims, 2)}
@@ -114,26 +118,25 @@ def check_model(seed: int, dims=DEFAULT_DIMS) -> dict:
                                    f"d_base_txt={dims[1]} give base features"):
             base_img = rng.standard_normal((n, dims[0]))
             base_txt = rng.standard_normal((n, dims[1]))
+            teacher, teacher_inv_temp = _teacher(rng, n, dims[0], dims[1])
         params = model.init_params(seed, *dims, separate_uni_temp=(seed + i) % 2 == 1)
         # the temperatures lead the layout
         params.flat[:params.n_scalars] = rng.uniform(np.log(2.0), np.log(50.0),
                                                      size=params.n_scalars)
-        p_i, p_t = _random_targets(rng, n)
-        targets = TeacherTargets(p_i2i=p_i, p_t2t=p_t)
+        config = trainer.TrainConfig(alpha=_ALPHA, beta=_BETA, teacher_inv_temp=teacher_inv_temp)
+        rows = rng.permutation(n)
+        ws = Workspace()
 
-        def total():
-            out = model.forward(base_img, base_txt, params)
-            report, _ = losses.batch_loss_and_grads(out, targets, _ALPHA, _BETA)
-            return report.l_total
+        def step():
+            return trainer.step_gradients(params, base_img, base_txt, teacher, rows, config, ws)
 
-        out = model.forward(base_img, base_txt, params)
-        _, lg = losses.batch_loss_and_grads(out, targets, _ALPHA, _BETA)
-        grads = model.backward(out, params, lg)
-
-        fd = _fd_matrix(total, params.flat)
+        step()
+        # copied before the finite differences reuse the workspace
+        grads = step()[2].flat.copy()
+        fd = _fd_matrix(lambda: step()[1].l_total, params.flat)
         for name, start, stop, _ in params.segments:
             key = f"model.{name}"
-            worst[key] = max(worst[key], _max_err(grads.flat[start:stop], fd[start:stop]))
+            worst[key] = max(worst[key], _max_err(grads[start:stop], fd[start:stop]))
     return worst
 
 

@@ -64,36 +64,14 @@ class TeacherTargets:
 def _distribution(feats: np.ndarray, teacher_inv_temp: float, p=None, gram=None):
     """(p, per-row sum(p log p)) of the teacher similarity softmax; the
     Gram matrix goes to `gram`, where the softmax leaves its shifted
-    logits. No validation: callers have checked features and temperature."""
+    logits. No validation: TeacherBatch has checked the features and
+    build_batch_targets the temperature."""
     gram = np.matmul(feats, feats.T, out=gram)
     p, z, lse = row_softmax_with_log(gram, float(teacher_inv_temp), p, gram)
     # log p = z - lse, and each row of p sums to 1
     h = np.einsum("ij,ij->i", p, z)
     h -= lse[:, 0]
     return p, h
-
-
-def _check_batch(n_rows: int, teacher_inv_temp: float) -> None:
-    if n_rows < 2:
-        raise DegenerateInput("need at least 2 rows to form a target distribution")
-    if not (teacher_inv_temp > 0.0):
-        raise NonPositiveTemperature(
-            f"teacher_inv_temp must be > 0, got {teacher_inv_temp!r}"
-        )
-
-
-def teacher_distribution(features, teacher_inv_temp: float = 1.0) -> np.ndarray:
-    """Row-softmax of the teacher's self-similarity matrix.
-
-    The diagonal (self-similarity, always 1) stays inside the softmax:
-    the normalization runs over all batch members including the anchor
-    itself. Default inverse temperature 1.0 applies no extra scaling to
-    the raw cosine similarities.
-    """
-    feats = _as_matrix(features, "features")
-    _check_batch(feats.shape[0], teacher_inv_temp)
-    check_normalized(feats, "features")
-    return _distribution(feats, teacher_inv_temp)[0]
 
 
 def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float = 1.0,
@@ -113,7 +91,10 @@ def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float = 1.0,
     if rows is not None:
         img, txt = img[rows], txt[rows]
     n = img.shape[0]
-    _check_batch(n, teacher_inv_temp)
+    if n < 2:
+        raise DegenerateInput("need at least 2 rows to form a target distribution")
+    if not (teacher_inv_temp > 0.0):
+        raise NonPositiveTemperature(f"teacher_inv_temp must be > 0, got {teacher_inv_temp!r}")
     ws = Workspace() if ws is None else ws
     # "scratch" holds nothing past this call; the loss reuses it
     gram = ws.buffer("scratch", (n, n))

@@ -152,21 +152,32 @@ def adam_step(params: StudentParams, grads: StudentParams, state: AdamState,
     return StudentParams(p, params.dims, params.n_scalars), AdamState(step=t, m=m, v=v)
 
 
-def train_step(params: StudentParams, state: AdamState, base_img: np.ndarray,
-               base_txt: np.ndarray, teacher: TeacherBatch, rows: np.ndarray,
-               config: TrainConfig, ws: Workspace | None = None):
-    """One optimizer step on the pairs `rows` of the aligned training arrays.
+def step_gradients(params: StudentParams, base_img: np.ndarray, base_txt: np.ndarray,
+                   teacher: TeacherBatch, rows: np.ndarray, config: TrainConfig,
+                   ws: Workspace | None = None):
+    """The gradients of one step on the pairs `rows` of the aligned
+    training arrays: forward -> teacher targets for the batch -> loss
+    and logit gradients -> backward over the forward tape.
 
-    forward -> teacher targets for the batch -> loss and logit gradients
-    -> backward over the forward tape -> Adam. The targets and logit
-    gradients live in `ws` and are dead once the step returns, so a
-    loop passes one workspace to every step. Returns (params, state,
-    LossReport, the clamped inverse temperature of the forward pass).
+    The targets and logit gradients live in `ws` and are dead once the
+    call returns, so a loop passes one workspace to every call; the
+    parameter gradients are arrays of their own. Returns (StudentOutputs,
+    LossReport, parameter gradients as StudentParams).
     """
     outputs = forward(base_img[rows], base_txt[rows], params)
     targets = build_batch_targets(teacher, config.teacher_inv_temp, rows, ws=ws)
     report, lgrads = batch_loss_and_grads(outputs, targets, config.alpha, config.beta, ws=ws)
-    pgrads = backward(outputs, params, lgrads)
+    return outputs, report, backward(outputs, params, lgrads)
+
+
+def train_step(params: StudentParams, state: AdamState, base_img: np.ndarray,
+               base_txt: np.ndarray, teacher: TeacherBatch, rows: np.ndarray,
+               config: TrainConfig, ws: Workspace | None = None):
+    """One optimizer step: step_gradients, then Adam. Returns (params,
+    state, LossReport, the clamped inverse temperature of the forward
+    pass)."""
+    outputs, report, pgrads = step_gradients(params, base_img, base_txt, teacher, rows,
+                                             config, ws)
     params, state = adam_step(params, pgrads, state, config)
     return params, state, report, outputs.inv_temp
 

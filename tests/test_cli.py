@@ -5,18 +5,26 @@ monkeypatching work; corpora are kept tiny (12 pairs) for speed.
 """
 
 import dataclasses
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cusa.cli
 import cusa.losses
+import cusa.trainer
 from cusa.cli import main
 from cusa.dataio import read_features, save_checkpoint, write_features
 from cusa.errors import BadMagic, InvalidConfig, NotNormalized, UnknownId
 from cusa.losses import LossGradients
 from cusa.mathops import l2_normalize_rows
+from cusa.model import param_segments
 
 SYNTH_FLAGS = ["--clusters", "3", "--pairs-per-cluster", "4",
                "--d-student-img", "6", "--d-student-txt", "6",
@@ -541,6 +549,27 @@ class TestGradcheckCommand:
         failed = err.split("gradcheck failed: ")[1].splitlines()[0].split(", ")
         assert "loss." + field.removeprefix("d_") in failed
 
+    @pytest.mark.parametrize("segment", [name for name, *_ in param_segments((5, 4, 3, 2), 2)])
+    def test_broken_training_step_detected(self, capsys, monkeypatch, segment):
+        # gradcheck differentiates the step that training runs, so a
+        # fault in the backward the trainer calls reaches its report
+        real = cusa.trainer.backward
+
+        def flipped(*args, **kwargs):
+            grads = real(*args, **kwargs)
+            for name, start, stop, _ in grads.segments:
+                if name == segment:
+                    grads.flat[start:stop] *= -1.0
+            return grads
+
+        monkeypatch.setattr(cusa.trainer, "backward", flipped)
+        code, report, err = run(capsys, ["gradcheck", "--trials", "1",
+                                         "--dims", "5,4,3,2"])
+        assert code == 6
+        assert report["payload"]["passed"] is False
+        failed = err.split("gradcheck failed: ")[1].splitlines()[0].split(", ")
+        assert "model." + segment in failed
+
 
 # ---------------------------------------------------------------------------
 # inspect
@@ -751,3 +780,114 @@ class TestTopLevel:
         monkeypatch.setattr(cusa.cli, "cmd_synth", failing)
         with pytest.raises(RuntimeError, match="a bug"):
             main(["synth", "--out", str(tmp_path / "x")])
+
+
+# ---------------------------------------------------------------------------
+# every command line
+# ---------------------------------------------------------------------------
+
+# argv templates: {corpus}, {trained} and {tmp} (a fresh directory per
+# example, holding a regular file "file") are filled in at run time
+INPUTS = st.sampled_from([*(f"{{corpus}}/{name}" for name in FILE_NAMES),
+                          "{trained}/model.ckpt", "{trained}/train.log",
+                          "{corpus}/missing.feat", "{corpus}"])
+OUTPUTS = st.sampled_from(["{tmp}/out", "{tmp}/made/out", "{tmp}/file", "{tmp}"])
+EDGE_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308"])
+SWITCH = (st.just(None), st.just(None))
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi).map(repr), EDGE_FLOATS
+
+
+def sizes(lo, hi):
+    return ints(lo, hi), ints(-1, lo - 1)
+
+
+def files(*names):
+    """An input flag per name: that bundle file, or any input."""
+    return {f"--{name.split('.')[0].split('/')[-1].replace('_', '-')}":
+            (st.just(name if "/" in name else f"{{corpus}}/{name}"), INPUTS) for name in names}
+
+
+TRAIN_FILES = files("pairs.tsv", "img_base.feat", "txt_base.feat", "img_teacher.feat",
+                    "txt_teacher.feat")
+SHARED_TRAIN_FLAGS = {"--alpha": floats(0.0, 2.0), "--beta": floats(0.0, 2.0),
+                      "--teacher-inv-temp": floats(0.5, 20.0), "--seed": sizes(0, 3),
+                      "--d-e": sizes(1, 8), "--d-u": sizes(1, 8)}
+CKPT = {"--ckpt": (st.just("{trained}/model.ckpt"), INPUTS)}
+# each command line: (argv prefix, the flags it needs, its optional flags);
+# a flag is (its good values, its faulty ones), and one whose good
+# values are None appears only as a fault
+COMMANDS = [
+    (["synth"], {"--out": (st.sampled_from(["{tmp}/out", "{tmp}/made/out"]), OUTPUTS)},
+     {"--clusters": sizes(2, 5), "--pairs-per-cluster": sizes(2, 5), "--seed": sizes(0, 3),
+      "--noise": floats(0.0, 1.0), "--gap": floats(0.0, 1.0),
+      **{f"--d-{side}": sizes(1, 8) for side in (
+          "student-img", "student-txt", "teacher-img", "teacher-txt")}}),
+    (["train"], {**TRAIN_FILES, "--out-ckpt": (st.just("{tmp}/out"), OUTPUTS),
+                 "--log": (st.just("{tmp}/log"), OUTPUTS),
+                 "--epochs": sizes(1, 2), "--batch-size": (ints(2, 12), ints(-1, 1) | st.just("13"))},
+     {**SHARED_TRAIN_FLAGS, "--lr": floats(1e-4, 0.1), "--weight-decay": floats(0.0, 0.1),
+      "--separate-uni-temp": SWITCH}),
+    (["eval", "--task=cross"], {**CKPT, **files("img_base.feat", "txt_base.feat",
+                                                "relevance.tsv")},
+     {"--usa-branch": SWITCH, "--pairs": (None, INPUTS), "--img-emb": (None, INPUTS)}),
+    (["eval", "--task=cross"], {**files("pairs.tsv"),
+                                "--img-emb": (st.just("{corpus}/img_base.feat"), INPUTS),
+                                "--txt-emb": (st.just("{corpus}/txt_base.feat"), INPUTS)},
+     {"--relevance": (None, INPUTS), "--usa-branch": (None, SWITCH[0])}),
+    (["eval", "--task=img"], {**CKPT, **files("img_base.feat", "relevance.tsv")},
+     {"--usa-branch": SWITCH, "--txt-base": (None, INPUTS), "--pairs": (None, INPUTS)}),
+    (["eval", "--task=sts"], {"--txt-emb": (st.just("{corpus}/txt_base.feat"), INPUTS),
+                              **files("pairs.tsv")},
+     {"--relevance": (None, INPUTS), "--img-base": (None, INPUTS)}),
+    (["gradcheck"], {"--trials": sizes(1, 2)},
+     {"--seed": sizes(0, 3),
+      "--dims": (st.lists(ints(1, 8), min_size=4, max_size=4).map(",".join),
+                 st.lists(ints(-1, 8), min_size=0, max_size=5).map(",".join)
+                 | st.sampled_from(["a,b,c,d", "1,,1,1"]))}),
+    (["inspect"], {**TRAIN_FILES,
+                   "--batch": (st.lists(ints(0, 11), min_size=2, max_size=5).map(",".join),
+                               st.lists(ints(-1, 13), max_size=3).map(",".join)
+                               | st.sampled_from(["0,x", "0,,1", "1.5,2"]))},
+     {**SHARED_TRAIN_FLAGS, **CKPT}),
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line from COMMANDS with good values for the flags it
+    needs and for a draw of its optional ones; then, half the time,
+    one of its flags takes a faulty value: a special float (nan, inf,
+    0, -1, 1e308), a size below its range (or a batch larger than the
+    bundle), or another bundle file, a missing file or a directory in
+    place of an input."""
+    prefix, needed, optional = draw(st.sampled_from(COMMANDS))
+    flags = draw(st.fixed_dictionaries(
+        {flag: good for flag, (good, _) in needed.items()},
+        optional={flag: good for flag, (good, _) in optional.items() if good is not None}))
+    if draw(st.booleans()):
+        every = {**needed, **optional}
+        flag = draw(st.sampled_from(sorted(every)))
+        flags[flag] = draw(every[flag][1])
+    return [*prefix, *(flag if value is None else f"{flag}={value}"
+                       for flag, value in flags.items())]
+
+
+@settings(deadline=None, max_examples=100)
+@given(argv=command_lines())
+def test_every_command_line_ends_in_an_exit_code(corpus, trained, argv):
+    # files stay far below dataio.PART_BYTES, so no example forks
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "file").write_text("a regular file\n", encoding="utf-8")
+        args = [arg.format(corpus=corpus, trained=trained, tmp=tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args)  # anything but a return escapes here and fails
+    assert code in (0, 2, 3, 4, 5, 6), (args, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

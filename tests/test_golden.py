@@ -24,7 +24,14 @@ The gradcheck digest pins the stdout of a small run: finite
 differences of the loss core over its three logit matrices and two
 log-temperatures, and of the model with its batch sizes alternating
 between the shared and the separate uni-modal temperature layouts. Its
-printed errors moved with the same re-pin.
+printed errors moved with the same re-pin. It was re-pinned once more
+when the targets of both checks began to come from
+`build_batch_targets` on seeded teacher features (in place of a
+softmax of random logits) and the model check began to differentiate
+the trainer's own step, `trainer.step_gradients`, at a warm workspace:
+the seeded draws and the differentiated function changed, so the
+printed errors moved (the largest to 4.1e-7, against a tolerance of
+1e-4). No other digest moved.
 
 The eval digests pin the stdout of `eval --task cross --relevance`,
 `eval --task cross --pairs` and `eval --task img --relevance` on a
@@ -96,7 +103,7 @@ ZERO_WEIGHT_SHA256 = {
     ("0.6", "0"): ("001310b8693c7ef109a1477c47a2a392bcbd33c10ef64304ccba6768acb01f66",
                    "f42f3eb6447d970e599c52c1900262bdb4d3785f08420e502e58d612890091c7"),
 }
-GRADCHECK_SHA256 = "74f4e428eb7fee975ca1b5cda45509106d65d007e5b74dd4d00fbef26de8ad01"
+GRADCHECK_SHA256 = "d384a1b769d06fc7a5e851cd1843129689a1e8c4585c4a5a057fefe2cecbdaff"
 EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
     "cross-pairs": "aba60caad135f6ebe3b8acaa57b72e6840f19e3afbb253d90535010be79f7d24",

@@ -24,8 +24,7 @@ from cusa.mathops import (
     row_softmax_with_log,
 )
 from cusa.losses import _mean_kl, loss_from_logits
-from cusa.softlabels import (TeacherBatch, TeacherTargets, build_batch_targets,
-                             teacher_distribution)
+from cusa.softlabels import TeacherBatch, TeacherTargets, build_batch_targets
 
 # softmax([1, 0]) at inv_temp 1, 50-digit oracle
 SOFTMAX_1_0 = (0.73105857863000488, 0.26894142136999512)
@@ -247,7 +246,7 @@ class TestInPlaceKernels:
         # exact zeros; rows at 45 degrees keep small positive mass
         feats = l2_normalize_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0],
                                    [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
-        p = teacher_distribution(feats, teacher_inv_temp=1e3)
+        p = build_batch_targets(TeacherBatch(feats, feats), 1e3).p_i2i
         assert np.any(p == 0.0) and np.any((p > 0.0) & (p < 1e-100))
         rng = np.random.default_rng(63)
         s = rng.uniform(-1.0, 1.0, size=p.shape)
@@ -270,7 +269,7 @@ class TestLogSumExpKl:
                                  [0, 0, 1], [0, 1, 1], [1, 0, 0.2]])
         txt = l2_normalize_rows([[0, 0, 1], [1, 0, 0], [1, 0, 1],
                                  [0, 1, 0], [1, 1, 0], [0.2, 1, 0]])
-        p_i, p_t = teacher_distribution(img, 1e3), teacher_distribution(txt, 1e3)
+        p_i, p_t = (build_batch_targets(TeacherBatch(f, f), 1e3).p_i2i for f in (img, txt))
         for p in (p_i, p_t):
             assert np.any(p == 0.0)
         rng = np.random.default_rng(64)

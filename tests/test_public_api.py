@@ -1,4 +1,9 @@
-"""The package's public names resolve."""
+"""The package's public names resolve, and so do those README names."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
 
 import cusa
 import cusa.losses
@@ -10,3 +15,20 @@ def test_exported_names_resolve():
     for module in (cusa, cusa.losses):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_readme_library_names_resolve():
+    """Every name README's Library section imports in its example, or
+    lists as importable (`cusa.<module>`: `name`, ...), exists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = [(node.module, alias.name) for node in ast.walk(ast.parse(example))
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    listed = re.findall(r"\(`(cusa\.\w+)`:\s+((?:`\w+`,?\s*)+)\)", section)
+    assert {"cusa.losses", "cusa.softlabels", "cusa.mathops"} <= {m for m, _ in listed}
+    names += [(module, name) for module, block in listed
+              for name in re.findall(r"`(\w+)`", block)]
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"README names that do not resolve: {missing}"

@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 
 from cusa.dataio import read_features, read_pairs, read_relevance
 from cusa.errors import InvalidConfig
-from cusa.softlabels import teacher_distribution
+from cusa.softlabels import TeacherBatch, build_batch_targets
 from cusa.synthetic import SynthConfig, generate, synth_generate
 
 SMALL = dict(n_clusters=3, pairs_per_cluster=5, d_student_img=8, d_student_txt=8,
@@ -73,7 +73,8 @@ class TestGenerate:
     def test_zero_noise_teacher_targets_uniform_within_cluster(self):
         data = generate(SynthConfig(**SMALL, intra_noise=0.0))
         ppc = SMALL["pairs_per_cluster"]
-        p = teacher_distribution(data.img_teacher[:ppc])
+        feats = data.img_teacher[:ppc]
+        p = build_batch_targets(TeacherBatch(feats, feats)).p_i2i
         np.testing.assert_allclose(p, 1.0 / ppc, atol=1e-12)
 
     def test_clusters_separate_in_every_space(self):
