@@ -810,8 +810,8 @@ def sizes(lo, hi):
 
 def files(*names):
     """An input flag per name: that bundle file, or any input."""
-    return {f"--{name.split('.')[0].split('/')[-1].replace('_', '-')}":
-            (st.just(name if "/" in name else f"{{corpus}}/{name}"), INPUTS) for name in names}
+    return {f"--{name.split('.')[0].replace('_', '-')}": (st.just(f"{{corpus}}/{name}"), INPUTS)
+            for name in names}
 
 
 TRAIN_FILES = files("pairs.tsv", "img_base.feat", "txt_base.feat", "img_teacher.feat",
@@ -831,7 +831,8 @@ COMMANDS = [
           "student-img", "student-txt", "teacher-img", "teacher-txt")}}),
     (["train"], {**TRAIN_FILES, "--out-ckpt": (st.just("{tmp}/out"), OUTPUTS),
                  "--log": (st.just("{tmp}/log"), OUTPUTS),
-                 "--epochs": sizes(1, 2), "--batch-size": (ints(2, 12), ints(-1, 1) | st.just("13"))},
+                 "--epochs": sizes(1, 2),
+                 "--batch-size": (ints(2, 12), ints(-1, 1) | st.just("13"))},
      {**SHARED_TRAIN_FLAGS, "--lr": floats(1e-4, 0.1), "--weight-decay": floats(0.0, 0.1),
       "--separate-uni-temp": SWITCH}),
     (["eval", "--task=cross"], {**CKPT, **files("img_base.feat", "txt_base.feat",
@@ -840,7 +841,7 @@ COMMANDS = [
     (["eval", "--task=cross"], {**files("pairs.tsv"),
                                 "--img-emb": (st.just("{corpus}/img_base.feat"), INPUTS),
                                 "--txt-emb": (st.just("{corpus}/txt_base.feat"), INPUTS)},
-     {"--relevance": (None, INPUTS), "--usa-branch": (None, SWITCH[0])}),
+     {"--relevance": (None, INPUTS), "--usa-branch": (None, st.just(None))}),
     (["eval", "--task=img"], {**CKPT, **files("img_base.feat", "relevance.tsv")},
      {"--usa-branch": SWITCH, "--txt-base": (None, INPUTS), "--pairs": (None, INPUTS)}),
     (["eval", "--task=sts"], {"--txt-emb": (st.just("{corpus}/txt_base.feat"), INPUTS),
