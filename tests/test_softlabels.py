@@ -64,6 +64,11 @@ def test_singleton_batch_rejected():
         teacher_p(np.array([[1.0, 0.0]]))
 
 
+def test_bad_temperature_rejected():
+    with pytest.raises(NonPositiveTemperature):
+        teacher_p(np.eye(2), teacher_inv_temp=0.0)
+
+
 def test_denormalized_features_rejected():
     with pytest.raises(NotNormalized):
         teacher_p(np.array([[2.0, 0.0], [0.0, 1.0]]))
@@ -114,5 +119,3 @@ class TestBuildBatchTargets:
             build_batch_targets(full, 1.0, np.array([2]))
         with pytest.raises(NonPositiveTemperature):
             build_batch_targets(full, 0.0, np.array([0, 1]))
-        with pytest.raises(NonPositiveTemperature):
-            teacher_p(np.eye(2), teacher_inv_temp=0.0)
