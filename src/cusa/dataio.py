@@ -166,10 +166,8 @@ def write_features(path, ids, features) -> None:
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IQI", FEATURE_VERSION, n, d))
-        for raw, row in zip(encoded, f32):
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(row.tobytes())
+        fh.write(b"".join(field for raw, row in zip(encoded, f32)
+                          for field in (struct.pack("<H", len(raw)), raw, row.tobytes())))
 
 
 def read_features(path) -> FeatureTable:

@@ -23,6 +23,7 @@ active gallery, so it serves cross-modal and uni-modal evaluation).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -124,16 +125,22 @@ def generate(config: SynthConfig) -> SynthData:
 
 
 def _write_relevance(path, data: SynthData) -> None:
-    # every id maps to all other same-cluster ids, both modalities: the query
-    # at position j of its cluster's images + texts is left out by position
+    # every id maps to all other same-cluster ids, both modalities. A
+    # cluster's members (its images, then its texts) are joined once, and
+    # member j's line is that join with j's own id and one comma cut out
     per_cluster = data.config.pairs_per_cluster
-    clusters = [data.img_ids[lo:lo + per_cluster] + data.txt_ids[lo:lo + per_cluster]
-                for lo in range(0, len(data.img_ids), per_cluster)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for first in (0, per_cluster):  # every image query, then every text query
-            for members in clusters:
+            for lo in range(0, len(data.img_ids), per_cluster):
+                members = data.img_ids[lo:lo + per_cluster] + data.txt_ids[lo:lo + per_cluster]
+                joined = memoryview(",".join(members).encode("utf-8"))
+                # member j is joined[starts[j]:starts[j + 1] - 1]
+                starts = [0, *itertools.accumulate(len(m.encode("utf-8")) + 1 for m in members)]
                 for j in range(first, first + per_cluster):
-                    fh.write(f"{members[j]}\t{','.join(members[:j] + members[j + 1:])}\n")
+                    # the last member has no comma after it: drop the one before it
+                    head = joined[:starts[j] - (j == len(members) - 1)]
+                    fh.write(b"".join((joined[starts[j]:starts[j + 1] - 1], b"\t",
+                                       head, joined[starts[j + 1]:], b"\n")))
 
 
 def synth_generate(config: SynthConfig, out_dir) -> dict:
@@ -157,7 +164,6 @@ def synth_generate(config: SynthConfig, out_dir) -> dict:
     write_features(paths["img_teacher"], data.img_ids, data.img_teacher)
     write_features(paths["txt_teacher"], data.txt_ids, data.txt_teacher)
     with open(paths["pairs"], "w", encoding="utf-8", newline="\n") as fh:
-        for img, txt in zip(data.img_ids, data.txt_ids):
-            fh.write(f"{img}\t{txt}\n")
+        fh.write("".join(f"{img}\t{txt}\n" for img, txt in zip(data.img_ids, data.txt_ids)))
     _write_relevance(paths["relevance"], data)
     return paths

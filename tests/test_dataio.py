@@ -130,6 +130,20 @@ class TestFeatureRoundTrip:
         write_features(path, ["naïve", "ąż"], np.eye(2))
         assert read_features(path).ids == ["naïve", "ąż"]
 
+    def test_bytes_follow_the_per_record_layout(self, tmp_path):
+        # ids of 1-, 2- and 3-byte UTF-8 characters, and one of exactly
+        # 0xFFFF bytes, the longest id a u16 length can frame
+        ids = ["a", "é", "€", "ñandú", "日本語", "€" * 0x5555]
+        assert len(ids[-1].encode("utf-8")) == 0xFFFF
+        feats = np.random.default_rng(3).standard_normal((len(ids), 3))
+        path = tmp_path / "f.bin"
+        write_features(path, ids, feats)
+        want = [b"CUSF", struct.pack("<IQI", 1, len(ids), 3)]
+        for item_id, row in zip(ids, feats):
+            raw = item_id.encode("utf-8")
+            want += [struct.pack("<H", len(raw)), raw, row.astype("<f4").tobytes()]
+        assert path.read_bytes() == b"".join(want)
+
 
 class TestFeatureWriteValidation:
     def test_empty_table(self, tmp_path):

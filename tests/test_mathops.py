@@ -17,6 +17,7 @@ from cusa.errors import (
     ZeroRow,
 )
 from cusa.mathops import (
+    LSE_FLOOR,
     cosine_similarity,
     l2_normalize_rows,
     neg_entropy_rows,
@@ -143,6 +144,24 @@ class TestRowSoftmax:
         for bad in (0.0, -1.0):
             with pytest.raises(NonPositiveTemperature):
                 row_softmax([[1.0, 0.0]], bad)
+
+    def test_teacher_targets_take_the_per_row_shift(self):
+        # the self-similarities of unit rows differ by an ulp, which a huge
+        # teacher inverse temperature turns into a gap of ~1000 between rows
+        f = l2_normalize_rows(np.random.default_rng(0).standard_normal((6, 5)))
+        gram = f @ f.T
+        inv_temp = 1e19
+        z = gram * inv_temp
+        z -= z.max()
+        # so one shift by the matrix maximum would leave five rows summing to
+        # 0, and only the per-row fallback gives them a distribution
+        assert np.sum(np.exp(z).sum(axis=1) < LSE_FLOOR) == 5
+        targets = build_batch_targets(TeacherBatch(f, f), inv_temp)
+        for i in range(6):
+            assert np.array_equal(targets.p_i2i[i], row_softmax(gram[i:i + 1], inv_temp)[0])
+        p = targets.p_i2i
+        np.testing.assert_allclose(targets.h_i2i, masked_kl(p, np.zeros_like(p)),
+                                   rtol=0, atol=1e-15)
 
 
 def masked_kl(p, log_q):

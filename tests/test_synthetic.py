@@ -1,5 +1,7 @@
 """Generator invariants: determinism, planted cluster structure, file bundle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -7,6 +9,7 @@ from numpy.testing import assert_array_equal
 from cusa.dataio import read_features, read_pairs, read_relevance
 from cusa.errors import InvalidConfig
 from cusa.softlabels import TeacherBatch, build_batch_targets
+from cusa import synthetic
 from cusa.synthetic import SynthConfig, generate, synth_generate
 
 SMALL = dict(n_clusters=3, pairs_per_cluster=5, d_student_img=8, d_student_txt=8,
@@ -155,3 +158,32 @@ class TestSynthGenerate:
         # a query's paired counterpart is always relevant
         for img, txt in zip(data.img_ids, data.txt_ids):
             assert txt in rel[img] and img in rel[txt]
+
+    @pytest.mark.parametrize("n_clusters, pairs_per_cluster", [(2, 2), (3, 5), (5, 3)])
+    def test_relevance_follows_the_per_line_rule(self, tmp_path, n_clusters, pairs_per_cluster):
+        # every image query, then every text query, each followed by the other
+        # members of its cluster (images, then texts) in order; the first and
+        # last member of each cluster included
+        config = SynthConfig(**{**SMALL, "n_clusters": n_clusters,
+                                "pairs_per_cluster": pairs_per_cluster})
+        paths = synth_generate(config, tmp_path / "out")
+        data = generate(config)
+        clusters = [data.img_ids[lo:lo + pairs_per_cluster] + data.txt_ids[lo:lo + pairs_per_cluster]
+                    for lo in range(0, len(data.img_ids), pairs_per_cluster)]
+        want = "".join(f"{members[j]}\t{','.join(members[:j] + members[j + 1:])}\n"
+                       for first in (0, pairs_per_cluster) for members in clusters
+                       for j in range(first, first + pairs_per_cluster))
+        with open(paths["relevance"], "rb") as fh:
+            assert fh.read() == want.encode("utf-8")
+
+    def test_relevance_writer_holds_no_cluster_of_lines(self, tmp_path):
+        # at 4 x 500 one cluster's 500 lines are 7.5 MB; the writer holds one
+        # line and one cluster's joined ids and offsets (about 120 KB at its peak)
+        data = generate(SynthConfig(n_clusters=4, pairs_per_cluster=500))
+        tracemalloc.start()
+        try:
+            synthetic._write_relevance(tmp_path / "relevance.tsv", data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
