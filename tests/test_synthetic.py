@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from cusa import synthetic
 from cusa.dataio import read_features, read_pairs, read_relevance
 from cusa.errors import InvalidConfig
 from cusa.softlabels import TeacherBatch, build_batch_targets
-from cusa import synthetic
 from cusa.synthetic import SynthConfig, generate, synth_generate
 
 SMALL = dict(n_clusters=3, pairs_per_cluster=5, d_student_img=8, d_student_txt=8,
