@@ -18,6 +18,8 @@ import time
 from collections import defaultdict
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import dataio, gradcheck, metrics, model, synthetic, trainer
 from .errors import (
     DataError,
@@ -28,7 +30,7 @@ from .errors import (
     UsageError,
 )
 from .losses import loss_from_logits, student_logits
-from .mathops import l2_normalize_rows
+from .mathops import l2_normalize_rows, row_softmax
 from .softlabels import build_batch_targets
 
 FORMAT_VERSION = 1
@@ -252,15 +254,19 @@ def cmd_inspect(args) -> int:
 
     outputs = model.forward(base_img, base_txt, params)
     targets = build_batch_targets(teacher, config.teacher_inv_temp)
-    report, _, qs = loss_from_logits(
-        *student_logits(outputs), targets, outputs.inv_temp, outputs.inv_temp_uni,
-        config.alpha, config.beta, keep_q=True,
-    )
+    s_i2t, s_i2i, s_t2t = student_logits(outputs)
+    it, it_u = outputs.inv_temp, outputs.inv_temp_uni
+    with np.errstate(all="ignore"):  # an overflow ends as a NumericError
+        report, _ = loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it, it_u,
+                                     config.alpha, config.beta)
     payload = {
         "batch": indices,
         "p_i2i": targets.p_i2i.tolist(),
         "p_t2t": targets.p_t2t.tolist(),
-        **{key: q.tolist() for key, q in qs.items()},
+        "q_i2t": row_softmax(s_i2t, it).tolist(),
+        "q_t2i": row_softmax(s_i2t.T, it).tolist(),
+        "q_i2i": row_softmax(s_i2i, it_u).tolist(),
+        "q_t2t": row_softmax(s_t2t, it_u).tolist(),
         "loss": asdict(report),
         "embeddings": {
             "images": _vectors([img for img, _ in batch], outputs.img_emb),

@@ -151,8 +151,13 @@ def write_features(path, ids, features) -> None:
         raise InvalidConfig(f"feature table must be at least 1x1, got {n}x{d}")
     if len(ids) != n:
         raise InvalidConfig(f"{len(ids)} ids for {n} feature rows")
-    if not np.all(np.isfinite(feats)):
-        raise NonFiniteValue("features contain NaN or Inf")
+    # checked as stored: a finite float64 beyond float32's range becomes inf
+    with np.errstate(over="ignore"):
+        f32 = feats.astype("<f4")
+    bad = ~np.isfinite(f32).all(axis=1)
+    if bad.any():
+        rec = int(bad.argmax())
+        raise NonFiniteValue(f"record {rec} (id {str(ids[rec])!r}) is not finite as float32")
     FeatureTable(list(map(str, ids)), feats)  # rejects duplicates of the stored ids
     encoded = []
     for item_id in ids:
@@ -162,7 +167,6 @@ def write_features(path, ids, features) -> None:
         if len(raw) > 0xFFFF:
             raise InvalidConfig(f"id too long ({len(raw)} bytes): {item_id!r}")
         encoded.append(raw)
-    f32 = feats.astype("<f4")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IQI", FEATURE_VERSION, n, d))

@@ -90,7 +90,7 @@ def check_losses(seed: int) -> dict:
         def total():
             return core()[0].l_total
 
-        _, lg, _ = core()
+        _, lg = core()
         for name, s in zip(names, logits):
             key = f"loss.{name}"
             worst[key] = max(worst[key], _max_err(getattr(lg, "d_" + name), _fd_matrix(total, s)))

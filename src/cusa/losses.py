@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeWeight, ShapeMismatch
+from .errors import NegativeWeight, NumericError, ShapeMismatch
 from .mathops import Workspace, row_softmax_with_log
 
 
@@ -81,21 +81,19 @@ def _mean_diag_log_q(z: np.ndarray, lse: np.ndarray) -> float:
 
 
 def _usa_direction(s: np.ndarray, p: np.ndarray, h: np.ndarray, it_u: float,
-                   beta: float, q: np.ndarray, z: np.ndarray, keep_q: bool):
+                   beta: float, q: np.ndarray, z: np.ndarray):
     """One uni-modal direction of the objective.
 
     Returns (KL from p to softmax(s * it_u), the logit gradient
     beta * it_u / 2n * (q - p) formed in the buffer `q`, sum(gradient
-    * s), a copy of q or None). With beta = 0 the gradient's entries and
-    its sum are +-0.0, which backward and Adam take as zeros. `s` and
-    `p` are not modified.
+    * s)). With beta = 0 the gradient's entries and its sum are +-0.0,
+    which backward and Adam take as zeros. `s` and `p` are not modified.
     """
     q, z, lse = row_softmax_with_log(s, it_u, q, z)
     kl = _mean_kl(h, p, z, lse)
-    kept = q.copy() if keep_q else None
     q -= p
     q *= beta * it_u / (2.0 * s.shape[0])
-    return kl, q, float(np.vdot(q, s)), kept
+    return kl, q, float(np.vdot(q, s))
 
 
 def _check_weights(alpha: float, beta: float) -> None:
@@ -111,8 +109,7 @@ def cusa_total(l_original: float, l_csa: float, l_usa: float,
 
 
 def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
-                     alpha: float, beta: float, keep_q: bool = False,
-                     ws: Workspace | None = None):
+                     alpha: float, beta: float, ws: Workspace | None = None):
     """The training objective and its gradients from the three logit matrices.
 
     Args:
@@ -124,18 +121,17 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
         it: inverse temperature of the cross-modal softmaxes.
         it_u: inverse temperature of the uni-modal softmaxes.
         alpha: CSA weight; beta: USA weight. Both finite and >= 0.
-        keep_q: also return copies of the four student distributions.
         ws: Workspace for the softmaxes and gradients (a fresh one when
             None).
 
     Returns:
-        (LossReport, LossGradients, qs). d_log_inv_temp is the derivative
+        (LossReport, LossGradients). d_log_inv_temp is the derivative
         w.r.t. log(it) and d_log_inv_temp_uni the one w.r.t. log(it_u).
         The gradient matrices are buffers of `ws`, valid until its next
-        use. qs is None, or with keep_q a dict of q_i2t, q_t2i, q_i2i,
-        q_t2t. A zero weight scales its term's gradient by zero: with
+        use. A zero weight scales its term's gradient by zero: with
         alpha = 0 the cross-modal gradient keeps the bits of pure
-        InfoNCE (c1 + 0 = c1 and d - 0 = d). No input is modified.
+        InfoNCE (c1 + 0 = c1 and d - 0 = d). No input is modified. A
+        total loss that is not finite raises NumericError.
     """
     _check_weights(alpha, beta)
     n = s_i2t.shape[0]
@@ -146,7 +142,6 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
             raise ShapeMismatch(f"{name} shape {m.shape} does not match batch size {n}")
     it, it_u = float(it), float(it_u)
     ws = Workspace() if ws is None else ws
-    qs = {} if keep_q else None
 
     def buf(name):
         return ws.buffer(name, (n, n))
@@ -162,8 +157,6 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
     p_sum = buf("scratch")
     np.copyto(p_sum, p_t2t.T)  # P_t^T, laid out like z_t2i_t
     kl_t2i = _mean_kl(targets.h_t2t, p_sum, z_t2i_t, lse_t2i)
-    if keep_q:
-        qs.update(q_i2t=q_i2t.copy(), q_t2i=q_t2i_t.T.copy())
     # d_s_i2t = c1 * ((Q_i2t - I) + (Q_t2i - I)^T) + c2 * ((Q_i2t - P_i) + (Q_t2i - P_t)^T)
     #         = (c1 + c2) * (Q_i2t + Q_t2i^T) - c2 * (P_i + P_t^T) - 2 c1 I,
     # formed in the q_i2t buffer
@@ -179,12 +172,10 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
     d_log_it = float(np.vdot(d_s_i2t, s_i2t))
 
     # uni-modal: USA, in the dead z buffers of the cross-modal softmaxes
-    kl_i2i, d_s_i2i, d_img, q_i2i = _usa_direction(
-        s_i2i, p_i2i, targets.h_i2i, it_u, beta, buf("q_i2i"), z_i2t, keep_q)
-    kl_t2t, d_s_t2t, d_txt, q_t2t = _usa_direction(
-        s_t2t, p_t2t, targets.h_t2t, it_u, beta, buf("q_t2t"), z_t2i_t, keep_q)
-    if keep_q:
-        qs.update(q_i2i=q_i2i, q_t2t=q_t2t)
+    kl_i2i, d_s_i2i, d_img = _usa_direction(
+        s_i2i, p_i2i, targets.h_i2i, it_u, beta, buf("q_i2i"), z_i2t)
+    kl_t2t, d_s_t2t, d_txt = _usa_direction(
+        s_t2t, p_t2t, targets.h_t2t, it_u, beta, buf("q_t2t"), z_t2i_t)
 
     l_csa = 0.5 * (kl_i2t + kl_t2i)
     l_usa = 0.5 * (kl_i2i + kl_t2t)
@@ -195,8 +186,10 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
         l_total=cusa_total(l_original, l_csa, l_usa, alpha, beta),
         per_direction={"i2t": kl_i2t, "t2i": kl_t2i, "i2i": kl_i2i, "t2t": kl_t2t},
     )
+    if not math.isfinite(report.l_total):
+        raise NumericError(f"the loss is not finite: l_total = {report.l_total}")
     grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it, float(d_img + d_txt))
-    return report, grads, qs
+    return report, grads
 
 
 def student_logits(outputs, ws: Workspace | None = None) -> tuple:
@@ -232,11 +225,10 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
     Returns:
         (LossReport, LossGradients).
     """
-    report, grads, _ = loss_from_logits(
+    return loss_from_logits(
         *student_logits(outputs, ws), targets, outputs.inv_temp, outputs.inv_temp_uni,
         alpha, beta, ws=ws,
     )
-    return report, grads
 
 
 __all__ = [

@@ -61,7 +61,8 @@ class TeacherTargets:
             self.h_t2t = neg_entropy_rows(self.p_t2t)
 
 
-def _distribution(feats: np.ndarray, teacher_inv_temp: float, p=None, gram=None):
+def _distribution(feats: np.ndarray, teacher_inv_temp: float, p: np.ndarray,
+                  gram: np.ndarray):
     """(p, per-row sum(p log p)) of the teacher similarity softmax; the
     Gram matrix goes to `gram`, where the softmax leaves its shifted
     logits. No validation: TeacherBatch has checked the features and

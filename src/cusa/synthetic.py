@@ -112,7 +112,11 @@ def generate(config: SynthConfig) -> SynthData:
             else:
                 deviation = eps[space]
                 scale = 0.25 * config.intra_noise
-            tables.append(l2_normalize_rows(centroids[clusters] + scale * deviation))
+            with np.errstate(over="ignore"):
+                table = centroids[clusters] + scale * deviation
+            if not np.isfinite(table).all():
+                raise InvalidConfig(f"intra_noise {config.intra_noise} overflows the features")
+            tables.append(l2_normalize_rows(table))
 
     img_ids = [f"img-c{cl:03d}-p{m:04d}"
                for cl in range(c) for m in range(config.pairs_per_cluster)]

@@ -170,25 +170,13 @@ def step_gradients(params: StudentParams, base_img: np.ndarray, base_txt: np.nda
     return outputs, report, backward(outputs, params, lgrads)
 
 
-def train_step(params: StudentParams, state: AdamState, base_img: np.ndarray,
-               base_txt: np.ndarray, teacher: TeacherBatch, rows: np.ndarray,
-               config: TrainConfig, ws: Workspace | None = None):
-    """One optimizer step: step_gradients, then Adam. Returns (params,
-    state, LossReport, the clamped inverse temperature of the forward
-    pass)."""
-    outputs, report, pgrads = step_gradients(params, base_img, base_txt, teacher, rows,
-                                             config, ws)
-    params, state = adam_step(params, pgrads, state, config)
-    return params, state, report, outputs.inv_temp
-
-
 def train(data: TrainData, config: TrainConfig):
     """Run the full loop; returns (final StudentParams, TrainLog).
 
-    Each step is a train_step, and all steps share one Workspace, so
-    the n x n arrays of the step are allocated once. The pairs become
-    aligned arrays once up front; each step gathers its rows. Numeric
-    failures abort with (epoch, step) context.
+    Each step is step_gradients, then adam_step, and all steps share
+    one Workspace, so the n x n arrays of the step are allocated once.
+    The pairs become aligned arrays once up front; each step gathers
+    its rows. Numeric failures abort with (epoch, step) context.
     """
     base_img, base_txt, teacher = data.aligned(data.pairs)
 
@@ -202,21 +190,24 @@ def train(data: TrainData, config: TrainConfig):
     })
     n_pairs = len(data.pairs)
     ws = Workspace()
-    for epoch in range(config.epochs):
-        batches = make_batches(n_pairs, config.batch_size, config.seed, epoch)
-        for step, idx in enumerate(batches):
-            try:
-                params, state, report, inv_temp = train_step(
-                    params, state, base_img, base_txt, teacher, idx, config, ws)
-            except NumericError as err:
-                raise TrainAbort(epoch, step, err) from err
-            log.records.append({
-                "epoch": epoch,
-                "step": step,
-                "l_original": report.l_original,
-                "l_csa": report.l_csa,
-                "l_usa": report.l_usa,
-                "l_total": report.l_total,
-                "inv_temp": inv_temp,
-            })
+    with np.errstate(all="ignore"):  # a non-finite loss ends the run as TrainAbort
+        for epoch in range(config.epochs):
+            batches = make_batches(n_pairs, config.batch_size, config.seed, epoch)
+            for step, idx in enumerate(batches):
+                try:
+                    outputs, report, pgrads = step_gradients(
+                        params, base_img, base_txt, teacher, idx, config, ws)
+                    params, state = adam_step(params, pgrads, state, config)
+                except NumericError as err:
+                    raise TrainAbort(epoch, step, err) from err
+                log.records.append({
+                    "epoch": epoch,
+                    "step": step,
+                    "l_original": report.l_original,
+                    "l_csa": report.l_csa,
+                    "l_usa": report.l_usa,
+                    "l_total": report.l_total,
+                    "inv_temp": outputs.inv_temp,
+                })
+                del outputs, pgrads  # not kept alive beside the next step's arrays
     return params, log

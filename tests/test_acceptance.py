@@ -118,7 +118,7 @@ def test_criterion_2_loss_identities():
         s = rng.standard_normal((n, n)) * 3.0
         it = 1.0
         targets = TeacherTargets(row_softmax(s, it), row_softmax(s.T, it))
-        report, _, _ = loss_from_logits(s, s, s.T.copy(), targets, it, it, 1.0, 1.0)
+        report, _ = loss_from_logits(s, s, s.T.copy(), targets, it, it, 1.0, 1.0)
         kl_self_worst = max(kl_self_worst, *map(abs, report.per_direction.values()))
     kl_self_ok = kl_self_worst < 1e-12
 
@@ -133,8 +133,8 @@ def test_criterion_2_loss_identities():
         s = e_img @ e_txt.T
         it = float(rng.uniform(2.0, 30.0))
         eye, zero = np.eye(n), np.zeros((n, n))
-        report, _, _ = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye), it, 1.0,
-                                        0.0, 0.0)
+        report, _ = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye), it, 1.0,
+                                     0.0, 0.0)
         one_hot_worst = max(one_hot_worst, abs(report.l_csa - report.l_original))
     one_hot_ok = one_hot_worst < 1e-9
 
@@ -161,9 +161,9 @@ def test_criterion_2_loss_identities():
             outputs = forward(base_img[idx], base_txt[idx], params)
             # zero weights, one-hot targets, zero uni-modal logits
             eye, zero = np.eye(len(idx)), np.zeros((len(idx), len(idx)))
-            _, lgrads, _ = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T, zero, zero,
-                                            TeacherTargets(eye, eye), outputs.inv_temp,
-                                            1.0, 0.0, 0.0)
+            _, lgrads = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T, zero, zero,
+                                         TeacherTargets(eye, eye), outputs.inv_temp,
+                                         1.0, 0.0, 0.0)
             pgrads = backward(outputs, params, lgrads)
             params, state = adam_step(params, pgrads, state, cfg0)
     zero_worst = max(

@@ -138,7 +138,8 @@ class TestSynthCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    # 1e308 is finite but makes the noisy features overflow to inf
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_non_finite_noise_rejected(self, capsys, tmp_path, value):
         out = tmp_path / "noisy"
         code, report, err = run(capsys, ["synth", "--out", str(out), "--noise", value])
@@ -196,6 +197,16 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "model.ckpt").exists()
         assert not (tmp_path / "train.log").exists()
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--lr", "--weight-decay"])
+    def test_overflowing_flag_aborts_training(self, corpus, tmp_path, capsys, flag):
+        # finite, but the step overflows: a typed abort (exit 5), not a
+        # numpy warning (which the test settings turn into a failure)
+        code, report, err = run(capsys, train_flags(corpus, tmp_path, [flag, "1e308"]))
+        assert code == 5 and report is None
+        assert next(line for line in err.splitlines() if line.startswith("error:")).startswith(
+            "error: training aborted at epoch 0, step ")
+        assert not (tmp_path / "model.ckpt").exists()
 
     @pytest.mark.parametrize("flag, field, value", [
         ("--epochs", "epochs", "0"), ("--weight-decay", "weight_decay", "-0.5"),
@@ -537,9 +548,9 @@ class TestGradcheckCommand:
         real = cusa.losses.loss_from_logits
 
         def flipped(*args, **kwargs):
-            report, grads, qs = real(*args, **kwargs)
+            report, grads = real(*args, **kwargs)
             setattr(grads, field, -getattr(grads, field))
-            return report, grads, qs
+            return report, grads
 
         monkeypatch.setattr(cusa.losses, "loss_from_logits", flipped)
         code, report, err = run(capsys, ["gradcheck", "--trials", "1",

@@ -181,6 +181,20 @@ class TestFeatureWriteValidation:
         with pytest.raises(NonFiniteValue):
             write_features(tmp_path / "f", ["a"], [[1.0, np.inf]])
 
+    @pytest.mark.parametrize("big", [1e300, -1e300])
+    def test_value_beyond_float32_range(self, tmp_path, big):
+        # finite in float64 but inf once stored, which read_features refuses
+        feats = np.zeros((3, 2))
+        feats[1, 0] = big
+        with pytest.raises(NonFiniteValue, match=r"record 1 \(id 'b'\) is not finite as float32"):
+            write_features(tmp_path / "f", ["a", "b", "c"], feats)
+        assert not (tmp_path / "f").exists()
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        write_features(tmp_path / "f", ["a"], [[top, -top]])
+        np.testing.assert_array_equal(read_features(tmp_path / "f").features, [[top, -top]])
+
 
 class TestFeatureReadErrors:
     def test_bad_magic(self, tmp_path):

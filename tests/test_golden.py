@@ -46,7 +46,9 @@ from a checkpoint with a separate uni-modal temperature (alpha = beta =
 projector head (`--usa-branch`), and of `eval --task cross` from direct
 embeddings. They were produced at commit fb14666, before `inspect` took
 its logits from `losses.student_logits` and before the eval inputs and
-the text readers each got one code path.
+the text readers each got one code path. They held unchanged when
+`inspect` began to print `row_softmax` of its logits in place of copies
+of the loss core's softmaxes.
 
 The synth-bundle digests pin each of the six files of a fixed-seed
 `synth` bundle, `relevance.tsv` included. The reader-error digest pins
@@ -77,6 +79,8 @@ outputs are trusted rather than from the change under test.
 
 import hashlib
 import io
+import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -205,7 +209,9 @@ def test_fixed_seed_eval_reports_are_byte_identical(tmp_path, monkeypatch):
     assert digests == EVAL_SHA256
 
 
-def test_fixed_seed_inspect_and_eval_input_reports_are_byte_identical(tmp_path, monkeypatch):
+def _report_runs(tmp_path, monkeypatch):
+    """Build the report corpus in tmp_path, which becomes the working
+    directory, and return the argv of each pinned report."""
     monkeypatch.chdir(tmp_path)
     assert _cli(["synth", "--out", ".", "--clusters", "3", "--pairs-per-cluster", "8",
                  "--seed", "17", "--d-student-img", "6", "--d-student-txt", "6",
@@ -235,13 +241,41 @@ def test_fixed_seed_inspect_and_eval_input_reports_are_byte_identical(tmp_path, 
         "cross-emb": ["eval", "--task", "cross", "--img-emb", "img_base.feat",
                       "--txt-emb", "txt_base.feat", "--relevance", "relevance.tsv"],
     }
+    return runs
+
+
+def test_fixed_seed_inspect_and_eval_input_reports_are_byte_identical(tmp_path, monkeypatch):
     digests = {}
-    for name, argv in runs.items():
+    for name, argv in _report_runs(tmp_path, monkeypatch).items():
         out = io.StringIO()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             assert cli.main(argv) == 0
         digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digests == REPORT_SHA256
+
+
+def _mean_kl(p, q):
+    """Mean over rows of KL(p || q), summed over the entries with p > 0."""
+    return float(np.mean([sum(pj * math.log(pj / qj) for pj, qj in zip(pr, qr) if pj > 0.0)
+                          for pr, qr in zip(p, q)]))
+
+
+@pytest.mark.parametrize("name", ["inspect-fresh", "inspect-ckpt-separate-uni-temp"])
+def test_inspect_losses_follow_from_its_printed_distributions(tmp_path, monkeypatch, name):
+    # the printed Q matrices are the ones the printed losses were taken on
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert cli.main(_report_runs(tmp_path, monkeypatch)[name]) == 0
+    payload = json.loads(out.getvalue())["payload"]
+    p_i2i, p_t2t = payload["p_i2i"], payload["p_t2t"]
+    want = {"i2t": _mean_kl(p_i2i, payload["q_i2t"]), "t2i": _mean_kl(p_t2t, payload["q_t2i"]),
+            "i2i": _mean_kl(p_i2i, payload["q_i2i"]), "t2t": _mean_kl(p_t2t, payload["q_t2t"])}
+    got = payload["loss"]["per_direction"]
+    assert set(got) == set(want)
+    for key, value in want.items():
+        assert abs(got[key] - value) < 1e-12, key
+    diag_log_q = [np.mean(np.log(np.diagonal(payload[key]))) for key in ("q_i2t", "q_t2i")]
+    assert abs(payload["loss"]["l_original"] + 0.5 * sum(diag_log_q)) < 1e-12
 
 
 def test_fixed_seed_synth_bundle_is_byte_identical(tmp_path):

@@ -7,7 +7,7 @@ gradient checker is never its own oracle.
 import numpy as np
 import pytest
 
-from cusa.errors import NegativeWeight, ShapeMismatch
+from cusa.errors import NegativeWeight, NumericError, ShapeMismatch
 from cusa.losses import batch_loss_and_grads, cusa_total, loss_from_logits
 from cusa.mathops import Workspace, l2_normalize_rows, row_softmax
 from cusa.model import StudentOutputs, _clamp_gate, backward, forward, init_params
@@ -45,8 +45,8 @@ def infonce(s, it):
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
-    report, grads, _ = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye),
-                                        it, 1.0, 0.0, 0.0)
+    report, grads = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye),
+                                     it, 1.0, 0.0, 0.0)
     return report.l_total, grads
 
 
@@ -55,8 +55,8 @@ def csa(s, p_i, p_t, it):
     less the one at alpha = 0, both directions from the one matrix s."""
     zero = np.zeros(s.shape)
     targets = TeacherTargets(p_i, p_t)
-    report, with_csa, _ = loss_from_logits(s, zero, zero, targets, it, 1.0, 1.0, 0.0)
-    _, without, _ = loss_from_logits(s, zero, zero, targets, it, 1.0, 0.0, 0.0)
+    report, with_csa = loss_from_logits(s, zero, zero, targets, it, 1.0, 1.0, 0.0)
+    _, without = loss_from_logits(s, zero, zero, targets, it, 1.0, 0.0, 0.0)
     return report.l_csa, with_csa.d_s_i2t - without.d_s_i2t
 
 
@@ -64,8 +64,8 @@ def usa(p_i, p_t, s_i, s_t, it_u):
     """(l_usa, d_s_i2i, d_s_t2t) from the core at beta = 1; a distribution
     q enters as the logits log q at it_u = 1."""
     zero = np.zeros(s_i.shape)
-    report, grads, _ = loss_from_logits(zero, s_i, s_t, TeacherTargets(p_i, p_t),
-                                        1.0, it_u, 0.0, 1.0)
+    report, grads = loss_from_logits(zero, s_i, s_t, TeacherTargets(p_i, p_t),
+                                     1.0, it_u, 0.0, 1.0)
     return report.l_usa, grads.d_s_i2i, grads.d_s_t2t
 
 
@@ -348,26 +348,6 @@ class TestBatchLossAndGrads:
 
 
 class TestLossFromLogits:
-    def test_kept_q_are_the_student_softmaxes(self):
-        rng = np.random.default_rng(65)
-        n = 5
-        s_i2t, s_i2i, s_t2t = (rng.uniform(-1, 1, size=(n, n)) for _ in range(3))
-        targets = TeacherTargets(*random_targets(rng, n))
-        for alpha, beta in ((0.5, 0.5), (0.0, 0.0)):
-            report, grads, qs = loss_from_logits(s_i2t, s_i2i, s_t2t, targets, 7.0, 3.0,
-                                                 alpha, beta, keep_q=True)
-            want = {"q_i2t": row_softmax(s_i2t, 7.0), "q_t2i": row_softmax(s_i2t.T, 7.0),
-                    "q_i2i": row_softmax(s_i2i, 3.0), "q_t2t": row_softmax(s_t2t, 3.0)}
-            assert set(qs) == set(want)
-            for key, q in want.items():
-                np.testing.assert_array_equal(qs[key], q)
-            plain_report, plain_grads, none = loss_from_logits(
-                s_i2t, s_i2i, s_t2t, targets, 7.0, 3.0, alpha, beta)
-            assert none is None
-            assert plain_report == report
-            for name in ("d_s_i2t", "d_s_i2i", "d_s_t2t"):
-                np.testing.assert_array_equal(getattr(plain_grads, name), getattr(grads, name))
-
     def test_logits_left_untouched(self):
         # gradcheck perturbs the logit matrices in place between calls
         rng = np.random.default_rng(66)
@@ -376,7 +356,7 @@ class TestLossFromLogits:
         targets = TeacherTargets(*random_targets(rng, n))
         keep = [m.copy() for m in logits]
         for alpha, beta in ((0.5, 0.5), (0.0, 0.0)):
-            loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta, keep_q=True)
+            loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta)
             for now, before in zip(logits, keep):
                 assert np.array_equal(now, before)
 
@@ -390,14 +370,22 @@ class TestLossFromLogits:
         keep = [m.copy() for m in inputs]
         ws = Workspace()
         for alpha, beta in ((0.5, 0.5), (0.0, 0.0), (0.8, 0.0), (0.0, 0.3)):
-            report, grads, _ = loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta, ws=ws)
+            report, grads = loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta, ws=ws)
             for now, before in zip(inputs, keep):
                 assert np.array_equal(now, before)
-            fresh_report, fresh_grads, _ = loss_from_logits(*logits, targets, 4.0, 2.0,
-                                                            alpha, beta)
+            fresh_report, fresh_grads = loss_from_logits(*logits, targets, 4.0, 2.0,
+                                                         alpha, beta)
             assert report == fresh_report
             for name in ("d_s_i2t", "d_s_i2i", "d_s_t2t"):
                 np.testing.assert_array_equal(getattr(grads, name), getattr(fresh_grads, name))
+
+    def test_non_finite_loss_rejected(self):
+        # alpha * l_csa overflows: the core raises instead of returning inf
+        rng = np.random.default_rng(69)
+        logits = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
+        targets = TeacherTargets(*random_targets(rng, 3))
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+            loss_from_logits(*logits, targets, 40.0, 2.0, 1.7e308, 0.5)
 
     def test_mismatched_shapes_rejected(self):
         rng = np.random.default_rng(67)

@@ -305,7 +305,7 @@ class TestLogSumExpKl:
         built = build_batch_targets(TeacherBatch(img, txt), 1e3)
         assert np.array_equal(built.p_i2i, p_i) and np.array_equal(built.p_t2t, p_t)
         for targets in (TeacherTargets(p_i, p_t), built):
-            report, _, _ = loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it, it_u, 0.5, 0.5)
+            report, _ = loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it, it_u, 0.5, 0.5)
             for key, value in report.per_direction.items():
                 assert np.isfinite(value)
                 assert abs(value - want[key]) <= 1e-12, key

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cusa import trainer
+from cusa import gradcheck, trainer
 from cusa.dataio import FeatureTable, save_checkpoint
 from cusa.errors import BatchTooLarge, InvalidConfig, TrainAbort, ZeroRow
 from cusa.losses import loss_from_logits
@@ -24,8 +24,8 @@ from cusa.trainer import (
     adam_step,
     init_adam_state,
     make_batches,
+    step_gradients,
     train,
-    train_step,
 )
 
 # first update for a fresh moment state with g=1, lr=1e-3:
@@ -207,9 +207,9 @@ class TestTrain:
                 outputs = forward(base_img[idx], base_txt[idx], params)
                 # zero weights, one-hot targets, zero uni-modal logits
                 eye, zero = np.eye(len(idx)), np.zeros((len(idx), len(idx)))
-                _, lgrads, _ = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T, zero, zero,
-                                                TeacherTargets(eye, eye), outputs.inv_temp,
-                                                1.0, 0.0, 0.0)
+                _, lgrads = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T, zero, zero,
+                                             TeacherTargets(eye, eye), outputs.inv_temp,
+                                             1.0, 0.0, 0.0)
                 pgrads = backward(outputs, params, lgrads)
                 params, state = adam_step(params, pgrads, state, cfg)
 
@@ -303,8 +303,9 @@ class TestWorkspace:
         state = init_adam_state(params)
         for epoch in range(cfg.epochs):
             for idx in make_batches(len(data.pairs), cfg.batch_size, cfg.seed, epoch):
-                params, state, _, _ = train_step(params, state, base_img, base_txt, teacher,
-                                                 idx, cfg, NanWorkspace())
+                *_, pgrads = step_gradients(params, base_img, base_txt, teacher, idx, cfg,
+                                            NanWorkspace())
+                params, state = adam_step(params, pgrads, state, cfg)
         save_checkpoint(tmp_path / "reused.ckpt", reused, cfg.to_dict())
         save_checkpoint(tmp_path / "fresh.ckpt", params, cfg.to_dict())
         assert (tmp_path / "reused.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
@@ -319,11 +320,12 @@ class TestWorkspace:
         state = init_adam_state(params)
         first, second = make_batches(len(data.pairs), cfg.batch_size, cfg.seed, 0)[:2]
         ws = Workspace()
-        params, state, _, _ = train_step(params, state, base_img, base_txt, teacher,
-                                         first, cfg, ws)
+        *_, pgrads = step_gradients(params, base_img, base_txt, teacher, first, cfg, ws)
+        params, state = adam_step(params, pgrads, state, cfg)
         tracemalloc.start()
         try:
-            train_step(params, state, base_img, base_txt, teacher, second, cfg, ws)
+            *_, pgrads = step_gradients(params, base_img, base_txt, teacher, second, cfg, ws)
+            adam_step(params, pgrads, state, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,3 +334,28 @@ class TestWorkspace:
         # allocating every n x n array afresh each step peaked at 11.6.
         block = 200 * 200 * 8
         assert peak < 2 * block, f"traced peak {peak / block:.2f} n x n blocks"
+
+
+class TestStepGradients:
+    @pytest.mark.parametrize("separate_uni_temp", [False, True], ids=["shared", "separate"])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.4), (0.7, 0.0), (0.0, 0.0)])
+    def test_zero_weights_match_finite_differences(self, alpha, beta, separate_uni_temp):
+        # gradcheck weights both teacher terms; training also runs either at 0
+        rng = np.random.default_rng(0)
+        n, dims = 5, gradcheck.DEFAULT_DIMS
+        base_img, base_txt = rng.standard_normal((n, dims[0])), rng.standard_normal((n, dims[1]))
+        teacher, teacher_inv_temp = gradcheck._teacher(rng, n, dims[0], dims[1])
+        params = init_params(0, *dims, separate_uni_temp=separate_uni_temp)
+        params.flat[:params.n_scalars] = rng.uniform(np.log(2.0), np.log(50.0),
+                                                     size=params.n_scalars)
+        cfg = TrainConfig(alpha=alpha, beta=beta, teacher_inv_temp=teacher_inv_temp)
+        rows = rng.permutation(n)
+
+        def step():
+            return step_gradients(params, base_img, base_txt, teacher, rows, cfg)
+
+        grads = step()[2]
+        fd = gradcheck._fd_matrix(lambda: step()[1].l_total, params.flat)
+        for name, start, stop, _ in params.segments:
+            err = gradcheck._max_err(grads.flat[start:stop], fd[start:stop])
+            assert err < gradcheck.TOLERANCE, name
