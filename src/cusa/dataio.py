@@ -17,10 +17,12 @@ relevant sets, one line per query. Read into an int32 CSR
 (metrics.Relevance) that holds each id string once. The parse uses up
 to one process per usable CPU, in parts of at least PART_BYTES (1 MiB)
 that end on line boundaries: the calling process parses the first, a
-forked child each other, and the parent merges them in order. Outputs
-and errors (class, message, line number) do not depend on the part
-count, and no child outlives the call. Where os.fork or
-os.sched_getaffinity is missing, the file is parsed in one process.
+forked child each other, and the parent merges them in order. A part
+after the first that fails, or repeats an earlier part's query, makes
+the parent parse the whole file in one pass, so outputs and errors
+(class, message, line number) do not depend on the part count. No
+child outlives the call. Where os.fork or os.sched_getaffinity is
+missing, the file is parsed in one process.
 
 Scored pairs file: "id_a<TAB>id_b<TAB>score" per line (the similarity-
 with-gold-score evaluation input).
@@ -75,9 +77,9 @@ PART_BYTES = 1 << 20  # the fewest bytes of a relevance file parsed in a process
 # int32 positions merged at a time (64 KiB): with 1 MiB chunks the
 # eval-2k command peaked 0.45 MB higher
 _CHUNK_INTS = 1 << 14
-# a parsed part as a child sends it: its line count, the length of its
-# new ids' text and its query and index counts
-_PART_HEAD = struct.Struct("<qqqq")
+# a parsed part as a child sends it: the length of its new ids' text
+# and its query and index counts
+_PART_HEAD = struct.Struct("<qqq")
 
 
 def _read_header(path, magic: bytes, version: int, fmt: str, kind: str):
@@ -231,12 +233,12 @@ class _Window(io.RawIOBase):
         return n
 
 
-def _lines(path, start=0, stop=None, first_lineno=1):
+def _lines(path, start=0, stop=None):
     """(line number, line) of a UTF-8 text file, the newline stripped.
 
     Only bytes start..stop are read (stop None: to the end), numbered
-    from first_lineno. Bytes that are not UTF-8 end as MalformedLine
-    naming their line.
+    from 1. Bytes that are not UTF-8 end as MalformedLine naming their
+    line.
     """
     with open(path, "rb", buffering=0) as raw:
         if start:
@@ -245,7 +247,7 @@ def _lines(path, start=0, stop=None, first_lineno=1):
             raw = _Window(raw, stop - start)
         text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
                                 errors="surrogateescape")
-        for lineno, line in enumerate(text, start=first_lineno):
+        for lineno, line in enumerate(text, start=1):
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -257,20 +259,19 @@ def _lines(path, start=0, stop=None, first_lineno=1):
             yield lineno, line.rstrip("\n")
 
 
-def _records(path, kind: str, form: str, start=0, stop=None, first_lineno=1):
+def _records(path, kind: str, form: str, start=0, stop=None):
     """(line number, fields) of each line of a tab-separated text file
     laid out as `form`, e.g. 'image_id<TAB>text_id': as many fields as
-    `form` names, the first two non-empty. start, stop and first_lineno
-    are _lines'. A file without lines is MalformedLine too, named by
-    `kind`."""
+    `form` names, the first two non-empty. start and stop are _lines'.
+    A file without lines is MalformedLine too, named by `kind`."""
     n_fields = form.count("<TAB>") + 1
-    lineno = first_lineno - 1
-    for lineno, line in _lines(path, start, stop, first_lineno):
+    lineno = 0
+    for lineno, line in _lines(path, start, stop):
         fields = line.split("\t")
         if len(fields) != n_fields or not fields[0] or not fields[1]:
             raise MalformedLine(lineno, f"line {lineno}: expected {form!r}, got {line!r}")
         yield lineno, fields
-    if lineno < first_lineno:
+    if not lineno:
         raise MalformedLine(0, f"{kind} file is empty")
 
 
@@ -296,47 +297,50 @@ def read_relevance(path, known_ids=None) -> Relevance:
     With known_ids the table is known_ids, each id once in its first
     position, and any other query or relevant id raises UnknownId.
     Without, the table holds every id the file names, in first-seen
-    order. The file is parsed in parts at once (see _part_cuts); the
-    result and any error are those of one pass over the whole file.
+    order. The file is parsed in parts at once (see _part_cuts), and in
+    one pass when that fails, so the result and any error are those of
+    one pass over the whole file.
     """
+    return (_read_parts(path, known_ids, _part_cuts(path))
+            or _read_parts(path, known_ids, [0, None]))
+
+
+def _read_parts(path, known_ids, cuts):
+    """read_relevance of the parts between `cuts` (as _part_cuts gives
+    them): the first parsed here, so its errors propagate as one pass
+    raises them, each other in a forked child, merged in order. None
+    when a child's part does not merge (the child failed, or its stream
+    ended early) or repeats an earlier part's query: positions are
+    unique per id string, so such a query repeats in the merged queries."""
     index = _interning_index() if known_ids is None else id_table(known_ids)
-    cuts = _part_cuts(path)
     parts = list(zip(cuts[:-1], cuts[1:]))
-    table = list(index)  # the id table each child starts from
     children = []
     try:
+        # every child forks before part 0 is parsed, so it starts from
+        # known_ids or from an empty index: _merge_child relies on it
         for start, stop in parts[1:]:
             children.append(_fork_part(path, index, start, stop))
-        seen = set()
         queries, indptr, indices = array("i"), array("i", [0]), array("i")
-        lineno = 0
-        for (start, stop), child in zip(parts, [None, *children]):
-            n_lines = None if child is None else _merge_child(child[1], table, index, seen,
-                                                              queries, indptr, indices)
-            if n_lines is None:
-                # part 0, or a child that failed or names an earlier part's
-                # query: parse the part here, which raises what one pass would
-                lineno = _relevance_part(path, index, seen, start, stop, lineno + 1,
-                                         queries, indptr, indices)
-            else:
-                lineno += n_lines
+        _relevance_part(path, index, *parts[0], queries, indptr, indices)
+        merged = all(_merge_child(fh, index, queries, indptr, indices) for _, fh in children)
     finally:
         for pid, fh in children:
             fh.close()
             if pid is not None:
                 _kill(pid)
                 os.waitpid(pid, 0)
-    return Relevance(index, queries, indptr, indices)
+    if merged and len(set(queries)) == len(queries):
+        return Relevance(index, queries, indptr, indices)
+    return None
 
 
-def _relevance_part(path, index, seen, start, stop, first_lineno, queries, indptr, indices):
-    """Parse bytes start..stop of a relevance file, its first line being
-    line first_lineno, onto the CSR queries, indptr and indices, the
-    positions looked up in `index` and each query added to `seen`; return
-    the last line number."""
-    lineno = first_lineno - 1
+def _relevance_part(path, index, start, stop, queries, indptr, indices) -> None:
+    """Parse bytes start..stop of a relevance file onto the CSR queries,
+    indptr and indices, the positions looked up in `index`; line numbers
+    count from the part's first line."""
+    seen = set()
     for lineno, (query, id_blob) in _records(path, "relevance", "query_id<TAB>id,id,...",
-                                             start, stop, first_lineno):
+                                             start, stop):
         if query in seen:
             raise DuplicateId(f"line {lineno}: repeated query id {query!r}")
         seen.add(query)
@@ -351,7 +355,6 @@ def _relevance_part(path, index, seen, start, stop, first_lineno, queries, indpt
         except KeyError as e:
             raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
         indptr.append(len(indices))
-    return lineno
 
 
 def _part_cuts(path) -> list:
@@ -394,10 +397,10 @@ def _fork_part(path, index, start, stop):
         with os.fdopen(w, "wb") as out:
             n_known = len(index)
             queries, indptr, indices = array("i"), array("i", [0]), array("i")
-            n_lines = _relevance_part(path, index, set(), start, stop, 1, queries, indptr, indices)
+            _relevance_part(path, index, start, stop, queries, indptr, indices)
             new_ids = "".join(f"{i}\n" for i in itertools.islice(index, n_known, None))
             new_ids = new_ids.encode("utf-8")
-            out.write(_PART_HEAD.pack(n_lines, len(new_ids), len(queries), len(indices)))
+            out.write(_PART_HEAD.pack(len(new_ids), len(queries), len(indices)))
             for block in (new_ids, queries, indptr, indices):
                 out.write(block)
     finally:
@@ -418,44 +421,31 @@ def _read_exact(fh, size: int) -> bytes:
     return data
 
 
-def _merge_child(fh, table, index, seen, queries, indptr, indices):
+def _merge_child(fh, index, queries, indptr, indices) -> bool:
     """Append the part a child sent through fh to the CSR queries, indptr
-    and indices, its positions moved to `index`'s, and return its line
-    count. `table` is the id table the child started from. Return None,
-    with nothing changed, when the stream ends early (a child that failed
-    sends nothing) or names a query that an earlier part (`seen`) holds."""
+    and indices, its positions moved to `index`'s. The child forked from
+    known_ids or from an empty index: with known ids it adds none and its
+    positions are `index`'s; without, they index the new ids it sends,
+    and looking those up in `index` gives them their first-seen positions.
+    False when the stream ends early (a child that failed sends nothing)."""
     try:
-        n_lines, n_text, n_queries, n_indices = _PART_HEAD.unpack(_read_exact(fh, _PART_HEAD.size))
+        n_text, n_queries, n_indices = _PART_HEAD.unpack(_read_exact(fh, _PART_HEAD.size))
         new_ids = _read_exact(fh, n_text).decode("utf-8").split("\n")[:-1]
         part_queries = _read_exact(fh, 4 * n_queries)
         part_indptr = array("i", _read_exact(fh, 4 * n_queries + 4))
-    except EOFError:
-        return None
-    ids = table + new_ids  # the child's id table
-    query_ids = [ids[q] for q in array("i", part_queries)]
-    if not seen.isdisjoint(query_ids):
-        return None
-    remap = None
-    if new_ids:  # the positions `index` gives them below, in first-seen order
-        fresh = itertools.count(len(index))
-        remap = np.array([index[i] if i in index else next(fresh) for i in ids], dtype=np.int32)
+        remap = np.array([index[i] for i in new_ids], dtype=np.int32)
 
-    def moved(positions: bytes) -> bytes:
-        return positions if remap is None else remap[np.frombuffer(positions, np.int32)].tobytes()
+        def moved(positions: bytes) -> bytes:
+            return remap[np.frombuffer(positions, np.int32)].tobytes() if new_ids else positions
 
-    base = len(indices)
-    try:
+        base = len(indices)
         for left in range(n_indices, 0, -_CHUNK_INTS):
             indices.frombytes(moved(_read_exact(fh, 4 * min(left, _CHUNK_INTS))))
     except EOFError:
-        del indices[base:]
-        return None
-    for item_id in new_ids:
-        index.setdefault(item_id, len(index))
+        return False
     queries.frombytes(moved(part_queries))
     indptr.extend(base + p for p in part_indptr[1:])
-    seen.update(query_ids)
-    return n_lines
+    return True
 
 
 def read_scored_pairs(path, ids=None) -> list:

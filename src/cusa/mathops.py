@@ -18,6 +18,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveTemperature,
     NotNormalized,
+    NumericError,
     ShapeMismatch,
     ZeroRow,
 )
@@ -76,9 +77,13 @@ def l2_normalize_rows(m) -> np.ndarray:
 
 
 def unit_rows(m: np.ndarray, message: str | None = None) -> tuple:
-    """(rows of `m` scaled to unit norm, their norms); ZeroRow(message) below ZERO_ROW_TOL."""
+    """(rows of `m` scaled to unit norm, their norms); ZeroRow(message) below
+    ZERO_ROW_TOL, NumericError for a norm that is not finite."""
     # np.linalg.norm(m, axis=1) of a real matrix, without its dispatch
-    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    with np.errstate(over="ignore"):  # an entry above about 1e154 overflows m * m
+        norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    if not np.isfinite(norms).all():
+        raise NumericError(f"row {np.argmax(~np.isfinite(norms))} has a norm that is not finite")
     if norms.min() < ZERO_ROW_TOL:
         raise ZeroRow(int(np.argmax(norms < ZERO_ROW_TOL)), message)
     return m / norms[:, None], norms

@@ -118,8 +118,10 @@ class StudentOutputs:
 
 
 def clamped_inv_temp(log_inv_temp: float) -> float:
-    """exp(log_inv_temp) clamped to [1, 100]."""
-    return float(min(max(math.exp(log_inv_temp), INV_TEMP_MIN), INV_TEMP_MAX))
+    """exp(log_inv_temp) clamped to [1, 100], finite for every float: the
+    log is capped one above log(100) before the exp."""
+    it = math.exp(min(log_inv_temp, math.log(INV_TEMP_MAX) + 1.0))
+    return float(min(max(it, INV_TEMP_MIN), INV_TEMP_MAX))
 
 
 def _clamp_gate(log_inv_temp: float) -> float:
@@ -127,7 +129,7 @@ def _clamp_gate(log_inv_temp: float) -> float:
     # lower boundary is reachable: exp(0.0) is exactly INV_TEMP_MIN. The
     # upper one is not: no float64 x has exp(x) == INV_TEMP_MAX (the two
     # around log(100.0) give 99.99999999999996 and 100.00000000000004).
-    it = math.exp(log_inv_temp)
+    it = clamped_inv_temp(log_inv_temp)
     return 1.0 if INV_TEMP_MIN < it < INV_TEMP_MAX else 0.0
 
 

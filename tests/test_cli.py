@@ -24,7 +24,7 @@ from cusa.dataio import read_features, save_checkpoint, write_features
 from cusa.errors import BadMagic, InvalidConfig, NotNormalized, UnknownId
 from cusa.losses import LossGradients
 from cusa.mathops import l2_normalize_rows
-from cusa.model import param_segments
+from cusa.model import init_params, param_segments
 
 SYNTH_FLAGS = ["--clusters", "3", "--pairs-per-cluster", "4",
                "--d-student-img", "6", "--d-student-txt", "6",
@@ -645,6 +645,26 @@ class TestInspectCommand:
             corpus, ["--batch", "0,1", "--ckpt", str(trained / "model.ckpt")]))
         assert code == 0
         assert fresh["payload"]["embeddings"] != loaded["payload"]["embeddings"]
+
+    @pytest.mark.parametrize("name", ["log_inv_temp", "log_inv_temp_uni"])
+    @pytest.mark.parametrize("value, inv_temp", [(1e3, 100.0), (1e308, 100.0), (-1e3, 1.0)])
+    def test_a_checkpoint_temperature_beyond_exp_range_is_clamped(
+            self, corpus, tmp_path, capsys, monkeypatch, name, value, inv_temp):
+        params = init_params(0, 6, 6, 8, 4, separate_uni_temp=True)
+        setattr(params, name, value)
+        save_checkpoint(tmp_path / "m.ckpt", params, {})
+        temps, real_loss = [], cusa.cli.loss_from_logits
+
+        def loss(*args):  # records it and it_u by the parameter each is formed from
+            temps.append(dict(zip(["log_inv_temp", "log_inv_temp_uni"], args[4:6])))
+            return real_loss(*args)
+
+        monkeypatch.setattr(cusa.cli, "loss_from_logits", loss)
+        code, report, err = run(capsys, self.inspect_flags(
+            corpus, ["--batch", "0,1", "--ckpt", str(tmp_path / "m.ckpt")]))
+        assert code == 0 and "Traceback" not in err
+        json.dumps(report, allow_nan=False)  # raises on NaN or Infinity
+        assert temps[0][name] == inv_temp
 
     @pytest.mark.parametrize("flags", [
         ["--alpha", "nan"], ["--beta", "inf"], ["--teacher-inv-temp", "0"],

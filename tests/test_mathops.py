@@ -13,6 +13,7 @@ from cusa.errors import (
     NonFiniteValue,
     NonPositiveTemperature,
     NotNormalized,
+    NumericError,
     ShapeMismatch,
     ZeroRow,
 )
@@ -55,6 +56,17 @@ class TestL2NormalizeRows:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteValue):
             l2_normalize_rows([[np.nan, 1.0]])
+
+    def test_a_norm_beyond_float64_is_rejected_naming_its_row(self):
+        # finite entries whose squares overflow: not a zero row and a warning
+        with pytest.raises(NumericError, match="^row 1 has a norm that is not finite$"):
+            l2_normalize_rows([[1.0, 2.0], [1e200, 1.0]])
+
+    def test_finite_norms_keep_their_bits(self):
+        m = np.random.default_rng(12).standard_normal((5, 7)) * [[1.0], [1e-6], [1e150],
+                                                                 [3.0], [1e-5]]
+        want = m / np.sqrt(np.add.reduce(m * m, axis=1))[:, None]
+        assert l2_normalize_rows(m).tobytes() == want.tobytes()
 
 
 class TestCosineSimilarity:

@@ -241,6 +241,14 @@ class TestBackward:
         assert math.exp(below) < INV_TEMP_MAX < math.exp(above)
         assert (_clamp_gate(below), _clamp_gate(above)) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("log_inv_temp, inv_temp", [
+        (1e3, INV_TEMP_MAX), (1e308, INV_TEMP_MAX), (-1e3, INV_TEMP_MIN), (-1e308, INV_TEMP_MIN),
+    ])
+    def test_a_log_temperature_beyond_exp_range_is_clamped(self, log_inv_temp, inv_temp):
+        # math.exp(1e3) overflows: the clamp acts before the exp
+        assert clamped_inv_temp(log_inv_temp) == inv_temp
+        assert _clamp_gate(log_inv_temp) == 0.0
+
     def test_backward_leaves_outputs_and_tape_untouched(self):
         base_img, base_txt, params, targets = self._setup(42)
         out = forward(base_img, base_txt, params)
