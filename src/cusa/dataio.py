@@ -20,9 +20,11 @@ that end on line boundaries: the calling process parses the first, a
 forked child each other, and the parent merges them in order. A part
 after the first that fails, or repeats an earlier part's query, makes
 the parent parse the whole file in one pass, so outputs and errors
-(class, message, line number) do not depend on the part count. No
-child outlives the call. Where os.fork or os.sched_getaffinity is
-missing, the file is parsed in one process.
+(class, message, line number) do not depend on the part count. The
+children are started, killed and reaped by parallel.forked, as the
+ranker's are; none outlives the call. Where parallel.usable_cpus is 1
+(also where the os module lacks fork or sched_getaffinity), the file is
+parsed in one process.
 
 Scored pairs file: "id_a<TAB>id_b<TAB>score" per line (the similarity-
 with-gold-score evaluation input).
@@ -41,7 +43,6 @@ Checkpoint ("CUSC"):
 
 from __future__ import annotations
 
-import contextlib
 import io
 import itertools
 import json
@@ -66,6 +67,7 @@ from .errors import (
     UnknownId,
     VersionUnsupported,
 )
+from . import parallel
 from .metrics import Relevance, _interning_index, id_table
 from .model import StudentParams, param_segments
 
@@ -314,21 +316,13 @@ def _read_parts(path, known_ids, cuts):
     unique per id string, so such a query repeats in the merged queries."""
     index = _interning_index() if known_ids is None else id_table(known_ids)
     parts = list(zip(cuts[:-1], cuts[1:]))
-    children = []
-    try:
-        # every child forks before part 0 is parsed, so it starts from
-        # known_ids or from an empty index: _merge_child relies on it
-        for start, stop in parts[1:]:
-            children.append(_fork_part(path, index, start, stop))
+    # every child forks before part 0 is parsed, so it starts from
+    # known_ids or from an empty index: _merge_child relies on it
+    with parallel.forked(lambda part, out: _send_part(path, index, *part, out),
+                         parts[1:]) as streams:
         queries, indptr, indices = array("i"), array("i", [0]), array("i")
         _relevance_part(path, index, *parts[0], queries, indptr, indices)
-        merged = all(_merge_child(fh, index, queries, indptr, indices) for _, fh in children)
-    finally:
-        for pid, fh in children:
-            fh.close()
-            if pid is not None:
-                _kill(pid)
-                os.waitpid(pid, 0)
+        merged = all(_merge_child(fh, index, queries, indptr, indices) for fh in streams)
     if merged and len(set(queries)) == len(queries):
         return Relevance(index, queries, indptr, indices)
     return None
@@ -359,14 +353,12 @@ def _relevance_part(path, index, start, stop, queries, indptr, indices) -> None:
 
 def _part_cuts(path) -> list:
     """[0, c1, ..., None]: where each part of a text file starts, then
-    None for its end. There is one part per usable CPU, each of at least
-    PART_BYTES, and one where os.fork or os.sched_getaffinity is
-    missing. Each cut sits just after a b"\\n", so a CRLF pair never
-    straddles one and every part holds whole lines."""
+    None for its end. There is one part per usable CPU (see
+    parallel.usable_cpus), each of at least PART_BYTES. Each cut sits
+    just after a b"\\n", so a CRLF pair never straddles one and every
+    part holds whole lines."""
     size = os.stat(path).st_size
-    k = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        k = max(1, min(len(os.sched_getaffinity(0)), size // PART_BYTES))
+    k = max(1, min(parallel.usable_cpus(), size // PART_BYTES))
     cuts = [0]
     if k > 1:
         with open(path, "rb") as fh:
@@ -378,47 +370,19 @@ def _part_cuts(path) -> list:
     return cuts + [None]
 
 
-def _fork_part(path, index, start, stop):
-    """(pid, read end of a pipe) of a child that parses bytes start..stop
-    of a relevance file and sends the part through the pipe: _PART_HEAD,
-    the text of its new ids, then its queries, indptr and indices. A
-    child whose part does not parse sends nothing. When no child can be
-    started, pid is None and the pipe is at its end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        pid = None
-    if pid != 0:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-    try:  # the child, which always ends in os._exit
-        os.close(r)
-        with os.fdopen(w, "wb") as out:
-            n_known = len(index)
-            queries, indptr, indices = array("i"), array("i", [0]), array("i")
-            _relevance_part(path, index, start, stop, queries, indptr, indices)
-            new_ids = "".join(f"{i}\n" for i in itertools.islice(index, n_known, None))
-            new_ids = new_ids.encode("utf-8")
-            out.write(_PART_HEAD.pack(len(new_ids), len(queries), len(indices)))
-            for block in (new_ids, queries, indptr, indices):
-                out.write(block)
-    finally:
-        os._exit(0)
-
-
-def _kill(pid: int) -> None:
-    import signal  # not at the top: its enum classes cost each CLI start 5 ms
-
-    with contextlib.suppress(ProcessLookupError):
-        os.kill(pid, signal.SIGKILL)
-
-
-def _read_exact(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) < size:
-        raise EOFError(f"{len(data)} of {size} bytes")
-    return data
+def _send_part(path, index, start, stop, out) -> None:
+    """Parse bytes start..stop of a relevance file in a child and send
+    the part through `out`: _PART_HEAD, the text of its new ids, then
+    its queries, indptr and indices. A part that does not parse sends
+    nothing."""
+    n_known = len(index)
+    queries, indptr, indices = array("i"), array("i", [0]), array("i")
+    _relevance_part(path, index, start, stop, queries, indptr, indices)
+    new_ids = "".join(f"{i}\n" for i in itertools.islice(index, n_known, None))
+    new_ids = new_ids.encode("utf-8")
+    out.write(_PART_HEAD.pack(len(new_ids), len(queries), len(indices)))
+    for block in (new_ids, queries, indptr, indices):
+        out.write(block)
 
 
 def _merge_child(fh, index, queries, indptr, indices) -> bool:
@@ -428,11 +392,12 @@ def _merge_child(fh, index, queries, indptr, indices) -> bool:
     positions are `index`'s; without, they index the new ids it sends,
     and looking those up in `index` gives them their first-seen positions.
     False when the stream ends early (a child that failed sends nothing)."""
+    read = parallel.read_exact
     try:
-        n_text, n_queries, n_indices = _PART_HEAD.unpack(_read_exact(fh, _PART_HEAD.size))
-        new_ids = _read_exact(fh, n_text).decode("utf-8").split("\n")[:-1]
-        part_queries = _read_exact(fh, 4 * n_queries)
-        part_indptr = array("i", _read_exact(fh, 4 * n_queries + 4))
+        n_text, n_queries, n_indices = _PART_HEAD.unpack(read(fh, _PART_HEAD.size))
+        new_ids = read(fh, n_text).decode("utf-8").split("\n")[:-1]
+        part_queries = read(fh, 4 * n_queries)
+        part_indptr = array("i", read(fh, 4 * n_queries + 4))
         remap = np.array([index[i] for i in new_ids], dtype=np.int32)
 
         def moved(positions: bytes) -> bytes:
@@ -440,7 +405,7 @@ def _merge_child(fh, index, queries, indptr, indices) -> bool:
 
         base = len(indices)
         for left in range(n_indices, 0, -_CHUNK_INTS):
-            indices.frombytes(moved(_read_exact(fh, 4 * min(left, _CHUNK_INTS))))
+            indices.frombytes(moved(read(fh, 4 * min(left, _CHUNK_INTS))))
     except EOFError:
         return False
     queries.frombytes(moved(part_queries))

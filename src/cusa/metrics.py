@@ -5,10 +5,20 @@ ascending gallery index. A query's ranking is the ascending 0-based
 ranks of its relevant gallery items, which is all R@K, R-Precision and
 mAP@R need. Relevance is a Relevance (an int32 CSR over one id table);
 relevant ids outside the active gallery are ignored, so one relevance
-structure can serve cross-modal and uni-modal tasks at once. Evaluation
-ranks query rows block by block and reduces each query's ranks to its
-metric terms at once: it holds the CSR and about three BLOCK_ROWS x
-gallery score blocks, never a score matrix or every query's ranks.
+structure can serve cross-modal and uni-modal tasks at once.
+
+Evaluation ranks query rows block by block and reduces each query's
+ranks to its metric terms (TERMS) at once. Each direction's blocks are
+cut into one contiguous range per usable CPU, each of at least one
+block and RANGE_ROWS query rows: the calling process ranks the first, a
+forked child each other and sends back its queries' terms, and the
+caller sums every query's terms in query order. Each process
+holds the CSR and about three BLOCK_ROWS x gallery score blocks, never
+a score matrix or every query's ranks. Inputs are checked before any
+fork, and a range whose child fails or sends less than its terms is
+ranked in the calling process; block edges do not depend on the ranges,
+so reports and errors do not depend on the CPU count. No child outlives
+the call, and where parallel.usable_cpus is 1 nothing forks.
 """
 
 from __future__ import annotations
@@ -26,10 +36,18 @@ from .errors import (
     ShapeMismatch,
     UnknownId,
 )
+from . import parallel
 from .mathops import _as_matrix, unit_pair
 
 # Query rows scored and sorted at once, in BLOCK_ROWS x gallery arrays.
 BLOCK_ROWS = 128
+# The fewest query rows ranked in a process of their own: starting and
+# reaping a child takes a few milliseconds, about what 128 rows take to rank.
+RANGE_ROWS = 128
+# A query's metric terms: its first rank (-1 without a relevant item),
+# the relevant items found in its top R, R (its relevant items in the
+# gallery) and the sum of its precisions at those found, R times AP@R.
+TERMS = np.dtype([("first", "<i8"), ("found", "<i8"), ("n_rel", "<i8"), ("ap", "<f8")])
 
 
 def id_table(ids) -> dict:
@@ -88,13 +106,16 @@ def rank_by_similarity(scores, query_ids, gallery_ids, rel, exclude_self: bool =
     ranking.
     """
     s = _as_matrix(scores, "scores")
-    return list(_rank_blocks(lambda lo, hi: s[lo:hi], s.shape, query_ids, gallery_ids, rel,
-                             exclude_self))
+    blocks, ranks = _ranker(lambda lo, hi: s[lo:hi], s.shape, query_ids, gallery_ids, rel,
+                            exclude_self)
+    return list(ranks(blocks))
 
 
-def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self):
-    """rank_by_similarity over the score rows block_scores(lo, hi),
-    yielding one query row's ranks at a time."""
+def _ranker(block_scores, shape, query_ids, gallery_ids, rel, exclude_self):
+    """rank_by_similarity over the score rows block_scores(lo, hi), its
+    inputs checked at once: (blocks, ranks), the (lo, hi) query row
+    blocks and a generator function that yields the ranks of each query
+    row of the blocks it is given, one row at a time."""
     nq, ng = shape
     if len(query_ids) != nq or len(gallery_ids) != ng:
         raise ShapeMismatch(
@@ -122,80 +143,86 @@ def _rank_blocks(block_scores, shape, query_ids, gallery_ids, rel, exclude_self)
     starts = rel.indptr[rows].tolist()
     stops = rel.indptr[rows + 1].tolist()
 
+    def ranks(blocks):
+        for lo, hi in blocks:
+            block = np.arange(hi - lo)
+            neg = np.negative(block_scores(lo, hi), order="C")
+            if exclude_self:
+                # the query's own score sorts after every gallery item
+                neg[block, lo + block] = np.inf
+            ranked = np.sort(neg, axis=1)
+            # a row that holds equal scores takes its stable argsort's
+            # positions as scores, so that ties keep ascending gallery order
+            tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+            neg[tied[:, None], np.argsort(neg[tied], axis=1, kind="stable")] = np.arange(ng)
+            ranked[tied] = np.arange(ng)
+
+            for q in range(lo, hi):
+                relevant = np.zeros(ng + 1, dtype=bool)
+                relevant[column[rel.indices[starts[q]:stops[q]]]] = True
+                if exclude_self:
+                    # a query may list itself as relevant
+                    relevant[q] = False
+                # an item's rank is the number of scores below its own in neg
+                yield ranked[q - lo].searchsorted(np.sort(neg[q - lo].compress(relevant[:ng])))
+            del neg, ranked  # the next block's scores take their place
+
     # no 1-row tail block: a 1-row product can differ in bits from a GEMM row
     edges = [*range(0, max(nq - 1, 1), BLOCK_ROWS), nq]
-    for lo, hi in zip(edges, edges[1:]):
-        block = np.arange(hi - lo)
-        neg = np.negative(block_scores(lo, hi), order="C")
-        if exclude_self:
-            # the query's own score sorts after every gallery item
-            neg[block, lo + block] = np.inf
-        ranked = np.sort(neg, axis=1)
-        # a row that holds equal scores takes its stable argsort's positions
-        # as scores, so that ties keep ascending gallery order
-        tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-        neg[tied[:, None], np.argsort(neg[tied], axis=1, kind="stable")] = np.arange(ng)
-        ranked[tied] = np.arange(ng)
-
-        for q in range(lo, hi):
-            relevant = np.zeros(ng + 1, dtype=bool)
-            relevant[column[rel.indices[starts[q]:stops[q]]]] = True
-            if exclude_self:
-                # a query may list itself as relevant
-                relevant[q] = False
-            # an item's rank is the number of scores below its own in neg
-            yield ranked[q - lo].searchsorted(np.sort(neg[q - lo].compress(relevant[:ng])))
-        del neg, ranked  # the next block's scores take their place
+    return list(zip(edges, edges[1:])), ranks
 
 
-def _metric_sums(ranks, ks=(), need_relevant=True) -> tuple:
-    """(hits at each k, R-Precision sum, AP@R sum, query count) of one
-    pass over the ascending ranks of each query, summed in query order.
-
-    R is a query's number of relevant items in the gallery. A query
-    without one raises DegenerateInput, or, with need_relevant=False,
-    misses at every k and adds nothing to either sum.
-    """
-    hits = [0] * len(ks)
-    rp_sum = ap_sum = 0.0
-    n = 0
-    for n, r in enumerate(ranks, start=1):
-        n_rel = r.size
-        if n_rel == 0:
-            if need_relevant:
-                raise DegenerateInput(f"query row {n - 1} has no relevant item in the gallery")
-            continue
-        first = int(r[0])
-        hits = [h + (first < k) for h, k in zip(hits, ks)]
-        found = int(np.searchsorted(r, n_rel))
+def _query_terms(ranks) -> np.ndarray:
+    """The TERMS of each query, in order, from its ascending ranks."""
+    rows = []
+    for r in ranks:
+        found = int(r.searchsorted(r.size))
         # precision terms are added in rank order (cumsum, not pairwise sum),
         # so AP is bit-identical to a left-to-right loop
-        ap = np.cumsum(np.arange(1, found + 1) / (r[:found] + 1))[-1] if found else 0.0
-        rp_sum += found / n_rel
-        ap_sum += float(ap) / n_rel
-    if n == 0:
+        ap = (np.arange(1, found + 1) / (r[:found] + 1)).cumsum()[-1] if found else 0.0
+        rows.append((r[0] if r.size else -1, found, r.size, ap))
+    return np.array(rows, dtype=TERMS)
+
+
+def _metric_sums(terms, ks=(), need_relevant=True) -> tuple:
+    """(hits at each k, R-Precision sum, AP@R sum, query count) of every
+    query's TERMS, each sum added in query order.
+
+    A query without a relevant item in the gallery raises
+    DegenerateInput, or, with need_relevant=False, misses at every k and
+    adds nothing to either sum.
+    """
+    if not terms.size:
         raise DegenerateInput("no query to evaluate")
-    return hits, rp_sum, ap_sum, n
+    missing = np.flatnonzero(terms["n_rel"] == 0)
+    if need_relevant and missing.size:
+        raise DegenerateInput(f"query row {missing[0]} has no relevant item in the gallery")
+    t = np.delete(terms, missing)
+    hits = [int(np.count_nonzero(t["first"] < k)) for k in ks]
+    # cumsum adds in query order, as a left-to-right loop does
+    sums = [float(np.cumsum(t[name] / t["n_rel"])[-1]) if t.size else 0.0
+            for name in ("found", "ap")]
+    return hits, *sums, terms.size
 
 
 def recall_at_k(ranks, k: int) -> float:
     """Fraction of queries with at least one relevant item in the top k."""
     if k < 1:
         raise OutOfRange(f"k must be >= 1, got {k}")
-    hits, _, _, n = _metric_sums(ranks, (k,), need_relevant=False)
+    hits, _, _, n = _metric_sums(_query_terms(ranks), (k,), need_relevant=False)
     return hits[0] / n
 
 
 def r_precision(ranks) -> float:
     """Mean over queries of (relevant found in top-R) / R, R = number of
     relevant items present in the gallery."""
-    _, rp_sum, _, n = _metric_sums(ranks)
+    _, rp_sum, _, n = _metric_sums(_query_terms(ranks))
     return rp_sum / n
 
 
 def map_at_r(ranks) -> float:
     """Mean average precision restricted to the top-R ranks."""
-    _, _, ap_sum, n = _metric_sums(ranks)
+    _, _, ap_sum, n = _metric_sums(_query_terms(ranks))
     return ap_sum / n
 
 
@@ -241,8 +268,8 @@ def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _direction_report(ranks) -> dict:
-    hits, rp_sum, ap_sum, n = _metric_sums(ranks, (1, 5, 10))
+def _direction_report(terms) -> dict:
+    hits, rp_sum, ap_sum, n = _metric_sums(terms, (1, 5, 10))
     rp = rp_sum / n
     ap = ap_sum / n
     return {
@@ -256,10 +283,31 @@ def _direction_report(ranks) -> dict:
     }
 
 
-def _rank_products(queries, gallery, query_ids, gallery_ids, rel, exclude_self=False):
-    """Ranks by cosine similarity, from C-ordered row blocks of queries @ gallery.T."""
-    return _rank_blocks(lambda lo, hi: queries[lo:hi] @ gallery.T,
-                        (len(queries), len(gallery)), query_ids, gallery_ids, rel, exclude_self)
+def _direction_terms(queries, gallery, query_ids, gallery_ids, rel, exclude_self=False):
+    """TERMS of every query ranked by cosine similarity, from C-ordered
+    row blocks of queries @ gallery.T. The blocks are cut into one
+    contiguous range per usable CPU, each of at least one block and
+    RANGE_ROWS rows: this process ranks the first, a forked child each
+    other, and a range whose child sends less than its terms is ranked
+    here."""
+    blocks, ranks = _ranker(lambda lo, hi: queries[lo:hi] @ gallery.T,
+                            (len(queries), len(gallery)), query_ids, gallery_ids, rel,
+                            exclude_self)
+    k = max(1, min(parallel.usable_cpus(), len(blocks), len(queries) // RANGE_ROWS))
+    ranges = [blocks[len(blocks) * j // k:len(blocks) * (j + 1) // k] for j in range(k)]
+
+    def terms(blocks):
+        return _query_terms(ranks(blocks))
+
+    with parallel.forked(lambda blocks, out: out.write(terms(blocks)), ranges[1:]) as streams:
+        parts = [terms(ranges[0])]
+        for blocks, fh in zip(ranges[1:], streams):
+            size = TERMS.itemsize * (blocks[-1][1] - blocks[0][0])
+            try:
+                parts.append(np.frombuffer(parallel.read_exact(fh, size), dtype=TERMS))
+            except EOFError:
+                parts.append(terms(blocks))
+    return np.concatenate(parts)
 
 
 def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -> dict:
@@ -277,8 +325,8 @@ def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -
         percent and R-P / mAP@R in both raw and percent form.
     """
     img, txt = unit_pair(img_emb, txt_emb)
-    i2t = _direction_report(_rank_products(img, txt, img_ids, txt_ids, rel_i2t))
-    t2i = _direction_report(_rank_products(txt, img, txt_ids, img_ids, rel_t2i))
+    i2t = _direction_report(_direction_terms(img, txt, img_ids, txt_ids, rel_i2t))
+    t2i = _direction_report(_direction_terms(txt, img, txt_ids, img_ids, rel_t2i))
     total = rsum([i2t["r_at_1"], i2t["r_at_5"], i2t["r_at_10"],
                   t2i["r_at_1"], t2i["r_at_5"], t2i["r_at_10"]])
     return {"i2t": i2t, "t2i": t2i, "rsum": total}
@@ -286,5 +334,6 @@ def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -
 
 def evaluate_uni_modal(emb, ids, rel) -> dict:
     """R@1 within one modality, the query itself excluded."""
-    ranks = _rank_products(*unit_pair(emb, emb), ids, ids, rel, exclude_self=True)
-    return {"r_at_1": 100.0 * recall_at_k(ranks, 1)}
+    terms = _direction_terms(*unit_pair(emb, emb), ids, ids, rel, exclude_self=True)
+    hits, _, _, n = _metric_sums(terms, (1,), need_relevant=False)
+    return {"r_at_1": 100.0 * (hits[0] / n)}

@@ -1,12 +1,13 @@
 """Fixtures shared by the tests: no test may leave a child process behind,
-and a relevance file can be parsed in a forced number of parts."""
+and the relevance parse and the ranker can be run on a forced number of
+CPUs."""
 
 import contextlib
 import os
 
 import pytest
 
-from cusa import dataio
+from cusa import dataio, metrics
 
 
 @pytest.fixture(autouse=True)
@@ -22,22 +23,26 @@ def no_child_process_left():
 
 
 @contextlib.contextmanager
-def _parts_forced(parts: int):
+def _cpus_forced(cpus: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "PART_BYTES", 1)
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
-        if parts == 1:
+        mp.setattr(metrics, "RANGE_ROWS", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        if cpus == 1:
             mp.setattr(os, "fork", _no_fork, raising=False)
         yield
 
 
 def _no_fork():
-    raise AssertionError("a one-part parse forked")
+    raise AssertionError("a one-CPU run forked")
 
 
 @pytest.fixture(scope="session")
-def relevance_parts():
-    """relevance_parts(k): a context in which read_relevance splits each
-    file into k parts, fewer when the file has fewer lines, whatever its
-    size and the CPUs this process may use."""
-    return _parts_forced
+def forced_cpus():
+    """forced_cpus(k): a context in which this process may use k CPUs,
+    whatever it may use in fact: read_relevance splits each file into k
+    parts (fewer when the file has fewer lines), whatever its size, and
+    the ranker cuts each direction's query blocks into k ranges (fewer
+    when there are fewer blocks), whatever their rows. At k = 1 nothing
+    forks."""
+    return _cpus_forced

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from cusa import dataio
+from cusa import dataio, parallel
 from cusa.cli import main
 from cusa.dataio import (
     FeatureTable,
@@ -425,16 +425,16 @@ def relevance_files(draw):
 @example(raw=b"a\tb\rb\ta\r\nq\t\xc3\xa9\r\n\xc3\xa9\tq\n")  # CR and CRLF ends
 @example(raw=b"a\tb,q\n")  # one line
 @example(raw=b"a\tb\rb\ta\rq\ta")  # no b"\n" at all
-def test_any_part_count_parses_like_one_part(tmp_path, relevance_parts, raw):
+def test_any_part_count_parses_like_one_part(tmp_path, forced_cpus, raw):
     path = tmp_path / "relevance.tsv"
     path.write_bytes(raw)
     for known_ids in (RELEVANCE_IDS, None):
-        with relevance_parts(1):
+        with forced_cpus(1):
             whole = relevance_outcome(path, known_ids)
         if len(whole) == 3:  # an error, not the four lists of a Relevance
             assert_names_its_line(whole, raw, ("MalformedLine", "UnknownId", "DuplicateId"))
         for parts in (2, 3, 4):
-            with relevance_parts(parts):
+            with forced_cpus(parts):
                 assert relevance_outcome(path, known_ids) == whole, (parts, known_ids)
 
 
@@ -467,15 +467,15 @@ class TestRelevanceParts:
     def cpus(monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
-    def test_cuts_sit_after_line_feeds(self, tmp_path, relevance_parts):
+    def test_cuts_sit_after_line_feeds(self, tmp_path, forced_cpus):
         path = write_text(tmp_path, "r.tsv", "a\tb\r\nb\ta\r\nq\ta\n")
-        with relevance_parts(3):
+        with forced_cpus(3):
             assert dataio._part_cuts(path) == [0, 5, 10, None]
         path.write_bytes(b"a\tb\nq\ta\n")  # the middle byte starts a line
-        with relevance_parts(2):
+        with forced_cpus(2):
             assert dataio._part_cuts(path) == [0, 4, None]
         path.write_bytes(b"a\tb\rb\ta\rq\ta\r")
-        with relevance_parts(3):
+        with forced_cpus(3):
             assert dataio._part_cuts(path) == [0, None]
 
     @pytest.mark.parametrize("cpus, size", [(1, 2 * dataio.PART_BYTES + 5),
@@ -519,7 +519,7 @@ class TestRelevanceParts:
             os.waitpid(-1, os.WNOHANG)
 
     def test_a_child_that_cannot_start_or_dies_leaves_its_part_to_the_parent(
-            self, tmp_path, monkeypatch, relevance_parts):
+            self, tmp_path, monkeypatch, forced_cpus):
         path = write_text(tmp_path, "r.tsv", "a\tb\nb\ta,\u00e9\nq\ta\n\u00e9\tb,q\n")
         whole = [relevance_outcome(path, known) for known in (RELEVANCE_IDS, None)]
         real_fork = os.fork
@@ -534,17 +534,17 @@ class TestRelevanceParts:
             raise OSError("no process to spare")
 
         for fork in (dying_fork, failing_fork):
-            with relevance_parts(3):
+            with forced_cpus(3):
                 monkeypatch.setattr(os, "fork", fork)
                 assert [relevance_outcome(path, known)
                         for known in (RELEVANCE_IDS, None)] == whole
 
     def test_a_child_stream_that_ends_early_is_parsed_again(self, tmp_path, monkeypatch,
-                                                           relevance_parts):
+                                                           forced_cpus):
         # the second part is the last line, its 5 ids sent in chunks of 2
         path = write_text(tmp_path, "r.tsv", "a\tb,q,a,b,q,a\nq\ta\nb\ta,\u00e9,q,b,a\n")
         whole = relevance_outcome(path)
-        real_read, reads = dataio._read_exact, []
+        real_read, reads = parallel.read_exact, []
 
         def read_exact(fh, size):
             reads.append(size)  # head, new ids, queries, indptr, chunks
@@ -552,9 +552,9 @@ class TestRelevanceParts:
                 raise EOFError("cut off")
             return real_read(fh, size)
 
-        with relevance_parts(2):
+        with forced_cpus(2):
             monkeypatch.setattr(dataio, "_CHUNK_INTS", 2)
-            monkeypatch.setattr(dataio, "_read_exact", read_exact)
+            monkeypatch.setattr(parallel, "read_exact", read_exact)
             assert relevance_outcome(path) == whole
         assert reads[4:] == [8, 8]
 

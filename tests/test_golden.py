@@ -40,6 +40,13 @@ of id sets and every score row was stable-argsorted, before relevance
 became an int32 CSR and ranking a per-block default sort with stable
 re-sorts of tied rows only.
 
+The multi-block eval digests pin the stdout of `eval --task cross
+--relevance` and `eval --task img --relevance` on embeddings of 450
+rows, which the ranker takes in four blocks of at most 128 query rows.
+They were produced while eval still ranked every block in one process,
+and they must hold with 1, 2 and 3 forced CPUs, where the blocks are
+ranked in that many processes.
+
 The report digests pin the stdout of `inspect` from a fresh init and
 from a checkpoint with a separate uni-modal temperature (alpha = beta =
 0), of `eval --task sts` from direct embeddings and from a checkpoint's
@@ -112,6 +119,10 @@ EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
     "cross-pairs": "aba60caad135f6ebe3b8acaa57b72e6840f19e3afbb253d90535010be79f7d24",
     "img-relevance": "42664819cb7afbe616c08e57f14a79274792144c48016bc188f86052253732f4",
+}
+MULTI_BLOCK_EVAL_SHA256 = {
+    "cross-relevance": "7c9078fb6c57b38e652642e0634cd35b601948bf3fa8457704aacd6924730299",
+    "img-relevance": "06c2e404c1bd15917029b7fe8212719e1e119e52924e759c72b28949e0f15a0b",
 }
 REPORT_SHA256 = {
     "inspect-fresh": "5d5992c4d220cc32467570405a14eb299d7043d825c35115e6f6fa0411d15e6a",
@@ -207,6 +218,26 @@ def test_fixed_seed_eval_reports_are_byte_identical(tmp_path, monkeypatch):
             assert cli.main(["eval", *flags]) == 0
         digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digests == EVAL_SHA256
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_multi_block_eval_reports_are_byte_identical(tmp_path, monkeypatch, forced_cpus, cpus):
+    monkeypatch.chdir(tmp_path)
+    assert _cli(["synth", "--out", ".", "--clusters", "3", "--pairs-per-cluster", "150",
+                 "--seed", "31", "--noise", "0.4"]) == 0
+    runs = {
+        "cross-relevance": ["--task", "cross", "--img-emb", "img_base.feat",
+                            "--txt-emb", "txt_base.feat", "--relevance", "relevance.tsv"],
+        "img-relevance": ["--task", "img", "--img-emb", "img_base.feat",
+                          "--relevance", "relevance.tsv"],
+    }
+    digests = {}
+    for name, flags in runs.items():
+        out = io.StringIO()
+        with forced_cpus(cpus), redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(["eval", *flags]) == 0
+        digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digests == MULTI_BLOCK_EVAL_SHA256
 
 
 def _report_runs(tmp_path, monkeypatch):
@@ -333,8 +364,8 @@ def _relevance_outcomes(tmp_path):
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
-def test_relevance_reader_outcomes_are_byte_identical(tmp_path, relevance_parts, parts):
-    with relevance_parts(parts):
+def test_relevance_reader_outcomes_are_byte_identical(tmp_path, forced_cpus, parts):
+    with forced_cpus(parts):
         outcomes = _relevance_outcomes(tmp_path)
     digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
     assert digest == RELEVANCE_OUTCOMES_SHA256

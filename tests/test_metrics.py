@@ -5,7 +5,10 @@ asserted exactly (==) for the ranking metrics, matching the contract
 that ranking only depends on order, never on float arithmetic.
 """
 
+import io
+import os
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -14,8 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cusa import metrics
-from cusa.dataio import read_relevance
+from cusa import metrics, parallel
+from cusa.cli import main
+from cusa.dataio import read_relevance, write_features
 from cusa.errors import (
     DegenerateInput,
     EmptyGallery,
@@ -536,6 +540,137 @@ def test_eval_holds_no_score_matrix():
                 tracemalloc.stop()
             assert peak < n * n * 8 / 2
             assert peak < 3 * metrics.BLOCK_ROWS * n * 8
+
+
+class TestForkedRanking:
+    """At 2 forced CPUs each direction's query blocks are cut into two
+    ranges; this process ranks the first and a forked child the second.
+    With BLOCK_ROWS = 8 the 36 queries below make 5 blocks: rows 0-15
+    are ranked here and rows 16-35 in the child."""
+
+    N = 36
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 8)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per os.fork call made in this process."""
+        calls, real_fork = [], os.fork
+
+        def fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    def inputs(self, degenerate=()):
+        """Unit embeddings of N images and N texts in 3 clusters, and the
+        co-membership Relevance of each direction; each image row in
+        `degenerate` lists only image ids, so it has no relevant text."""
+        rng = np.random.default_rng(29)
+        centers = rng.standard_normal((3, 6))
+        img = l2_normalize_rows(centers[np.arange(self.N) % 3]
+                                + rng.standard_normal((self.N, 6)))
+        txt = l2_normalize_rows(centers[np.arange(self.N) % 3]
+                                + rng.standard_normal((self.N, 6)))
+        img_ids = [f"i{k}" for k in range(self.N)]
+        txt_ids = [f"t{k}" for k in range(self.N)]
+        i2t = {img_ids[k]: (img_ids[k % 3::3] if k in degenerate else txt_ids[k % 3::3])
+               for k in range(self.N)}
+        t2i = {txt_ids[k]: img_ids[k % 3::3] for k in range(self.N)}
+        return img, txt, img_ids, txt_ids, *map(Relevance.from_mapping, (i2t, t2i))
+
+    def reports(self, *inputs):
+        img, txt, img_ids, _, rel_i2t, _ = inputs
+        return repr((evaluate_cross_modal(*inputs),
+                     evaluate_uni_modal(img, img_ids, rel_i2t)))
+
+    def test_a_query_without_a_relevant_item_in_the_child_range_fails_as_in_one_process(
+            self, tmp_path, monkeypatch, forced_cpus, forks):
+        img, txt, img_ids, txt_ids, rel_i2t, _ = self.inputs(degenerate=(30, 20))
+        monkeypatch.chdir(tmp_path)
+        write_features("img.feat", img_ids, img)
+        write_features("txt.feat", txt_ids, txt)
+        with open("rel.tsv", "w", encoding="utf-8") as fh:
+            for r, query in enumerate(rel_i2t.queries):
+                ids = [img_ids[i] if i < self.N else txt_ids[i - self.N]
+                       for i in rel_i2t.indices[rel_i2t.indptr[r]:rel_i2t.indptr[r + 1]]]
+                fh.write(f"{img_ids[r]}\t{','.join(ids)}\n")
+        argv = ["eval", "--task", "cross", "--img-emb", "img.feat", "--txt-emb", "txt.feat",
+                "--relevance", "rel.tsv"]
+        outcomes = []
+        for cpus in (1, 2):
+            err = io.StringIO()
+            with forced_cpus(cpus), redirect_stdout(io.StringIO()), redirect_stderr(err):
+                outcomes.append((main(argv), err.getvalue()))
+        assert outcomes[0] == (4, "error: query row 20 has no relevant item in the gallery\n")
+        assert outcomes[1] == outcomes[0]
+        assert forks  # the second range was ranked in a child
+
+    def test_a_missing_query_fails_before_any_fork(self, forced_cpus, forks):
+        img, txt, img_ids, txt_ids, rel_i2t, rel_t2i = self.inputs()
+        rel_i2t = Relevance.from_mapping({q: ["t0"] for q in img_ids[:-1]})
+        with forced_cpus(2), pytest.raises(UnknownId, match="'i35'"):
+            evaluate_cross_modal(img, txt, img_ids, txt_ids, rel_i2t, rel_t2i)
+        with forced_cpus(2), pytest.raises(UnknownId, match="'i35'"):
+            evaluate_uni_modal(img, img_ids, rel_i2t)
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_child_that_cannot_start_or_dies_leaves_its_range_to_the_parent(
+            self, monkeypatch, forced_cpus, cpus):
+        inputs = self.inputs()
+        with forced_cpus(1):
+            whole = self.reports(*inputs)
+        real_fork = os.fork
+
+        def dying_fork():
+            pid = real_fork()
+            if pid == 0:
+                os._exit(0)
+            return pid
+
+        def failing_fork():
+            raise OSError("no process to spare")
+
+        for fork in (dying_fork, failing_fork):
+            with forced_cpus(cpus):
+                monkeypatch.setattr(os, "fork", fork)
+                assert self.reports(*inputs) == whole
+
+    def test_a_child_stream_that_ends_early_is_ranked_again(self, monkeypatch, forced_cpus):
+        inputs = self.inputs()
+        with forced_cpus(1):
+            whole = self.reports(*inputs)
+        real_read = parallel.read_exact
+
+        def read_exact(fh, size):
+            real_read(fh, size // 2)
+            raise EOFError("cut off")
+
+        with forced_cpus(2):
+            monkeypatch.setattr(parallel, "read_exact", read_exact)
+            assert self.reports(*inputs) == whole
+
+    @pytest.mark.parametrize("range_rows, n_forks", [(metrics.RANGE_ROWS, 0), (19, 0), (18, 2)])
+    def test_a_range_holds_at_least_range_rows(self, monkeypatch, forks, range_rows, n_forks):
+        # 36 queries make two ranges of 18 rows or one range
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(metrics, "RANGE_ROWS", range_rows)
+        evaluate_cross_modal(*self.inputs())
+        assert len(forks) == n_forks
+
+    def test_without_fork_everything_runs_in_one_process(self, monkeypatch, forced_cpus):
+        inputs = self.inputs()
+        with forced_cpus(1):
+            whole = self.reports(*inputs)
+        with forced_cpus(2):
+            monkeypatch.delattr(os, "fork")
+            assert parallel.usable_cpus() == 1
+            assert self.reports(*inputs) == whole
 
 
 # ---------------------------------------------------------------------------

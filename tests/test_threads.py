@@ -1,9 +1,9 @@
 """Outputs do not depend on the BLAS thread count or on the number of
-parts the relevance file is parsed in.
+CPUs the relevance parse and the ranker run on.
 
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads, so each
 thread count runs in its own `python -m cusa.cli` child; only the
-child's environment is changed. The part count is forced in process.
+child's environment is changed. The CPU count is forced in process.
 """
 
 import io
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cusa
+from cusa import metrics
 from cusa.cli import main
 
 SRC = str(Path(cusa.__file__).resolve().parents[1])
@@ -55,12 +56,52 @@ def test_eval_report_is_thread_count_invariant(bundle, task):
 
 
 @pytest.mark.parametrize("task", ["cross", "img"])
-def test_eval_report_is_relevance_part_count_invariant(bundle, relevance_parts, task):
+def test_eval_report_is_relevance_part_count_invariant(bundle, forced_cpus, task):
     reports = []
     for parts in (1, 2):
         out = io.StringIO()
-        with relevance_parts(parts), redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with forced_cpus(parts), redirect_stdout(out), redirect_stderr(io.StringIO()):
             assert main(_eval_argv(bundle, task)) == 0
         reports.append(out.getvalue())
     assert '"payload"' in reports[0]
     assert reports[1] == reports[0]
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small_bundle")
+    assert main(["synth", "--out", str(out), "--clusters", "3",
+                 "--pairs-per-cluster", "12", "--seed", "7", "--noise", "0.4"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", ["cross-relevance", "cross-pairs", "img"])
+def test_eval_report_is_cpu_count_invariant(small_bundle, forced_cpus, monkeypatch, case):
+    # 36 queries in blocks of 8 make 5 blocks per direction, so 3 CPUs
+    # rank 3 ranges in each
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", 8)
+    argv = _eval_argv(small_bundle, case.split("-")[0])
+    if case == "cross-pairs":
+        at = argv.index("--relevance")
+        del argv[at:at + 2]
+        argv += ["--pairs", str(small_bundle / "pairs.tsv")]
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    reports = []
+    for cpus in (1, 2, 3):
+        out = io.StringIO()
+        with forced_cpus(cpus), redirect_stdout(out), redirect_stderr(io.StringIO()):
+            if cpus > 1:
+                monkeypatch.setattr(os, "fork", fork)
+            assert main(argv) == 0
+        reports.append(out.getvalue())
+    assert '"payload"' in reports[0]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    # per direction, one child at 2 CPUs and two at 3, beside the parse's
+    ranker_forks = 3 * (2 if case.startswith("cross") else 1)
+    parse_forks = 0 if case == "cross-pairs" else 3
+    assert len(forks) == ranker_forks + parse_forks
