@@ -296,18 +296,18 @@ def _direction_terms(queries, gallery, query_ids, gallery_ids, rel, exclude_self
     k = max(1, min(parallel.usable_cpus(), len(blocks), len(queries) // RANGE_ROWS))
     ranges = [blocks[len(blocks) * j // k:len(blocks) * (j + 1) // k] for j in range(k)]
 
-    def terms(blocks):
-        return _query_terms(ranks(blocks))
+    def terms(part):
+        return _query_terms(ranks(part))
 
-    with parallel.forked(lambda blocks, out: out.write(terms(blocks)), ranges[1:]) as streams:
-        parts = [terms(ranges[0])]
-        for blocks, fh in zip(ranges[1:], streams):
-            size = TERMS.itemsize * (blocks[-1][1] - blocks[0][0])
+    with parallel.forked(lambda part, out: out.write(terms(part)), ranges[1:]) as streams:
+        got = [terms(ranges[0])]
+        for part, fh in zip(ranges[1:], streams):
+            size = TERMS.itemsize * (part[-1][1] - part[0][0])
             try:
-                parts.append(np.frombuffer(parallel.read_exact(fh, size), dtype=TERMS))
+                got.append(np.frombuffer(parallel.read_exact(fh, size), dtype=TERMS))
             except EOFError:
-                parts.append(terms(blocks))
-    return np.concatenate(parts)
+                got.append(terms(part))
+    return np.concatenate(got)
 
 
 def evaluate_cross_modal(img_emb, txt_emb, img_ids, txt_ids, rel_i2t, rel_t2i) -> dict:

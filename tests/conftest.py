@@ -1,6 +1,6 @@
 """Fixtures shared by the tests: no test may leave a child process behind,
-and the relevance parse and the ranker can be run on a forced number of
-CPUs."""
+os.fork calls can be counted, and the relevance parse and the ranker can
+be run on a forced number of CPUs."""
 
 import contextlib
 import os
@@ -20,6 +20,19 @@ def no_child_process_left():
         return  # no child at all
     pytest.fail(f"the test left child process {pid} unreaped" if pid
                 else "the test left a child process running")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per os.fork call this process makes during the test."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
 
 
 @contextlib.contextmanager

@@ -451,18 +451,6 @@ def write_relevance_of_size(path, size):
 class TestRelevanceParts:
     """How read_relevance splits a file and runs its parts."""
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The number of os.fork calls, counted in this process."""
-        calls, real_fork = [], os.fork
-
-        def fork():
-            calls.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return calls
-
     @staticmethod
     def cpus(monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

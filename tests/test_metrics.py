@@ -554,18 +554,6 @@ class TestForkedRanking:
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(metrics, "BLOCK_ROWS", 8)
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """One entry per os.fork call made in this process."""
-        calls, real_fork = [], os.fork
-
-        def fork():
-            calls.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return calls
-
     def inputs(self, degenerate=()):
         """Unit embeddings of N images and N texts in 3 clusters, and the
         co-membership Relevance of each direction; each image row in
@@ -594,11 +582,11 @@ class TestForkedRanking:
         monkeypatch.chdir(tmp_path)
         write_features("img.feat", img_ids, img)
         write_features("txt.feat", txt_ids, txt)
+        id_of = list(rel_i2t.index)  # table position -> id
         with open("rel.tsv", "w", encoding="utf-8") as fh:
             for r, query in enumerate(rel_i2t.queries):
-                ids = [img_ids[i] if i < self.N else txt_ids[i - self.N]
-                       for i in rel_i2t.indices[rel_i2t.indptr[r]:rel_i2t.indptr[r + 1]]]
-                fh.write(f"{img_ids[r]}\t{','.join(ids)}\n")
+                ids = rel_i2t.indices[rel_i2t.indptr[r]:rel_i2t.indptr[r + 1]]
+                fh.write(f"{id_of[query]}\t{','.join(id_of[i] for i in ids)}\n")
         argv = ["eval", "--task", "cross", "--img-emb", "img.feat", "--txt-emb", "txt.feat",
                 "--relevance", "rel.tsv"]
         outcomes = []

@@ -76,7 +76,7 @@ def small_bundle(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", ["cross-relevance", "cross-pairs", "img"])
-def test_eval_report_is_cpu_count_invariant(small_bundle, forced_cpus, monkeypatch, case):
+def test_eval_report_is_cpu_count_invariant(small_bundle, forced_cpus, forks, monkeypatch, case):
     # 36 queries in blocks of 8 make 5 blocks per direction, so 3 CPUs
     # rank 3 ranges in each
     monkeypatch.setattr(metrics, "BLOCK_ROWS", 8)
@@ -85,18 +85,10 @@ def test_eval_report_is_cpu_count_invariant(small_bundle, forced_cpus, monkeypat
         at = argv.index("--relevance")
         del argv[at:at + 2]
         argv += ["--pairs", str(small_bundle / "pairs.tsv")]
-    real_fork, forks = os.fork, []
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
     reports = []
     for cpus in (1, 2, 3):
         out = io.StringIO()
         with forced_cpus(cpus), redirect_stdout(out), redirect_stderr(io.StringIO()):
-            if cpus > 1:
-                monkeypatch.setattr(os, "fork", fork)
             assert main(argv) == 0
         reports.append(out.getvalue())
     assert '"payload"' in reports[0]
