@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, field in (("--batch-size", "batch_size"), ("--epochs", "epochs"),
                         ("--lr", "learning_rate"), ("--weight-decay", "weight_decay")):
         _add_config_flag(p, flag, trainer.TrainConfig, field)
-    p.add_argument("--separate-uni-temp", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate retrieval or similarity metrics")

@@ -33,12 +33,12 @@ Checkpoint ("CUSC"):
     magic "CUSC" | version u32 = 1 | d_bi u32 | d_bt u32 | d_e u32 |
     d_u u32 | has_uni_temp u8 | parameters | config_len u32 |
     config JSON UTF-8
-    Every dim is >= 1 and has_uni_temp is 0 or 1 (1: a separate
-    uni-modal temperature). The parameter block is the bytes of
-    StudentParams.flat (f64), laid out by model.param_segments:
-    log_inv_temp | [log_inv_temp_uni] | w_img | w_txt | u_img | u_txt
-    (row-major). Every value, the temperatures included, must be finite
-    on save and on load.
+    Every dim is >= 1 and has_uni_temp is 0: the student has one
+    temperature, and a file whose byte is anything else is refused. The
+    parameter block is the bytes of StudentParams.flat (f64), laid out
+    by model.param_segments: log_inv_temp | w_img | w_txt | u_img |
+    u_txt (row-major). Every value, the temperature included, must be
+    finite on save and on load.
 """
 
 from __future__ import annotations
@@ -448,8 +448,7 @@ def save_checkpoint(path, params: StudentParams, config: dict) -> None:
     _check_finite(params)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIIIB", CHECKPOINT_VERSION, *params.dims,
-                             params.n_scalars - 1))
+        fh.write(struct.pack("<IIIIIB", CHECKPOINT_VERSION, *params.dims, 0))
         fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
         fh.write(struct.pack("<I", len(cfg_bytes)))
         fh.write(cfg_bytes)
@@ -461,12 +460,12 @@ def load_checkpoint(path):
                                                 "<IIIIIB", "checkpoint")
     if 0 in dims:
         raise FormatError(f"header declares d_bi, d_bt, d_e, d_u = {dims}; each must be >= 1")
-    if has_uni not in (0, 1):
-        raise FormatError(f"header byte has_uni_temp is {has_uni}; it must be 0 or 1")
-    n_scalars = 1 + has_uni
+    if has_uni != 0:
+        raise FormatError(f"header byte has_uni_temp is {has_uni}; it must be 0 "
+                          "(the student has one temperature)")
     # sizes come from the header alone, so a header declaring more
     # parameters than the file holds fails here before any allocation
-    for name, start, stop, _ in param_segments(dims, n_scalars):
+    for name, start, stop, _ in param_segments(dims):
         offset = _field_end(buf, fixed + 8 * start, 8 * (stop - start), name)
     flat = np.frombuffer(buf, dtype="<f8", count=stop, offset=fixed).copy()
     config_at = _field_end(buf, offset, 4, "config length")
@@ -477,6 +476,6 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"config echo is not valid JSON: {e}") from None
     _no_trailing_bytes(buf, offset, "config")
-    params = StudentParams(flat, dims, n_scalars)
+    params = StudentParams(flat, dims)
     _check_finite(params)
     return params, config

@@ -1,12 +1,14 @@
 """Finite-difference verification of every analytic gradient.
 
 Central differences with step 1e-5 against the closed-form gradients,
-at loss level (logit and temperature derivatives of the loss core) and
-at model level (the parameter gradients of trainer.step_gradients, the
+at loss level (logit and temperature derivatives of the loss core,
+whose cross-modal and uni-modal temperatures are checked apart) and at
+model level (the parameter gradients of trainer.step_gradients, the
 forward, teacher targets, loss and backward that every training step
-runs). Temperatures are drawn strictly inside the clamp window so the
-gate stays open, and the teacher targets come from build_batch_targets
-on seeded teacher features.
+runs, where both temperatures are the student's one log_inv_temp).
+Temperatures are drawn strictly inside the clamp window so the gate
+stays open, and the teacher targets come from build_batch_targets on
+seeded teacher features.
 
 Functions under test are looked up through their modules at call time,
 which keeps the checker honest: patching cusa.losses.loss_from_logits
@@ -107,22 +109,18 @@ def check_model(seed: int, dims=DEFAULT_DIMS) -> dict:
     Each batch is a seeded permutation of its pairs, with a seeded
     teacher, and the step reuses one workspace: the checked gradients
     come from its second call, as in every training step after the
-    first. The batch sizes alternate between the shared and the
-    separate uni-modal temperature layouts, starting from a different
-    one on odd and even seeds.
+    first.
     """
     rng = np.random.default_rng(seed)
-    worst = {f"model.{name}": 0.0 for name, *_ in model.param_segments(dims, 2)}
-    for i, n in enumerate(BATCH_SIZES):
+    worst = {f"model.{name}": 0.0 for name, *_ in model.param_segments(dims)}
+    for n in BATCH_SIZES:
         with too_large_to_allocate(InvalidDimension, f"d_base_img={dims[0]} and "
                                    f"d_base_txt={dims[1]} give base features"):
             base_img = rng.standard_normal((n, dims[0]))
             base_txt = rng.standard_normal((n, dims[1]))
             teacher, teacher_inv_temp = _teacher(rng, n, dims[0], dims[1])
-        params = model.init_params(seed, *dims, separate_uni_temp=(seed + i) % 2 == 1)
-        # the temperatures lead the layout
-        params.flat[:params.n_scalars] = rng.uniform(np.log(2.0), np.log(50.0),
-                                                     size=params.n_scalars)
+        params = model.init_params(seed, *dims)
+        params.log_inv_temp = float(rng.uniform(np.log(2.0), np.log(50.0)))
         config = trainer.TrainConfig(alpha=_ALPHA, beta=_BETA, teacher_inv_temp=teacher_inv_temp)
         rows = rng.permutation(n)
         ws = Workspace()

@@ -58,9 +58,9 @@ class LossGradients:
     d_s_i2t carries both cross-modal directions (the t2i part enters
     transposed). d_log_inv_temp is the derivative w.r.t. the log of the
     cross-modal temperature and d_log_inv_temp_uni the one w.r.t. the
-    log of the uni-modal temperature, always apart: model.backward adds
-    the second into the first when the parameters have no separate
-    uni-modal temperature.
+    log of the uni-modal temperature, always apart: the student learns
+    one temperature for both, so model.backward adds the second into the
+    first.
     """
 
     d_s_i2t: np.ndarray

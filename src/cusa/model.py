@@ -2,9 +2,10 @@
 
 The student is deliberately minimal: one bias-free linear head per
 modality into a shared retrieval space, an extra bias-free projector
-per modality feeding the uni-modal alignment term, and a learnable
-log-inverse-temperature. Every quantity the losses need is exposed
-while keeping exact manual gradients tractable.
+per modality feeding the uni-modal alignment term, and one learnable
+log-inverse-temperature that the cross-modal and uni-modal softmaxes
+share. Every quantity the losses need is exposed while keeping exact
+manual gradients tractable.
 """
 
 from __future__ import annotations
@@ -24,18 +25,16 @@ INV_TEMP_MIN = 1.0
 INV_TEMP_MAX = 100.0
 
 
-def param_segments(dims, n_scalars: int) -> tuple:
+def param_segments(dims) -> tuple:
     """(name, start, stop, shape) of every parameter in StudentParams.flat.
 
-    The order is the checkpoint's: log_inv_temp, [log_inv_temp_uni],
-    then w_img | w_txt | u_img | u_txt row-major. dims is (d_bi, d_bt,
-    d_e, d_u); n_scalars is 2 with a separate uni-modal temperature,
-    else 1. Only index arithmetic: nothing is allocated.
+    The order is the checkpoint's: log_inv_temp, then w_img | w_txt |
+    u_img | u_txt row-major. dims is (d_bi, d_bt, d_e, d_u). Only index
+    arithmetic: nothing is allocated.
     """
     d_bi, d_bt, d_e, d_u = dims
-    shapes = [(name, ()) for name in ("log_inv_temp", "log_inv_temp_uni")[:n_scalars]]
-    shapes += [("w_img", (d_bi, d_e)), ("w_txt", (d_bt, d_e)),
-               ("u_img", (d_e, d_u)), ("u_txt", (d_e, d_u))]
+    shapes = [("log_inv_temp", ()), ("w_img", (d_bi, d_e)), ("w_txt", (d_bt, d_e)),
+              ("u_img", (d_e, d_u)), ("u_txt", (d_e, d_u))]
     segments, start = [], 0
     for name, shape in shapes:
         stop = start + math.prod(shape)
@@ -44,8 +43,8 @@ def param_segments(dims, n_scalars: int) -> tuple:
     return tuple(segments)
 
 
-# layouts by (dims tuple, n_scalars): training binds its parameters and
-# their gradients anew at every step
+# layouts by dims tuple: training binds its parameters and their
+# gradients anew at every step
 _shared_segments = functools.lru_cache(maxsize=16)(param_segments)
 
 
@@ -71,20 +70,17 @@ class _Segment:
 
 class StudentParams:
     """Trainable parameters viewing one float64 vector `flat` (no copy),
-    laid out by param_segments(dims, n_scalars). log_inv_temp_uni is None
-    when the uni-modal softmaxes share the main temperature."""
+    laid out by param_segments(dims)."""
 
     w_img = _Segment()  # (d_bi, d_e)
     w_txt = _Segment()  # (d_bt, d_e)
     u_img = _Segment()  # (d_e, d_u)
     u_txt = _Segment()  # (d_e, d_u)
     log_inv_temp = _Segment()
-    log_inv_temp_uni = _Segment()
 
-    def __init__(self, flat: np.ndarray, dims, n_scalars: int):
+    def __init__(self, flat: np.ndarray, dims):
         self.dims = tuple(dims)
-        self.n_scalars = n_scalars
-        self.segments = _shared_segments(self.dims, n_scalars)
+        self.segments = _shared_segments(self.dims)
         if flat.shape != (self.segments[-1][2],):
             raise ShapeMismatch(f"flat parameters of shape {flat.shape} do not fit dims {self.dims}")
         self.flat = flat
@@ -133,8 +129,7 @@ def _clamp_gate(log_inv_temp: float) -> float:
     return 1.0 if INV_TEMP_MIN < it < INV_TEMP_MAX else 0.0
 
 
-def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int,
-                separate_uni_temp: bool = False) -> StudentParams:
+def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int) -> StudentParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
     log_inv_temp starts at log(1/0.07). Identical seeds give
@@ -150,17 +145,15 @@ def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int,
         bound = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    dims, n_scalars = (d_bi, d_bt, d_e, d_u), 2 if separate_uni_temp else 1
+    dims = (d_bi, d_bt, d_e, d_u)
     with too_large_to_allocate(InvalidDimension, f"d_e={d_e} and d_u={d_u} (base dims "
                                f"{d_bi}, {d_bt}) give parameters"):
-        params = StudentParams(np.empty(param_segments(dims, n_scalars)[-1][2]), dims, n_scalars)
+        params = StudentParams(np.empty(param_segments(dims)[-1][2]), dims)
         params.w_img = draw(d_bi, (d_bi, d_e))
         params.w_txt = draw(d_bt, (d_bt, d_e))
         params.u_img = draw(d_e, (d_e, d_u))
         params.u_txt = draw(d_e, (d_e, d_u))
     params.log_inv_temp = float(np.log(1.0 / INIT_TAU))
-    if separate_uni_temp:
-        params.log_inv_temp_uni = params.log_inv_temp
     return params
 
 
@@ -169,7 +162,11 @@ def _project_normalize(base: np.ndarray, w: np.ndarray, name: str):
         raise DimensionMismatch(
             f"{name}: base feature dim {base.shape[1]} != weight rows {w.shape[0]}"
         )
-    return unit_rows(base @ w, f"{name}: projected row collapsed")
+    # parameters of a loaded checkpoint may overflow the product; unit_rows
+    # then raises NumericError for the row whose norm is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = base @ w
+    return unit_rows(projected, f"{name}: projected row collapsed")
 
 
 def _embed(base, w, u, side: str, usa_branch: bool) -> np.ndarray:
@@ -206,9 +203,9 @@ def forward(base_img, base_txt, params: StudentParams) -> StudentOutputs:
     img_usa, m_img = _project_normalize(img_emb, params.u_img, "img_usa")
     txt_usa, m_txt = _project_normalize(txt_emb, params.u_txt, "txt_usa")
     it = clamped_inv_temp(params.log_inv_temp)
-    it_u = it if params.log_inv_temp_uni is None else clamped_inv_temp(params.log_inv_temp_uni)
     tape = ForwardTape(bi, bt, n_img, n_txt, m_img, m_txt)
-    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, it_u, tape)
+    # the uni-modal softmaxes share the one learnable temperature
+    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, it, tape)
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -239,10 +236,10 @@ def backward(outputs: StudentOutputs, params: StudentParams,
     normalization Jacobian, and the linear maps, reading the forward
     intermediates from `outputs` and its tape (nothing is recomputed or
     modified). `params` must be the parameters `outputs` came from.
-    Returns the gradients as StudentParams, laid out like `params`. When
-    `params` has no separate uni-modal temperature, d_log_inv_temp_uni
-    is added into the shared temperature's gradient. A temperature
-    gradient is gated to zero whenever its clamp is active.
+    Returns the gradients as StudentParams, laid out like `params`. The
+    uni-modal softmaxes share the one temperature, so d_log_inv_temp_uni
+    is added into its gradient, which is gated to zero whenever the
+    clamp is active.
     """
     tape = outputs.tape
     if tape is None:
@@ -253,7 +250,7 @@ def backward(outputs: StudentOutputs, params: StudentParams,
         raise ShapeMismatch(f"upstream d_s_i2t shape {g_it.shape} != batch {n}")
 
     # the gradient matrices are written straight into views of one vector
-    grads = StudentParams(np.empty_like(params.flat), params.dims, params.n_scalars)
+    grads = StudentParams(np.empty_like(params.flat), params.dims)
     _modality_backward(upstream.d_s_i2i, g_it, outputs.txt_emb, outputs.img_emb,
                        outputs.img_usa, tape.base_img, tape.img_norms, tape.img_usa_norms,
                        params.u_img, grads.u_img, grads.w_img)
@@ -261,11 +258,6 @@ def backward(outputs: StudentOutputs, params: StudentParams,
                        outputs.txt_usa, tape.base_txt, tape.txt_norms, tape.txt_usa_norms,
                        params.u_txt, grads.u_txt, grads.w_txt)
 
-    d_it = upstream.d_log_inv_temp
-    if params.log_inv_temp_uni is None:
-        # the uni-modal softmaxes share the main temperature
-        d_it += upstream.d_log_inv_temp_uni
-    else:
-        grads.log_inv_temp_uni = upstream.d_log_inv_temp_uni * _clamp_gate(params.log_inv_temp_uni)
+    d_it = upstream.d_log_inv_temp + upstream.d_log_inv_temp_uni
     grads.log_inv_temp = d_it * _clamp_gate(params.log_inv_temp)
     return grads

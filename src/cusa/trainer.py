@@ -25,7 +25,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     teacher_inv_temp: float = 1.0
-    separate_uni_temp: bool = False
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -134,7 +133,7 @@ def adam_step(params: StudentParams, grads: StudentParams, state: AdamState,
 
     Weight decay is decoupled (applied directly to the parameter, not
     mixed into the gradient) and touches the projection matrices only,
-    which follow the temperatures in the layout. Returns fresh (params,
+    which follow the one temperature in the layout. Returns fresh (params,
     state); inputs are not mutated.
     """
     t = state.step + 1
@@ -147,9 +146,9 @@ def adam_step(params: StudentParams, grads: StudentParams, state: AdamState,
     update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
     p = params.flat.copy()
     if config.weight_decay != 0.0:
-        p[params.n_scalars:] -= lr * config.weight_decay * p[params.n_scalars:]
+        p[1:] -= lr * config.weight_decay * p[1:]
     p -= update
-    return StudentParams(p, params.dims, params.n_scalars), AdamState(step=t, m=m, v=v)
+    return StudentParams(p, params.dims), AdamState(step=t, m=m, v=v)
 
 
 def step_gradients(params: StudentParams, base_img: np.ndarray, base_txt: np.ndarray,
@@ -181,7 +180,7 @@ def train(data: TrainData, config: TrainConfig):
     base_img, base_txt, teacher = data.aligned(data.pairs)
 
     params = init_params(config.seed, base_img.shape[1], base_txt.shape[1],
-                         config.d_e, config.d_u, config.separate_uni_temp)
+                         config.d_e, config.d_u)
     state = init_adam_state(params)
     log = TrainLog(header={
         "log_format": 2,

@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -169,6 +170,13 @@ class TestTrainCommand:
         assert code == 0
         assert (tmp_path / "model.ckpt").read_bytes() == (trained / "model.ckpt").read_bytes()
         assert (tmp_path / "train.log").read_bytes() == (trained / "train.log").read_bytes()
+
+    def test_separate_uni_temperature_flag_is_gone(self, corpus, tmp_path, capsys):
+        # the student has one learnable temperature
+        code, report, err = run(capsys, train_flags(corpus, tmp_path, ["--separate-uni-temp"]))
+        assert code == 2 and report is None
+        assert "--separate-uni-temp" in err
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_zero_weights_drop_soft_terms(self, corpus, tmp_path, capsys):
         code, report, _ = run(capsys, train_flags(corpus, tmp_path,
@@ -513,7 +521,7 @@ class TestGradcheckCommand:
         assert payload["tolerance"] == 1e-4
         expected = {"loss.s_i2t", "loss.s_i2i", "loss.s_t2t", "loss.log_inv_temp",
                     "loss.log_inv_temp_uni", "model.w_img", "model.w_txt", "model.u_img",
-                    "model.u_txt", "model.log_inv_temp", "model.log_inv_temp_uni"}
+                    "model.u_txt", "model.log_inv_temp"}
         assert set(payload["max_errors"]) == expected
         assert all(v < 1e-4 for v in payload["max_errors"].values())
 
@@ -560,7 +568,7 @@ class TestGradcheckCommand:
         failed = err.split("gradcheck failed: ")[1].splitlines()[0].split(", ")
         assert "loss." + field.removeprefix("d_") in failed
 
-    @pytest.mark.parametrize("segment", [name for name, *_ in param_segments((5, 4, 3, 2), 2)])
+    @pytest.mark.parametrize("segment", [name for name, *_ in param_segments((5, 4, 3, 2))])
     def test_broken_training_step_detected(self, capsys, monkeypatch, segment):
         # gradcheck differentiates the step that training runs, so a
         # fault in the backward the trainer calls reaches its report
@@ -580,6 +588,20 @@ class TestGradcheckCommand:
         assert report["payload"]["passed"] is False
         failed = err.split("gradcheck failed: ")[1].splitlines()[0].split(", ")
         assert "model." + segment in failed
+
+    def test_a_dropped_uni_modal_temperature_gradient_is_detected(self, capsys, monkeypatch):
+        # the uni-modal softmaxes share the one temperature, so its
+        # gradient must collect d_log_inv_temp_uni as well
+        real = cusa.trainer.backward
+
+        def unfolded(outputs, params, upstream):
+            return real(outputs, params, dataclasses.replace(upstream, d_log_inv_temp_uni=0.0))
+
+        monkeypatch.setattr(cusa.trainer, "backward", unfolded)
+        code, report, err = run(capsys, ["gradcheck", "--trials", "1",
+                                         "--dims", "5,4,3,2"])
+        assert code == 6
+        assert err.split("gradcheck failed: ")[1].splitlines()[0] == "model.log_inv_temp"
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +668,32 @@ class TestInspectCommand:
         assert code == 0
         assert fresh["payload"]["embeddings"] != loaded["payload"]["embeddings"]
 
-    @pytest.mark.parametrize("name", ["log_inv_temp", "log_inv_temp_uni"])
+    def test_a_two_temperature_checkpoint_is_refused(self, corpus, trained, tmp_path, capsys):
+        # the layout of a separate uni-modal temperature: has_uni_temp 1
+        # and a second log temperature after the first
+        buf = (trained / "model.ckpt").read_bytes()
+        header = 25  # magic and "<IIIIIB"; has_uni_temp is its last byte
+        ckpt = tmp_path / "two.ckpt"
+        ckpt.write_bytes(buf[:header - 1] + b"\x01" + buf[header:header + 8] + buf[header:])
+        for argv in (["eval", "--task", "cross", "--ckpt", str(ckpt),
+                      "--img-base", str(corpus / "img_base.feat"),
+                      "--txt-base", str(corpus / "txt_base.feat"),
+                      "--relevance", str(corpus / "relevance.tsv")],
+                     self.inspect_flags(corpus, ["--batch", "0,1", "--ckpt", str(ckpt)])):
+            code, report, err = run(capsys, argv)
+            assert code == 3 and report is None, argv[0]
+            assert "has_uni_temp is 1" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value, inv_temp", [(1e3, 100.0), (1e308, 100.0), (-1e3, 1.0)])
     def test_a_checkpoint_temperature_beyond_exp_range_is_clamped(
-            self, corpus, tmp_path, capsys, monkeypatch, name, value, inv_temp):
-        params = init_params(0, 6, 6, 8, 4, separate_uni_temp=True)
-        setattr(params, name, value)
+            self, corpus, tmp_path, capsys, monkeypatch, value, inv_temp):
+        params = init_params(0, 6, 6, 8, 4)
+        params.log_inv_temp = value
         save_checkpoint(tmp_path / "m.ckpt", params, {})
         temps, real_loss = [], cusa.cli.loss_from_logits
 
-        def loss(*args):  # records it and it_u by the parameter each is formed from
-            temps.append(dict(zip(["log_inv_temp", "log_inv_temp_uni"], args[4:6])))
+        def loss(*args):  # records it and it_u
+            temps.append(args[4:6])
             return real_loss(*args)
 
         monkeypatch.setattr(cusa.cli, "loss_from_logits", loss)
@@ -664,7 +701,7 @@ class TestInspectCommand:
             corpus, ["--batch", "0,1", "--ckpt", str(tmp_path / "m.ckpt")]))
         assert code == 0 and "Traceback" not in err
         json.dumps(report, allow_nan=False)  # raises on NaN or Infinity
-        assert temps[0][name] == inv_temp
+        assert temps[0] == (inv_temp, inv_temp)
 
     @pytest.mark.parametrize("flags", [
         ["--alpha", "nan"], ["--beta", "inf"], ["--teacher-inv-temp", "0"],
@@ -864,8 +901,7 @@ COMMANDS = [
                  "--log": (st.just("{tmp}/log"), OUTPUTS),
                  "--epochs": sizes(1, 2),
                  "--batch-size": (ints(2, 12), ints(-1, 1) | st.just("13"))},
-     {**SHARED_TRAIN_FLAGS, "--lr": floats(1e-4, 0.1), "--weight-decay": floats(0.0, 0.1),
-      "--separate-uni-temp": SWITCH}),
+     {**SHARED_TRAIN_FLAGS, "--lr": floats(1e-4, 0.1), "--weight-decay": floats(0.0, 0.1)}),
     (["eval", "--task=cross"], {**CKPT, **files("img_base.feat", "txt_base.feat",
                                                 "relevance.tsv")},
      {"--usa-branch": SWITCH, "--pairs": (None, INPUTS), "--img-emb": (None, INPUTS)}),
@@ -923,3 +959,85 @@ def test_every_command_line_ends_in_an_exit_code(corpus, trained, argv):
             code = main(args)  # anything but a return escapes here and fails
     assert code in (0, 2, 3, 4, 5, 6), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# hostile values in valid checkpoints
+# ---------------------------------------------------------------------------
+
+TINY, HUGE = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+HOSTILE_ENTRIES = [0.0, TINY, -TINY, 1e-300, -1e-300, 1e150, -1e150, 1e300, -1e300, HUGE, -HUGE]
+_LOG_MIN, _LOG_MAX = 0.0, float(np.log(100.0))  # log of each clamp boundary of the temperature
+HOSTILE_LOG_TEMPS = [_LOG_MIN, np.nextafter(_LOG_MIN, -np.inf), -1e3,
+                     _LOG_MAX, np.nextafter(_LOG_MAX, np.inf), _LOG_MAX + 1.0, 1e3,
+                     1e308, -1e308]
+
+
+def _finite_json(text: str):
+    def refuse(constant):
+        raise AssertionError(f"non-finite number {constant} in stdout")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _checkpoint_runs(corpus, ckpt) -> list:
+    """eval --task cross --relevance, eval --task img and inspect, each
+    on the checkpoint `ckpt` and the bundle `corpus`."""
+    bundle = {name: str(corpus / name) for name in FILE_NAMES}
+    train_files = [arg for role in FILE_NAMES[:5]
+                   for arg in (f"--{role.split('.')[0].replace('_', '-')}", bundle[role])]
+    return [["eval", "--task", "cross", "--ckpt", ckpt, "--img-base", bundle["img_base.feat"],
+             "--txt-base", bundle["txt_base.feat"], "--relevance", bundle["relevance.tsv"]],
+            ["eval", "--task", "img", "--ckpt", ckpt, "--img-base", bundle["img_base.feat"],
+             "--relevance", bundle["relevance.tsv"]],
+            ["inspect", "--ckpt", ckpt, "--batch", "0,3,7", *train_files]]
+
+
+def _run_hostile(argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), a RuntimeWarning raising."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_hostile_checkpoint_values_end_in_an_exit_code(corpus, data):
+    """A valid checkpoint holding extreme parameters and temperatures
+    runs eval and inspect to an exit code: 0 with finite JSON, or a
+    typed error; never a traceback or a RuntimeWarning. Any number of
+    matrix entries take a hostile value; the others keep their seeded
+    init values."""
+    d_e, d_u = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    params = init_params(0, 6, 6, d_e, d_u)
+    size = params.flat.size
+    hostile = data.draw(st.dictionaries(st.integers(1, size - 1),
+                                        st.sampled_from(HOSTILE_ENTRIES), max_size=size - 1))
+    for k, value in hostile.items():
+        params.flat[k] = value
+    params.log_inv_temp = data.draw(st.sampled_from(HOSTILE_LOG_TEMPS))
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = str(Path(tmp) / "hostile.ckpt")
+        save_checkpoint(ckpt, params, {})
+        for argv in _checkpoint_runs(corpus, ckpt):
+            code, out, err = _run_hostile(argv)
+            assert code in (0, 2, 3, 4, 5, 6), (argv, code, err)
+            assert "Traceback" not in err
+            if code == 0:
+                _finite_json(out)
+
+
+def test_a_checkpoint_whose_projection_overflows_ends_as_a_numeric_error(corpus, tmp_path):
+    # the property's first escape: base @ w_img overflowed with a
+    # RuntimeWarning before unit_rows refused the row
+    params = init_params(0, 6, 6, 1, 1)
+    params.flat[1:] = 0.0
+    params.flat[[1, 4]] = HUGE  # w_img[0, 0] and w_img[3, 0]
+    params.log_inv_temp = 0.0
+    save_checkpoint(tmp_path / "overflow.ckpt", params, {})
+    for argv in _checkpoint_runs(corpus, str(tmp_path / "overflow.ckpt")):
+        code, out, err = _run_hostile(argv)
+        assert code == 5 and out == "", argv[:3]
+        assert "norm that is not finite" in err

@@ -4,11 +4,13 @@ Byte offsets in the truncation tests are computed from the layout
 documented in dataio.py; if the layout changes these must change too.
 """
 
+import importlib.util
 import json
 import os
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,18 +650,38 @@ def test_damaged_text_files_parse_or_name_their_line(tmp_path, reader, lines, en
 # ---------------------------------------------------------------------------
 
 class TestCheckpointRoundTrip:
-    @pytest.mark.parametrize("separate_uni", [False, True])
-    def test_bit_exact(self, tmp_path, separate_uni):
-        params = init_params(3, 6, 5, 4, 3, separate_uni_temp=separate_uni)
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_bit_exact(self, tmp_path, extreme):
+        params = init_params(3, 6, 5, 4, 3)
+        if extreme:  # every finite float keeps its bits, -0.0 and subnormals included
+            tiny, huge = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+            values = [0.0, -0.0, tiny, -tiny, 1e-300, -1e300, huge, -huge]
+            params.flat[:] = np.resize(values, params.flat.size)
         config = {"alpha": 0.5, "beta": 0.25, "seed": 3, "note": "round trip"}
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, params, config)
         loaded, cfg = load_checkpoint(path)
-        for name in ("w_img", "w_txt", "u_img", "u_txt"):
-            assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes()
-        assert loaded.log_inv_temp == params.log_inv_temp
-        assert loaded.log_inv_temp_uni == params.log_inv_temp_uni
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert loaded.dims == params.dims
         assert cfg == config
+
+    def test_the_benchmark_oracle_reads_the_same_checkpoint(self, tmp_path):
+        # benchmarks/oracle.py parses checkpoints from the documented
+        # layout without importing cusa; it finds the parameter block by
+        # the has_uni_temp byte
+        spec = importlib.util.spec_from_file_location(
+            "oracle", Path(__file__).parents[1] / "benchmarks" / "oracle.py")
+        oracle = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracle)
+        params = init_params(5, 6, 5, 4, 3)
+        params.flat[:] = np.arange(1.0, params.flat.size + 1)  # a value per position
+        config = {"alpha": 0.5, "seed": 5, "note": "oracle"}
+        save_checkpoint(tmp_path / "ckpt.bin", params, config)
+        loaded, cfg = load_checkpoint(tmp_path / "ckpt.bin")
+        theirs = oracle.read_checkpoint(tmp_path / "ckpt.bin")
+        for name in ("w_img", "w_txt", "u_img", "u_txt"):
+            assert theirs[name].tobytes() == getattr(loaded, name).tobytes(), name
+        assert theirs["config"] == cfg == config
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         params = init_params(3, 6, 5, 4, 3)
@@ -673,18 +695,17 @@ class TestCheckpointRoundTrip:
         with pytest.raises(NonFiniteValue):
             save_checkpoint(tmp_path / "ckpt", params, {})
 
-    @pytest.mark.parametrize("name", ["log_inv_temp", "log_inv_temp_uni"])
-    def test_non_finite_temperature_rejected_on_save(self, tmp_path, name):
-        params = init_params(3, 6, 5, 4, 3, separate_uni_temp=name == "log_inv_temp_uni")
-        setattr(params, name, float("nan"))
-        with pytest.raises(NonFiniteValue, match=f"checkpoint {name} contains"):
+    def test_non_finite_temperature_rejected_on_save(self, tmp_path):
+        params = init_params(3, 6, 5, 4, 3)
+        params.log_inv_temp = float("nan")
+        with pytest.raises(NonFiniteValue, match="checkpoint log_inv_temp contains"):
             save_checkpoint(tmp_path / "ckpt", params, {})
         assert not (tmp_path / "ckpt").exists()
 
 
 class TestCheckpointReadErrors:
-    def make(self, tmp_path, separate_uni=False):
-        params = init_params(0, 3, 2, 2, 2, separate_uni_temp=separate_uni)
+    def make(self, tmp_path):
+        params = init_params(0, 3, 2, 2, 2)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, params, {"seed": 0})
         return path
@@ -704,11 +725,11 @@ class TestCheckpointReadErrors:
 
     @pytest.mark.parametrize("byte", [2, 255])
     def test_layout_byte_other_than_0_or_1(self, tmp_path, capsys, byte):
-        path = self.make(tmp_path, separate_uni=True)
+        path = self.make(tmp_path)
         buf = bytearray(path.read_bytes())
         buf[CHECKPOINT_HEADER - 1] = byte  # has_uni_temp, the header's last byte
         path.write_bytes(bytes(buf))
-        with pytest.raises(FormatError, match=f"has_uni_temp is {byte}; it must be 0 or 1"):
+        with pytest.raises(FormatError, match=f"has_uni_temp is {byte}; it must be 0"):
             load_checkpoint(path)
         # eval reads the checkpoint before any other input
         code = main(["eval", "--task", "img", "--ckpt", str(path),
@@ -716,12 +737,10 @@ class TestCheckpointReadErrors:
         assert code == 3
         assert "has_uni_temp" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("byte", [0, 1])
-    def test_layout_byte_round_trips(self, tmp_path, byte):
-        path = self.make(tmp_path, separate_uni=bool(byte))
-        assert path.read_bytes()[CHECKPOINT_HEADER - 1] == byte
+    def test_layout_byte_round_trips(self, tmp_path):
+        path = self.make(tmp_path)
+        assert path.read_bytes()[CHECKPOINT_HEADER - 1] == 0
         params, config = load_checkpoint(path)
-        assert params.n_scalars == 1 + byte
         save_checkpoint(tmp_path / "again.bin", params, config)
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
@@ -776,25 +795,21 @@ class TestCheckpointReadErrors:
         with pytest.raises(NonFiniteValue):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name, start", [("log_inv_temp", CHECKPOINT_HEADER),
-                                             ("log_inv_temp_uni", CHECKPOINT_HEADER + 8)])
-    def test_non_finite_stored_temperature(self, tmp_path, name, start):
-        path = self.make(tmp_path, separate_uni=True)
+    def test_non_finite_stored_temperature(self, tmp_path):
+        path = self.make(tmp_path)
         buf = bytearray(path.read_bytes())
-        buf[start:start + 8] = struct.pack("<d", float("nan"))
+        buf[CHECKPOINT_HEADER:CHECKPOINT_HEADER + 8] = struct.pack("<d", float("nan"))
         path.write_bytes(bytes(buf))
-        with pytest.raises(NonFiniteValue, match=f"checkpoint {name} contains"):
+        with pytest.raises(NonFiniteValue, match="checkpoint log_inv_temp contains"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("separate_uni", [False, True])
-    def test_every_prefix_reports_the_cut_segment(self, tmp_path, separate_uni):
-        path = self.make(tmp_path, separate_uni)
+    def test_every_prefix_reports_the_cut_segment(self, tmp_path):
+        path = self.make(tmp_path)
         buf = path.read_bytes()
         # (name, size in bytes) of each part after the fixed header, for
         # d_bi=3, d_bt=2, d_e=2, d_u=2 and the config echo {"seed": 0}
-        sizes = ([("log_inv_temp", 8)] + [("log_inv_temp_uni", 8)] * separate_uni
-                 + [("w_img", 48), ("w_txt", 32), ("u_img", 32), ("u_txt", 32),
-                    ("config length", 4), ("config", len('{"seed": 0}'))])
+        sizes = [("log_inv_temp", 8), ("w_img", 48), ("w_txt", 32), ("u_img", 32),
+                 ("u_txt", 32), ("config length", 4), ("config", len('{"seed": 0}'))]
         parts, pos = [], CHECKPOINT_HEADER
         for name, size in sizes:
             parts.append((name, pos, pos + size))
@@ -815,7 +830,7 @@ class TestCheckpointReadErrors:
     def consistent_checkpoint(path, dims):
         """A checkpoint whose parameter block and config fit the header
         `dims`, with finite nonzero values."""
-        stop = param_segments(dims, 1)[-1][2]
+        stop = param_segments(dims)[-1][2]
         flat = np.linspace(-1.0, 1.0, stop + 1)[1:]
         config = json.dumps({"seed": 0}).encode("utf-8")
         path.write_bytes(b"CUSC" + struct.pack("<IIIIIB", 1, *dims, 0)
@@ -872,12 +887,11 @@ class TestCheckpointReadErrors:
 @pytest.fixture(scope="module")
 def valid_binaries(tmp_path_factory):
     """The bytes of a small feature file with a non-ASCII id and of a
-    checkpoint with two temperatures, by reader."""
+    checkpoint, by reader."""
     out = tmp_path_factory.mktemp("binaries")
     write_features(out / "f.feat", ["a", "\u00e9t\u00e9", "z"],
                    np.array([[1.0, -2.0], [0.5, 4.0], [0.0, 3.0]]))
-    save_checkpoint(out / "c.ckpt", init_params(1, 2, 3, 2, 1, separate_uni_temp=True),
-                    {"seed": 1})
+    save_checkpoint(out / "c.ckpt", init_params(1, 2, 3, 2, 1), {"seed": 1})
     return {read_features: (out / "f.feat").read_bytes(),
             load_checkpoint: (out / "c.ckpt").read_bytes()}
 

@@ -1,37 +1,52 @@
 """Byte identity of one small fixed-seed training run and of a gradcheck report.
 
 The digests pin every bit of the checkpoint and the step log of a run
-with both teacher terms on (alpha, beta > 0) and a separate uni-modal
-temperature; any change that moves a bit of the trajectory fails here.
-They were re-pinned when the training step moved to a per-run
-workspace. The KLs now come from the log-sum-exp form (sum(p log p) -
-sum(p z) + lse, with no log q); the softmaxes shift their logits by the
-matrix maximum rather than each row's; the t2i softmax runs along the
-columns of the i2t logits; the cross-modal gradient is regrouped as
-(c1 + c2)(Q_i2t + Q_t2i^T) - c2(P_i + P_t^T) - 2 c1 I; the sums of
-d * s are dot products; and backward applies d and d^T to f apart.
-These reorder floating-point operations, so the step log and the
-checkpoint moved by a few ulps (at most 5e-15 relative on a logged
-loss of the batch-200 benchmark run); the values are otherwise the
-same.
+with both teacher terms on (alpha, beta > 0); any change that moves a
+bit of the trajectory fails here. The student has one learnable
+temperature.
+
+The run, its zero-weight variants, the `inspect-ckpt` report and the
+reader-error outcomes were anchored at commit 7f52f45, the last one
+whose trainer could also learn a separate uni-modal temperature. There
+they were produced with one temperature (no `--separate-uni-temp`, or
+from a one-temperature checkpoint). Removing the separate layout left
+their parameter blocks, step-log records, inspect stdout and reader
+outcomes as they were. Two things moved: the config echo lost its
+`separate_uni_temp` key, which re-pinned the full-file train digests,
+and the reader's message for a `has_uni_temp` byte other than 0 (see
+below). Before the anchor, the run pinned here used the separate
+layout; those digests had been re-pinned when the training step moved
+to a per-run workspace. The KLs now come from the log-sum-exp form
+(sum(p log p) - sum(p z) + lse, with no log q); the softmaxes shift
+their logits by the matrix maximum rather than each row's; the t2i
+softmax runs along the columns of the i2t logits; the cross-modal
+gradient is regrouped as (c1 + c2)(Q_i2t + Q_t2i^T) - c2(P_i + P_t^T)
+- 2 c1 I; the sums of d * s are dot products; and backward applies d
+and d^T to f apart. These reorder floating-point operations, so the
+step log and the checkpoint moved by a few ulps (at most 5e-15
+relative on a logged loss of the batch-200 benchmark run); the values
+are otherwise the same.
 
 The zero-weight digests pin the same run with alpha, beta or both at
-0. They were produced at commit 2706335, while the loss core still had
-a separate branch for each zero weight, before every weight took the
-one general path.
+0. Their separate-layout predecessors were produced at commit 2706335,
+while the loss core still had a separate branch for each zero weight,
+before every weight took the one general path.
 
 The gradcheck digest pins the stdout of a small run: finite
 differences of the loss core over its three logit matrices and two
-log-temperatures, and of the model with its batch sizes alternating
-between the shared and the separate uni-modal temperature layouts. Its
-printed errors moved with the same re-pin. It was re-pinned once more
-when the targets of both checks began to come from
+log-temperatures, and of the model over its one parameter layout. Its
+printed errors moved with the first re-pin above. It was re-pinned
+once more when the targets of both checks began to come from
 `build_batch_targets` on seeded teacher features (in place of a
 softmax of random logits) and the model check began to differentiate
 the trainer's own step, `trainer.step_gradients`, at a warm workspace:
 the seeded draws and the differentiated function changed, so the
 printed errors moved (the largest to 4.1e-7, against a tolerance of
-1e-4). No other digest moved.
+1e-4). No other digest moved. It was re-pinned again when the model
+check lost its alternating separate layout: the report lost the key
+`model.log_inv_temp_uni`, each batch draws one temperature in place of
+one or two, and the largest printed error went to 5.9e-9 (at
+`model.w_txt`).
 
 The eval digests pin the stdout of `eval --task cross --relevance`,
 `eval --task cross --pairs` and `eval --task img --relevance` on a
@@ -48,27 +63,32 @@ and they must hold with 1, 2 and 3 forced CPUs, where the blocks are
 ranked in that many processes.
 
 The report digests pin the stdout of `inspect` from a fresh init and
-from a checkpoint with a separate uni-modal temperature (alpha = beta =
-0), of `eval --task sts` from direct embeddings and from a checkpoint's
-projector head (`--usa-branch`), and of `eval --task cross` from direct
-embeddings. They were produced at commit fb14666, before `inspect` took
-its logits from `losses.student_logits` and before the eval inputs and
-the text readers each got one code path. They held unchanged when
-`inspect` began to print `row_softmax` of its logits in place of copies
-of the loss core's softmaxes.
+from a checkpoint (alpha = beta = 0), of `eval --task sts` from direct
+embeddings and from a checkpoint's projector head (`--usa-branch`),
+and of `eval --task cross` from direct embeddings. `inspect-ckpt` was
+anchored at commit 7f52f45 (above); it replaced a digest of the same
+report from a checkpoint with a separate uni-modal temperature.
+`sts-ckpt-usa-branch` reads the same checkpoint and kept its digest
+when that checkpoint lost its second temperature. The others were
+produced at commit fb14666, before `inspect` took its logits from
+`losses.student_logits` and before the eval inputs and the text
+readers each got one code path. They held unchanged when `inspect`
+began to print `row_softmax` of its logits in place of copies of the
+loss core's softmaxes.
 
 The synth-bundle digests pin each of the six files of a fixed-seed
 `synth` bundle, `relevance.tsv` included. The reader-error digest pins
 the (exception class, offset, message) that `read_features` and
 `load_checkpoint` give for every prefix, one appended byte and every
 single-byte flip of a small feature file with a non-ASCII id and of a
-checkpoint with two temperatures. Both were produced at commit f13f42e,
-before the binary framing checks, the relevance writer and the
-relevance reader's empty-id check each got one code path. The reader
-digest was re-pinned once since, when `load_checkpoint` began to reject
-a `has_uni_temp` byte other than 0 or 1: exactly one of the 430
-outcomes moved, index 286 (that byte flipped from 0x01 to 0xFE), from
-loading as a two-temperature checkpoint to a FormatError.
+checkpoint. The synth digests were produced at commit f13f42e, before
+the binary framing checks, the relevance writer and the relevance
+reader's empty-id check each got one code path. The reader digest was
+anchored at commit 7f52f45 on a checkpoint with one temperature (414
+outcomes); when `load_checkpoint` began to refuse every `has_uni_temp`
+byte but 0, only the message of outcome 278 (that byte flipped from
+0x00 to 0xFF, a FormatError either way) moved. It replaced a digest
+taken on a checkpoint with two temperatures.
 
 The relevance-reader digest pins what `read_relevance` gives for every
 prefix, one appended byte and every single-byte flip of a small
@@ -103,18 +123,18 @@ from cusa.dataio import (
 )
 from cusa.model import init_params
 
-CKPT_SHA256 = "a9bd6283de03929c06156639ecddf6f86f89efb3923c816ecd29c8e06c47afe7"
-LOG_SHA256 = "6c8b69bceac00403e85bb3b01cc6ea5aa9addf43e4a84d4e8cf853a8bfb32a45"
+CKPT_SHA256 = "7558e9989fdb6fb606dbf78d319a0daeb65b4cdae3b1cc4676128df86f0ad4b3"
+LOG_SHA256 = "237b513ce6996731e358d7b139900e8307c70c8e03ade1d5dcab31e626bfb739"
 # (alpha, beta) -> (checkpoint, step log) of the same run with a weight at 0
 ZERO_WEIGHT_SHA256 = {
-    ("0", "0"): ("512754994679ec122f7003896d6f8029f0a0889766120a49eb7196797c090237",
-                 "dd267641d757669dd8a509651e1c458f828580e71c2d6d99e6393844e73ff121"),
-    ("0", "0.4"): ("13b30ae9cd2021029623397c0543f49842eefc405017b66d8983c11e35b1d712",
-                   "79846c3e91f2d5f1e4ce4cfb46cff00e66c6972c999bb42e5b2769028ac34727"),
-    ("0.6", "0"): ("001310b8693c7ef109a1477c47a2a392bcbd33c10ef64304ccba6768acb01f66",
-                   "f42f3eb6447d970e599c52c1900262bdb4d3785f08420e502e58d612890091c7"),
+    ("0", "0"): ("55bc53c53490b172c61b5fd20a89ec13b680b0bbde7312086b2f0c84312e0721",
+                 "fac4ccbac92c3d35474e82d93a020e6d33f50bcbce16e79798cb098a40637111"),
+    ("0", "0.4"): ("7606aa30d8dc5fd7784c8b9eb7a51fbc5b16dccbc80b00b2daa7dd7e5197e05e",
+                   "c8ed61863ea2e7ed9b2a5a2f5ba6b5fbc5b8cb11edd0cd07127e72b800a923cf"),
+    ("0.6", "0"): ("b7d6bb6138ab1c3dbf316b7d4e7d8db0626c394c3843c699aaba9803b7739d49",
+                   "a2ef49fdcc356097dd463e39136ad7e34cfc863444f3ded95d89e5f04d9ae3b1"),
 }
-GRADCHECK_SHA256 = "d384a1b769d06fc7a5e851cd1843129689a1e8c4585c4a5a057fefe2cecbdaff"
+GRADCHECK_SHA256 = "1322e0b52bd0c0009ec11396c31e7f76730033e212f2c8ed941c50c45efdad82"
 EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
     "cross-pairs": "aba60caad135f6ebe3b8acaa57b72e6840f19e3afbb253d90535010be79f7d24",
@@ -126,8 +146,7 @@ MULTI_BLOCK_EVAL_SHA256 = {
 }
 REPORT_SHA256 = {
     "inspect-fresh": "5d5992c4d220cc32467570405a14eb299d7043d825c35115e6f6fa0411d15e6a",
-    "inspect-ckpt-separate-uni-temp":
-        "318329b5eda9eff6f2f7d6ba2e336532c61fa52d0575aa78faaaabc705d4ff22",
+    "inspect-ckpt": "4366fa55be759fb15f77cbe2ff13f377e63889d3f5767e13d5fcfd3294f23ca0",
     "sts-emb": "280b45d8ed1d53051114b48412452ee9b9851c10de63082915025075daf4b02d",
     "sts-ckpt-usa-branch": "d28f6c98219862f4002d8eb24d33ba8ae8a3a57de538ddb981c697114914b497",
     "cross-emb": "346a161ef07a3ccda21f1f21942d173ebb8b6a9623599677d6eaf2de436f3703",
@@ -140,7 +159,7 @@ SYNTH_SHA256 = {
     "pairs.tsv": "7ecdd3d8ef7bbee91d1ac0fdfdb595df99a8a267b503eeceac3c5c7662ba6660",
     "relevance.tsv": "52019b78855972fc6ea7308f083e6970f449d940547fd2070b2a54f262a4240c",
 }
-READER_ERRORS_SHA256 = "dc398092ebb6fe86272413489cce8116b876798038726992fa18579777269cbf"
+READER_ERRORS_SHA256 = "2bb4580e95b3acc9b92a13be94708df5479ef673e681455f970e39aad1f31a2e"
 # a non-ASCII id, one CRLF line end, an id outside RELEVANCE_IDS and a
 # repeated query; read with RELEVANCE_IDS as the id table and without
 RELEVANCE_TEXT = "q\ta,\u00e9\r\n\u00e9\tq\nb\tb,a\na\t\u00e9,z\nb\tq\n"
@@ -172,8 +191,7 @@ def _train_digests(tmp_path, alpha, beta):
                  "--log", str(tmp_path / "train.log"),
                  "--batch-size", "10", "--epochs", "4", "--lr", "1e-2",
                  "--alpha", alpha, "--beta", beta, "--teacher-inv-temp", "8",
-                 "--separate-uni-temp", "--d-e", "5", "--d-u", "3",
-                 "--seed", "2"]) == 0
+                 "--d-e", "5", "--d-u", "3", "--seed", "2"]) == 0
     return _sha256(tmp_path / "model.ckpt"), _sha256(tmp_path / "train.log")
 
 
@@ -251,7 +269,7 @@ def _report_runs(tmp_path, monkeypatch):
              "--txt-base", "txt_base.feat", "--img-teacher", "img_teacher.feat",
              "--txt-teacher", "txt_teacher.feat"]
     assert _cli(["train", *files, "--out-ckpt", "model.ckpt", "--log", "train.log",
-                 "--batch-size", "6", "--epochs", "2", "--separate-uni-temp",
+                 "--batch-size", "6", "--epochs", "2",
                  "--d-e", "4", "--d-u", "3", "--seed", "3"]) == 0
     ids = read_features("txt_base.feat").ids
     with open("scored.tsv", "w", encoding="utf-8") as fh:
@@ -261,9 +279,8 @@ def _report_runs(tmp_path, monkeypatch):
         "inspect-fresh": ["inspect", *files, "--batch", "0,5,9,20", "--alpha", "0.3",
                           "--beta", "0.7", "--teacher-inv-temp", "6", "--d-e", "4",
                           "--d-u", "3", "--seed", "4"],
-        "inspect-ckpt-separate-uni-temp": ["inspect", *files, "--batch", "2,11,23",
-                                           "--ckpt", "model.ckpt", "--alpha", "0",
-                                           "--beta", "0", "--d-e", "4", "--d-u", "3"],
+        "inspect-ckpt": ["inspect", *files, "--batch", "2,11,23", "--ckpt", "model.ckpt",
+                         "--alpha", "0", "--beta", "0", "--d-e", "4", "--d-u", "3"],
         "sts-emb": ["eval", "--task", "sts", "--txt-emb", "txt_base.feat",
                     "--pairs", "scored.tsv"],
         "sts-ckpt-usa-branch": ["eval", "--task", "sts", "--ckpt", "model.ckpt",
@@ -291,7 +308,7 @@ def _mean_kl(p, q):
                           for pr, qr in zip(p, q)]))
 
 
-@pytest.mark.parametrize("name", ["inspect-fresh", "inspect-ckpt-separate-uni-temp"])
+@pytest.mark.parametrize("name", ["inspect-fresh", "inspect-ckpt"])
 def test_inspect_losses_follow_from_its_printed_distributions(tmp_path, monkeypatch, name):
     # the printed Q matrices are the ones the printed losses were taken on
     out = io.StringIO()
@@ -328,7 +345,7 @@ def _variants(raw: bytes):
 def test_reader_errors_are_byte_identical(tmp_path):
     feat, ckpt = tmp_path / "small.feat", tmp_path / "small.ckpt"
     write_features(feat, ["a", "\u00e9t\u00e9"], np.array([[1.0, -2.0], [0.5, 4.0]]))
-    save_checkpoint(ckpt, init_params(3, 2, 3, 2, 1, separate_uni_temp=True), {"seed": 3})
+    save_checkpoint(ckpt, init_params(3, 2, 3, 2, 1), {"seed": 3})
     outcomes = []
     for reader, path in ((read_features, feat), (load_checkpoint, ckpt)):
         variant_path = tmp_path / ("variant" + path.suffix)

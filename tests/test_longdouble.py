@@ -1,20 +1,28 @@
-"""Long-double oracle for the teacher targets and the loss core.
+"""Long-double oracle for the teacher targets, the loss core and the
+rest of the training step: forward, backward and one Adam update.
 
 Each reference below is the textbook formula evaluated in np.longdouble
 (a 64-bit mantissa on x86-64, eps 1.08e-19), written from the math and
 not from the code's buffer order: log-softmax rows, KL as
 sum p (log p - log q), the logit gradients as the differences of
 softmaxes, and the log-temperature derivatives as differences of
-expected logits. The float64 code must agree with it to RTOL on seeded
-batches of 2 to 200 rows.
+expected logits; row normalization and its Jacobian (I - y y^T) / |x|
+as explicit matrices per row; Adam as its bias-corrected moments. The
+float64 code must agree with it on seeded batches of 2 to 200 rows: to
+RTOL for the targets and the loss core, to STEP_RTOL for the rest of
+the step.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from cusa.losses import loss_from_logits
+from cusa.losses import batch_loss_and_grads, loss_from_logits
 from cusa.mathops import l2_normalize_rows
+from cusa.model import INV_TEMP_MAX, INV_TEMP_MIN, backward, forward, init_params
 from cusa.softlabels import TeacherBatch, build_batch_targets
+from cusa.trainer import AdamState, TrainConfig, adam_step
 
 LD = np.longdouble
 
@@ -26,6 +34,11 @@ pytestmark = pytest.mark.skipif(
 # targets and 2.6e-14 for the loss core (d_s_i2i at it_u = 100, where
 # q - p cancels); the bound leaves a margin of about 40x
 RTOL = 1e-12
+# worst relative error measured over MODEL_CASES and ADAM_CASES: 6.1e-16
+# for forward, 9.6e-16 for backward, 1.3e-16 for Adam's moments and 1.9e-15
+# for its update past one ulp of p'; the bound leaves a margin of at least
+# 5x and sits below the 1e-13 relative nudges a mutation of the step makes
+STEP_RTOL = 1e-14
 
 # (n, teacher inverse temperature, it, it_u, alpha, beta); it differs from
 # it_u everywhere, and each weight is 0 somewhere
@@ -142,3 +155,152 @@ def test_loss_core_matches_the_long_double_objective(batch):
         assert rel_err(got, want) < RTOL
     assert rel_err(grads.d_log_inv_temp, d_log_it) < RTOL
     assert rel_err(grads.d_log_inv_temp_uni, d_log_it_u) < RTOL
+
+
+# (n, log_inv_temp, alpha, beta) of a student batch: the temperature inside
+# the clamp window, on its lower boundary and above its upper one (both
+# gates closed), and each weight 0 somewhere
+MODEL_CASES = [
+    (2, math.log(1 / 0.07), 0.0, 0.0),
+    (3, 0.0, 0.5, 0.5),
+    (5, 1.2, 0.7, 0.0),
+    (17, 3.9, 0.0, 0.8),
+    (64, 4.6, 1.0, 1.0),
+    (200, 2.0, 0.3, 1.1),
+    (200, 5.0, 0.6, 0.4),
+]
+DIMS = (6, 5, 4, 3)  # d_bi, d_bt, d_e, d_u
+
+
+def normalize_reference(x):
+    """(rows of x over their norms, the norms) in long double."""
+    norms = np.sqrt((x * x).sum(axis=1))
+    return x / norms[:, None], norms
+
+
+def normalize_backward_reference(g, y, norms):
+    """g through each row's normalization Jacobian (I - y y^T) / |x|."""
+    eye = np.eye(y.shape[1], dtype=LD)
+    jac = (eye - y[:, :, None] * y[:, None, :]) / norms[:, None, None]
+    return np.einsum("rij,rj->ri", jac, g)
+
+
+def forward_reference(base_img, base_txt, params):
+    """(img_emb, txt_emb, img_usa, txt_usa, inverse temperature) in long
+    double; the embeddings are normalize(base @ w) and normalize(emb @ u)."""
+    img = normalize_reference(base_img.astype(LD) @ params.w_img.astype(LD))[0]
+    txt = normalize_reference(base_txt.astype(LD) @ params.w_txt.astype(LD))[0]
+    img_u = normalize_reference(img @ params.u_img.astype(LD))[0]
+    txt_u = normalize_reference(txt @ params.u_txt.astype(LD))[0]
+    it = np.clip(np.exp(LD(params.log_inv_temp)), LD(INV_TEMP_MIN), LD(INV_TEMP_MAX))
+    return img, txt, img_u, txt_u, it
+
+
+def backward_reference(base_img, base_txt, params, upstream):
+    """dL/d(w_img, w_txt, u_img, u_txt, log_inv_temp) in long double, by the
+    chain rule through s_i2t = e_i e_t^T, s_i2i = f_i f_i^T, s_t2t = f_t f_t^T,
+    f = normalize(e u) and e = normalize(base w). The one temperature
+    scales all four softmaxes, so its derivative is the sum of both
+    log-temperature derivatives, and 0 where the clamp is active."""
+    g_it = upstream.d_s_i2t.astype(LD)
+    grads = {}
+    sides = {"img": (base_img, params.w_img, params.u_img, upstream.d_s_i2i, g_it),
+             "txt": (base_txt, params.w_txt, params.u_txt, upstream.d_s_t2t, g_it.T)}
+    emb = {}
+    for side, (base, w, u, _, _) in sides.items():
+        z = base.astype(LD) @ w.astype(LD)
+        e, z_norms = normalize_reference(z)
+        a = e @ u.astype(LD)
+        f, a_norms = normalize_reference(a)
+        emb[side] = (base.astype(LD), e, z_norms, f, a_norms, u.astype(LD))
+    for side, other in (("img", "txt"), ("txt", "img")):
+        base, e, z_norms, f, a_norms, u = emb[side]
+        d_uni, d_cross = sides[side][3].astype(LD), sides[side][4]
+        g_f = (d_uni + d_uni.T) @ f
+        g_a = normalize_backward_reference(g_f, f, a_norms)
+        grads["u_" + side] = e.T @ g_a
+        g_e = d_cross @ emb[other][1] + g_a @ u.T
+        grads["w_" + side] = base.T @ normalize_backward_reference(g_e, e, z_norms)
+    it = np.exp(LD(params.log_inv_temp))
+    open_gate = LD(INV_TEMP_MIN) < it < LD(INV_TEMP_MAX)
+    grads["log_inv_temp"] = ((LD(upstream.d_log_inv_temp) + LD(upstream.d_log_inv_temp_uni))
+                             if open_gate else LD(0))
+    return grads
+
+
+@pytest.fixture(params=MODEL_CASES, ids=lambda case: "n{}-lit{:.3g}-a{}-b{}".format(*case))
+def student_batch(request):
+    """(case, base_img, base_txt, params, teacher targets) of a seeded batch."""
+    n, log_it, _, _ = request.param
+    rng = np.random.default_rng(2000 + request.param_index)
+    base_img = rng.standard_normal((n, DIMS[0]))
+    base_txt = rng.standard_normal((n, DIMS[1]))
+    params = init_params(request.param_index, *DIMS)
+    params.log_inv_temp = log_it
+    targets = build_batch_targets(TeacherBatch(unit(rng, n, 8), unit(rng, n, 8)), 5.0)
+    return request.param, base_img, base_txt, params, targets
+
+
+def test_forward_matches_the_long_double_embeddings(student_batch):
+    _, base_img, base_txt, params, _ = student_batch
+    out = forward(base_img, base_txt, params)
+    *embs, it = forward_reference(base_img, base_txt, params)
+    for got, want in zip((out.img_emb, out.txt_emb, out.img_usa, out.txt_usa), embs):
+        assert rel_err(got, want) < STEP_RTOL
+    assert rel_err(out.inv_temp, it) < STEP_RTOL
+    assert out.inv_temp_uni == out.inv_temp
+
+
+def test_backward_matches_the_long_double_chain_rule(student_batch):
+    (_, _, alpha, beta), base_img, base_txt, params, targets = student_batch
+    out = forward(base_img, base_txt, params)
+    _, upstream = batch_loss_and_grads(out, targets, alpha, beta)
+    grads = backward(out, params, upstream)
+    want = backward_reference(base_img, base_txt, params, upstream)
+    for name in ("w_img", "w_txt", "u_img", "u_txt"):
+        assert rel_err(getattr(grads, name), want[name]) < STEP_RTOL, name
+    if want["log_inv_temp"] == 0:
+        assert grads.log_inv_temp == 0.0  # the gate is closed, not merely small
+    else:
+        assert rel_err(grads.log_inv_temp, want["log_inv_temp"]) < STEP_RTOL
+
+
+# (learning rate, weight decay, steps already taken) of one Adam update
+ADAM_CASES = [(1e-3, 0.01, 0), (1e-2, 0.1, 7), (1e-4, 0.5, 300)]
+
+
+def adam_reference(p, g, m, v, t, lr, wd, b1, b2, eps):
+    """(p', m', v') of update t in long double: the bias-corrected moment
+    step, with decoupled weight decay on every entry but the temperature
+    (entry 0)."""
+    p, g, m, v = (x.astype(LD) for x in (p, g, m, v))
+    lr, wd, b1, b2, eps = (LD(x) for x in (lr, wd, b1, b2, eps))
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    m_hat, v_hat = m / (1 - b1 ** t), v / (1 - b2 ** t)
+    decay = np.full(p.shape, lr * wd, dtype=LD)
+    decay[0] = 0
+    return p - decay * p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+@pytest.mark.parametrize("lr, wd, step", ADAM_CASES)
+def test_adam_step_matches_the_long_double_update(lr, wd, step):
+    rng = np.random.default_rng(3000 + step)
+    params = init_params(step, *DIMS)
+    grads = init_params(step + 1, *DIMS)
+    grads.flat[:] = rng.standard_normal(grads.flat.size)
+    state = AdamState(step=step, m=0.1 * rng.standard_normal(params.flat.size),
+                      v=0.01 * rng.random(params.flat.size))
+    cfg = TrainConfig(learning_rate=lr, weight_decay=wd)
+    new, new_state = adam_step(params, grads, state, cfg)
+    p_ref, m_ref, v_ref = adam_reference(params.flat, grads.flat, state.m, state.v, step + 1,
+                                         lr, wd, cfg.beta1, cfg.beta2, cfg.epsilon)
+    assert new_state.step == step + 1
+    assert rel_err(new_state.m, m_ref) < STEP_RTOL
+    assert rel_err(new_state.v, v_ref) < STEP_RTOL
+    assert rel_err(new.flat, p_ref) < STEP_RTOL
+    # the update itself, on its own scale, past one ulp of p': p is stored
+    # in float64 after the decay and after the step, which alone moves the
+    # update by up to 3.4e-13 of itself at lr 1e-4
+    step_err = np.abs(new.flat.astype(LD) - p_ref) - np.abs(np.spacing(new.flat)).astype(LD)
+    assert rel_err(step_err.clip(min=0), 0, np.abs(p_ref - params.flat).max()) < STEP_RTOL

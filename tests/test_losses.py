@@ -304,31 +304,23 @@ class TestBatchLossAndGrads:
         soft_push = q[0, 1] - teacher[0, 1]
         assert soft_push < hard_push
 
-    def test_separate_uni_temperature_splits_gradient(self):
-        # the loss returns both log-temperature derivatives apart in
-        # either layout; model.backward owns the fold into a shared one
+    def test_one_temperature_collects_both_gradients(self):
+        # the loss returns both log-temperature derivatives apart;
+        # model.backward owns their fold into the one learnable temperature
         rng = np.random.default_rng(63)
         n = 4
         base_img, base_txt = rng.standard_normal((n, 5)), rng.standard_normal((n, 7))
         targets = TeacherTargets(*random_targets(rng, n))
-        for separate in (False, True):
-            params = init_params(3, 5, 7, 4, 3, separate_uni_temp=separate)
-            params.log_inv_temp = float(np.log(8.0))
-            if separate:
-                params.log_inv_temp_uni = float(np.log(3.0))
-            outputs = forward(base_img, base_txt, params)
-            _, lg = batch_loss_and_grads(outputs, targets, 0.5, 0.5)
-            assert lg.d_log_inv_temp != 0.0 and lg.d_log_inv_temp_uni != 0.0
-            grads = backward(outputs, params, lg)
-            gate = _clamp_gate(params.log_inv_temp)
-            assert gate == 1.0
-            if separate:
-                assert grads.log_inv_temp == lg.d_log_inv_temp * gate
-                assert grads.log_inv_temp_uni == (lg.d_log_inv_temp_uni
-                                                  * _clamp_gate(params.log_inv_temp_uni))
-            else:
-                assert grads.n_scalars == 1
-                assert grads.log_inv_temp == (lg.d_log_inv_temp + lg.d_log_inv_temp_uni) * gate
+        params = init_params(3, 5, 7, 4, 3)
+        params.log_inv_temp = float(np.log(8.0))
+        outputs = forward(base_img, base_txt, params)
+        assert outputs.inv_temp_uni == outputs.inv_temp
+        _, lg = batch_loss_and_grads(outputs, targets, 0.5, 0.5)
+        assert lg.d_log_inv_temp != 0.0 and lg.d_log_inv_temp_uni != 0.0
+        grads = backward(outputs, params, lg)
+        gate = _clamp_gate(params.log_inv_temp)
+        assert gate == 1.0
+        assert grads.log_inv_temp == (lg.d_log_inv_temp + lg.d_log_inv_temp_uni) * gate
 
     def test_inputs_left_untouched(self):
         # the loss forms its gradients in buffers it allocates; the
@@ -336,7 +328,7 @@ class TestBatchLossAndGrads:
         rng = np.random.default_rng(64)
         n = 6
         outputs = forward(rng.standard_normal((n, 5)), rng.standard_normal((n, 7)),
-                          init_params(3, 5, 7, 4, 3, separate_uni_temp=True))
+                          init_params(3, 5, 7, 4, 3))
         targets = TeacherTargets(*random_targets(rng, n))
         arrays = [outputs.img_emb, outputs.txt_emb, outputs.img_usa, outputs.txt_usa,
                   *vars(outputs.tape).values(), targets.p_i2i, targets.p_t2t]

@@ -43,11 +43,10 @@ class TestInitParams:
         p = init_params(0, 4, 4, 4, 2)
         assert abs(p.log_inv_temp - LOG_INV_TEMP_INIT) < 1e-15
         assert abs(clamped_inv_temp(p.log_inv_temp) - INV_TEMP_INIT) < 1e-12
-        assert p.log_inv_temp_uni is None
-
-    def test_separate_uni_temperature(self):
-        p = init_params(0, 4, 4, 4, 2, separate_uni_temp=True)
-        assert p.log_inv_temp_uni == p.log_inv_temp
+        # one temperature, leading the layout
+        assert [name for name, *_ in p.segments] == ["log_inv_temp", "w_img", "w_txt",
+                                                     "u_img", "u_txt"]
+        assert p.flat[0] == p.log_inv_temp
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(InvalidDimension):
@@ -56,19 +55,18 @@ class TestInitParams:
 
 class TestStudentParams:
     def test_binds_the_vector_without_a_copy(self):
-        flat = np.arange(1.0, 25.0)
-        p = StudentParams(flat, (2, 3, 2, 3), 2)
-        assert p.log_inv_temp == 1.0 and p.log_inv_temp_uni == 2.0
-        np.testing.assert_array_equal(p.w_img, [[3.0, 4.0], [5.0, 6.0]])
+        flat = np.arange(1.0, 24.0)
+        p = StudentParams(flat, (2, 3, 2, 3))
+        assert p.log_inv_temp == 1.0
+        np.testing.assert_array_equal(p.w_img, [[2.0, 3.0], [4.0, 5.0]])
         np.testing.assert_array_equal(p.u_txt, flat[-6:].reshape(2, 3))
         p.w_txt = np.zeros((3, 2))
-        assert not flat[6:12].any()
+        assert not flat[5:11].any()
 
     @pytest.mark.parametrize("call, message", [
         (lambda p: setattr(p, "w_img", np.zeros((4, 3))), r"w_img: shape \(4, 3\)"),
-        (lambda p: setattr(p, "log_inv_temp_uni", 1.0), "log_inv_temp_uni: shape"),
-        (lambda p: StudentParams(p.flat[1:], p.dims, p.n_scalars), "do not fit dims"),
-    ], ids=["wrong-shaped-matrix", "uni-temperature-on-shared-layout", "flat-too-short"])
+        (lambda p: StudentParams(p.flat[1:], p.dims), "do not fit dims"),
+    ], ids=["wrong-shaped-matrix", "flat-too-short"])
     def test_layout_mismatch_raises(self, call, message):
         with pytest.raises(ShapeMismatch, match=message):
             call(init_params(0, 4, 4, 4, 2))
@@ -154,14 +152,12 @@ def fd_param_grad(f, m, h=1e-6):
 
 
 class TestBackward:
-    def _setup(self, seed, n=5, d_bi=6, d_bt=6, d_e=4, d_u=3, separate_uni_temp=False):
+    def _setup(self, seed, n=5, d_bi=6, d_bt=6, d_e=4, d_u=3):
         rng = np.random.default_rng(seed)
         base_img = rng.standard_normal((n, d_bi))
         base_txt = rng.standard_normal((n, d_bt))
-        params = init_params(seed, d_bi, d_bt, d_e, d_u, separate_uni_temp)
+        params = init_params(seed, d_bi, d_bt, d_e, d_u)
         params.log_inv_temp = float(rng.uniform(np.log(2), np.log(50)))
-        if separate_uni_temp:
-            params.log_inv_temp_uni = float(rng.uniform(np.log(2), np.log(50)))
         targets = TeacherTargets(
             row_softmax(rng.standard_normal((n, n)), 1.0),
             row_softmax(rng.standard_normal((n, n)), 1.0),
@@ -178,9 +174,8 @@ class TestBackward:
         assert grads.log_inv_temp == 0.0
 
     def test_full_model_matches_finite_differences(self):
-        for seed, separate_uni_temp in ((30, False), (31, False), (32, True)):
-            base_img, base_txt, params, targets = self._setup(
-                seed, separate_uni_temp=separate_uni_temp)
+        for seed in (30, 31, 32):
+            base_img, base_txt, params, targets = self._setup(seed)
 
             def total():
                 out = forward(base_img, base_txt, params)
@@ -196,15 +191,13 @@ class TestBackward:
                                            rtol=2e-5, atol=1e-8)
 
             h = 1e-6
-            temps = ("log_inv_temp", "log_inv_temp_uni")[:params.n_scalars]
-            for name in temps:
-                keep = getattr(params, name)
-                setattr(params, name, keep + h)
-                hi = total()
-                setattr(params, name, keep - h)
-                lo = total()
-                setattr(params, name, keep)
-                assert abs(getattr(grads, name) - (hi - lo) / (2 * h)) < 1e-6
+            keep = params.log_inv_temp
+            params.log_inv_temp = keep + h
+            hi = total()
+            params.log_inv_temp = keep - h
+            lo = total()
+            params.log_inv_temp = keep
+            assert abs(grads.log_inv_temp - (hi - lo) / (2 * h)) < 1e-6
 
     def test_clamped_temperature_blocks_gradient(self):
         base_img, base_txt, params, targets = self._setup(40)
@@ -218,18 +211,15 @@ class TestBackward:
         grads = backward(out, params, lgrads)
         assert grads.log_inv_temp == 0.0
 
-    @pytest.mark.parametrize("separate_uni_temp", [False, True])
-    def test_temperature_on_the_lower_clamp_boundary_gets_no_gradient(self, separate_uni_temp):
-        base_img, base_txt, params, targets = self._setup(41, separate_uni_temp=separate_uni_temp)
-        temps = ("log_inv_temp", "log_inv_temp_uni")[:params.n_scalars]
-        for name in temps:
-            setattr(params, name, 0.0)  # exp(0.0) == INV_TEMP_MIN exactly
+    def test_temperature_on_the_lower_clamp_boundary_gets_no_gradient(self):
+        base_img, base_txt, params, targets = self._setup(41)
+        params.log_inv_temp = 0.0  # exp(0.0) == INV_TEMP_MIN exactly
         out = forward(base_img, base_txt, params)
-        assert out.inv_temp == INV_TEMP_MIN
+        assert out.inv_temp == out.inv_temp_uni == INV_TEMP_MIN
         _, lgrads = batch_loss_and_grads(out, targets, 0.5, 0.5)
         assert lgrads.d_log_inv_temp != 0.0 and lgrads.d_log_inv_temp_uni != 0.0
         grads = backward(out, params, lgrads)
-        assert [getattr(grads, name) for name in temps] == [0.0] * len(temps)
+        assert grads.log_inv_temp == 0.0
 
     def test_no_float64_temperature_sits_on_the_upper_clamp_boundary(self):
         below = math.log(INV_TEMP_MAX)

@@ -34,7 +34,7 @@ ADAM_FIRST_STEP = 0.0009999999900000001
 
 
 def tiny_params(value=0.0):
-    params = trainer.StudentParams(np.full(5, value), (1, 1, 1, 1), 1)
+    params = trainer.StudentParams(np.full(5, value), (1, 1, 1, 1))
     params.log_inv_temp = 0.0
     return params
 
@@ -294,12 +294,11 @@ class TestWorkspace:
                                             d_student_img=6, d_student_txt=7,
                                             d_teacher_img=8, d_teacher_txt=9))
         cfg = TrainConfig(alpha=0.6, beta=0.4, batch_size=10, epochs=4, learning_rate=1e-2,
-                          seed=2, teacher_inv_temp=8.0, separate_uni_temp=True, d_e=5, d_u=3)
+                          seed=2, teacher_inv_temp=8.0, d_e=5, d_u=3)
         reused, _ = train(data, cfg)
 
         base_img, base_txt, teacher = step_inputs(data)
-        params = init_params(cfg.seed, base_img.shape[1], base_txt.shape[1], cfg.d_e, cfg.d_u,
-                             cfg.separate_uni_temp)
+        params = init_params(cfg.seed, base_img.shape[1], base_txt.shape[1], cfg.d_e, cfg.d_u)
         state = init_adam_state(params)
         for epoch in range(cfg.epochs):
             for idx in make_batches(len(data.pairs), cfg.batch_size, cfg.seed, epoch):
@@ -337,23 +336,26 @@ class TestWorkspace:
 
 
 class TestStepGradients:
-    @pytest.mark.parametrize("separate_uni_temp", [False, True], ids=["shared", "separate"])
+    @pytest.mark.parametrize("shared_ws", [True, False], ids=["shared", "separate"])
     @pytest.mark.parametrize("alpha, beta", [(0.0, 0.4), (0.7, 0.0), (0.0, 0.0)])
-    def test_zero_weights_match_finite_differences(self, alpha, beta, separate_uni_temp):
-        # gradcheck weights both teacher terms; training also runs either at 0
+    def test_zero_weights_match_finite_differences(self, alpha, beta, shared_ws):
+        # gradcheck weights both teacher terms; training also runs either
+        # at 0, with one workspace shared by every step ("shared") or a
+        # fresh one per call ("separate")
         rng = np.random.default_rng(0)
         n, dims = 5, gradcheck.DEFAULT_DIMS
         base_img, base_txt = rng.standard_normal((n, dims[0])), rng.standard_normal((n, dims[1]))
         teacher, teacher_inv_temp = gradcheck._teacher(rng, n, dims[0], dims[1])
-        params = init_params(0, *dims, separate_uni_temp=separate_uni_temp)
-        params.flat[:params.n_scalars] = rng.uniform(np.log(2.0), np.log(50.0),
-                                                     size=params.n_scalars)
+        params = init_params(0, *dims)
+        params.log_inv_temp = float(rng.uniform(np.log(2.0), np.log(50.0)))
         cfg = TrainConfig(alpha=alpha, beta=beta, teacher_inv_temp=teacher_inv_temp)
         rows = rng.permutation(n)
+        ws = Workspace() if shared_ws else None
 
         def step():
-            return step_gradients(params, base_img, base_txt, teacher, rows, cfg)
+            return step_gradients(params, base_img, base_txt, teacher, rows, cfg, ws)
 
+        step()  # a shared workspace is warm from here on, as after a training step
         grads = step()[2]
         fd = gradcheck._fd_matrix(lambda: step()[1].l_total, params.flat)
         for name, start, stop, _ in params.segments:
