@@ -1,11 +1,10 @@
 """Finite-difference verification of every analytic gradient.
 
 Central differences with step 1e-5 against the closed-form gradients,
-at loss level (logit and temperature derivatives of the loss core,
-whose cross-modal and uni-modal temperatures are checked apart) and at
-model level (the parameter gradients of trainer.step_gradients, the
-forward, teacher targets, loss and backward that every training step
-runs, where both temperatures are the student's one log_inv_temp).
+at loss level (the logit derivatives of the loss core and the
+derivative w.r.t. the log of its one inverse temperature) and at model
+level (the parameter gradients of trainer.step_gradients, the forward,
+teacher targets, loss and backward that every training step runs).
 Temperatures are drawn strictly inside the clamp window so the gate
 stays open, and the teacher targets come from build_batch_targets on
 seeded teacher features.
@@ -73,21 +72,19 @@ def _teacher(rng, n: int, d_img: int, d_txt: int) -> tuple:
 
 def check_losses(seed: int) -> dict:
     """Max per-entry error of loss_from_logits, the code training runs,
-    per logit matrix and per log-temperature, with both teacher terms
-    weighted."""
+    per logit matrix and for the log-temperature, with both teacher
+    terms weighted."""
     rng = np.random.default_rng(seed)
     names = ("s_i2t", "s_i2i", "s_t2t")
-    worst = {f"loss.{name}": 0.0 for name in (*names, "log_inv_temp", "log_inv_temp_uni")}
+    worst = {f"loss.{name}": 0.0 for name in (*names, "log_inv_temp")}
     for n in BATCH_SIZES:
         logits = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in names]
-        log_its = rng.uniform(np.log(2.0), np.log(50.0), size=2)
+        log_it = rng.uniform(np.log(2.0), np.log(50.0), size=1)
         targets = build_batch_targets(*_teacher(rng, n, n, n))
 
         def core():
-            return losses.loss_from_logits(
-                *logits, targets, float(np.exp(log_its[0])), float(np.exp(log_its[1])),
-                _ALPHA, _BETA,
-            )
+            return losses.loss_from_logits(*logits, targets, float(np.exp(log_it[0])),
+                                           _ALPHA, _BETA)
 
         def total():
             return core()[0].l_total
@@ -96,10 +93,8 @@ def check_losses(seed: int) -> dict:
         for name, s in zip(names, logits):
             key = f"loss.{name}"
             worst[key] = max(worst[key], _max_err(getattr(lg, "d_" + name), _fd_matrix(total, s)))
-        fd = _fd_matrix(total, log_its)
-        for key, analytic, numeric in (("loss.log_inv_temp", lg.d_log_inv_temp, fd[0]),
-                                       ("loss.log_inv_temp_uni", lg.d_log_inv_temp_uni, fd[1])):
-            worst[key] = max(worst[key], _err(analytic, float(numeric)))
+        fd = float(_fd_matrix(total, log_it)[0])
+        worst["loss.log_inv_temp"] = max(worst["loss.log_inv_temp"], _err(lg.d_log_inv_temp, fd))
     return worst
 
 

@@ -14,7 +14,9 @@ Teacher distributions are constants: no gradient flows into them. For a
 row-softmax loss over scaled logits s * inv_temp, the gradient w.r.t. s
 is (Q - target) * inv_temp / N per direction, and the gradient w.r.t.
 log(inv_temp) follows from the identity d/d(log it) = sum(dL/ds * s),
-since every logit enters the loss only through s * inv_temp.
+since every logit enters the loss only through s * inv_temp. One
+inverse temperature scales all four softmaxes, so that derivative is
+the cross-modal sum with the two uni-modal sums added to it.
 
 The t2i direction is never stored separately: its logits are the
 transpose of the i2t matrix, so its softmax is taken along the columns
@@ -57,17 +59,13 @@ class LossGradients:
 
     d_s_i2t carries both cross-modal directions (the t2i part enters
     transposed). d_log_inv_temp is the derivative w.r.t. the log of the
-    cross-modal temperature and d_log_inv_temp_uni the one w.r.t. the
-    log of the uni-modal temperature, always apart: the student learns
-    one temperature for both, so model.backward adds the second into the
-    first.
+    one inverse temperature that every softmax of the objective shares.
     """
 
     d_s_i2t: np.ndarray
     d_s_i2i: np.ndarray
     d_s_t2t: np.ndarray
     d_log_inv_temp: float
-    d_log_inv_temp_uni: float = 0.0
 
 
 def _mean_kl(h: np.ndarray, p: np.ndarray, z: np.ndarray, lse: np.ndarray) -> float:
@@ -80,19 +78,19 @@ def _mean_diag_log_q(z: np.ndarray, lse: np.ndarray) -> float:
     return float((np.diagonal(z) - lse.ravel()).mean())
 
 
-def _usa_direction(s: np.ndarray, p: np.ndarray, h: np.ndarray, it_u: float,
+def _usa_direction(s: np.ndarray, p: np.ndarray, h: np.ndarray, it: float,
                    beta: float, q: np.ndarray, z: np.ndarray):
     """One uni-modal direction of the objective.
 
-    Returns (KL from p to softmax(s * it_u), the logit gradient
-    beta * it_u / 2n * (q - p) formed in the buffer `q`, sum(gradient
+    Returns (KL from p to softmax(s * it), the logit gradient
+    beta * it / 2n * (q - p) formed in the buffer `q`, sum(gradient
     * s)). With beta = 0 the gradient's entries and its sum are +-0.0,
     which backward and Adam take as zeros. `s` and `p` are not modified.
     """
-    q, z, lse = row_softmax_with_log(s, it_u, q, z)
+    q, z, lse = row_softmax_with_log(s, it, q, z)
     kl = _mean_kl(h, p, z, lse)
     q -= p
-    q *= beta * it_u / (2.0 * s.shape[0])
+    q *= beta * it / (2.0 * s.shape[0])
     return kl, q, float(np.vdot(q, s))
 
 
@@ -108,8 +106,8 @@ def cusa_total(l_original: float, l_csa: float, l_usa: float,
     return float(l_original + alpha * l_csa + beta * l_usa)
 
 
-def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
-                     alpha: float, beta: float, ws: Workspace | None = None):
+def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, alpha: float, beta: float,
+                     ws: Workspace | None = None):
     """The training objective and its gradients from the three logit matrices.
 
     Args:
@@ -118,18 +116,18 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
         s_i2i, s_t2t: N x N uni-modal logits of the projector branch.
         targets: TeacherTargets with constant p_i2i / p_t2t and their
             row sums h_i2i / h_t2t of p log p.
-        it: inverse temperature of the cross-modal softmaxes.
-        it_u: inverse temperature of the uni-modal softmaxes.
+        it: inverse temperature of every softmax, cross-modal and
+            uni-modal.
         alpha: CSA weight; beta: USA weight. Both finite and >= 0.
         ws: Workspace for the softmaxes and gradients (a fresh one when
             None).
 
     Returns:
         (LossReport, LossGradients). d_log_inv_temp is the derivative
-        w.r.t. log(it) and d_log_inv_temp_uni the one w.r.t. log(it_u).
-        The gradient matrices are buffers of `ws`, valid until its next
-        use. A zero weight scales its term's gradient by zero: with
-        alpha = 0 the cross-modal gradient keeps the bits of pure
+        w.r.t. log(it): the cross-modal part, then the uni-modal one
+        added. The gradient matrices are buffers of `ws`, valid until
+        its next use. A zero weight scales its term's gradient by zero:
+        with alpha = 0 the cross-modal gradient keeps the bits of pure
         InfoNCE (c1 + 0 = c1 and d - 0 = d). No input is modified. A
         total loss that is not finite raises NumericError.
     """
@@ -140,7 +138,7 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
                     ("p_i2i", p_i2i), ("p_t2t", p_t2t)):
         if m.shape != (n, n):
             raise ShapeMismatch(f"{name} shape {m.shape} does not match batch size {n}")
-    it, it_u = float(it), float(it_u)
+    it = float(it)
     ws = Workspace() if ws is None else ws
 
     def buf(name):
@@ -173,9 +171,9 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
 
     # uni-modal: USA, in the dead z buffers of the cross-modal softmaxes
     kl_i2i, d_s_i2i, d_img = _usa_direction(
-        s_i2i, p_i2i, targets.h_i2i, it_u, beta, buf("q_i2i"), z_i2t)
+        s_i2i, p_i2i, targets.h_i2i, it, beta, buf("q_i2i"), z_i2t)
     kl_t2t, d_s_t2t, d_txt = _usa_direction(
-        s_t2t, p_t2t, targets.h_t2t, it_u, beta, buf("q_t2t"), z_t2i_t)
+        s_t2t, p_t2t, targets.h_t2t, it, beta, buf("q_t2t"), z_t2i_t)
 
     l_csa = 0.5 * (kl_i2t + kl_t2i)
     l_usa = 0.5 * (kl_i2i + kl_t2t)
@@ -188,7 +186,7 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, it_u: float,
     )
     if not math.isfinite(report.l_total):
         raise NumericError(f"the loss is not finite: l_total = {report.l_total}")
-    grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it, float(d_img + d_txt))
+    grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it + float(d_img + d_txt))
     return report, grads
 
 
@@ -216,7 +214,7 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
 
     Args:
         outputs: StudentOutputs with normalized embeddings and the
-            clamped inverse temperature(s).
+            clamped inverse temperature.
         targets: TeacherTargets with constant p_i2i / p_t2t.
         alpha: CSA weight.
         beta: USA weight.
@@ -225,10 +223,8 @@ def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
     Returns:
         (LossReport, LossGradients).
     """
-    return loss_from_logits(
-        *student_logits(outputs, ws), targets, outputs.inv_temp, outputs.inv_temp_uni,
-        alpha, beta, ws=ws,
-    )
+    return loss_from_logits(*student_logits(outputs, ws), targets, outputs.inv_temp,
+                            alpha, beta, ws=ws)
 
 
 __all__ = [

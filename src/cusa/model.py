@@ -70,7 +70,10 @@ class _Segment:
 
 class StudentParams:
     """Trainable parameters viewing one float64 vector `flat` (no copy),
-    laid out by param_segments(dims)."""
+    laid out by param_segments(dims). An attribute outside the layout
+    raises AttributeError."""
+
+    __slots__ = ("dims", "segments", "flat", "_views")
 
     w_img = _Segment()  # (d_bi, d_e)
     w_txt = _Segment()  # (d_bt, d_e)
@@ -109,7 +112,6 @@ class StudentOutputs:
     img_usa: np.ndarray
     txt_usa: np.ndarray
     inv_temp: float
-    inv_temp_uni: float
     tape: ForwardTape | None = None
 
 
@@ -204,8 +206,7 @@ def forward(base_img, base_txt, params: StudentParams) -> StudentOutputs:
     txt_usa, m_txt = _project_normalize(txt_emb, params.u_txt, "txt_usa")
     it = clamped_inv_temp(params.log_inv_temp)
     tape = ForwardTape(bi, bt, n_img, n_txt, m_img, m_txt)
-    # the uni-modal softmaxes share the one learnable temperature
-    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, it, tape)
+    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, tape)
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -237,9 +238,8 @@ def backward(outputs: StudentOutputs, params: StudentParams,
     intermediates from `outputs` and its tape (nothing is recomputed or
     modified). `params` must be the parameters `outputs` came from.
     Returns the gradients as StudentParams, laid out like `params`. The
-    uni-modal softmaxes share the one temperature, so d_log_inv_temp_uni
-    is added into its gradient, which is gated to zero whenever the
-    clamp is active.
+    temperature's gradient is the loss core's d_log_inv_temp, gated to
+    zero whenever the clamp is active.
     """
     tape = outputs.tape
     if tape is None:
@@ -258,6 +258,5 @@ def backward(outputs: StudentOutputs, params: StudentParams,
                        outputs.txt_usa, tape.base_txt, tape.txt_norms, tape.txt_usa_norms,
                        params.u_txt, grads.u_txt, grads.w_txt)
 
-    d_it = upstream.d_log_inv_temp + upstream.d_log_inv_temp_uni
-    grads.log_inv_temp = d_it * _clamp_gate(params.log_inv_temp)
+    grads.log_inv_temp = upstream.d_log_inv_temp * _clamp_gate(params.log_inv_temp)
     return grads

@@ -21,11 +21,12 @@ import cusa.cli
 import cusa.losses
 import cusa.trainer
 from cusa.cli import main
-from cusa.dataio import read_features, save_checkpoint, write_features
+from cusa.dataio import load_checkpoint, read_features, save_checkpoint, write_features
 from cusa.errors import BadMagic, InvalidConfig, NotNormalized, UnknownId
 from cusa.losses import LossGradients
-from cusa.mathops import l2_normalize_rows
+from cusa.mathops import ZERO_ROW_TOL, l2_normalize_rows
 from cusa.model import init_params, param_segments
+from test_acceptance import _oracle_map_at_r, _oracle_order, _oracle_r_precision, _oracle_recall
 
 SYNTH_FLAGS = ["--clusters", "3", "--pairs-per-cluster", "4",
                "--d-student-img", "6", "--d-student-txt", "6",
@@ -520,8 +521,8 @@ class TestGradcheckCommand:
         assert payload["passed"] is True
         assert payload["tolerance"] == 1e-4
         expected = {"loss.s_i2t", "loss.s_i2i", "loss.s_t2t", "loss.log_inv_temp",
-                    "loss.log_inv_temp_uni", "model.w_img", "model.w_txt", "model.u_img",
-                    "model.u_txt", "model.log_inv_temp"}
+                    "model.w_img", "model.w_txt", "model.u_img", "model.u_txt",
+                    "model.log_inv_temp"}
         assert set(payload["max_errors"]) == expected
         assert all(v < 1e-4 for v in payload["max_errors"].values())
 
@@ -590,18 +591,20 @@ class TestGradcheckCommand:
         assert "model." + segment in failed
 
     def test_a_dropped_uni_modal_temperature_gradient_is_detected(self, capsys, monkeypatch):
-        # the uni-modal softmaxes share the one temperature, so its
-        # gradient must collect d_log_inv_temp_uni as well
-        real = cusa.trainer.backward
+        # the uni-modal softmaxes share the one temperature, so the loss
+        # core's derivative must collect their part as well
+        real = cusa.losses._usa_direction
 
-        def unfolded(outputs, params, upstream):
-            return real(outputs, params, dataclasses.replace(upstream, d_log_inv_temp_uni=0.0))
+        def unsummed(*args):
+            kl, d_s, _ = real(*args)
+            return kl, d_s, 0.0
 
-        monkeypatch.setattr(cusa.trainer, "backward", unfolded)
+        monkeypatch.setattr(cusa.losses, "_usa_direction", unsummed)
         code, report, err = run(capsys, ["gradcheck", "--trials", "1",
                                          "--dims", "5,4,3,2"])
         assert code == 6
-        assert err.split("gradcheck failed: ")[1].splitlines()[0] == "model.log_inv_temp"
+        failed = err.split("gradcheck failed: ")[1].splitlines()[0]
+        assert failed == "loss.log_inv_temp, model.log_inv_temp"
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +695,8 @@ class TestInspectCommand:
         save_checkpoint(tmp_path / "m.ckpt", params, {})
         temps, real_loss = [], cusa.cli.loss_from_logits
 
-        def loss(*args):  # records it and it_u
-            temps.append(args[4:6])
+        def loss(*args):  # records it
+            temps.append(args[4])
             return real_loss(*args)
 
         monkeypatch.setattr(cusa.cli, "loss_from_logits", loss)
@@ -701,7 +704,7 @@ class TestInspectCommand:
             corpus, ["--batch", "0,1", "--ckpt", str(tmp_path / "m.ckpt")]))
         assert code == 0 and "Traceback" not in err
         json.dumps(report, allow_nan=False)  # raises on NaN or Infinity
-        assert temps[0] == (inv_temp, inv_temp)
+        assert temps[0] == inv_temp
 
     @pytest.mark.parametrize("flags", [
         ["--alpha", "nan"], ["--beta", "inf"], ["--teacher-inv-temp", "0"],
@@ -979,17 +982,22 @@ def _finite_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def _checkpoint_runs(corpus, ckpt) -> list:
-    """eval --task cross --relevance, eval --task img and inspect, each
-    on the checkpoint `ckpt` and the bundle `corpus`."""
+def _train_files(corpus) -> list:
+    """The flags naming the five files of the bundle `corpus` that train
+    and inspect read."""
+    return [arg for role in FILE_NAMES[:5]
+            for arg in (f"--{role.split('.')[0].replace('_', '-')}", str(corpus / role))]
+
+
+def _checkpoint_runs(corpus, ckpt, batch="0,3,7") -> list:
+    """eval --task cross --relevance, eval --task img and inspect of the
+    pairs `batch`, each on the checkpoint `ckpt` and the bundle `corpus`."""
     bundle = {name: str(corpus / name) for name in FILE_NAMES}
-    train_files = [arg for role in FILE_NAMES[:5]
-                   for arg in (f"--{role.split('.')[0].replace('_', '-')}", bundle[role])]
     return [["eval", "--task", "cross", "--ckpt", ckpt, "--img-base", bundle["img_base.feat"],
              "--txt-base", bundle["txt_base.feat"], "--relevance", bundle["relevance.tsv"]],
             ["eval", "--task", "img", "--ckpt", ckpt, "--img-base", bundle["img_base.feat"],
              "--relevance", bundle["relevance.tsv"]],
-            ["inspect", "--ckpt", ckpt, "--batch", "0,3,7", *train_files]]
+            ["inspect", "--ckpt", ckpt, "--batch", batch, *_train_files(corpus)]]
 
 
 def _run_hostile(argv) -> tuple:
@@ -1000,6 +1008,16 @@ def _run_hostile(argv) -> tuple:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _ends_in_an_exit_code(argv):
+    """The payload of main(argv) on exit 0, else None; any other end than
+    an exit code in {0, 2, ..., 6} with no traceback, or finite JSON on
+    exit 0, fails."""
+    code, out, err = _run_hostile(argv)
+    assert code in (0, 2, 3, 4, 5, 6), (argv, code, err)
+    assert "Traceback" not in err
+    return _finite_json(out)["payload"] if code == 0 else None
 
 
 @settings(deadline=None, max_examples=40)
@@ -1022,11 +1040,7 @@ def test_hostile_checkpoint_values_end_in_an_exit_code(corpus, data):
         ckpt = str(Path(tmp) / "hostile.ckpt")
         save_checkpoint(ckpt, params, {})
         for argv in _checkpoint_runs(corpus, ckpt):
-            code, out, err = _run_hostile(argv)
-            assert code in (0, 2, 3, 4, 5, 6), (argv, code, err)
-            assert "Traceback" not in err
-            if code == 0:
-                _finite_json(out)
+            _ends_in_an_exit_code(argv)
 
 
 def test_a_checkpoint_whose_projection_overflows_ends_as_a_numeric_error(corpus, tmp_path):
@@ -1041,3 +1055,127 @@ def test_a_checkpoint_whose_projection_overflows_ends_as_a_numeric_error(corpus,
         code, out, err = _run_hostile(argv)
         assert code == 5 and out == "", argv[:3]
         assert "norm that is not finite" in err
+
+
+# ---------------------------------------------------------------------------
+# hostile values in valid bundles
+# ---------------------------------------------------------------------------
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+# the float32 values around ZERO_ROW_TOL: a row holding one of them alone
+# has that norm, below the tolerance for the first two
+AT_ZERO_ROW_TOL = [float(np.nextafter(np.float32(ZERO_ROW_TOL), np.float32(v)))
+                   for v in (0.0, ZERO_ROW_TOL, 1.0)]
+# a row of a bundle table is c e_k for one of these c, whose unit row is
+# exact, or has any of HOSTILE_FEATURES in each column
+ONE_HOT_SCALES = [1.0, -1.0, 3.0, F32_MAX, -F32_MAX, F32_TINY, *AT_ZERO_ROW_TOL]
+HOSTILE_FEATURES = [0.0, 1.0, -1.0, 0.5, F32_MAX, -F32_MAX, F32_TINY, -F32_TINY,
+                    *AT_ZERO_ROW_TOL]
+BUNDLE_DIM = 3
+CLAMP_LOG_TEMPS = [_LOG_MIN, np.nextafter(_LOG_MIN, -np.inf),
+                   _LOG_MAX, np.nextafter(_LOG_MAX, np.inf)]
+
+
+def _one_hot(k: int, c: float) -> list:
+    row = [0.0] * BUNDLE_DIM
+    row[k] = c
+    return row
+
+
+BUNDLE_ROWS = st.one_of(
+    st.tuples(st.integers(0, BUNDLE_DIM - 1), st.sampled_from(ONE_HOT_SCALES)).map(
+        lambda kc: _one_hot(*kc)),
+    st.lists(st.sampled_from(HOSTILE_FEATURES), min_size=BUNDLE_DIM, max_size=BUNDLE_DIM))
+
+
+def _write_bundle(out: Path, tables: dict, clusters: list) -> tuple:
+    """Write the six bundle files of pairs (i<k>, t<k>) in `clusters`,
+    whose feature rows are `tables` (file name -> rows); return the ids
+    of each side and the relevance, which joins every id to the other
+    ids of its cluster, both modalities."""
+    n = len(clusters)
+    img_ids, txt_ids = [f"i{k}" for k in range(n)], [f"t{k}" for k in range(n)]
+    for name, rows in tables.items():
+        write_features(out / name, img_ids if name.startswith("img") else txt_ids,
+                       np.array(rows, dtype=np.float64))
+    (out / "pairs.tsv").write_text("".join(f"i{k}\tt{k}\n" for k in range(n)),
+                                   encoding="utf-8")
+    rel = {ids[k]: {i for j in range(n) if clusters[j] == clusters[k]
+                    for i in (img_ids[j], txt_ids[j])} - {ids[k]}
+           for ids in (img_ids, txt_ids) for k in range(n)}
+    (out / "relevance.tsv").write_text(
+        "".join(f"{query}\t{','.join(sorted(ids))}\n" for query, ids in rel.items()),
+        encoding="utf-8")
+    return img_ids, txt_ids, rel
+
+
+def _oracle_report(queries, gallery, query_ids, gallery_ids, rel, exclude_self=False) -> dict:
+    """What eval reports for one direction, from criterion 3's brute-force
+    oracles over the similarity matrix."""
+    sims = queries @ gallery.T
+    orders = [_oracle_order(sims[i], gallery_ids, skip=i if exclude_self else None)
+              for i in range(len(query_ids))]
+    recall = {f"r_at_{k}": 100.0 * _oracle_recall(orders, query_ids, rel, k)
+              for k in (1, 5, 10)}
+    if exclude_self:
+        return {"r_at_1": recall["r_at_1"]}
+    return {**recall, "r_precision": _oracle_r_precision(orders, query_ids, rel),
+            "map_at_r": _oracle_map_at_r(orders, query_ids, rel)}
+
+
+def _unit_features(path):
+    return l2_normalize_rows(read_features(path).features)
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_hostile_bundle_values_end_in_an_exit_code(data):
+    """A valid bundle holding extreme features (float32 max, subnormals,
+    rows at ZERO_ROW_TOL), exact duplicate rows and as few as one
+    cluster runs train, eval and inspect to an exit code: 0 with finite
+    JSON, or a typed error; never a traceback or a RuntimeWarning. eval
+    on the bundle's features equals the brute-force oracles, ties and
+    all, and eval and inspect also read a checkpoint whose temperature
+    sits at or just beyond a clamp boundary."""
+    n_clusters = data.draw(st.integers(1, 3))
+    clusters = data.draw(st.lists(st.integers(0, n_clusters - 1), min_size=2, max_size=6))
+    # duplicates come from drawing each table's rows out of a small pool
+    pool = data.draw(st.lists(BUNDLE_ROWS, min_size=1, max_size=4))
+    rows = st.lists(st.sampled_from(pool), min_size=len(clusters), max_size=len(clusters))
+    tables = {name: data.draw(rows) for name in FILE_NAMES[:4]}
+    teacher_inv_temp = data.draw(st.sampled_from(["1", "100", "1e4"]))
+    batch_size = data.draw(st.integers(2, len(clusters)))
+    log_temp = data.draw(st.sampled_from(CLAMP_LOG_TEMPS))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        img_ids, txt_ids, rel = _write_bundle(out, tables, clusters)
+        bundle = {name: str(out / name) for name in FILE_NAMES}
+        ckpt = str(out / "model.ckpt")
+        if _ends_in_an_exit_code(["train", *_train_files(out), "--out-ckpt", ckpt,
+                                  "--log", str(out / "train.log"), "--epochs", "1",
+                                  "--batch-size", str(batch_size),
+                                  "--teacher-inv-temp", teacher_inv_temp,
+                                  "--d-e", "2", "--d-u", "2"]) is None:
+            params = init_params(0, BUNDLE_DIM, BUNDLE_DIM, 2, 2)
+        else:
+            params, _ = load_checkpoint(ckpt)
+        params.log_inv_temp = log_temp
+        save_checkpoint(ckpt, params, {})
+
+        cross = _ends_in_an_exit_code(["eval", "--task", "cross",
+                                       "--img-emb", bundle["img_base.feat"],
+                                       "--txt-emb", bundle["txt_base.feat"],
+                                       "--relevance", bundle["relevance.tsv"]])
+        if cross is not None:
+            img, txt = (_unit_features(bundle[f"{side}_base.feat"]) for side in ("img", "txt"))
+            for key, want in (("i2t", _oracle_report(img, txt, img_ids, txt_ids, rel)),
+                              ("t2i", _oracle_report(txt, img, txt_ids, img_ids, rel))):
+                assert {k: cross[key][k] for k in want} == want, key
+        uni = _ends_in_an_exit_code(["eval", "--task", "img", "--img-emb", bundle["img_base.feat"],
+                                     "--relevance", bundle["relevance.tsv"]])
+        if uni is not None:
+            img = _unit_features(bundle["img_base.feat"])
+            assert uni == _oracle_report(img, img, img_ids, img_ids, rel, exclude_self=True)
+        for argv in _checkpoint_runs(out, ckpt, ",".join(map(str, range(len(clusters))))):
+            _ends_in_an_exit_code(argv)

@@ -33,8 +33,8 @@ while the loss core still had a separate branch for each zero weight,
 before every weight took the one general path.
 
 The gradcheck digest pins the stdout of a small run: finite
-differences of the loss core over its three logit matrices and two
-log-temperatures, and of the model over its one parameter layout. Its
+differences of the loss core over its three logit matrices and its one
+log-temperature, and of the model over its one parameter layout. Its
 printed errors moved with the first re-pin above. It was re-pinned
 once more when the targets of both checks began to come from
 `build_batch_targets` on seeded teacher features (in place of a
@@ -46,7 +46,12 @@ printed errors moved (the largest to 4.1e-7, against a tolerance of
 check lost its alternating separate layout: the report lost the key
 `model.log_inv_temp_uni`, each batch draws one temperature in place of
 one or two, and the largest printed error went to 5.9e-9 (at
-`model.w_txt`).
+`model.w_txt`). It was re-pinned once more when the loss core came to
+take one inverse temperature: the report lost the key
+`loss.log_inv_temp_uni`, and `check_losses` draws one log-temperature
+per batch in place of two, which moves its later seeded draws. Every
+printed value stayed as it was (the largest still 5.9e-9 at
+`model.w_txt`, against `TOLERANCE` 1e-4), and no other digest moved.
 
 The eval digests pin the stdout of `eval --task cross --relevance`,
 `eval --task cross --pairs` and `eval --task img --relevance` on a
@@ -69,7 +74,13 @@ and of `eval --task cross` from direct embeddings. `inspect-ckpt` was
 anchored at commit 7f52f45 (above); it replaced a digest of the same
 report from a checkpoint with a separate uni-modal temperature.
 `sts-ckpt-usa-branch` reads the same checkpoint and kept its digest
-when that checkpoint lost its second temperature. The others were
+when that checkpoint lost its second temperature. That digest pins
+only the rank order of 12 scored pairs, so the projector-head digest
+pins the bytes of `embed_images` and `embed_texts` with
+`usa_branch=True` on every row of the corpus, from that checkpoint. It
+was anchored at commit 1e72b1d, before the loss core came to take one
+inverse temperature, and so guards the forward and backward bits of
+that change as well. The others were
 produced at commit fb14666, before `inspect` took its logits from
 `losses.student_logits` and before the eval inputs and the text
 readers each got one code path. They held unchanged when `inspect`
@@ -121,7 +132,7 @@ from cusa.dataio import (
     save_checkpoint,
     write_features,
 )
-from cusa.model import init_params
+from cusa.model import embed_images, embed_texts, init_params
 
 CKPT_SHA256 = "7558e9989fdb6fb606dbf78d319a0daeb65b4cdae3b1cc4676128df86f0ad4b3"
 LOG_SHA256 = "237b513ce6996731e358d7b139900e8307c70c8e03ade1d5dcab31e626bfb739"
@@ -134,7 +145,7 @@ ZERO_WEIGHT_SHA256 = {
     ("0.6", "0"): ("b7d6bb6138ab1c3dbf316b7d4e7d8db0626c394c3843c699aaba9803b7739d49",
                    "a2ef49fdcc356097dd463e39136ad7e34cfc863444f3ded95d89e5f04d9ae3b1"),
 }
-GRADCHECK_SHA256 = "1322e0b52bd0c0009ec11396c31e7f76730033e212f2c8ed941c50c45efdad82"
+GRADCHECK_SHA256 = "3b794122659baaf51a23940e5ba79b54c5761d909d3b8e10b3c303b0b2b694b2"
 EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
     "cross-pairs": "aba60caad135f6ebe3b8acaa57b72e6840f19e3afbb253d90535010be79f7d24",
@@ -151,6 +162,9 @@ REPORT_SHA256 = {
     "sts-ckpt-usa-branch": "d28f6c98219862f4002d8eb24d33ba8ae8a3a57de538ddb981c697114914b497",
     "cross-emb": "346a161ef07a3ccda21f1f21942d173ebb8b6a9623599677d6eaf2de436f3703",
 }
+# the projector-head embeddings of every image and text of the report
+# corpus, from the checkpoint that `sts-ckpt-usa-branch` reads
+PROJECTOR_HEADS_SHA256 = "e2add90c3f2739b0040ebcfe890a0d99e283b1c3907dce15a0f9fa3e9cbffac7"
 SYNTH_SHA256 = {
     "img_base.feat": "74f6424777a911397cb8acb3c2105815805f7d6e285c82300c587dd7d60c5be7",
     "txt_base.feat": "759d332eaf2858402a9a2b25eb005f21a9d12d02f926ad83fd9e760b86ef721c",
@@ -300,6 +314,15 @@ def test_fixed_seed_inspect_and_eval_input_reports_are_byte_identical(tmp_path, 
             assert cli.main(argv) == 0
         digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digests == REPORT_SHA256
+
+
+def test_report_checkpoint_projector_heads_are_byte_identical(tmp_path, monkeypatch):
+    _report_runs(tmp_path, monkeypatch)
+    params, _ = load_checkpoint("model.ckpt")
+    digest = hashlib.sha256()
+    for embed, name in ((embed_images, "img_base.feat"), (embed_texts, "txt_base.feat")):
+        digest.update(embed(read_features(name).features, params, usa_branch=True).tobytes())
+    assert digest.hexdigest() == PROJECTOR_HEADS_SHA256
 
 
 def _mean_kl(p, q):

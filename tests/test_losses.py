@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cusa.errors import NegativeWeight, NumericError, ShapeMismatch
-from cusa.losses import batch_loss_and_grads, cusa_total, loss_from_logits
+from cusa.losses import batch_loss_and_grads, cusa_total, loss_from_logits, student_logits
 from cusa.mathops import Workspace, l2_normalize_rows, row_softmax
 from cusa.model import StudentOutputs, _clamp_gate, backward, forward, init_params
 from cusa.softlabels import TeacherTargets
@@ -45,8 +45,7 @@ def infonce(s, it):
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
-    report, grads = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye),
-                                     it, 1.0, 0.0, 0.0)
+    report, grads = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye), it, 0.0, 0.0)
     return report.l_total, grads
 
 
@@ -55,17 +54,17 @@ def csa(s, p_i, p_t, it):
     less the one at alpha = 0, both directions from the one matrix s."""
     zero = np.zeros(s.shape)
     targets = TeacherTargets(p_i, p_t)
-    report, with_csa = loss_from_logits(s, zero, zero, targets, it, 1.0, 1.0, 0.0)
-    _, without = loss_from_logits(s, zero, zero, targets, it, 1.0, 0.0, 0.0)
+    report, with_csa = loss_from_logits(s, zero, zero, targets, it, 1.0, 0.0)
+    _, without = loss_from_logits(s, zero, zero, targets, it, 0.0, 0.0)
     return report.l_csa, with_csa.d_s_i2t - without.d_s_i2t
 
 
-def usa(p_i, p_t, s_i, s_t, it_u):
-    """(l_usa, d_s_i2i, d_s_t2t) from the core at beta = 1; a distribution
-    q enters as the logits log q at it_u = 1."""
+def usa(p_i, p_t, s_i, s_t, it):
+    """(l_usa, d_s_i2i, d_s_t2t) from the core at beta = 1 and zero
+    cross-modal logits; a distribution q enters as the logits log q at
+    it = 1."""
     zero = np.zeros(s_i.shape)
-    report, grads = loss_from_logits(zero, s_i, s_t, TeacherTargets(p_i, p_t),
-                                     1.0, it_u, 0.0, 1.0)
+    report, grads = loss_from_logits(zero, s_i, s_t, TeacherTargets(p_i, p_t), it, 0.0, 1.0)
     return report.l_usa, grads.d_s_i2i, grads.d_s_t2t
 
 
@@ -214,17 +213,16 @@ class TestCusaTotal:
             cusa_total(1.0, 0.1, 0.1, alpha, beta)
         zero, eye = np.zeros((2, 2)), np.eye(2)
         with pytest.raises(NegativeWeight):
-            loss_from_logits(zero, zero, zero, TeacherTargets(eye, eye), 1.0, 1.0, alpha, beta)
+            loss_from_logits(zero, zero, zero, TeacherTargets(eye, eye), 1.0, alpha, beta)
 
 
-def make_outputs(rng, n, d_e=6, d_u=4, inv_temp=10.0, inv_temp_uni=None):
+def make_outputs(rng, n, d_e=6, d_u=4, inv_temp=10.0):
     return StudentOutputs(
         img_emb=l2_normalize_rows(rng.standard_normal((n, d_e))),
         txt_emb=l2_normalize_rows(rng.standard_normal((n, d_e))),
         img_usa=l2_normalize_rows(rng.standard_normal((n, d_u))),
         txt_usa=l2_normalize_rows(rng.standard_normal((n, d_u))),
         inv_temp=inv_temp,
-        inv_temp_uni=inv_temp if inv_temp_uni is None else inv_temp_uni,
     )
 
 
@@ -264,7 +262,7 @@ class TestBatchLossAndGrads:
         permuted = StudentOutputs(
             img_emb=outputs.img_emb[perm], txt_emb=outputs.txt_emb[perm],
             img_usa=outputs.img_usa[perm], txt_usa=outputs.txt_usa[perm],
-            inv_temp=outputs.inv_temp, inv_temp_uni=outputs.inv_temp_uni,
+            inv_temp=outputs.inv_temp,
         )
         targets_p = TeacherTargets(p_i[np.ix_(perm, perm)], p_t[np.ix_(perm, perm)])
         report_p, _ = batch_loss_and_grads(permuted, targets_p, 0.5, 0.5)
@@ -280,7 +278,7 @@ class TestBatchLossAndGrads:
         swapped = StudentOutputs(
             img_emb=outputs.txt_emb, txt_emb=outputs.img_emb,
             img_usa=outputs.txt_usa, txt_usa=outputs.img_usa,
-            inv_temp=outputs.inv_temp, inv_temp_uni=outputs.inv_temp_uni,
+            inv_temp=outputs.inv_temp,
         )
         report_s, _ = batch_loss_and_grads(swapped, TeacherTargets(p_t, p_i), 0.5, 0.5)
         assert abs(report.l_csa - report_s.l_csa) < 1e-12
@@ -297,7 +295,7 @@ class TestBatchLossAndGrads:
             img_emb=emb, txt_emb=l2_normalize_rows(rng.standard_normal((3, 8))),
             img_usa=l2_normalize_rows(rng.standard_normal((3, 4))),
             txt_usa=l2_normalize_rows(rng.standard_normal((3, 4))),
-            inv_temp=5.0, inv_temp_uni=5.0,
+            inv_temp=5.0,
         )
         q = row_softmax(outputs.img_emb @ outputs.txt_emb.T, 5.0)
         hard_push = q[0, 1] - 0.0
@@ -305,22 +303,31 @@ class TestBatchLossAndGrads:
         assert soft_push < hard_push
 
     def test_one_temperature_collects_both_gradients(self):
-        # the loss returns both log-temperature derivatives apart;
-        # model.backward owns their fold into the one learnable temperature
+        # the loss core's one log-temperature derivative holds the
+        # uni-modal part as well; model.backward only gates it
         rng = np.random.default_rng(63)
         n = 4
         base_img, base_txt = rng.standard_normal((n, 5)), rng.standard_normal((n, 7))
         targets = TeacherTargets(*random_targets(rng, n))
         params = init_params(3, 5, 7, 4, 3)
-        params.log_inv_temp = float(np.log(8.0))
+        log_it = float(np.log(8.0))
+        params.log_inv_temp = log_it
         outputs = forward(base_img, base_txt, params)
-        assert outputs.inv_temp_uni == outputs.inv_temp
         _, lg = batch_loss_and_grads(outputs, targets, 0.5, 0.5)
-        assert lg.d_log_inv_temp != 0.0 and lg.d_log_inv_temp_uni != 0.0
+        _, cross_only = batch_loss_and_grads(outputs, targets, 0.5, 0.0)
+        assert lg.d_log_inv_temp != cross_only.d_log_inv_temp
+        logits = student_logits(outputs)
+        h = 1e-6
+
+        def total(u):
+            return loss_from_logits(*logits, targets, float(np.exp(u)), 0.5, 0.5)[0].l_total
+
+        fd = (total(log_it + h) - total(log_it - h)) / (2 * h)
+        assert abs(lg.d_log_inv_temp - fd) < 1e-7
         grads = backward(outputs, params, lg)
         gate = _clamp_gate(params.log_inv_temp)
         assert gate == 1.0
-        assert grads.log_inv_temp == (lg.d_log_inv_temp + lg.d_log_inv_temp_uni) * gate
+        assert grads.log_inv_temp == lg.d_log_inv_temp * gate
 
     def test_inputs_left_untouched(self):
         # the loss forms its gradients in buffers it allocates; the
@@ -348,7 +355,7 @@ class TestLossFromLogits:
         targets = TeacherTargets(*random_targets(rng, n))
         keep = [m.copy() for m in logits]
         for alpha, beta in ((0.5, 0.5), (0.0, 0.0)):
-            loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta)
+            loss_from_logits(*logits, targets, 4.0, alpha, beta)
             for now, before in zip(logits, keep):
                 assert np.array_equal(now, before)
 
@@ -362,11 +369,10 @@ class TestLossFromLogits:
         keep = [m.copy() for m in inputs]
         ws = Workspace()
         for alpha, beta in ((0.5, 0.5), (0.0, 0.0), (0.8, 0.0), (0.0, 0.3)):
-            report, grads = loss_from_logits(*logits, targets, 4.0, 2.0, alpha, beta, ws=ws)
+            report, grads = loss_from_logits(*logits, targets, 4.0, alpha, beta, ws=ws)
             for now, before in zip(inputs, keep):
                 assert np.array_equal(now, before)
-            fresh_report, fresh_grads = loss_from_logits(*logits, targets, 4.0, 2.0,
-                                                         alpha, beta)
+            fresh_report, fresh_grads = loss_from_logits(*logits, targets, 4.0, alpha, beta)
             assert report == fresh_report
             for name in ("d_s_i2t", "d_s_i2i", "d_s_t2t"):
                 np.testing.assert_array_equal(getattr(grads, name), getattr(fresh_grads, name))
@@ -377,14 +383,14 @@ class TestLossFromLogits:
         logits = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
         targets = TeacherTargets(*random_targets(rng, 3))
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
-            loss_from_logits(*logits, targets, 40.0, 2.0, 1.7e308, 0.5)
+            loss_from_logits(*logits, targets, 40.0, 1.7e308, 0.5)
 
     def test_mismatched_shapes_rejected(self):
         rng = np.random.default_rng(67)
         targets = TeacherTargets(*random_targets(rng, 3))
         square = np.zeros((3, 3))
         with pytest.raises(ShapeMismatch):
-            loss_from_logits(square, np.zeros((3, 2)), square, targets, 1.0, 1.0, 0.5, 0.5)
+            loss_from_logits(square, np.zeros((3, 2)), square, targets, 1.0, 0.5, 0.5)
         with pytest.raises(ShapeMismatch):
             loss_from_logits(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), targets,
-                             1.0, 1.0, 0.5, 0.5)
+                             1.0, 0.5, 0.5)

@@ -63,6 +63,16 @@ class TestStudentParams:
         p.w_txt = np.zeros((3, 2))
         assert not flat[5:11].any()
 
+    def test_a_name_outside_the_layout_is_refused(self):
+        # a typo or a removed parameter raises instead of being lost
+        p = init_params(0, 3, 3, 2, 2)
+        keep = p.flat.copy()
+        with pytest.raises(AttributeError):
+            p.w_imgg = 0
+        with pytest.raises(AttributeError):
+            p.log_inv_temp_uni = 1.0
+        np.testing.assert_array_equal(p.flat, keep)
+
     @pytest.mark.parametrize("call, message", [
         (lambda p: setattr(p, "w_img", np.zeros((4, 3))), r"w_img: shape \(4, 3\)"),
         (lambda p: StudentParams(p.flat[1:], p.dims), "do not fit dims"),
@@ -99,7 +109,6 @@ class TestForward:
         for m in (out.img_emb, out.txt_emb, out.img_usa, out.txt_usa):
             np.testing.assert_allclose(np.linalg.norm(m, axis=1), 1.0, rtol=0, atol=1e-9)
         assert abs(out.inv_temp - INV_TEMP_INIT) < 1e-12
-        assert out.inv_temp_uni == out.inv_temp
 
     def test_usa_branch_differs_from_main(self):
         rng = np.random.default_rng(6)
@@ -215,9 +224,13 @@ class TestBackward:
         base_img, base_txt, params, targets = self._setup(41)
         params.log_inv_temp = 0.0  # exp(0.0) == INV_TEMP_MIN exactly
         out = forward(base_img, base_txt, params)
-        assert out.inv_temp == out.inv_temp_uni == INV_TEMP_MIN
+        assert out.inv_temp == INV_TEMP_MIN
         _, lgrads = batch_loss_and_grads(out, targets, 0.5, 0.5)
-        assert lgrads.d_log_inv_temp != 0.0 and lgrads.d_log_inv_temp_uni != 0.0
+        _, cross_only = batch_loss_and_grads(out, targets, 0.5, 0.0)
+        # the gate closes on a derivative whose cross-modal and uni-modal
+        # parts are both nonzero
+        assert cross_only.d_log_inv_temp != 0.0
+        assert lgrads.d_log_inv_temp != cross_only.d_log_inv_temp
         grads = backward(out, params, lgrads)
         assert grads.log_inv_temp == 0.0
 

@@ -1,4 +1,5 @@
-"""The package's public names resolve, and so do those README names."""
+"""The package's public names resolve, and so do those README names and
+README's gradcheck keys."""
 
 import ast
 import importlib
@@ -7,6 +8,9 @@ from pathlib import Path
 
 import cusa
 import cusa.losses
+from cusa import gradcheck
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exported_names_resolve():
@@ -20,7 +24,7 @@ def test_exported_names_resolve():
 def test_readme_library_names_resolve():
     """Every name README's Library section imports in its example, or
     lists as importable (`cusa.<module>`: `name`, ...), exists."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     example = section.split("```python\n", 1)[1].split("```", 1)[0]
     names = [(node.module, alias.name) for node in ast.walk(ast.parse(example))
@@ -32,3 +36,12 @@ def test_readme_library_names_resolve():
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"README names that do not resolve: {missing}"
+
+
+def test_readme_gradcheck_keys_match_the_report():
+    """The `loss.*` and `model.*` names of README's gradcheck paragraph
+    are the keys of a gradcheck report."""
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("`gradcheck` compares every gradient component", 1)[1]
+    listed = re.findall(r"`((?:loss|model)\.\w+)`", paragraph.split("\n\n", 1)[0])
+    assert sorted(listed) == sorted(gradcheck.run(trials=1))

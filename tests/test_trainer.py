@@ -209,7 +209,7 @@ class TestTrain:
                 eye, zero = np.eye(len(idx)), np.zeros((len(idx), len(idx)))
                 _, lgrads = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T, zero, zero,
                                              TeacherTargets(eye, eye), outputs.inv_temp,
-                                             1.0, 0.0, 0.0)
+                                             0.0, 0.0)
                 pgrads = backward(outputs, params, lgrads)
                 params, state = adam_step(params, pgrads, state, cfg)
 
