@@ -133,15 +133,14 @@ def check_model(seed: int, dims=DEFAULT_DIMS) -> dict:
     return worst
 
 
-def run(trials: int = 20, base_seed: int = 0, dims=DEFAULT_DIMS) -> dict:
+def run(trials: int, base_seed: int, dims=DEFAULT_DIMS) -> dict:
     """Worst error per component over `trials` seeded repetitions."""
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if base_seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {base_seed}")
     worst: dict = {}
-    for t in range(trials):
-        seed = base_seed + t
+    for seed in range(base_seed, base_seed + trials):
         for part in (check_losses(seed), check_model(seed, dims)):
             for key, val in part.items():
                 worst[key] = max(worst.get(key, 0.0), val)

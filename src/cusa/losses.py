@@ -101,9 +101,12 @@ def _check_weights(alpha: float, beta: float) -> None:
 
 def cusa_total(l_original: float, l_csa: float, l_usa: float,
                alpha: float, beta: float) -> float:
-    """Weighted sum of the three loss terms."""
+    """Weighted sum of the three loss terms; NumericError if it is not finite."""
     _check_weights(alpha, beta)
-    return float(l_original + alpha * l_csa + beta * l_usa)
+    total = float(l_original) + float(alpha) * float(l_csa) + float(beta) * float(l_usa)
+    if not math.isfinite(total):
+        raise NumericError(f"the loss is not finite: l_total = {total}")
+    return total
 
 
 def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, alpha: float, beta: float,
@@ -184,8 +187,6 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, alpha: float, beta
         l_total=cusa_total(l_original, l_csa, l_usa, alpha, beta),
         per_direction={"i2t": kl_i2t, "t2i": kl_t2i, "i2i": kl_i2i, "t2t": kl_t2t},
     )
-    if not math.isfinite(report.l_total):
-        raise NumericError(f"the loss is not finite: l_total = {report.l_total}")
     grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it + float(d_img + d_txt))
     return report, grads
 

@@ -191,11 +191,16 @@ def row_softmax(s, inv_temp: float) -> np.ndarray:
 
     Raises:
         NonPositiveTemperature: if inv_temp <= 0.
+        NumericError: if the spread of s * inv_temp, max - min, is not finite.
     """
     mat = _as_matrix(s, "s")
     if not (inv_temp > 0.0) or not np.isfinite(inv_temp):
         raise NonPositiveTemperature(f"inv_temp must be > 0, got {inv_temp!r}")
-    q, _, _ = row_softmax_with_log(mat, float(inv_temp))
+    it = float(inv_temp)
+    spread = float(mat.max()) * it - float(mat.min()) * it  # as the kernel forms it, warning-free
+    if not np.isfinite(spread):
+        raise NumericError(f"the spread of s * inv_temp is not finite: {spread}")
+    q, _, _ = row_softmax_with_log(mat, it)
     return q
 
 

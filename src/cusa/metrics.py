@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     EmptyGallery,
+    NonFiniteValue,
     OutOfRange,
     ShapeMismatch,
     UnknownId,
@@ -243,6 +244,8 @@ def spearman(pred, gold) -> float:
     y = np.asarray(gold, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise ShapeMismatch(f"lengths differ: {x.shape[0]} vs {y.shape[0]}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteValue("pred or gold contains NaN or Inf")
     if x.shape[0] < 2:
         raise DegenerateInput("need at least 2 observations")
     rx = _fractional_ranks(x)

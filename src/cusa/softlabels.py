@@ -75,7 +75,7 @@ def _distribution(feats: np.ndarray, teacher_inv_temp: float, p: np.ndarray,
     return p, h
 
 
-def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float = 1.0,
+def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float,
                         rows=None, ws: Workspace | None = None) -> TeacherTargets:
     """Both uni-modal target distributions for a batch.
 

@@ -15,6 +15,8 @@ from .mathops import Workspace, l2_normalize_rows
 from .model import StudentParams, backward, forward, init_params
 from .softlabels import TeacherBatch, build_batch_targets
 
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 @dataclass
 class TrainConfig:
@@ -25,16 +27,12 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     teacher_inv_temp: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
     d_e: int = 32
     d_u: int = 16
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "learning_rate", "teacher_inv_temp",
-                     "weight_decay", "epsilon"):
+        for name in ("alpha", "beta", "learning_rate", "teacher_inv_temp", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -49,12 +47,6 @@ class TrainConfig:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not (self.teacher_inv_temp > 0.0):
             raise InvalidConfig(f"teacher_inv_temp must be > 0, got {self.teacher_inv_temp}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not (0.0 <= b < 1.0):
-                raise InvalidConfig(f"{name} must be in [0, 1), got {b}")
-        if not (self.epsilon > 0.0):
-            raise InvalidConfig(f"epsilon must be > 0, got {self.epsilon}")
         if self.weight_decay < 0.0:
             raise InvalidConfig(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.d_e < 1 or self.d_u < 1:
@@ -131,19 +123,19 @@ def adam_step(params: StudentParams, grads: StudentParams, state: AdamState,
               config: TrainConfig):
     """One bias-corrected adaptive-moment update over the flat parameters.
 
-    Weight decay is decoupled (applied directly to the parameter, not
-    mixed into the gradient) and touches the projection matrices only,
-    which follow the one temperature in the layout. Returns fresh (params,
-    state); inputs are not mutated.
+    ADAM_B1, ADAM_B2 and ADAM_EPS are constants; `config` gives the
+    learning rate and the weight decay, which is decoupled (applied
+    directly to the parameter, not mixed into the gradient) and touches
+    the projection matrices only, which follow the one temperature in the
+    layout. Returns fresh (params, state); inputs are not mutated.
     """
-    t = state.step + 1
-    b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    t, lr = state.step + 1, config.learning_rate
+    c1 = 1.0 - ADAM_B1 ** t
+    c2 = 1.0 - ADAM_B2 ** t
     g = grads.flat
-    m = state.m * b1 + (1.0 - b1) * g
-    v = state.v * b2 + (1.0 - b2) * (g * g)
-    update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m = state.m * ADAM_B1 + (1.0 - ADAM_B1) * g
+    v = state.v * ADAM_B2 + (1.0 - ADAM_B2) * (g * g)
+    update = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     p = params.flat.copy()
     if config.weight_decay != 0.0:
         p[1:] -= lr * config.weight_decay * p[1:]

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main(argv) so coverage and
 monkeypatching work; corpora are kept tiny (12 pairs) for speed.
 """
 
+import argparse
 import dataclasses
 import io
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import cusa.cli
 import cusa.losses
+import cusa.synthetic
 import cusa.trainer
 from cusa.cli import main
 from cusa.dataio import load_checkpoint, read_features, save_checkpoint, write_features
@@ -843,6 +845,17 @@ class TestTopLevel:
         code, report, err = run(capsys, ["synth", "--out", str(tmp_path / "x")])
         assert code == exit_code and report is None
         assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("command, config", [("train", cusa.trainer.TrainConfig),
+                                                 ("synth", cusa.synthetic.SynthConfig)])
+    def test_every_config_field_is_a_flag(self, command, config):
+        """Each field of the config that a command builds has a flag, and
+        the flag's default is the field's."""
+        [subparsers] = [a for a in cusa.cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.dest: a.default for a in subparsers.choices[command]._actions}
+        fields = {f.name: f.default for f in dataclasses.fields(config)}
+        assert {name: flags.get(name, "no flag") for name in fields} == fields
 
     def test_other_exceptions_propagate(self, monkeypatch, tmp_path):
         def failing(args):

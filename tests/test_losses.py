@@ -206,6 +206,16 @@ class TestCusaTotal:
         with pytest.raises(NegativeWeight):
             cusa_total(1.0, 0.1, 0.1, -0.5, 0.5)
 
+    @pytest.mark.parametrize("terms, total", [
+        ((float("nan"), 1.0, 1.0), "nan"),
+        ((1.0, float("inf"), 1.0), "inf"),
+        ((1.0, 1e308, 1e308), "inf"),  # finite terms whose weighted sum overflows
+        ((np.float64(1e308), 1e308, 1e308), "inf"),  # a numpy scalar warns as it overflows
+    ])
+    def test_a_total_that_is_not_finite_is_a_numeric_error(self, terms, total):
+        with pytest.raises(NumericError, match=f"^the loss is not finite: l_total = {total}$"):
+            cusa_total(*terms, 0.5, 1.5)
+
     @pytest.mark.parametrize("alpha, beta", [(-0.5, 0.5), (float("nan"), 0.5),
                                              (0.5, float("inf"))])
     def test_bad_weights_rejected_by_total_and_core(self, alpha, beta):

@@ -157,6 +157,19 @@ class TestRowSoftmax:
             with pytest.raises(NonPositiveTemperature):
                 row_softmax([[1.0, 0.0]], bad)
 
+    @pytest.mark.parametrize("s, inv_temp", [
+        ([[1e308, -1e308]], 10.0),  # the scaling overflows
+        ([[1e308, -1e308]], 1.0),   # the shift by the maximum overflows
+        ([[1e308, 1e308]], 10.0),   # no spread, but the scaled logits are infinite
+    ])
+    def test_a_scaled_spread_beyond_float64_is_a_numeric_error(self, s, inv_temp):
+        # finite logits and temperature; a warning would be an error here
+        with pytest.raises(NumericError, match="not finite"):
+            row_softmax(s, inv_temp)
+
+    def test_the_widest_finite_scaled_spread_is_accepted(self):
+        np.testing.assert_array_equal(row_softmax([[1e308, -1e308]], 0.5), [[1.0, 0.0]])
+
     def test_teacher_targets_take_the_per_row_shift(self):
         # the self-similarities of unit rows differ by an ulp, which a huge
         # teacher inverse temperature turns into a gap of ~1000 between rows

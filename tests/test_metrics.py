@@ -23,6 +23,7 @@ from cusa.dataio import read_relevance, write_features
 from cusa.errors import (
     DegenerateInput,
     EmptyGallery,
+    NonFiniteValue,
     OutOfRange,
     ShapeMismatch,
     UnknownId,
@@ -348,6 +349,14 @@ class TestSpearman:
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
             spearman((1.0, 2.0), (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("pred, gold", [
+        ((float("nan"), 1.0, 2.0), (1.0, 2.0, 3.0)),
+        ((1.0, 2.0, 3.0), (1.0, float("inf"), 3.0)),
+    ])
+    def test_non_finite_value_rejected(self, pred, gold):
+        with pytest.raises(NonFiniteValue, match="^pred or gold contains NaN or Inf$"):
+            spearman(pred, gold)
 
 
 # ---------------------------------------------------------------------------

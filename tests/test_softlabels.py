@@ -78,7 +78,7 @@ class TestBuildBatchTargets:
     def test_composed_cases(self):
         img = np.array([[1.0, 0.0], [1.0, 0.0]])
         txt = np.eye(2)
-        targets = build_batch_targets(TeacherBatch(img, txt))
+        targets = build_batch_targets(TeacherBatch(img, txt), 1.0)
         np.testing.assert_allclose(targets.p_i2i, 0.5, rtol=0, atol=1e-15)
         np.testing.assert_allclose(
             targets.p_t2t, [SOFTMAX_1_0, SOFTMAX_1_0[::-1]], rtol=0, atol=1e-15
@@ -88,7 +88,7 @@ class TestBuildBatchTargets:
         rng = np.random.default_rng(4)
         base = l2_normalize_rows(rng.standard_normal((3, 6)))
         img = np.vstack([base, base[:1]])  # row 3 duplicates row 0
-        targets = build_batch_targets(TeacherBatch(img, img))
+        targets = build_batch_targets(TeacherBatch(img, img), 1.0)
         np.testing.assert_allclose(targets.p_i2i[0], targets.p_i2i[3], rtol=0, atol=1e-12)
 
     def test_row_count_mismatch_rejected(self):

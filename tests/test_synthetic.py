@@ -77,7 +77,7 @@ class TestGenerate:
         data = generate(SynthConfig(**SMALL, intra_noise=0.0))
         ppc = SMALL["pairs_per_cluster"]
         feats = data.img_teacher[:ppc]
-        p = build_batch_targets(TeacherBatch(feats, feats)).p_i2i
+        p = build_batch_targets(TeacherBatch(feats, feats), 1.0).p_i2i
         np.testing.assert_allclose(p, 1.0 / ppc, atol=1e-12)
 
     def test_clusters_separate_in_every_space(self):
