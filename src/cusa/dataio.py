@@ -24,7 +24,8 @@ the parent parse the whole file in one pass, so outputs and errors
 children are started, killed and reaped by parallel.forked, as the
 ranker's are; none outlives the call. Where parallel.usable_cpus is 1
 (also where the os module lacks fork or sched_getaffinity), the file is
-parsed in one process.
+parsed in one process. A long line copies the ids it shares at each end
+with the line before from that line's row (see _relevance_part).
 
 Scored pairs file: "id_a<TAB>id_b<TAB>score" per line (the similarity-
 with-gold-score evaluation input).
@@ -79,6 +80,9 @@ PART_BYTES = 1 << 20  # the fewest bytes of a relevance file parsed in a process
 # int32 positions merged at a time (64 KiB): with 1 MiB chunks the
 # eval-2k command peaked 0.45 MB higher
 _CHUNK_INTS = 1 << 14
+# id lists of fewer characters are looked up whole: one-id edits of 10-byte ids
+# broke even near 700 (one process, 2 vCPUs); lines of 1-5 ids took 2-3x as long ungated
+SHARED_ENDS_MIN = 1 << 10
 # a parsed part as a child sends it: the length of its new ids' text
 # and its query and index counts
 _PART_HEAD = struct.Struct("<qqq")
@@ -331,8 +335,11 @@ def _read_parts(path, known_ids, cuts):
 def _relevance_part(path, index, start, stop, queries, indptr, indices) -> None:
     """Parse bytes start..stop of a relevance file onto the CSR queries,
     indptr and indices, the positions looked up in `index`; line numbers
-    count from the part's first line."""
-    seen = set()
+    count from the part's first line. An id list of SHARED_ENDS_MIN or more
+    characters whose first or last id the line before shares copies their
+    shared ends from its row and looks up only the ids between, where any
+    unknown id must lie; every other check reads the whole line."""
+    seen, prev, gate, lookup = set(), "", SHARED_ENDS_MIN, index.__getitem__
     for lineno, (query, id_blob) in _records(path, "relevance", "query_id<TAB>id,id,...",
                                              start, stop):
         if query in seen:
@@ -345,10 +352,40 @@ def _relevance_part(path, index, start, stop, queries, indptr, indices) -> None:
         except KeyError:
             raise UnknownId(f"line {lineno}: unknown query id {query!r}") from None
         try:
-            indices.fromlist(list(map(index.__getitem__, id_blob.split(","))))
+            if len(id_blob) < gate:
+                prev = ""
+                indices.fromlist(list(map(lookup, id_blob.split(","))))
+            else:
+                middle, tail, i = id_blob, 0, id_blob.find(",")
+                if i > 0 and (prev.startswith(id_blob[:i + 1])
+                              or prev.endswith(id_blob[id_blob.rfind(","):])):
+                    head, middle, tail = _shared_ends(prev, id_blob, indptr[-1] - indptr[-2])
+                    indices.extend(indices[indptr[-2]:indptr[-2] + head])
+                prev = id_blob
+                if middle:
+                    indices.fromlist(list(map(lookup, middle.split(","))))
+                indices.extend(indices[indptr[-1] - tail:indptr[-1]])
         except KeyError as e:
             raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
         indptr.append(len(indices))
+
+
+def _shared_ends(prev: str, id_blob: str, n_prev: int):
+    """(head, middle, tail): id list `id_blob` is the first `head` of the
+    n_prev ids of `prev`, the ids of the text `middle`, then prev's last
+    `tail`. Shared are the whole ids of the lists' common UTF-8 prefix and
+    (from its last comma on) suffix, one numpy comparison each; commas are
+    counted only in the shorter shared end and in prev's middle."""
+    a, b = f",{prev},".encode("utf-8"), f",{id_blob},".encode("utf-8")
+    x, y = np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8)
+    n = min(len(a), len(b))  # both end in commas, so argmin 0 means all equal
+    cut = b.rindex(b",", 0, int((x[:n] == y[:n]).argmin()) or n)
+    n -= cut
+    first = b.index(b",", len(b) - (int((x[-n:] == y[-n:])[::-1].argmin()) or n))
+    dropped = a.count(b",", cut, first + len(a) - len(b))
+    head = (b.count(b",", 0, cut) if cut < len(b) - first
+            else n_prev - dropped - b.count(b",", first + 1))
+    return head, b[cut + 1:first].decode("utf-8"), n_prev - dropped - head
 
 
 def _part_cuts(path) -> list:

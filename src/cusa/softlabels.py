@@ -7,12 +7,13 @@ per batch and treated as constants by every loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, NonPositiveTemperature, ShapeMismatch
-from .mathops import (Workspace, _as_matrix, check_normalized, neg_entropy_rows,
+from .errors import DegenerateInput, NonPositiveTemperature, NumericError, ShapeMismatch
+from .mathops import (NORM_TOL, Workspace, _as_matrix, check_normalized, neg_entropy_rows,
                       row_softmax_with_log)
 
 
@@ -83,7 +84,7 @@ def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float,
     None). The features were validated when `teacher` was built, so a
     training loop builds one TeacherBatch over all its pairs and passes
     each batch's indices; only the batch size and the temperature are
-    checked here.
+    checked here (NumericError if 2 (1 + NORM_TOL)^2 t, the logits' span bound, overflows).
 
     The targets are written into `ws` (a fresh Workspace when None) and
     stay valid until its next use.
@@ -96,6 +97,8 @@ def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float,
         raise DegenerateInput("need at least 2 rows to form a target distribution")
     if not (teacher_inv_temp > 0.0):
         raise NonPositiveTemperature(f"teacher_inv_temp must be > 0, got {teacher_inv_temp!r}")
+    if not math.isfinite(2.0 * (1.0 + NORM_TOL) ** 2 * float(teacher_inv_temp)):
+        raise NumericError(f"teacher_inv_temp {teacher_inv_temp!r} overflows the teacher logits")
     ws = Workspace() if ws is None else ws
     # "scratch" holds nothing past this call; the loss reuses it
     gram = ws.buffer("scratch", (n, n))

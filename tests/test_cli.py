@@ -665,6 +665,27 @@ class TestInspectCommand:
         assert code == 0
         assert report["payload"]["p_i2i"] == [[0.5, 0.5], [0.5, 0.5]]
 
+    def test_an_overflowing_teacher_temperature_exits_5_without_a_warning(self, tmp_path,
+                                                                           capsys):
+        # anti-aligned image teacher rows: the shifted logits span 2e308
+        ids_i, ids_t = ["i0", "i1"], ["t0", "t1"]
+        write_features(tmp_path / "ib.feat", ids_i, np.eye(2))
+        write_features(tmp_path / "tb.feat", ids_t, np.eye(2))
+        write_features(tmp_path / "it.feat", ids_i, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        write_features(tmp_path / "tt.feat", ids_t, np.eye(2))
+        (tmp_path / "pairs.tsv").write_text("i0\tt0\ni1\tt1\n", encoding="utf-8")
+        argv = ["inspect", "--pairs", str(tmp_path / "pairs.tsv"),
+                "--img-base", str(tmp_path / "ib.feat"), "--txt-base", str(tmp_path / "tb.feat"),
+                "--img-teacher", str(tmp_path / "it.feat"),
+                "--txt-teacher", str(tmp_path / "tt.feat"),
+                "--batch", "0,1", "--d-e", "2", "--d-u", "2", "--teacher-inv-temp", "1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report, err = run(capsys, argv)
+        assert code == 5 and report is None
+        assert not caught and "Warning" not in err
+        assert err.startswith("error: teacher_inv_temp 1e+308 overflows the teacher logits")
+
     def test_ckpt_embeddings_used(self, corpus, trained, capsys):
         code, fresh, _ = run(capsys, self.inspect_flags(corpus, ["--batch", "0,1"]))
         assert code == 0

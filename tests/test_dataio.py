@@ -440,6 +440,91 @@ def test_any_part_count_parses_like_one_part(tmp_path, forced_cpus, raw):
                 assert relevance_outcome(path, known_ids) == whole, (parts, known_ids)
 
 
+EDITED_QUERIES = [f"p{i}" for i in range(8)]
+
+
+@st.composite
+def edited_relevance_files(draw):
+    """A relevance file of up to 8 lines, each of whose id lists edits the
+    one before: an id inserted, deleted or replaced at its start, middle
+    or end, or the list repeated. The ids are RELEVANCE_IDS, 'ab' (which
+    'a' begins) and the unknown 'z'; the queries are EDITED_QUERIES in
+    order, a line in ten repeating the first."""
+    token = st.sampled_from(RELEVANCE_IDS * 2 + ["ab", "z"])
+    ids = draw(st.lists(token, min_size=1, max_size=5))
+    lines = []
+    for i, query in enumerate(EDITED_QUERIES[:draw(st.integers(1, 8))]):
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "repeat"]))
+        where = draw(st.sampled_from([0, len(ids) // 2, len(ids)]))  # start, middle or end
+        at = min(where, len(ids) - (edit != "insert"))
+        if edit == "insert":
+            ids.insert(at, draw(token))
+        elif edit == "delete" and len(ids) > 1:
+            del ids[at]
+        elif edit == "replace":
+            ids[at] = draw(token)
+        if i and draw(st.integers(0, 9)) == 0:
+            query = EDITED_QUERIES[0]
+        lines.append(f"{query}\t{','.join(ids)}\n")
+    return "".join(lines).encode("utf-8")
+
+
+@settings(deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.one_of(relevance_files(), edited_relevance_files()))
+@example(raw=b"p0\ta,b\np1\tab,b\np2\ta,ab\np3\tab\n")  # ids that begin others
+@example(raw="p0\t\u00e9,a,b\np1\t\u00e8,a,b\n".encode("utf-8"))  # a mismatch inside \u00e9
+@example(raw=b"p0\ta,b,q\np1\ta,z,q\n")  # an unknown id between shared ends
+@example(raw=b"p0\ta,b\np1\ta,b\np2\ta,b\np3\ta,b\np4\ta,b\n")  # parts cut on shared lines
+def test_shared_ends_parse_like_a_full_lookup(tmp_path, forced_cpus, raw):
+    # every line of two or more ids whose end id the previous line shares
+    # takes the shared-ends path at gate 0, and none does above every line
+    path = tmp_path / "relevance.tsv"
+    path.write_bytes(raw)
+    for known_ids in ([*RELEVANCE_IDS, *EDITED_QUERIES], None):
+        with forced_cpus(1), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "SHARED_ENDS_MIN", len(raw) + 1)
+            whole = relevance_outcome(path, known_ids)
+        for parts in (1, 2, 3, 4):
+            with forced_cpus(parts), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataio, "SHARED_ENDS_MIN", 0)
+                assert relevance_outcome(path, known_ids) == whole, (parts, known_ids)
+
+
+def shared_ends_calls(monkeypatch):
+    """One entry per _shared_ends call that this process makes."""
+    calls, real = [], dataio._shared_ends
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dataio, "_shared_ends", counted)
+    return calls
+
+
+class TestSharedEnds:
+    """Which lines read_relevance compares with the line before."""
+
+    def test_only_long_lines_that_share_an_end_id_are_compared(self, tmp_path, monkeypatch,
+                                                                forced_cpus):
+        calls = shared_ends_calls(monkeypatch)
+        long, short = ",".join(f"m{k:03d}" for k in range(250)), "a,m000,b"
+        assert len(long) >= dataio.SHARED_ENDS_MIN > len(short)
+        lines = [
+            f"q0\t{short}", f"q1\t{short}",  # under the gate
+            f"q2\tx,{long},y", f"q3\tu,{long},v",  # no end id shared
+            f"q4\tu,{long},w", f"q5\tt,{long},w",  # the first id, then the last
+            f"q6\t{short}", f"q7\tt,{long},w",  # a short line between breaks the chain
+        ]
+        path = tmp_path / "r.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with forced_cpus(1):
+            rel = read_relevance(path)
+        assert [args[2] for args in calls] == [252, 252]
+        assert relevance_sets(rel)["q5"] == {"t", "w", *long.split(",")}
+
+
 def write_relevance_of_size(path, size):
     """A valid relevance file of exactly `size` bytes (at least 1024), in
     lines of 1 KiB, each query with one relevant id."""

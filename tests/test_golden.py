@@ -73,7 +73,9 @@ The multi-block eval digests pin the stdout of `eval --task cross
 rows, which the ranker takes in four blocks of at most 128 query rows.
 They were produced while eval still ranked every block in one process,
 and they must hold with 1, 2 and 3 forced CPUs, where the blocks are
-ranked in that many processes.
+ranked in that many processes. The bundle's relevance lines are about
+4.5 KB long and each shares its last ids with the line before, so the
+test also asserts that the parse copies those ids (`dataio._shared_ends`).
 
 The report digests pin the stdout of `inspect` from a fresh init and
 from a checkpoint (alpha = beta = 0), of `eval --task sts` from direct
@@ -116,7 +118,10 @@ repeated query), read with an id table and with interning: the
 (exception class, line number, message) of its error, or the CSR and
 the order of its id table. It was produced at commit 6b33e30, while the
 reader still parsed every file in one process, and it must hold with
-the file split into 1, 2 and 3 parts.
+the file split into 1, 2 and 3 parts, both at the reader's
+`SHARED_ENDS_MIN` and with that gate at 0, where every line of two or
+more ids whose first or last id the line before shares copies the ids
+the two share at each end. It was produced before any line copied ids.
 
 The bytes depend on the floating-point stack (numpy build and BLAS
 kernels). On another stack, regenerate the digests from a commit whose
@@ -132,7 +137,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from cusa import cli
+from cusa import cli, dataio
 from cusa.dataio import (
     load_checkpoint,
     read_features,
@@ -263,6 +268,9 @@ def test_fixed_seed_eval_reports_are_byte_identical(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_multi_block_eval_reports_are_byte_identical(tmp_path, monkeypatch, forced_cpus, cpus):
     monkeypatch.chdir(tmp_path)
+    shared, real_shared_ends = [], dataio._shared_ends
+    monkeypatch.setattr(dataio, "_shared_ends",
+                        lambda *args: shared.append(args) or real_shared_ends(*args))
     assert _cli(["synth", "--out", ".", "--clusters", "3", "--pairs-per-cluster", "150",
                  "--seed", "31", "--noise", "0.4"]) == 0
     runs = {
@@ -278,6 +286,7 @@ def test_multi_block_eval_reports_are_byte_identical(tmp_path, monkeypatch, forc
             assert cli.main(["eval", *flags]) == 0
         digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digests == MULTI_BLOCK_EVAL_SHA256
+    assert shared  # this process's part copied shared ids
 
 
 def _report_runs(tmp_path, monkeypatch):
@@ -413,7 +422,9 @@ def _relevance_outcomes(tmp_path):
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_relevance_reader_outcomes_are_byte_identical(tmp_path, forced_cpus, parts):
-    with forced_cpus(parts):
-        outcomes = _relevance_outcomes(tmp_path)
-    digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
-    assert digest == RELEVANCE_OUTCOMES_SHA256
+    for gate in (0, dataio.SHARED_ENDS_MIN):
+        with forced_cpus(parts), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "SHARED_ENDS_MIN", gate)
+            outcomes = _relevance_outcomes(tmp_path)
+        digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
+        assert digest == RELEVANCE_OUTCOMES_SHA256, gate

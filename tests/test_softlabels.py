@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from cusa.errors import DegenerateInput, NonPositiveTemperature, NotNormalized, ShapeMismatch
+from cusa.errors import (DegenerateInput, NonPositiveTemperature, NotNormalized, NumericError,
+                         ShapeMismatch)
 from cusa.mathops import l2_normalize_rows, row_softmax
 from cusa.softlabels import TeacherBatch, build_batch_targets
 
@@ -67,6 +70,26 @@ def test_singleton_batch_rejected():
 def test_bad_temperature_rejected():
     with pytest.raises(NonPositiveTemperature):
         teacher_p(np.eye(2), teacher_inv_temp=0.0)
+
+
+# anti-aligned rows: their shifted teacher logits span 2 t
+ANTI_ALIGNED = np.array([[1.0, 0.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("teacher_inv_temp", [1e308, np.inf])
+def test_a_temperature_that_overflows_the_logits_is_a_numeric_error(teacher_inv_temp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows the teacher logits"):
+            teacher_p(ANTI_ALIGNED, teacher_inv_temp)
+
+
+def test_the_largest_temperature_whose_span_is_finite_gives_finite_targets():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        targets = build_batch_targets(TeacherBatch(ANTI_ALIGNED, ANTI_ALIGNED), 8.9e307)
+    np.testing.assert_array_equal(targets.p_i2i, np.eye(2))
+    np.testing.assert_array_equal(targets.h_i2i, [0.0, 0.0])
 
 
 def test_denormalized_features_rejected():
