@@ -1,6 +1,6 @@
 """Fixtures shared by the tests: no test may leave a child process behind,
-os.fork calls can be counted, and the relevance parse and the ranker can
-be run on a forced number of CPUs."""
+os.fork and dataio._shared_ends calls can be counted, and the relevance
+parse and the ranker can be run on a forced number of CPUs."""
 
 import contextlib
 import os
@@ -32,6 +32,20 @@ def forks(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.fixture
+def shared_ends_calls(monkeypatch):
+    """The arguments of each dataio._shared_ends call this process makes
+    during the test."""
+    calls, real = [], dataio._shared_ends
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dataio, "_shared_ends", counted)
     return calls
 
 

@@ -491,24 +491,11 @@ def test_shared_ends_parse_like_a_full_lookup(tmp_path, forced_cpus, raw):
                 assert relevance_outcome(path, known_ids) == whole, (parts, known_ids)
 
 
-def shared_ends_calls(monkeypatch):
-    """One entry per _shared_ends call that this process makes."""
-    calls, real = [], dataio._shared_ends
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(dataio, "_shared_ends", counted)
-    return calls
-
-
 class TestSharedEnds:
     """Which lines read_relevance compares with the line before."""
 
-    def test_only_long_lines_that_share_an_end_id_are_compared(self, tmp_path, monkeypatch,
-                                                                forced_cpus):
-        calls = shared_ends_calls(monkeypatch)
+    def test_only_long_lines_that_share_an_end_id_are_compared(self, tmp_path, forced_cpus,
+                                                                shared_ends_calls):
         long, short = ",".join(f"m{k:03d}" for k in range(250)), "a,m000,b"
         assert len(long) >= dataio.SHARED_ENDS_MIN > len(short)
         lines = [
@@ -521,7 +508,7 @@ class TestSharedEnds:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with forced_cpus(1):
             rel = read_relevance(path)
-        assert [args[2] for args in calls] == [252, 252]
+        assert [args[2] for args in shared_ends_calls] == [252, 252]
         assert relevance_sets(rel)["q5"] == {"t", "w", *long.split(",")}
 
 

@@ -266,11 +266,9 @@ def test_fixed_seed_eval_reports_are_byte_identical(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_multi_block_eval_reports_are_byte_identical(tmp_path, monkeypatch, forced_cpus, cpus):
+def test_multi_block_eval_reports_are_byte_identical(tmp_path, monkeypatch, forced_cpus,
+                                                     shared_ends_calls, cpus):
     monkeypatch.chdir(tmp_path)
-    shared, real_shared_ends = [], dataio._shared_ends
-    monkeypatch.setattr(dataio, "_shared_ends",
-                        lambda *args: shared.append(args) or real_shared_ends(*args))
     assert _cli(["synth", "--out", ".", "--clusters", "3", "--pairs-per-cluster", "150",
                  "--seed", "31", "--noise", "0.4"]) == 0
     runs = {
@@ -286,7 +284,7 @@ def test_multi_block_eval_reports_are_byte_identical(tmp_path, monkeypatch, forc
             assert cli.main(["eval", *flags]) == 0
         digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digests == MULTI_BLOCK_EVAL_SHA256
-    assert shared  # this process's part copied shared ids
+    assert shared_ends_calls  # this process's part copied shared ids
 
 
 def _report_runs(tmp_path, monkeypatch):
