@@ -14,18 +14,9 @@ lines are kept; multiplicity matters for batching.
 
 Relevance file: one "query_id<TAB>id1,id2,..." per line, non-empty
 relevant sets, one line per query. Read into an int32 CSR
-(metrics.Relevance) that holds each id string once. The parse uses up
-to one process per usable CPU, in parts of at least PART_BYTES (1 MiB)
-that end on line boundaries: the calling process parses the first, a
-forked child each other, and the parent merges them in order. A part
-after the first that fails, or repeats an earlier part's query, makes
-the parent parse the whole file in one pass, so outputs and errors
-(class, message, line number) do not depend on the part count. The
-children are started, killed and reaped by parallel.forked, as the
-ranker's are; none outlives the call. Where parallel.usable_cpus is 1
-(also where the os module lacks fork or sched_getaffinity), the file is
-parsed in one process. A long line copies the ids it shares at each end
-with the line before from that line's row (see _relevance_part).
+(metrics.Relevance) that holds each id string once, in one pass in the
+calling process. A long line copies the ids it shares at each end with
+the line before from that line's row (see read_relevance).
 
 Scored pairs file: "id_a<TAB>id_b<TAB>score" per line (the similarity-
 with-gold-score evaluation input).
@@ -44,8 +35,7 @@ Checkpoint ("CUSC"):
 
 from __future__ import annotations
 
-import io
-import itertools
+import contextlib
 import json
 import os
 import struct
@@ -68,7 +58,6 @@ from .errors import (
     UnknownId,
     VersionUnsupported,
 )
-from . import parallel
 from .metrics import Relevance, _interning_index, id_table
 from .model import StudentParams, param_segments
 
@@ -76,16 +65,9 @@ FEATURE_MAGIC = b"CUSF"
 CHECKPOINT_MAGIC = b"CUSC"
 FEATURE_VERSION = 1
 CHECKPOINT_VERSION = 1
-PART_BYTES = 1 << 20  # the fewest bytes of a relevance file parsed in a process
-# int32 positions merged at a time (64 KiB): with 1 MiB chunks the
-# eval-2k command peaked 0.45 MB higher
-_CHUNK_INTS = 1 << 14
 # id lists of fewer characters are looked up whole: one-id edits of 10-byte ids
 # broke even near 700 (one process, 2 vCPUs); lines of 1-5 ids took 2-3x as long ungated
 SHARED_ENDS_MIN = 1 << 10
-# a parsed part as a child sends it: the length of its new ids' text
-# and its query and index counts
-_PART_HEAD = struct.Struct("<qqq")
 
 
 def _read_header(path, magic: bytes, version: int, fmt: str, kind: str):
@@ -224,35 +206,11 @@ def read_features(path) -> FeatureTable:
 # text formats
 # ---------------------------------------------------------------------------
 
-class _Window(io.RawIOBase):
-    """The next `size` bytes of a raw binary file, as a raw stream."""
-
-    def __init__(self, raw, size: int):
-        self._raw, self._left = raw, size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._raw.readinto(memoryview(buf)[:self._left])
-        self._left -= n
-        return n
-
-
-def _lines(path, start=0, stop=None):
-    """(line number, line) of a UTF-8 text file, the newline stripped.
-
-    Only bytes start..stop are read (stop None: to the end), numbered
-    from 1. Bytes that are not UTF-8 end as MalformedLine naming their
-    line.
-    """
-    with open(path, "rb", buffering=0) as raw:
-        if start:
-            raw.seek(start)
-        if stop is not None:
-            raw = _Window(raw, stop - start)
-        text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
-                                errors="surrogateescape")
+def _lines(path):
+    """(line number, line) of a UTF-8 text file, the newline stripped,
+    numbered from 1. Bytes that are not UTF-8 end as MalformedLine naming
+    their line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as text:
         for lineno, line in enumerate(text, start=1):
             if not line.isascii():
                 try:
@@ -265,16 +223,18 @@ def _lines(path, start=0, stop=None):
             yield lineno, line.rstrip("\n")
 
 
-def _records(path, kind: str, form: str, start=0, stop=None):
+def _records(path, kind: str, form: str):
     """(line number, fields) of each line of a tab-separated text file
     laid out as `form`, e.g. 'image_id<TAB>text_id': as many fields as
-    `form` names, the first two non-empty. start and stop are _lines'.
+    `form` names, the first two non-empty. The line is split only at its
+    fields' tabs, so a tab left in the last field is one field too many.
     A file without lines is MalformedLine too, named by `kind`."""
     n_fields = form.count("<TAB>") + 1
     lineno = 0
-    for lineno, line in _lines(path, start, stop):
-        fields = line.split("\t")
-        if len(fields) != n_fields or not fields[0] or not fields[1]:
+    for lineno, line in _lines(path):
+        fields = line.split("\t", n_fields - 1)
+        if (len(fields) != n_fields or not fields[0] or not fields[1]
+                or "\t" in fields[-1]):
             raise MalformedLine(lineno, f"line {lineno}: expected {form!r}, got {line!r}")
         yield lineno, fields
     if not lineno:
@@ -303,79 +263,62 @@ def read_relevance(path, known_ids=None) -> Relevance:
     With known_ids the table is known_ids, each id once in its first
     position, and any other query or relevant id raises UnknownId.
     Without, the table holds every id the file names, in first-seen
-    order. The file is parsed in parts at once (see _part_cuts), and in
-    one pass when that fails, so the result and any error are those of
-    one pass over the whole file.
+    order. An id list of SHARED_ENDS_MIN or more characters whose first
+    or last id the line before shares copies their shared ends from its
+    row and looks up only the ids between, where any empty or unknown id
+    must lie; every other check reads the whole line. Errors come in
+    line order and, within a line: repeated query, empty id, unknown
+    query, unknown relevant id.
     """
-    return (_read_parts(path, known_ids, _part_cuts(path))
-            or _read_parts(path, known_ids, [0, None]))
-
-
-def _read_parts(path, known_ids, cuts):
-    """read_relevance of the parts between `cuts` (as _part_cuts gives
-    them): the first parsed here, so its errors propagate as one pass
-    raises them, each other in a forked child, merged in order. None
-    when a child's part does not merge (the child failed, or its stream
-    ended early) or repeats an earlier part's query: positions are
-    unique per id string, so such a query repeats in the merged queries."""
     index = _interning_index() if known_ids is None else id_table(known_ids)
-    parts = list(zip(cuts[:-1], cuts[1:]))
-    # every child forks before part 0 is parsed, so it starts from
-    # known_ids or from an empty index: _merge_child relies on it
-    with parallel.forked(lambda part, out: _send_part(path, index, *part, out),
-                         parts[1:]) as streams:
-        queries, indptr, indices = array("i"), array("i", [0]), array("i")
-        _relevance_part(path, index, *parts[0], queries, indptr, indices)
-        merged = all(_merge_child(fh, index, queries, indptr, indices) for fh in streams)
-    if merged and len(set(queries)) == len(queries):
-        return Relevance(index, queries, indptr, indices)
-    return None
-
-
-def _relevance_part(path, index, start, stop, queries, indptr, indices) -> None:
-    """Parse bytes start..stop of a relevance file onto the CSR queries,
-    indptr and indices, the positions looked up in `index`; line numbers
-    count from the part's first line. An id list of SHARED_ENDS_MIN or more
-    characters whose first or last id the line before shares copies their
-    shared ends from its row and looks up only the ids between, where any
-    unknown id must lie; every other check reads the whole line."""
+    queries, indptr, indices = array("i"), array("i", [0]), array("i")
     seen, prev, gate, lookup = set(), "", SHARED_ENDS_MIN, index.__getitem__
-    for lineno, (query, id_blob) in _records(path, "relevance", "query_id<TAB>id,id,...",
-                                             start, stop):
+    for lineno, (query, id_blob) in _records(path, "relevance", "query_id<TAB>id,id,..."):
         if query in seen:
             raise DuplicateId(f"line {lineno}: repeated query id {query!r}")
         seen.add(query)
-        if id_blob.startswith(",") or id_blob.endswith(",") or ",," in id_blob:
+        between = None
+        if len(id_blob) < gate:
+            prev = ""
+        else:
+            i = id_blob.find(",")
+            if i > 0 and (prev.startswith(id_blob[:i + 1])
+                          or prev.endswith(id_blob[id_blob.rfind(","):])):
+                head, between, tail = _shared_ends(prev, id_blob, indptr[-1] - indptr[-2])
+            prev = id_blob
+        if between is None:
+            empty = id_blob.startswith(",") or id_blob.endswith(",") or ",," in id_blob
+        else:  # the shared ends are the line before's, which has no empty id
+            empty = ",," in between
+        if empty:
             raise MalformedLine(lineno, f"line {lineno}: empty id in relevant list")
         try:
             queries.append(index[query])
         except KeyError:
             raise UnknownId(f"line {lineno}: unknown query id {query!r}") from None
         try:
-            if len(id_blob) < gate:
-                prev = ""
+            if between is None:
                 indices.fromlist(list(map(lookup, id_blob.split(","))))
             else:
-                middle, tail, i = id_blob, 0, id_blob.find(",")
-                if i > 0 and (prev.startswith(id_blob[:i + 1])
-                              or prev.endswith(id_blob[id_blob.rfind(","):])):
-                    head, middle, tail = _shared_ends(prev, id_blob, indptr[-1] - indptr[-2])
-                    indices.extend(indices[indptr[-2]:indptr[-2] + head])
-                prev = id_blob
-                if middle:
-                    indices.fromlist(list(map(lookup, middle.split(","))))
+                indices.extend(indices[indptr[-2]:indptr[-2] + head])
+                if len(between) > 1:
+                    indices.fromlist(list(map(lookup, between[1:-1].split(","))))
                 indices.extend(indices[indptr[-1] - tail:indptr[-1]])
         except KeyError as e:
             raise UnknownId(f"line {lineno}: unknown relevant id {e.args[0]!r}") from None
         indptr.append(len(indices))
+    return Relevance(index, queries, indptr, indices)
 
 
 def _shared_ends(prev: str, id_blob: str, n_prev: int):
-    """(head, middle, tail): id list `id_blob` is the first `head` of the
-    n_prev ids of `prev`, the ids of the text `middle`, then prev's last
-    `tail`. Shared are the whole ids of the lists' common UTF-8 prefix and
-    (from its last comma on) suffix, one numpy comparison each; commas are
-    counted only in the shorter shared end and in prev's middle."""
+    """(head, between, tail): id list `id_blob` is the first `head` of the
+    n_prev ids of `prev`, the ids of the text `between` without its first
+    and last character, then prev's last `tail`. `between` is that text
+    with the comma on each side (one comma when it is empty), so an empty
+    id of id_blob that prev does not hold is a ",," in it. Shared are the
+    whole ids of the lists' common UTF-8 prefix and (from its last comma
+    on) suffix, one numpy comparison each; commas are counted only in the
+    shorter shared end and in prev's middle."""
     a, b = f",{prev},".encode("utf-8"), f",{id_blob},".encode("utf-8")
     x, y = np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8)
     n = min(len(a), len(b))  # both end in commas, so argmin 0 means all equal
@@ -385,69 +328,7 @@ def _shared_ends(prev: str, id_blob: str, n_prev: int):
     dropped = a.count(b",", cut, first + len(a) - len(b))
     head = (b.count(b",", 0, cut) if cut < len(b) - first
             else n_prev - dropped - b.count(b",", first + 1))
-    return head, b[cut + 1:first].decode("utf-8"), n_prev - dropped - head
-
-
-def _part_cuts(path) -> list:
-    """[0, c1, ..., None]: where each part of a text file starts, then
-    None for its end. There is one part per usable CPU (see
-    parallel.usable_cpus), each of at least PART_BYTES. Each cut sits
-    just after a b"\\n", so a CRLF pair never straddles one and every
-    part holds whole lines."""
-    size = os.stat(path).st_size
-    k = max(1, min(parallel.usable_cpus(), size // PART_BYTES))
-    cuts = [0]
-    if k > 1:
-        with open(path, "rb") as fh:
-            for j in range(1, k):
-                fh.seek(max(cuts[-1], size * j // k - 1))
-                fh.readline()  # to just past the next b"\n", or to the end
-                if fh.tell() < size:
-                    cuts.append(fh.tell())
-    return cuts + [None]
-
-
-def _send_part(path, index, start, stop, out) -> None:
-    """Parse bytes start..stop of a relevance file in a child and send
-    the part through `out`: _PART_HEAD, the text of its new ids, then
-    its queries, indptr and indices. A part that does not parse sends
-    nothing."""
-    n_known = len(index)
-    queries, indptr, indices = array("i"), array("i", [0]), array("i")
-    _relevance_part(path, index, start, stop, queries, indptr, indices)
-    new_ids = "".join(f"{i}\n" for i in itertools.islice(index, n_known, None))
-    new_ids = new_ids.encode("utf-8")
-    out.write(_PART_HEAD.pack(len(new_ids), len(queries), len(indices)))
-    for block in (new_ids, queries, indptr, indices):
-        out.write(block)
-
-
-def _merge_child(fh, index, queries, indptr, indices) -> bool:
-    """Append the part a child sent through fh to the CSR queries, indptr
-    and indices, its positions moved to `index`'s. The child forked from
-    known_ids or from an empty index: with known ids it adds none and its
-    positions are `index`'s; without, they index the new ids it sends,
-    and looking those up in `index` gives them their first-seen positions.
-    False when the stream ends early (a child that failed sends nothing)."""
-    read = parallel.read_exact
-    try:
-        n_text, n_queries, n_indices = _PART_HEAD.unpack(read(fh, _PART_HEAD.size))
-        new_ids = read(fh, n_text).decode("utf-8").split("\n")[:-1]
-        part_queries = read(fh, 4 * n_queries)
-        part_indptr = array("i", read(fh, 4 * n_queries + 4))
-        remap = np.array([index[i] for i in new_ids], dtype=np.int32)
-
-        def moved(positions: bytes) -> bytes:
-            return remap[np.frombuffer(positions, np.int32)].tobytes() if new_ids else positions
-
-        base = len(indices)
-        for left in range(n_indices, 0, -_CHUNK_INTS):
-            indices.frombytes(moved(read(fh, 4 * min(left, _CHUNK_INTS))))
-    except EOFError:
-        return False
-    queries.frombytes(moved(part_queries))
-    indptr.extend(base + p for p in part_indptr[1:])
-    return True
+    return head, b[cut:first + 1].decode("utf-8"), n_prev - dropped - head
 
 
 def read_scored_pairs(path, ids=None) -> list:
@@ -468,6 +349,21 @@ def read_scored_pairs(path, ids=None) -> list:
     return triples
 
 
+def write_replacing(path, chunks) -> None:
+    """Write the byte strings `chunks` to a temporary file in path's
+    directory, then move it over path: a write that fails leaves path's
+    previous bytes (or no file) and removes the temporary file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -480,15 +376,15 @@ def _check_finite(params: StudentParams) -> None:
 
 
 def save_checkpoint(path, params: StudentParams, config: dict) -> None:
-    """Serialize params + config echo; round-trips bit-exactly."""
+    """Serialize params + config echo; round-trips bit-exactly. A failed
+    write leaves the file at path as it was (see write_replacing)."""
     cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
     _check_finite(params)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIIIB", CHECKPOINT_VERSION, *params.dims, 0))
-        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
-        fh.write(struct.pack("<I", len(cfg_bytes)))
-        fh.write(cfg_bytes)
+    write_replacing(path, (CHECKPOINT_MAGIC,
+                           struct.pack("<IIIIIB", CHECKPOINT_VERSION, *params.dims, 0),
+                           np.ascontiguousarray(params.flat, dtype="<f8").tobytes(),
+                           struct.pack("<I", len(cfg_bytes)),
+                           cfg_bytes))
 
 
 def load_checkpoint(path):

@@ -1,15 +1,15 @@
 """Parts of one computation run at once in forked children.
 
-A caller cuts its work into parts, one per usable CPU. It hands every
-part but the first to `forked`, which starts a child per part that
-sends its result through a pipe, works on the first part itself, then
-reads each child's stream with `read_exact`. A child that fails, or
-cannot be started, sends a stream that ends early, and the caller falls
-back to its own process, so results and errors are those of one
-process. No child outlives the `forked` block, also on an error. Where
-the os module lacks fork or sched_getaffinity, `usable_cpus` is 1 and
-callers make one part, so nothing forks. This is the one place that
-forks.
+The ranker (metrics) cuts its work into parts, one per usable CPU, and
+is this module's one user. It hands every part but the first to
+`forked`, which starts a child per part that sends its result through a
+pipe, works on the first part itself, then reads each child's stream
+with `read_exact`. A child that fails, or cannot be started, sends a
+stream that ends early, and the caller falls back to its own process,
+so results and errors are those of one process. No child outlives the
+`forked` block, also on an error. Where the os module lacks fork or
+sched_getaffinity, `usable_cpus` is 1 and the ranker makes one part,
+so nothing forks. This is the one place that forks.
 """
 
 from __future__ import annotations

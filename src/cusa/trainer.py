@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataio import FeatureTable
+from .dataio import FeatureTable, write_replacing
 from .errors import BatchTooLarge, InvalidConfig, MissingFeature, NumericError, TrainAbort
 from .losses import batch_loss_and_grads
 from .mathops import Workspace, l2_normalize_rows
@@ -86,11 +86,10 @@ class TrainLog:
     records: list = field(default_factory=list)
 
     def write(self, path) -> None:
-        """Line-delimited JSON: header first, then one record per step."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.header, sort_keys=True) + "\n")
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        """Line-delimited JSON: header first, then one record per step. A
+        failed write leaves the file at path as it was."""
+        write_replacing(path, (f"{json.dumps(rec, sort_keys=True)}\n".encode("utf-8")
+                               for rec in (self.header, *self.records)))
 
 
 def make_batches(n_pairs: int, batch_size: int, seed: int, epoch: int) -> list:

@@ -1,6 +1,6 @@
 """Fixtures shared by the tests: no test may leave a child process behind,
-os.fork and dataio._shared_ends calls can be counted, and the relevance
-parse and the ranker can be run on a forced number of CPUs."""
+os.fork and dataio._shared_ends calls can be counted, and the ranker can
+be run on a forced number of CPUs."""
 
 import contextlib
 import os
@@ -52,7 +52,6 @@ def shared_ends_calls(monkeypatch):
 @contextlib.contextmanager
 def _cpus_forced(cpus: int):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "PART_BYTES", 1)
         mp.setattr(metrics, "RANGE_ROWS", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         if cpus == 1:
@@ -67,9 +66,7 @@ def _no_fork():
 @pytest.fixture(scope="session")
 def forced_cpus():
     """forced_cpus(k): a context in which this process may use k CPUs,
-    whatever it may use in fact: read_relevance splits each file into k
-    parts (fewer when the file has fewer lines), whatever its size, and
-    the ranker cuts each direction's query blocks into k ranges (fewer
-    when there are fewer blocks), whatever their rows. At k = 1 nothing
-    forks."""
+    whatever it may use in fact: the ranker cuts each direction's query
+    blocks into k ranges (fewer when there are fewer blocks), whatever
+    their rows. At k = 1 nothing forks."""
     return _cpus_forced

@@ -6,6 +6,7 @@ monkeypatching work; corpora are kept tiny (12 pairs) for speed.
 
 import argparse
 import dataclasses
+import errno
 import io
 import json
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cusa.cli
+import cusa.dataio
 import cusa.losses
 import cusa.synthetic
 import cusa.trainer
@@ -157,6 +159,15 @@ class TestSynthCommand:
 # train
 # ---------------------------------------------------------------------------
 
+class _FullDisk(io.BufferedWriter):
+    """A file that takes half of its first write, then fails as a full
+    disk does."""
+
+    def write(self, data):
+        super().write(bytes(data)[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestTrainCommand:
     def test_outputs_and_report(self, corpus, trained, capsys):
         assert (trained / "model.ckpt").exists()
@@ -236,6 +247,27 @@ class TestTrainCommand:
         assert f"{field}=1000000000000" in line
         assert "Traceback" not in err
         assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("failing", ["model.ckpt", "train.log"])
+    def test_a_failed_write_keeps_the_previous_file(self, corpus, tmp_path, capsys,
+                                                    monkeypatch, failing):
+        previous = {name: f"previous {name}\n".encode() for name in ("model.ckpt", "train.log")}
+        for name, raw in previous.items():
+            (tmp_path / name).write_bytes(raw)
+        real_open, failed = open, []
+
+        def open_failing(file, mode="r", *args, **kwargs):
+            if mode == "wb" and Path(file).name.startswith(failing):
+                failed.append(file)
+                return _FullDisk(io.FileIO(file, "w"))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cusa.dataio, "open", open_failing, raising=False)
+        code, report, err = run(capsys, train_flags(corpus, tmp_path))
+        assert code == 3 and report is None and failed
+        assert "No space left on device" in err
+        assert (tmp_path / failing).read_bytes() == previous[failing]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "train.log"]
 
     def test_missing_input_file(self, corpus, tmp_path, capsys):
         argv = train_flags(corpus, tmp_path)
@@ -987,7 +1019,7 @@ def command_lines(draw):
 @settings(deadline=None, max_examples=100)
 @given(argv=command_lines())
 def test_every_command_line_ends_in_an_exit_code(corpus, trained, argv):
-    # files stay far below dataio.PART_BYTES, so no example forks
+    # no example ranks enough query blocks to fork
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "file").write_text("a regular file\n", encoding="utf-8")
         args = [arg.format(corpus=corpus, trained=trained, tmp=tmp) for arg in argv]

@@ -6,7 +6,6 @@ documented in dataio.py; if the layout changes these must change too.
 
 import importlib.util
 import json
-import os
 import re
 import struct
 import tracemalloc
@@ -18,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from cusa import dataio, parallel
+from cusa import dataio
 from cusa.cli import main
 from cusa.dataio import (
     FeatureTable,
@@ -420,24 +419,40 @@ def relevance_files(draw):
 @settings(deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(raw=relevance_files())
-@example(raw=b"a\tb\nb\ta\nq\ta\na\tq\n")  # a query repeated in a later part
-@example(raw=b"a\tb\nb\ta\nq\tz\n")  # an unknown id in a later part
-@example(raw=b"a\tb\nb\ta\nq\ta,,b\n")  # an empty id in a later part
-@example(raw=b"a\tb\nb\ta\nq\t\xc3\n")  # bad UTF-8 in a later part
+@example(raw=b"a\tb\nb\ta\nq\ta\na\tq\n")  # a query repeated two lines on
+@example(raw=b"a\tb\nb\ta\nq\tz\n")  # an unknown id on the last line
+@example(raw=b"a\tb\nb\ta\nq\ta,,b\n")  # an empty id on the last line
+@example(raw=b"a\tb\nb\ta\nq\t\xc3\n")  # bad UTF-8 on the last line
 @example(raw=b"a\tb\rb\ta\r\nq\t\xc3\xa9\r\n\xc3\xa9\tq\n")  # CR and CRLF ends
 @example(raw=b"a\tb,q\n")  # one line
 @example(raw=b"a\tb\rb\ta\rq\ta")  # no b"\n" at all
-def test_any_part_count_parses_like_one_part(tmp_path, forced_cpus, raw):
+def test_each_line_is_read_in_order_or_the_first_bad_one_is_named(tmp_path, raw):
+    """read_relevance reads every line's query and ids, in order, over a
+    table of known_ids or of the ids in first-seen order; or it raises an
+    error naming line N that the file cut after line N raises too, while
+    the file cut before line N parses."""
+    lines = raw.splitlines(keepends=True)  # at LF, CRLF and lone CR, as text files split
     path = tmp_path / "relevance.tsv"
-    path.write_bytes(raw)
     for known_ids in (RELEVANCE_IDS, None):
-        with forced_cpus(1):
-            whole = relevance_outcome(path, known_ids)
-        if len(whole) == 3:  # an error, not the four lists of a Relevance
-            assert_names_its_line(whole, raw, ("MalformedLine", "UnknownId", "DuplicateId"))
-        for parts in (2, 3, 4):
-            with forced_cpus(parts):
-                assert relevance_outcome(path, known_ids) == whole, (parts, known_ids)
+        path.write_bytes(raw)
+        outcome = relevance_outcome(path, known_ids)
+        if len(outcome) == 3:  # an error, not the four lists of a Relevance
+            assert_names_its_line(outcome, raw, ("MalformedLine", "UnknownId", "DuplicateId"))
+            bad = int(re.match(r"line ([0-9]+): ", outcome[2])[1])
+            path.write_bytes(b"".join(lines[:bad]))
+            assert relevance_outcome(path, known_ids) == outcome, known_ids
+            if bad > 1:
+                path.write_bytes(b"".join(lines[:bad - 1]))
+                assert len(relevance_outcome(path, known_ids)) == 4, known_ids
+            continue
+        rows = [line.decode("utf-8").rstrip("\r\n").split("\t") for line in lines]
+        table, queries, indptr, indices = outcome
+        assert [table[q] for q in queries] == [query for query, _ in rows]
+        assert [[table[i] for i in indices[lo:hi]] for lo, hi in zip(indptr, indptr[1:])] \
+            == [id_blob.split(",") for _, id_blob in rows]
+        assert table == (RELEVANCE_IDS if known_ids else
+                         list(dict.fromkeys(i for query, id_blob in rows
+                                            for i in (query, *id_blob.split(",")))))
 
 
 EDITED_QUERIES = [f"p{i}" for i in range(8)]
@@ -475,26 +490,28 @@ def edited_relevance_files(draw):
 @example(raw=b"p0\ta,b\np1\tab,b\np2\ta,ab\np3\tab\n")  # ids that begin others
 @example(raw="p0\t\u00e9,a,b\np1\t\u00e8,a,b\n".encode("utf-8"))  # a mismatch inside \u00e9
 @example(raw=b"p0\ta,b,q\np1\ta,z,q\n")  # an unknown id between shared ends
-@example(raw=b"p0\ta,b\np1\ta,b\np2\ta,b\np3\ta,b\np4\ta,b\n")  # parts cut on shared lines
-def test_shared_ends_parse_like_a_full_lookup(tmp_path, forced_cpus, raw):
+@example(raw=b"p0\ta,b\np1\ta,b\np2\ta,b\np3\ta,b\np4\ta,b\n")  # every id shared
+@example(raw=b"p0\ta,b\np1\ta,,b\n")  # an empty id between shared ends
+@example(raw=b"p0\ta,b\np1\tc,,b\n")  # ... after a new first id
+@example(raw=b"p0\ta,b,c\np1\ta,,c\n")  # ... in place of a dropped id
+@example(raw=b"p0\ta,b\np1\ta,b,\n")  # ... after a shared last id
+def test_shared_ends_parse_like_a_full_lookup(tmp_path, raw):
     # every line of two or more ids whose end id the previous line shares
     # takes the shared-ends path at gate 0, and none does above every line
     path = tmp_path / "relevance.tsv"
     path.write_bytes(raw)
     for known_ids in ([*RELEVANCE_IDS, *EDITED_QUERIES], None):
-        with forced_cpus(1), pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "SHARED_ENDS_MIN", len(raw) + 1)
             whole = relevance_outcome(path, known_ids)
-        for parts in (1, 2, 3, 4):
-            with forced_cpus(parts), pytest.MonkeyPatch.context() as mp:
-                mp.setattr(dataio, "SHARED_ENDS_MIN", 0)
-                assert relevance_outcome(path, known_ids) == whole, (parts, known_ids)
+            mp.setattr(dataio, "SHARED_ENDS_MIN", 0)
+            assert relevance_outcome(path, known_ids) == whole, known_ids
 
 
 class TestSharedEnds:
     """Which lines read_relevance compares with the line before."""
 
-    def test_only_long_lines_that_share_an_end_id_are_compared(self, tmp_path, forced_cpus,
+    def test_only_long_lines_that_share_an_end_id_are_compared(self, tmp_path,
                                                                 shared_ends_calls):
         long, short = ",".join(f"m{k:03d}" for k in range(250)), "a,m000,b"
         assert len(long) >= dataio.SHARED_ENDS_MIN > len(short)
@@ -506,8 +523,7 @@ class TestSharedEnds:
         ]
         path = tmp_path / "r.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with forced_cpus(1):
-            rel = read_relevance(path)
+        rel = read_relevance(path)
         assert [args[2] for args in shared_ends_calls] == [252, 252]
         assert relevance_sets(rel)["q5"] == {"t", "w", *long.split(",")}
 
@@ -522,103 +538,11 @@ def write_relevance_of_size(path, size):
     return path
 
 
-class TestRelevanceParts:
-    """How read_relevance splits a file and runs its parts."""
-
-    @staticmethod
-    def cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    def test_cuts_sit_after_line_feeds(self, tmp_path, forced_cpus):
-        path = write_text(tmp_path, "r.tsv", "a\tb\r\nb\ta\r\nq\ta\n")
-        with forced_cpus(3):
-            assert dataio._part_cuts(path) == [0, 5, 10, None]
-        path.write_bytes(b"a\tb\nq\ta\n")  # the middle byte starts a line
-        with forced_cpus(2):
-            assert dataio._part_cuts(path) == [0, 4, None]
-        path.write_bytes(b"a\tb\rb\ta\rq\ta\r")
-        with forced_cpus(3):
-            assert dataio._part_cuts(path) == [0, None]
-
-    @pytest.mark.parametrize("cpus, size", [(1, 2 * dataio.PART_BYTES + 5),
-                                            (4, dataio.PART_BYTES - 1)])
-    def test_one_cpu_or_a_file_under_a_part_forks_nothing(self, tmp_path, monkeypatch, forks,
-                                                         cpus, size):
-        path = write_relevance_of_size(tmp_path / "r.tsv", size)
-        self.cpus(monkeypatch, cpus)
+def test_a_large_file_on_many_cpus_is_parsed_in_this_process(tmp_path, forced_cpus, forks):
+    path = write_relevance_of_size(tmp_path / "r.tsv", 2 << 20)
+    with forced_cpus(4):
         rel = read_relevance(path)
-        assert forks == [] and len(rel.queries) == size // 1024
-
-    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
-    def test_a_platform_without_fork_or_affinity_parses_in_one_process(
-            self, tmp_path, monkeypatch, missing):
-        path = write_relevance_of_size(tmp_path / "r.tsv", 2 * dataio.PART_BYTES)
-        whole = relevance_outcome(path)
-        monkeypatch.delattr(os, missing)
-        assert dataio._part_cuts(path) == [0, None]
-        assert relevance_outcome(path) == whole
-
-    def test_two_cpus_and_two_parts_fork_one_child(self, tmp_path, monkeypatch, forks):
-        path = write_relevance_of_size(tmp_path / "r.tsv", 2 * dataio.PART_BYTES)
-        self.cpus(monkeypatch, 1)
-        whole = relevance_outcome(path)
-        self.cpus(monkeypatch, 2)
-        assert dataio._part_cuts(path) == [0, dataio.PART_BYTES, None]
-        assert relevance_outcome(path) == whole
-        assert forks == [1]
-
-    @pytest.mark.parametrize("bad_line", [1, 2000], ids=["part-0", "part-1"])
-    def test_a_fault_in_any_part_leaves_no_child(self, tmp_path, monkeypatch, bad_line):
-        path = write_relevance_of_size(tmp_path / "r.tsv", 2 * dataio.PART_BYTES)
-        lines = path.read_text(encoding="ascii").splitlines(keepends=True)
-        lines[bad_line - 1] = lines[bad_line - 1].replace("\t", " ")
-        path.write_text("".join(lines), encoding="ascii")
-        self.cpus(monkeypatch, 2)
-        with pytest.raises(MalformedLine) as excinfo:
-            read_relevance(path)
-        assert excinfo.value.lineno == bad_line
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_a_child_that_cannot_start_or_dies_leaves_its_part_to_the_parent(
-            self, tmp_path, monkeypatch, forced_cpus):
-        path = write_text(tmp_path, "r.tsv", "a\tb\nb\ta,\u00e9\nq\ta\n\u00e9\tb,q\n")
-        whole = [relevance_outcome(path, known) for known in (RELEVANCE_IDS, None)]
-        real_fork = os.fork
-
-        def dying_fork():
-            pid = real_fork()
-            if pid == 0:
-                os._exit(0)
-            return pid
-
-        def failing_fork():
-            raise OSError("no process to spare")
-
-        for fork in (dying_fork, failing_fork):
-            with forced_cpus(3):
-                monkeypatch.setattr(os, "fork", fork)
-                assert [relevance_outcome(path, known)
-                        for known in (RELEVANCE_IDS, None)] == whole
-
-    def test_a_child_stream_that_ends_early_is_parsed_again(self, tmp_path, monkeypatch,
-                                                           forced_cpus):
-        # the second part is the last line, its 5 ids sent in chunks of 2
-        path = write_text(tmp_path, "r.tsv", "a\tb,q,a,b,q,a\nq\ta\nb\ta,\u00e9,q,b,a\n")
-        whole = relevance_outcome(path)
-        real_read, reads = parallel.read_exact, []
-
-        def read_exact(fh, size):
-            reads.append(size)  # head, new ids, queries, indptr, chunks
-            if len(reads) == 6:
-                raise EOFError("cut off")
-            return real_read(fh, size)
-
-        with forced_cpus(2):
-            monkeypatch.setattr(dataio, "_CHUNK_INTS", 2)
-            monkeypatch.setattr(parallel, "read_exact", read_exact)
-            assert relevance_outcome(path) == whole
-        assert reads[4:] == [8, 8]
+    assert forks == [] and len(rel.queries) == 2048
 
 
 class TestReadScoredPairs:
@@ -668,6 +592,16 @@ class TestRecordLayout:
         path = write_text(tmp_path, "f.tsv", f"{good}\n{line}\n")
         with pytest.raises(MalformedLine, match=r"^line 2: expected '") as excinfo:
             read(path)
+        assert excinfo.value.lineno == 2
+        assert str(excinfo.value).endswith(f", got {line!r}")
+
+    def test_a_tab_near_the_end_of_a_long_line_is_one_field_too_many(self, tmp_path):
+        ids = ",".join(f"m{k:03d}" for k in range(250))
+        line = f"q\t{ids[:-3]}\t{ids[-3:]}"
+        assert len(line) >= dataio.SHARED_ENDS_MIN
+        path = write_text(tmp_path, "r.tsv", f"p\t{ids}\n{line}\n")
+        with pytest.raises(MalformedLine, match=r"^line 2: expected '") as excinfo:
+            read_relevance(path)
         assert excinfo.value.lineno == 2
         assert str(excinfo.value).endswith(f", got {line!r}")
 

@@ -116,12 +116,11 @@ prefix, one appended byte and every single-byte flip of a small
 relevance file (a non-ASCII id, a CRLF line end, an unknown id and a
 repeated query), read with an id table and with interning: the
 (exception class, line number, message) of its error, or the CSR and
-the order of its id table. It was produced at commit 6b33e30, while the
-reader still parsed every file in one process, and it must hold with
-the file split into 1, 2 and 3 parts, both at the reader's
+the order of its id table. It was produced at commit 6b33e30, before
+any line copied ids, and it must hold both at the reader's
 `SHARED_ENDS_MIN` and with that gate at 0, where every line of two or
 more ids whose first or last id the line before shares copies the ids
-the two share at each end. It was produced before any line copied ids.
+the two share at each end.
 
 The bytes depend on the floating-point stack (numpy build and BLAS
 kernels). On another stack, regenerate the digests from a commit whose
@@ -284,7 +283,7 @@ def test_multi_block_eval_reports_are_byte_identical(tmp_path, monkeypatch, forc
             assert cli.main(["eval", *flags]) == 0
         digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digests == MULTI_BLOCK_EVAL_SHA256
-    assert shared_ends_calls  # this process's part copied shared ids
+    assert shared_ends_calls  # the parse copied shared ids
 
 
 def _report_runs(tmp_path, monkeypatch):
@@ -418,10 +417,9 @@ def _relevance_outcomes(tmp_path):
     return outcomes
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3])
-def test_relevance_reader_outcomes_are_byte_identical(tmp_path, forced_cpus, parts):
+def test_relevance_reader_outcomes_are_byte_identical(tmp_path):
     for gate in (0, dataio.SHARED_ENDS_MIN):
-        with forced_cpus(parts), pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "SHARED_ENDS_MIN", gate)
             outcomes = _relevance_outcomes(tmp_path)
         digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()

@@ -1,5 +1,5 @@
 """Outputs do not depend on the BLAS thread count or on the number of
-CPUs the relevance parse and the ranker run on.
+CPUs the ranker runs on.
 
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads, so each
 thread count runs in its own `python -m cusa.cli` child; only the
@@ -55,18 +55,6 @@ def test_eval_report_is_thread_count_invariant(bundle, task):
     assert _cli_stdout(argv, 2) == one
 
 
-@pytest.mark.parametrize("task", ["cross", "img"])
-def test_eval_report_is_relevance_part_count_invariant(bundle, forced_cpus, task):
-    reports = []
-    for parts in (1, 2):
-        out = io.StringIO()
-        with forced_cpus(parts), redirect_stdout(out), redirect_stderr(io.StringIO()):
-            assert main(_eval_argv(bundle, task)) == 0
-        reports.append(out.getvalue())
-    assert '"payload"' in reports[0]
-    assert reports[1] == reports[0]
-
-
 @pytest.fixture(scope="module")
 def small_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_bundle")
@@ -93,7 +81,7 @@ def test_eval_report_is_cpu_count_invariant(small_bundle, forced_cpus, forks, mo
         reports.append(out.getvalue())
     assert '"payload"' in reports[0]
     assert reports[1] == reports[0] and reports[2] == reports[0]
-    # per direction, one child at 2 CPUs and two at 3, beside the parse's
+    # per direction, one child at 2 CPUs and two at 3; the parse forks none
     ranker_forks = 3 * (2 if case.startswith("cross") else 1)
-    parse_forks = 0 if case == "cross-pairs" else 3
+    parse_forks = 0
     assert len(forks) == ranker_forks + parse_forks
