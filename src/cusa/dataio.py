@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -350,12 +351,23 @@ def read_scored_pairs(path, ids=None) -> list:
 
 
 def write_replacing(path, chunks) -> None:
-    """Write the byte strings `chunks` to a temporary file in path's
-    directory, then move it over path: a write that fails leaves path's
-    previous bytes (or no file) and removes the temporary file."""
+    """Write the byte strings `chunks` to path, following a symlink to its
+    target. A target that is absent or a regular file is replaced: the
+    bytes go to a temporary file in its directory, with its permission
+    bits, which is moved over it on success and removed on failure, so a
+    failed write leaves the previous bytes (or no file). Any other target
+    (a device such as /dev/null, a pipe) is written in place."""
+    path = os.path.realpath(path)
+    mode = os.stat(path).st_mode if os.path.exists(path) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

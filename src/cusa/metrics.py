@@ -306,10 +306,8 @@ def _direction_terms(queries, gallery, query_ids, gallery_ids, rel, exclude_self
         got = [terms(ranges[0])]
         for part, fh in zip(ranges[1:], streams):
             size = TERMS.itemsize * (part[-1][1] - part[0][0])
-            try:
-                got.append(np.frombuffer(parallel.read_exact(fh, size), dtype=TERMS))
-            except EOFError:
-                got.append(terms(part))
+            data = fh.read(size)
+            got.append(np.frombuffer(data, dtype=TERMS) if len(data) == size else terms(part))
     return np.concatenate(got)
 
 

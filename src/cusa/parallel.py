@@ -3,13 +3,13 @@
 The ranker (metrics) cuts its work into parts, one per usable CPU, and
 is this module's one user. It hands every part but the first to
 `forked`, which starts a child per part that sends its result through a
-pipe, works on the first part itself, then reads each child's stream
-with `read_exact`. A child that fails, or cannot be started, sends a
-stream that ends early, and the caller falls back to its own process,
-so results and errors are those of one process. No child outlives the
-`forked` block, also on an error. Where the os module lacks fork or
-sched_getaffinity, `usable_cpus` is 1 and the ranker makes one part,
-so nothing forks. This is the one place that forks.
+pipe, works on the first part itself, then reads each child's stream.
+A child that fails, or cannot be started, sends a stream that ends
+early, and the caller falls back to its own process, so results and
+errors are those of one process. No child outlives the `forked` block,
+also on an error. Where the os module lacks fork or sched_getaffinity,
+`usable_cpus` is 1 and the ranker makes one part, so nothing forks.
+This is the one place that forks.
 """
 
 from __future__ import annotations
@@ -71,11 +71,3 @@ def _kill(pid: int) -> None:
 
     with contextlib.suppress(ProcessLookupError):
         os.kill(pid, signal.SIGKILL)
-
-
-def read_exact(fh, size: int) -> bytes:
-    """The next `size` bytes of fh; EOFError when its stream ends first."""
-    data = fh.read(size)
-    if len(data) < size:
-        raise EOFError(f"{len(data)} of {size} bytes")
-    return data

@@ -9,6 +9,7 @@ import dataclasses
 import errno
 import io
 import json
+import os
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -268,6 +269,40 @@ class TestTrainCommand:
         assert "No space left on device" in err
         assert (tmp_path / failing).read_bytes() == previous[failing]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "train.log"]
+
+    def test_symlinked_outputs_stay_links_and_their_targets_are_rewritten(
+            self, corpus, tmp_path, capsys):
+        (tmp_path / "real").mkdir()
+        for name in ("model.ckpt", "train.log"):
+            target = tmp_path / "real" / name
+            target.write_bytes(b"previous\n")
+            target.chmod(0o640)
+            (tmp_path / name).symlink_to(target)
+        code, report, _ = run(capsys, train_flags(corpus, tmp_path))
+        assert code == 0 and report is not None
+        for name in ("model.ckpt", "train.log"):
+            assert (tmp_path / name).is_symlink()
+            target = tmp_path / "real" / name
+            assert target.read_bytes() != b"previous\n"
+            assert target.stat().st_mode & 0o777 == 0o640
+        load_checkpoint(tmp_path / "model.ckpt")
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["model.ckpt", "train.log"]
+
+    def test_a_log_to_the_null_device_is_written_in_place(self, corpus, tmp_path, capsys,
+                                                          monkeypatch):
+        real_replace = os.replace
+
+        def replace_guarded(src, dst, *args, **kwargs):
+            # a fault here must fail the test, not replace the device node
+            assert os.path.realpath(dst) != os.devnull, f"{src} moved over {dst}"
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace_guarded)
+        argv = train_flags(corpus, tmp_path)
+        argv[argv.index("--log") + 1] = os.devnull
+        code, report, _ = run(capsys, argv)
+        assert code == 0 and report is not None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_missing_input_file(self, corpus, tmp_path, capsys):
         argv = train_flags(corpus, tmp_path)

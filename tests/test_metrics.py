@@ -642,14 +642,17 @@ class TestForkedRanking:
         inputs = self.inputs()
         with forced_cpus(1):
             whole = self.reports(*inputs)
-        real_read = parallel.read_exact
+        real_forked = parallel.forked
 
-        def read_exact(fh, size):
-            real_read(fh, size // 2)
-            raise EOFError("cut off")
+        def forked(work, parts):
+            def half_work(part, out):
+                whole_stream = io.BytesIO()
+                work(part, whole_stream)
+                out.write(whole_stream.getvalue()[:len(whole_stream.getvalue()) // 2])
+            return real_forked(half_work, parts)
 
         with forced_cpus(2):
-            monkeypatch.setattr(parallel, "read_exact", read_exact)
+            monkeypatch.setattr(parallel, "forked", forked)
             assert self.reports(*inputs) == whole
 
     @pytest.mark.parametrize("range_rows, n_forks", [(metrics.RANGE_ROWS, 0), (19, 0), (18, 2)])

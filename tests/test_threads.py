@@ -82,6 +82,4 @@ def test_eval_report_is_cpu_count_invariant(small_bundle, forced_cpus, forks, mo
     assert '"payload"' in reports[0]
     assert reports[1] == reports[0] and reports[2] == reports[0]
     # per direction, one child at 2 CPUs and two at 3; the parse forks none
-    ranker_forks = 3 * (2 if case.startswith("cross") else 1)
-    parse_forks = 0
-    assert len(forks) == ranker_forks + parse_forks
+    assert len(forks) == 3 * (2 if case.startswith("cross") else 1)
