@@ -350,30 +350,38 @@ def read_scored_pairs(path, ids=None) -> list:
     return triples
 
 
-def write_replacing(path, chunks) -> None:
-    """Write the byte strings `chunks` to path, following a symlink to its
-    target. A target that is absent or a regular file is replaced: the
-    bytes go to a temporary file in its directory, with its permission
-    bits, which is moved over it on success and removed on failure, so a
-    failed write leaves the previous bytes (or no file). Any other target
+@contextlib.contextmanager
+def replacing(paths):
+    """Yield the files to write in place of `paths`, each path followed
+    through a symlink to its target. A target that is absent or a
+    regular file gets a temporary file in its directory; once the
+    with-block has written them all, each takes its target's permission
+    bits and is moved over it, and on a failure they are removed, so a
+    failed write leaves every previous file (or none). Any other target
     (a device such as /dev/null, a pipe) is written in place."""
-    path = os.path.realpath(path)
-    mode = os.stat(path).st_mode if os.path.exists(path) else None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    real = [os.path.realpath(p) for p in paths]
+    modes = [os.stat(p).st_mode if os.path.exists(p) else None for p in real]
+    files = [p if m is not None and not stat.S_ISREG(m) else f"{p}.{os.getpid()}.tmp"
+             for p, m in zip(real, modes)]
+    temps = [(tmp, path, mode) for tmp, path, mode in zip(files, real, modes) if tmp != path]
     try:
-        with open(tmp, "wb") as fh:
+        yield files
+        for tmp, path, mode in temps:
             if mode is not None:
-                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+                os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp, _, _ in temps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
+
+
+def write_replacing(path, chunks) -> None:
+    """Write the byte strings `chunks` to path through `replacing`: a
+    failed write leaves the previous bytes (or no file)."""
+    with replacing([path]) as (file,), open(file, "wb") as fh:
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------

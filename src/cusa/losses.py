@@ -24,6 +24,8 @@ of that matrix and its gradient lands there directly. Every KL comes
 from the log-sum-exp form, KL(p || q) = sum(p log p) - sum(p z) + lse
 per row, with z the shifted logits and lse their log-sum-exp; log q is
 never formed.
+The two uni-modal directions run as one, on (2, n, n) stacks of
+their logits, targets, softmax and gradient, i2i then t2t.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NegativeWeight, NumericError, ShapeMismatch
-from .mathops import Workspace, row_softmax_with_log
+from .mathops import Workspace, row_softmax_with_log, stack_slice
 
 
 @dataclass
@@ -58,40 +60,46 @@ class LossGradients:
     """Gradients of a scalar loss w.r.t. the similarity logits.
 
     d_s_i2t carries both cross-modal directions (the t2i part enters
-    transposed). d_log_inv_temp is the derivative w.r.t. the log of the
-    one inverse temperature that every softmax of the objective shares.
+    transposed); d_s_uni stacks d_s_i2i and d_s_t2t. d_log_inv_temp is
+    the derivative w.r.t. the log of the one inverse temperature that
+    every softmax of the objective shares.
     """
 
     d_s_i2t: np.ndarray
-    d_s_i2i: np.ndarray
-    d_s_t2t: np.ndarray
+    d_s_uni: np.ndarray
     d_log_inv_temp: float
+
+    d_s_i2i = stack_slice("d_s_uni", 0)
+    d_s_t2t = stack_slice("d_s_uni", 1)
 
 
 def _mean_kl(h: np.ndarray, p: np.ndarray, z: np.ndarray, lse: np.ndarray) -> float:
     """Mean over rows of KL(p || q), from h = sum(p log p) per row and
     the shifted logits z and log-sum-exp lse of q; p and z share a layout."""
-    return float((h.sum() - np.vdot(p, z) + lse.sum()) / h.shape[0])
+    return float((np.add.reduce(h, axis=None) - np.vdot(p, z)
+                  + np.add.reduce(lse, axis=None)) / h.shape[0])
 
 
 def _mean_diag_log_q(z: np.ndarray, lse: np.ndarray) -> float:
-    return float((np.diagonal(z) - lse.ravel()).mean())
+    # the sum over the count, as ndarray.mean forms it
+    return float(np.add.reduce(z.diagonal() - lse.ravel(), axis=None) / lse.size)
 
 
-def _usa_direction(s: np.ndarray, p: np.ndarray, h: np.ndarray, it: float,
-                   beta: float, q: np.ndarray, z: np.ndarray):
-    """One uni-modal direction of the objective.
+def _usa_directions(s: np.ndarray, p: np.ndarray, h: np.ndarray, it: float,
+                    beta: float, q: np.ndarray, z: np.ndarray):
+    """Both uni-modal directions of the objective, from (2, n, n) stacks.
 
-    Returns (KL from p to softmax(s * it), the logit gradient
-    beta * it / 2n * (q - p) formed in the buffer `q`, sum(gradient
-    * s)). With beta = 0 the gradient's entries and its sum are +-0.0,
-    which backward and Adam take as zeros. `s` and `p` are not modified.
+    Returns ((KL from p[k] to softmax(s[k] * it) for k = i2i, t2t), the
+    logit gradient stack beta * it / 2n * (q - p) formed in the buffer
+    `q`, sum(gradient * s) over both). With beta = 0 the gradient's
+    entries and its sums are +-0.0, which backward and Adam take as
+    zeros. `s` and `p` are not modified.
     """
     q, z, lse = row_softmax_with_log(s, it, q, z)
-    kl = _mean_kl(h, p, z, lse)
+    kl = (_mean_kl(h[0], p[0], z[0], lse[0]), _mean_kl(h[1], p[1], z[1], lse[1]))
     q -= p
-    q *= beta * it / (2.0 * s.shape[0])
-    return kl, q, float(np.vdot(q, s))
+    q *= beta * it / (2.0 * s.shape[1])
+    return kl, q, float(np.vdot(q[0], s[0])) + float(np.vdot(q[1], s[1]))
 
 
 def _check_weights(alpha: float, beta: float) -> None:
@@ -109,16 +117,17 @@ def cusa_total(l_original: float, l_csa: float, l_usa: float,
     return total
 
 
-def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, alpha: float, beta: float,
+def loss_from_logits(s_i2t, s_uni, targets, it: float, alpha: float, beta: float,
                      ws: Workspace | None = None):
-    """The training objective and its gradients from the three logit matrices.
+    """The training objective and its gradients from the logit matrices.
 
     Args:
         s_i2t: N x N cross-modal logits; entry (i, i) is the positive
             pair and the t2i logits are its transpose.
-        s_i2i, s_t2t: N x N uni-modal logits of the projector branch.
-        targets: TeacherTargets with constant p_i2i / p_t2t and their
-            row sums h_i2i / h_t2t of p log p.
+        s_uni: 2 x N x N stack of the uni-modal logits of the projector
+            branch, [0] = i2i and [1] = t2t.
+        targets: TeacherTargets with the constant stack p of p_i2i /
+            p_t2t and the stack h of their row sums of p log p.
         it: inverse temperature of every softmax, cross-modal and
             uni-modal.
         alpha: CSA weight; beta: USA weight. Both finite and >= 0.
@@ -128,7 +137,7 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, alpha: float, beta
     Returns:
         (LossReport, LossGradients). d_log_inv_temp is the derivative
         w.r.t. log(it): the cross-modal part, then the uni-modal one
-        added. The gradient matrices are buffers of `ws`, valid until
+        (i2i plus t2t) added. The gradients are buffers of `ws`, valid until
         its next use. A zero weight scales its term's gradient by zero:
         with alpha = 0 the cross-modal gradient keeps the bits of pure
         InfoNCE (c1 + 0 = c1 and d - 0 = d). No input is modified. A
@@ -136,28 +145,25 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, alpha: float, beta
     """
     _check_weights(alpha, beta)
     n = s_i2t.shape[0]
-    p_i2i, p_t2t = targets.p_i2i, targets.p_t2t
-    for name, m in (("s_i2t", s_i2t), ("s_i2i", s_i2i), ("s_t2t", s_t2t),
-                    ("p_i2i", p_i2i), ("p_t2t", p_t2t)):
-        if m.shape != (n, n):
+    p, h = targets.p, targets.h
+    for name, m, shape in (("s_i2t", s_i2t, (n, n)), ("s_uni", s_uni, (2, n, n)),
+                           ("p", p, (2, n, n))):
+        if m.shape != shape:
             raise ShapeMismatch(f"{name} shape {m.shape} does not match batch size {n}")
     it = float(it)
     ws = Workspace() if ws is None else ws
-
-    def buf(name):
-        return ws.buffer(name, (n, n))
+    q, z = ws.buffer("q", (2, n, n)), ws.buffer("z", (2, n, n))
 
     # cross-modal: InfoNCE and CSA share the i2t logits. The t2i softmax
     # runs along the columns, so q_t2i and z_t2i are held transposed and
     # C-ordered, like every other buffer here.
-    q_i2t, z_i2t, lse_i2t = row_softmax_with_log(s_i2t, it, buf("q_i2t"), buf("z_i2t"))
-    q_t2i_t, z_t2i_t, lse_t2i = row_softmax_with_log(s_i2t, it, buf("q_t2i"), buf("z_t2i"),
-                                                     axis=0)
+    q_i2t, z_i2t, lse_i2t = row_softmax_with_log(s_i2t, it, q[0], z[0])
+    q_t2i_t, z_t2i_t, lse_t2i = row_softmax_with_log(s_i2t, it, q[1], z[1], axis=-2)
     l_original = -0.5 * (_mean_diag_log_q(z_i2t, lse_i2t) + _mean_diag_log_q(z_t2i_t, lse_t2i))
-    kl_i2t = _mean_kl(targets.h_i2i, p_i2i, z_i2t, lse_i2t)
-    p_sum = buf("scratch")
-    np.copyto(p_sum, p_t2t.T)  # P_t^T, laid out like z_t2i_t
-    kl_t2i = _mean_kl(targets.h_t2t, p_sum, z_t2i_t, lse_t2i)
+    kl_i2t = _mean_kl(h[0], p[0], z_i2t, lse_i2t)
+    p_sum = ws.buffer("scratch", (n, n))
+    np.copyto(p_sum, p[1].T)  # P_t^T, laid out like z_t2i_t
+    kl_t2i = _mean_kl(h[1], p_sum, z_t2i_t, lse_t2i)
     # d_s_i2t = c1 * ((Q_i2t - I) + (Q_t2i - I)^T) + c2 * ((Q_i2t - P_i) + (Q_t2i - P_t)^T)
     #         = (c1 + c2) * (Q_i2t + Q_t2i^T) - c2 * (P_i + P_t^T) - 2 c1 I,
     # formed in the q_i2t buffer
@@ -166,17 +172,15 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, alpha: float, beta
     d_s_i2t += q_t2i_t
     c2 = alpha * c1
     d_s_i2t *= c1 + c2
-    p_sum += p_i2i
+    p_sum += p[0]
     p_sum *= c2
     d_s_i2t -= p_sum
     d_s_i2t.reshape(-1)[::n + 1] -= 2.0 * c1
     d_log_it = float(np.vdot(d_s_i2t, s_i2t))
 
-    # uni-modal: USA, in the dead z buffers of the cross-modal softmaxes
-    kl_i2i, d_s_i2i, d_img = _usa_direction(
-        s_i2i, p_i2i, targets.h_i2i, it, beta, buf("q_i2i"), z_i2t)
-    kl_t2t, d_s_t2t, d_txt = _usa_direction(
-        s_t2t, p_t2t, targets.h_t2t, it, beta, buf("q_t2t"), z_t2i_t)
+    # uni-modal: USA, in the dead z pair of the cross-modal softmaxes
+    (kl_i2i, kl_t2t), d_s_uni, d_log_uni = _usa_directions(
+        s_uni, p, h, it, beta, ws.buffer("q_uni", (2, n, n)), z)
 
     l_csa = 0.5 * (kl_i2t + kl_t2i)
     l_usa = 0.5 * (kl_i2i + kl_t2t)
@@ -187,29 +191,28 @@ def loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it: float, alpha: float, beta
         l_total=cusa_total(l_original, l_csa, l_usa, alpha, beta),
         per_direction={"i2t": kl_i2t, "t2i": kl_t2i, "i2i": kl_i2i, "t2t": kl_t2t},
     )
-    grads = LossGradients(d_s_i2t, d_s_i2i, d_s_t2t, d_log_it + float(d_img + d_txt))
+    grads = LossGradients(d_s_i2t, d_s_uni, d_log_it + d_log_uni)
     return report, grads
 
 
 def student_logits(outputs, ws: Workspace | None = None) -> tuple:
-    """(s_i2t, s_i2i, s_t2t) of a batch: the Gram matrix of the image
-    and text embeddings and the Gram matrix of each projector head,
-    written into buffers of `ws` when one is given."""
-    n = outputs.img_emb.shape[0]
+    """(s_i2t, s_uni) of a batch: the Gram matrix of the image and text
+    embeddings and the (2, n, n) stack of each projector head's Gram
+    matrix, written into buffers of `ws` when one is given."""
+    n = outputs.emb.shape[1]
 
-    def gram(a, b, name):
-        return np.matmul(a, b.T, out=None if ws is None else ws.buffer(name, (n, n)))
+    def out(name, shape):
+        return None if ws is None else ws.buffer(name, shape)
 
-    return (gram(outputs.img_emb, outputs.txt_emb, "s_i2t"),
-            gram(outputs.img_usa, outputs.img_usa, "s_i2i"),
-            gram(outputs.txt_usa, outputs.txt_usa, "s_t2t"))
+    return (np.matmul(outputs.emb[0], outputs.emb[1].T, out=out("s_i2t", (n, n))),
+            np.matmul(outputs.usa, outputs.usa.mT, out=out("s_uni", (2, n, n))))
 
 
 def batch_loss_and_grads(outputs, targets, alpha: float, beta: float,
                          ws: Workspace | None = None):
     """Full forward loss and logit-level gradients for one batch.
 
-    Forms the three logit matrices with student_logits in `ws` (fresh
+    Forms the logits with student_logits in `ws` (fresh
     arrays when None) and hands them to loss_from_logits with the same
     workspace, whose gradients it returns unchanged.
 

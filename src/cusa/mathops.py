@@ -73,20 +73,24 @@ def l2_normalize_rows(m) -> np.ndarray:
     Raises:
         ZeroRow: if a row norm falls below 1e-12.
     """
-    return unit_rows(_as_matrix(m, "m"))[0]
-
-
-def unit_rows(m: np.ndarray, message: str | None = None) -> tuple:
-    """(rows of `m` scaled to unit norm, their norms); ZeroRow(message) below
-    ZERO_ROW_TOL, NumericError for a norm that is not finite."""
-    # np.linalg.norm(m, axis=1) of a real matrix, without its dispatch
     with np.errstate(over="ignore"):  # an entry above about 1e154 overflows m * m
-        norms = np.sqrt(np.add.reduce(m * m, axis=1))
-    if not np.isfinite(norms).all():
-        raise NumericError(f"row {np.argmax(~np.isfinite(norms))} has a norm that is not finite")
-    if norms.min() < ZERO_ROW_TOL:
-        raise ZeroRow(int(np.argmax(norms < ZERO_ROW_TOL)), message)
-    return m / norms[:, None], norms
+        return unit_rows(_as_matrix(m, "m"))[0]
+
+
+def unit_rows(m: np.ndarray, messages=(None,)) -> tuple:
+    """(rows of `m`, a matrix or a stack of them, scaled to unit norm,
+    their norms); ZeroRow with its matrix's message from `messages` below
+    ZERO_ROW_TOL, NumericError for a norm that is not finite. An entry
+    above about 1e154 overflows m * m: the caller holds np.errstate."""
+    # np.linalg.norm(m, axis=-1) of a real array, without its dispatch
+    norms = np.sqrt(np.add.reduce(m * m, axis=-1))
+    if not np.isfinite(norms).all():  # rows are counted within their matrix
+        row = np.argmax(~np.isfinite(norms)) % norms.shape[-1]
+        raise NumericError(f"row {row} has a norm that is not finite")
+    if np.minimum.reduce(norms, axis=None) < ZERO_ROW_TOL:
+        k, row = divmod(int(np.argmax(norms < ZERO_ROW_TOL)), norms.shape[-1])
+        raise ZeroRow(row, messages[k])
+    return m / norms[..., None], norms
 
 
 def cosine_similarity(a, b) -> np.ndarray:
@@ -143,21 +147,23 @@ class Workspace:
         return buf
 
 
-def row_softmax_with_log(s: np.ndarray, inv_temp: float, q=None, z=None, axis: int = 1):
-    """Softmax of `s * inv_temp` along `axis` (per row by default).
+def row_softmax_with_log(s: np.ndarray, inv_temp: float, q=None, z=None, axis: int = -1):
+    """Softmax of `s * inv_temp` along `axis`: -1 per row, -2 per column.
 
-    Internal fast path shared by the loss kernels. Writes the shifted
-    logits z = s * inv_temp - shift (the maximum of the matrix, or of
-    each row when a row lies too far below it) into `z` and the softmax
-    q into `q`, and returns (q, z, lse) with lse = log sum exp(z) along
-    `axis` (kept as a length-1 axis). log q = z - lse is never formed:
-    a KL against q is sum(p log p) - sum(p z) + lse per row. The name
-    is kept from when it returned log q.
+    Internal fast path shared by the loss kernels. `s` is a matrix or a
+    stack of them, and each matrix gets the bits it would get alone.
+    Writes the shifted logits z = s * inv_temp - shift (the maximum of
+    the matrix, or of each row when a row of it lies too far below it)
+    into `z` and the softmax q into `q`, and returns (q, z, lse) with lse
+    = log sum exp(z) along `axis` (kept as a length-1 axis). log q = z -
+    lse is never formed: a KL against q is sum(p log p) - sum(p z) + lse
+    per row. The name is kept from when it returned log q.
 
     `q` and `z` default to fresh arrays laid out like `s` (a transposed
     view stays column-major, so its rows sum in the same order as a
     copy's); `z` may be `s` itself, which is then overwritten, and
-    otherwise `s` is not modified.
+    otherwise `s` is not modified. Reductions call their ufunc directly,
+    as ndarray.sum does, which saves the method's two Python calls.
     """
     if q is None:
         q = np.empty_like(s)
@@ -168,13 +174,15 @@ def row_softmax_with_log(s: np.ndarray, inv_temp: float, q=None, z=None, axis: i
     # shift per row costs a reduction and a broadcast. It keeps exp() in
     # range; if some row then sits so far below the maximum that its sum
     # loses precision, every row is shifted by its own maximum instead.
-    z -= z.max()
+    z -= np.maximum.reduce(z, axis=(-2, -1), keepdims=True)
     np.exp(z, out=q)
-    sums = q.sum(axis=axis, keepdims=True)
-    if sums.min() < LSE_FLOOR:
-        z -= z.max(axis=axis, keepdims=True)
-        np.exp(z, out=q)
-        sums = q.sum(axis=axis, keepdims=True)
+    sums = np.add.reduce(q, axis=axis, keepdims=True)
+    if np.minimum.reduce(sums, axis=None) < LSE_FLOOR:
+        for k in np.ndindex(z.shape[:-2]):  # one empty index for a single matrix
+            if sums[k].min() < LSE_FLOOR:
+                z[k] -= z[k].max(axis=axis, keepdims=True)
+                np.exp(z[k], out=q[k])
+                sums[k] = q[k].sum(axis=axis, keepdims=True)
     q /= sums
     return q, z, np.log(sums)
 
@@ -206,8 +214,16 @@ def row_softmax(s, inv_temp: float) -> np.ndarray:
 
 def neg_entropy_rows(p: np.ndarray) -> np.ndarray:
     """Row sums of p log p with 0 * log 0 = 0, the one place that
-    convention is applied. No validation: entries are >= 0."""
+    convention is applied, for a matrix or a stack of them. No
+    validation: entries are >= 0."""
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
     log_p[p == 0.0] = 0.0
-    return np.einsum("ij,ij->i", p, log_p)
+    return np.einsum("...ij,...ij->...i", p, log_p)
+
+
+def stack_slice(stack: str, k: int) -> property:
+    """Property for matrix `k` of the stack in attribute `stack`: a view,
+    and assigning to it writes into the stack."""
+    return property(lambda obj: getattr(obj, stack)[k],
+                    lambda obj, value: getattr(obj, stack).__setitem__(k, value))

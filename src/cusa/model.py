@@ -6,6 +6,9 @@ per modality feeding the uni-modal alignment term, and one learnable
 log-inverse-temperature that the cross-modal and uni-modal softmaxes
 share. Every quantity the losses need is exposed while keeping exact
 manual gradients tractable.
+A step holds each per-batch array of the two modalities as one (2, n,
+.) stack, images first, and runs each paired computation once on it.
+The retrieval heads' row counts may differ, so they stay per modality.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidDimension, ShapeMismatch, too_large_to_allocate
 from .losses import LossGradients
-from .mathops import _as_matrix, unit_rows
+from .mathops import _as_matrix, stack_slice, unit_rows
 
 INIT_TAU = 0.07
 INV_TEMP_MIN = 1.0
@@ -70,8 +73,8 @@ class _Segment:
 
 class StudentParams:
     """Trainable parameters viewing one float64 vector `flat` (no copy),
-    laid out by param_segments(dims). An attribute outside the layout
-    raises AttributeError."""
+    laid out by param_segments(dims); `u` stacks u_img and u_txt. An
+    attribute outside the layout raises AttributeError."""
 
     __slots__ = ("dims", "segments", "flat", "_views")
 
@@ -79,6 +82,7 @@ class StudentParams:
     w_txt = _Segment()  # (d_bt, d_e)
     u_img = _Segment()  # (d_e, d_u)
     u_txt = _Segment()  # (d_e, d_u)
+    u = _Segment()  # (2, d_e, d_u): u_img | u_txt are adjacent
     log_inv_temp = _Segment()
 
     def __init__(self, flat: np.ndarray, dims):
@@ -89,30 +93,36 @@ class StudentParams:
         self.flat = flat
         self._views = {name: flat[start:stop].reshape(shape)
                        for name, start, stop, shape in self.segments}
+        (_, start, _, shape), (_, _, stop, _) = self.segments[3:]
+        self._views["u"] = flat[start:stop].reshape(2, *shape)
 
 
 @dataclass
 class ForwardTape:
     """What backward needs from forward besides the embeddings: the
-    batch's base rows and the pre-normalization norm of every projected
-    row (retrieval heads, then projector heads)."""
+    batch's base rows and the (2, n) stacks of the pre-normalization
+    norms of the retrieval heads and of the projector heads."""
 
     base_img: np.ndarray
     base_txt: np.ndarray
-    img_norms: np.ndarray
-    txt_norms: np.ndarray
-    img_usa_norms: np.ndarray
-    txt_usa_norms: np.ndarray
+    norms: np.ndarray
+    usa_norms: np.ndarray
 
 
 @dataclass
 class StudentOutputs:
-    img_emb: np.ndarray
-    txt_emb: np.ndarray
-    img_usa: np.ndarray
-    txt_usa: np.ndarray
+    """Stacks of one batch, images first: `emb` (2, n, d_e) of the
+    retrieval embeddings, `usa` (2, n, d_u) of the projector heads."""
+
+    emb: np.ndarray
+    usa: np.ndarray
     inv_temp: float
     tape: ForwardTape | None = None
+
+    img_emb = stack_slice("emb", 0)
+    txt_emb = stack_slice("emb", 1)
+    img_usa = stack_slice("usa", 0)
+    txt_usa = stack_slice("usa", 1)
 
 
 def clamped_inv_temp(log_inv_temp: float) -> float:
@@ -159,21 +169,29 @@ def init_params(seed: int, d_bi: int, d_bt: int, d_e: int, d_u: int) -> StudentP
     return params
 
 
-def _project_normalize(base: np.ndarray, w: np.ndarray, name: str):
+def _check_fit(base: np.ndarray, w: np.ndarray, name: str) -> None:
     if base.shape[1] != w.shape[0]:
         raise DimensionMismatch(
             f"{name}: base feature dim {base.shape[1]} != weight rows {w.shape[0]}"
         )
-    # parameters of a loaded checkpoint may overflow the product; unit_rows
-    # then raises NumericError for the row whose norm is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        projected = base @ w
-    return unit_rows(projected, f"{name}: projected row collapsed")
+
+
+# the ZeroRow message of each matrix of forward's two stacks
+_COLLAPSED = {head: tuple(f"{side}_{head}: projected row collapsed" for side in ("img", "txt"))
+              for head in ("emb", "usa")}
+
+
+def _project_normalize(base: np.ndarray, w: np.ndarray, name: str):
+    _check_fit(base, w, name)
+    return unit_rows(base @ w, (f"{name}: projected row collapsed",))
 
 
 def _embed(base, w, u, side: str, usa_branch: bool) -> np.ndarray:
-    emb, _ = _project_normalize(_as_matrix(base, f"base_{side}"), w, f"{side}_emb")
-    return _project_normalize(emb, u, f"{side}_usa")[0] if usa_branch else emb
+    # parameters of a loaded checkpoint may overflow the products; unit_rows
+    # then raises NumericError for the row whose norm is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        emb, _ = _project_normalize(_as_matrix(base, f"base_{side}"), w, f"{side}_emb")
+        return _project_normalize(emb, u, f"{side}_usa")[0] if usa_branch else emb
 
 
 def embed_images(base_img, params: StudentParams, usa_branch: bool = False) -> np.ndarray:
@@ -200,33 +218,28 @@ def forward(base_img, base_txt, params: StudentParams) -> StudentOutputs:
         raise ShapeMismatch(
             f"paired batch row counts differ: {bi.shape[0]} vs {bt.shape[0]}"
         )
-    img_emb, n_img = _project_normalize(bi, params.w_img, "img_emb")
-    txt_emb, n_txt = _project_normalize(bt, params.w_txt, "txt_emb")
-    img_usa, m_img = _project_normalize(img_emb, params.u_img, "img_usa")
-    txt_usa, m_txt = _project_normalize(txt_emb, params.u_txt, "txt_usa")
-    it = clamped_inv_temp(params.log_inv_temp)
-    tape = ForwardTape(bi, bt, n_img, n_txt, m_img, m_txt)
-    return StudentOutputs(img_emb, txt_emb, img_usa, txt_usa, it, tape)
+    _check_fit(bi, params.w_img, "img_emb")
+    _check_fit(bt, params.w_txt, "txt_emb")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _embed
+        return _forward(bi, bt, params)
+
+
+def _forward(bi: np.ndarray, bt: np.ndarray, params: StudentParams) -> StudentOutputs:
+    """forward on paired float64 base rows whose widths fit `params`,
+    unchecked and under the caller's np.errstate."""
+    emb = np.empty((2, bi.shape[0], params.dims[2]))
+    np.matmul(bi, params.w_img, out=emb[0])
+    np.matmul(bt, params.w_txt, out=emb[1])
+    emb, norms = unit_rows(emb, _COLLAPSED["emb"])
+    usa, usa_norms = unit_rows(emb @ params.u, _COLLAPSED["usa"])
+    return StudentOutputs(emb, usa, clamped_inv_temp(params.log_inv_temp),
+                          ForwardTape(bi, bt, norms, usa_norms))
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # row-wise (I - y y^T)/||x|| applied to g, with y the normalized row
-    proj = (g * y).sum(axis=1, keepdims=True)
-    return (g - proj * y) / norms[:, None]
-
-
-def _modality_backward(d_uni, d_cross, other, e, f, base, norms, usa_norms, u,
-                       g_u, g_w) -> None:
-    """One modality's chain: from the uni-modal logit gradient d_uni and
-    the cross-modal one d_cross (rows are this side's queries, columns
-    the `other` side's embeddings) to the gradients of its projector u
-    and retrieval head w, written into g_u and g_w."""
-    # uni-modal branch: s = f f^T pulls on f from both sides
-    g_a = _normalize_backward(d_uni @ f + d_uni.T @ f, f, usa_norms)
-    np.matmul(e.T, g_a, out=g_u)
-    # the retrieval embedding collects the cross-modal and projector paths
-    g_z = _normalize_backward(d_cross @ other + g_a @ u.T, e, norms)
-    np.matmul(base.T, g_z, out=g_w)
+    proj = np.add.reduce(g * y, axis=-1, keepdims=True)
+    return (g - proj * y) / norms[..., None]
 
 
 def backward(outputs: StudentOutputs, params: StudentParams,
@@ -251,12 +264,19 @@ def backward(outputs: StudentOutputs, params: StudentParams,
 
     # the gradient matrices are written straight into views of one vector
     grads = StudentParams(np.empty_like(params.flat), params.dims)
-    _modality_backward(upstream.d_s_i2i, g_it, outputs.txt_emb, outputs.img_emb,
-                       outputs.img_usa, tape.base_img, tape.img_norms, tape.img_usa_norms,
-                       params.u_img, grads.u_img, grads.w_img)
-    _modality_backward(upstream.d_s_t2t, g_it.T, outputs.img_emb, outputs.txt_emb,
-                       outputs.txt_usa, tape.base_txt, tape.txt_norms, tape.txt_usa_norms,
-                       params.u_txt, grads.u_txt, grads.w_txt)
+    emb, usa, d_uni = outputs.emb, outputs.usa, upstream.d_s_uni
+    # uni-modal branch: s = f f^T pulls on f from both sides
+    g_a = _normalize_backward(d_uni @ usa + d_uni.mT @ usa, usa, tape.usa_norms)
+    np.matmul(emb.mT, g_a, out=grads.u)
+    # the retrieval embedding collects the projector and cross-modal paths;
+    # image rows query the text embeddings through d_s_i2t, text rows the
+    # image embeddings through its transpose
+    g_z = g_a @ params.u.mT
+    g_z[0] += g_it @ emb[1]
+    g_z[1] += g_it.T @ emb[0]
+    g_z = _normalize_backward(g_z, emb, tape.norms)
+    np.matmul(tape.base_img.T, g_z[0], out=grads.w_img)
+    np.matmul(tape.base_txt.T, g_z[1], out=grads.w_txt)
 
     grads.log_inv_temp = upstream.d_log_inv_temp * _clamp_gate(params.log_inv_temp)
     return grads

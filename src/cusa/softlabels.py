@@ -2,7 +2,8 @@
 
 The teacher never trains: its features are validated once, its pairwise
 similarities are turned into row-stochastic target distributions once
-per batch and treated as constants by every loss.
+per batch and treated as constants by every loss. A batch's targets
+are one (2, n, n) stack, i2i then t2t, from one softmax call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateInput, NonPositiveTemperature, NumericError, ShapeMismatch
 from .mathops import (NORM_TOL, Workspace, _as_matrix, check_normalized, neg_entropy_rows,
-                      row_softmax_with_log)
+                      row_softmax_with_log, stack_slice)
 
 
 @dataclass
@@ -44,35 +45,37 @@ class TeacherBatch:
 class TeacherTargets:
     """Constant target distributions for one batch (no gradient flows here).
 
-    h_i2i and h_t2t hold each row's sum(p log p), which every KL against
-    that target shares. build_batch_targets takes them from the
-    teacher's own log-softmax; left as None, they come from p through
-    mathops.neg_entropy_rows (0 log 0 = 0).
+    `p` stacks p_i2i and p_t2t; `h` stacks h_i2i and h_t2t, each row's
+    sum(p log p), which every KL against that target shares.
+    build_batch_targets takes h from the teacher's own log-softmax; left
+    as None, it comes from p through mathops.neg_entropy_rows.
     """
 
-    p_i2i: np.ndarray
-    p_t2t: np.ndarray
-    h_i2i: np.ndarray | None = None
-    h_t2t: np.ndarray | None = None
+    p: np.ndarray
+    h: np.ndarray | None = None
+
+    p_i2i = stack_slice("p", 0)
+    p_t2t = stack_slice("p", 1)
+    h_i2i = stack_slice("h", 0)
+    h_t2t = stack_slice("h", 1)
 
     def __post_init__(self):
-        if self.h_i2i is None:
-            self.h_i2i = neg_entropy_rows(self.p_i2i)
-        if self.h_t2t is None:
-            self.h_t2t = neg_entropy_rows(self.p_t2t)
+        if self.h is None:
+            self.h = neg_entropy_rows(self.p)
 
 
-def _distribution(feats: np.ndarray, teacher_inv_temp: float, p: np.ndarray,
-                  gram: np.ndarray):
-    """(p, per-row sum(p log p)) of the teacher similarity softmax; the
-    Gram matrix goes to `gram`, where the softmax leaves its shifted
-    logits. No validation: TeacherBatch has checked the features and
-    build_batch_targets the temperature."""
-    gram = np.matmul(feats, feats.T, out=gram)
+def _distribution(feats: tuple, teacher_inv_temp: float, p: np.ndarray, gram: np.ndarray):
+    """(p, per-row sum(p log p)) stacks of the teacher similarity softmax
+    of each matrix of `feats`; the Gram matrices go to the stack `gram`,
+    where the softmax leaves its shifted logits. No validation:
+    TeacherBatch has checked the features and build_batch_targets the
+    temperature."""
+    for k, f in enumerate(feats):  # teacher dims may differ: one Gram matrix each
+        np.matmul(f, f.T, out=gram[k])
     p, z, lse = row_softmax_with_log(gram, float(teacher_inv_temp), p, gram)
     # log p = z - lse, and each row of p sums to 1
-    h = np.einsum("ij,ij->i", p, z)
-    h -= lse[:, 0]
+    h = np.einsum("bij,bij->bi", p, z)
+    h -= lse[..., 0]
     return p, h
 
 
@@ -100,8 +103,7 @@ def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float,
     if not math.isfinite(2.0 * (1.0 + NORM_TOL) ** 2 * float(teacher_inv_temp)):
         raise NumericError(f"teacher_inv_temp {teacher_inv_temp!r} overflows the teacher logits")
     ws = Workspace() if ws is None else ws
-    # "scratch" holds nothing past this call; the loss reuses it
-    gram = ws.buffer("scratch", (n, n))
-    p_i2i, h_i2i = _distribution(img, teacher_inv_temp, ws.buffer("p_i2i", (n, n)), gram)
-    p_t2t, h_t2t = _distribution(txt, teacher_inv_temp, ws.buffer("p_t2t", (n, n)), gram)
-    return TeacherTargets(p_i2i, p_t2t, h_i2i, h_t2t)
+    # the Gram stack is dead once the targets are formed, so it borrows
+    # the loss's "q" pair, which the cross-modal softmaxes write later
+    return TeacherTargets(*_distribution((img, txt), teacher_inv_temp,
+                                         ws.buffer("p", (2, n, n)), ws.buffer("q", (2, n, n))))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import write_features
+from .dataio import replacing, write_features
 from .errors import InvalidConfig, too_large_to_allocate
 from .mathops import l2_normalize_rows
 
@@ -151,7 +151,10 @@ def synth_generate(config: SynthConfig, out_dir) -> dict:
     """Generate a corpus and write the six-file bundle into out_dir.
 
     Returns a name -> path dict with keys img_base, txt_base,
-    img_teacher, txt_teacher, pairs, relevance.
+    img_teacher, txt_teacher, pairs, relevance. The six files replace
+    their targets only once all six are written (dataio.replacing), so
+    a failed write leaves out_dir's previous bundle, or no file, and
+    never a mix of two bundles.
     """
     data = generate(config)
     os.makedirs(out_dir, exist_ok=True)
@@ -163,11 +166,14 @@ def synth_generate(config: SynthConfig, out_dir) -> dict:
         ("pairs", "pairs.tsv"),
         ("relevance", "relevance.tsv"),
     )}
-    write_features(paths["img_base"], data.img_ids, data.img_base)
-    write_features(paths["txt_base"], data.txt_ids, data.txt_base)
-    write_features(paths["img_teacher"], data.img_ids, data.img_teacher)
-    write_features(paths["txt_teacher"], data.txt_ids, data.txt_teacher)
-    with open(paths["pairs"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"{img}\t{txt}\n" for img, txt in zip(data.img_ids, data.txt_ids)))
-    _write_relevance(paths["relevance"], data)
+    with replacing(paths.values()) as files:
+        files = dict(zip(paths, files))
+        write_features(files["img_base"], data.img_ids, data.img_base)
+        write_features(files["txt_base"], data.txt_ids, data.txt_base)
+        write_features(files["img_teacher"], data.img_ids, data.img_teacher)
+        write_features(files["txt_teacher"], data.txt_ids, data.txt_teacher)
+        with open(files["pairs"], "wb") as fh:
+            fh.write("".join(f"{img}\t{txt}\n"
+                             for img, txt in zip(data.img_ids, data.txt_ids)).encode("utf-8"))
+        _write_relevance(files["relevance"], data)
     return paths

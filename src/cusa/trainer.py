@@ -11,8 +11,8 @@ import numpy as np
 from .dataio import FeatureTable, write_replacing
 from .errors import BatchTooLarge, InvalidConfig, MissingFeature, NumericError, TrainAbort
 from .losses import batch_loss_and_grads
-from .mathops import Workspace, l2_normalize_rows
-from .model import StudentParams, backward, forward, init_params
+from .mathops import Workspace, _as_matrix, l2_normalize_rows
+from .model import StudentParams, _forward, backward, init_params
 from .softlabels import TeacherBatch, build_batch_targets
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
@@ -149,12 +149,16 @@ def step_gradients(params: StudentParams, base_img: np.ndarray, base_txt: np.nda
     training arrays: forward -> teacher targets for the batch -> loss
     and logit gradients -> backward over the forward tape.
 
+    The caller has checked the base arrays (train, once, with
+    mathops._as_matrix) and holds the np.errstate; the step checks
+    norms, the softmax's row shift and the loss's finiteness.
+
     The targets and logit gradients live in `ws` and are dead once the
     call returns, so a loop passes one workspace to every call; the
     parameter gradients are arrays of their own. Returns (StudentOutputs,
     LossReport, parameter gradients as StudentParams).
     """
-    outputs = forward(base_img[rows], base_txt[rows], params)
+    outputs = _forward(base_img[rows], base_txt[rows], params)
     targets = build_batch_targets(teacher, config.teacher_inv_temp, rows, ws=ws)
     report, lgrads = batch_loss_and_grads(outputs, targets, config.alpha, config.beta, ws=ws)
     return outputs, report, backward(outputs, params, lgrads)
@@ -165,8 +169,8 @@ def train(data: TrainData, config: TrainConfig):
 
     Each step is step_gradients, then adam_step, and all steps share
     one Workspace, so the n x n arrays of the step are allocated once.
-    The pairs become aligned arrays once up front; each step gathers
-    its rows. Numeric failures abort with (epoch, step) context.
+    The pairs become aligned arrays, checked once up front; each step
+    gathers its rows. Numeric failures abort with (epoch, step) context.
     """
     base_img, base_txt, teacher = data.aligned(data.pairs)
 
@@ -179,6 +183,7 @@ def train(data: TrainData, config: TrainConfig):
         "config": config.to_dict(),
     })
     n_pairs = len(data.pairs)
+    base_img, base_txt = _as_matrix(base_img, "base_img"), _as_matrix(base_txt, "base_txt")
     ws = Workspace()
     with np.errstate(all="ignore"):  # a non-finite loss ends the run as TrainAbort
         for epoch in range(config.epochs):

@@ -28,7 +28,6 @@ import cusa.trainer
 from cusa.cli import main
 from cusa.dataio import load_checkpoint, read_features, save_checkpoint, write_features
 from cusa.errors import BadMagic, InvalidConfig, NotNormalized, UnknownId
-from cusa.losses import LossGradients
 from cusa.mathops import ZERO_ROW_TOL, l2_normalize_rows
 from cusa.model import init_params, param_segments
 from test_acceptance import _oracle_map_at_r, _oracle_order, _oracle_r_precision, _oracle_recall
@@ -122,6 +121,32 @@ class TestSynthCommand:
         assert code == 0
         for name in FILE_NAMES:
             assert (tmp_path / "b" / name).read_bytes() == (corpus / name).read_bytes()
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["previous", "none"])
+    @pytest.mark.parametrize("failing", range(len(FILE_NAMES)))
+    def test_a_failed_write_leaves_no_mixed_bundle(self, tmp_path, capsys, monkeypatch,
+                                                   failing, previous):
+        # the bundle's six files are written one after another; a full disk
+        # at any of them must leave the bundle that was there, or none
+        out = tmp_path / "bundle"
+        if previous:
+            assert run(capsys, ["synth", "--out", str(out), *SYNTH_FLAGS, "--seed", "2"])[0] == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if previous else {}
+        real_open, opened = open, []
+
+        def open_failing(file, mode="r", *args, **kwargs):
+            if mode == "wb":
+                opened.append(file)
+                if len(opened) == failing + 1:
+                    return _FullDisk(io.FileIO(file, "w"))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cusa.dataio, "open", open_failing, raising=False)
+        monkeypatch.setattr(cusa.synthetic, "open", open_failing, raising=False)
+        code, report, err = run(capsys, ["synth", "--out", str(out), *SYNTH_FLAGS])
+        assert code == 3 and report is None and len(opened) == failing + 1
+        assert "No space left on device" in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_missing_out_flag(self, capsys):
         code, report, err = run(capsys, ["synth", *SYNTH_FLAGS])
@@ -621,7 +646,9 @@ class TestGradcheckCommand:
         assert "d_base_img=1000000000000" in line
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(LossGradients)])
+    # each logit gradient the loss core returns: d_s_i2t, each matrix of the
+    # uni-modal stack d_s_uni, and the log-temperature's
+    @pytest.mark.parametrize("field", ["d_s_i2t", "d_s_i2i", "d_s_t2t", "d_log_inv_temp"])
     def test_broken_gradient_detected(self, capsys, monkeypatch, field):
         real = cusa.losses.loss_from_logits
 
@@ -662,13 +689,13 @@ class TestGradcheckCommand:
     def test_a_dropped_uni_modal_temperature_gradient_is_detected(self, capsys, monkeypatch):
         # the uni-modal softmaxes share the one temperature, so the loss
         # core's derivative must collect their part as well
-        real = cusa.losses._usa_direction
+        real = cusa.losses._usa_directions
 
         def unsummed(*args):
             kl, d_s, _ = real(*args)
             return kl, d_s, 0.0
 
-        monkeypatch.setattr(cusa.losses, "_usa_direction", unsummed)
+        monkeypatch.setattr(cusa.losses, "_usa_directions", unsummed)
         code, report, err = run(capsys, ["gradcheck", "--trials", "1",
                                          "--dims", "5,4,3,2"])
         assert code == 6
@@ -786,7 +813,7 @@ class TestInspectCommand:
         temps, real_loss = [], cusa.cli.loss_from_logits
 
         def loss(*args):  # records it
-            temps.append(args[4])
+            temps.append(args[3])
             return real_loss(*args)
 
         monkeypatch.setattr(cusa.cli, "loss_from_logits", loss)

@@ -35,6 +35,12 @@ step log and the checkpoint moved by a few ulps (at most 5e-15
 relative on a logged loss of the batch-200 benchmark run); the values
 are otherwise the same.
 
+The row-shift digests pin the same run at a teacher temperature of
+1e18, where in most batches the rows of exactly one modality's teacher
+targets take the softmax's per-row shift. They were produced at commit
+d34805a, before a training step stacked the two modalities' arrays,
+and that change had to hold them.
+
 The zero-weight digests pin the same run with alpha, beta or both at
 0. Their separate-layout predecessors were produced at commit 2706335,
 while the loss core still had a separate branch for each zero weight,
@@ -157,6 +163,9 @@ ZERO_WEIGHT_SHA256 = {
     ("0.6", "0"): ("d1d7192b62644bf3ed59cbcf82f80e190c24e8aff5adbdec566adf18d85a0aeb",
                    "aff2950142612d0ba1f9fa7b2d2a4ed3458f8342985b3efb139d437373d2b895"),
 }
+# (checkpoint, step log) of the same run at a teacher temperature of 1e18
+ROW_SHIFT_SHA256 = ("ba30808f1394712a9326bd18be21955cc24e1265e8f3af79d9e0af55d38d1e67",
+                    "5fc03618578b293746242707d41e1a6dfa778380169ff1fa7e4d196da442bc00")
 GRADCHECK_SHA256 = "3b794122659baaf51a23940e5ba79b54c5761d909d3b8e10b3c303b0b2b694b2"
 EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
@@ -202,7 +211,7 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _train_digests(tmp_path, alpha, beta):
+def _train_digests(tmp_path, alpha, beta, teacher_inv_temp="8"):
     """sha256 of the checkpoint and the step log of one golden-corpus run."""
     assert _cli(["synth", "--out", str(tmp_path), "--clusters", "3",
                  "--pairs-per-cluster", "10", "--seed", "13",
@@ -216,13 +225,23 @@ def _train_digests(tmp_path, alpha, beta):
                  "--out-ckpt", str(tmp_path / "model.ckpt"),
                  "--log", str(tmp_path / "train.log"),
                  "--batch-size", "10", "--epochs", "4", "--lr", "1e-2",
-                 "--alpha", alpha, "--beta", beta, "--teacher-inv-temp", "8",
+                 "--alpha", alpha, "--beta", beta, "--teacher-inv-temp", teacher_inv_temp,
                  "--d-e", "5", "--d-u", "3", "--seed", "2"]) == 0
     return _sha256(tmp_path / "model.ckpt"), _sha256(tmp_path / "train.log")
 
 
 def test_fixed_seed_train_run_is_byte_identical(tmp_path):
     assert _train_digests(tmp_path, "0.6", "0.4") == (CKPT_SHA256, LOG_SHA256)
+
+
+def test_a_run_whose_teacher_modalities_take_the_row_shift_apart_is_byte_identical(tmp_path):
+    # the self-similarities of unit teacher rows differ in their last bits,
+    # which this temperature scales to gaps of about the softmax's
+    # LSE_FLOOR: in 8 of the 12 batches the rows of one modality's
+    # targets are each shifted by their own maximum while the other
+    # modality's keep their matrix maximum (image only in 4, text only
+    # in 4), and in the other 4 neither modality's rows are
+    assert _train_digests(tmp_path, "0.6", "0.4", teacher_inv_temp="1e18") == ROW_SHIFT_SHA256
 
 
 @pytest.mark.parametrize("alpha, beta", ZERO_WEIGHT_SHA256)

@@ -148,7 +148,7 @@ def test_loss_core_matches_the_long_double_objective(batch):
     (_, teacher_inv_temp, *its, alpha, beta), teacher, logits = batch
     targets = build_batch_targets(teacher, teacher_inv_temp)
     for it in its:
-        report, grads = loss_from_logits(*logits, targets, it, alpha, beta)
+        report, grads = loss_from_logits(logits[0], np.stack(logits[1:]), targets, it, alpha, beta)
         total, terms, d_s, d_log_it = loss_reference(
             *logits, targets.p_i2i, targets.p_t2t, it, alpha, beta)
         assert rel_err(report.l_total, total) < RTOL

@@ -45,17 +45,18 @@ def infonce(s, it):
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
-    report, grads = loss_from_logits(s, zero, zero, TeacherTargets(eye, eye), it, 0.0, 0.0)
+    report, grads = loss_from_logits(s, np.stack([zero, zero]),
+                                     TeacherTargets(np.stack([eye, eye])), it, 0.0, 0.0)
     return report.l_total, grads
 
 
 def csa(s, p_i, p_t, it):
     """(l_csa, its gradient w.r.t. s): the core's i2t gradient at alpha = 1
     less the one at alpha = 0, both directions from the one matrix s."""
-    zero = np.zeros(s.shape)
-    targets = TeacherTargets(p_i, p_t)
-    report, with_csa = loss_from_logits(s, zero, zero, targets, it, 1.0, 0.0)
-    _, without = loss_from_logits(s, zero, zero, targets, it, 0.0, 0.0)
+    zero = np.zeros((2, *s.shape))
+    targets = TeacherTargets(np.stack([p_i, p_t]))
+    report, with_csa = loss_from_logits(s, zero, targets, it, 1.0, 0.0)
+    _, without = loss_from_logits(s, zero, targets, it, 0.0, 0.0)
     return report.l_csa, with_csa.d_s_i2t - without.d_s_i2t
 
 
@@ -64,7 +65,8 @@ def usa(p_i, p_t, s_i, s_t, it):
     cross-modal logits; a distribution q enters as the logits log q at
     it = 1."""
     zero = np.zeros(s_i.shape)
-    report, grads = loss_from_logits(zero, s_i, s_t, TeacherTargets(p_i, p_t), it, 0.0, 1.0)
+    report, grads = loss_from_logits(zero, np.stack([s_i, s_t]),
+                                     TeacherTargets(np.stack([p_i, p_t])), it, 0.0, 1.0)
     return report.l_usa, grads.d_s_i2i, grads.d_s_t2t
 
 
@@ -223,15 +225,16 @@ class TestCusaTotal:
             cusa_total(1.0, 0.1, 0.1, alpha, beta)
         zero, eye = np.zeros((2, 2)), np.eye(2)
         with pytest.raises(NegativeWeight):
-            loss_from_logits(zero, zero, zero, TeacherTargets(eye, eye), 1.0, alpha, beta)
+            loss_from_logits(zero, np.stack([zero, zero]), TeacherTargets(np.stack([eye, eye])),
+                             1.0, alpha, beta)
 
 
 def make_outputs(rng, n, d_e=6, d_u=4, inv_temp=10.0):
     return StudentOutputs(
-        img_emb=l2_normalize_rows(rng.standard_normal((n, d_e))),
-        txt_emb=l2_normalize_rows(rng.standard_normal((n, d_e))),
-        img_usa=l2_normalize_rows(rng.standard_normal((n, d_u))),
-        txt_usa=l2_normalize_rows(rng.standard_normal((n, d_u))),
+        emb=np.stack([l2_normalize_rows(rng.standard_normal((n, d_e))),
+                      l2_normalize_rows(rng.standard_normal((n, d_e)))]),
+        usa=np.stack([l2_normalize_rows(rng.standard_normal((n, d_u))),
+                      l2_normalize_rows(rng.standard_normal((n, d_u)))]),
         inv_temp=inv_temp,
     )
 
@@ -241,7 +244,7 @@ class TestBatchLossAndGrads:
         rng = np.random.default_rng(71)
         for alpha, beta in ((0.0, 0.0), (0.5, 0.5), (0.3, 0.9), (1.0, 0.0)):
             outputs = make_outputs(rng, 4)
-            targets = TeacherTargets(*random_targets(rng, 4))
+            targets = TeacherTargets(np.stack(random_targets(rng, 4)))
             report, _ = batch_loss_and_grads(outputs, targets, alpha, beta)
             want = report.l_original + alpha * report.l_csa + beta * report.l_usa
             assert abs(report.l_total - want) < 1e-12
@@ -250,7 +253,7 @@ class TestBatchLossAndGrads:
     def test_zero_weights_match_infonce_exactly(self):
         rng = np.random.default_rng(42)
         outputs = make_outputs(rng, 5)
-        targets = TeacherTargets(*random_targets(rng, 5))
+        targets = TeacherTargets(np.stack(random_targets(rng, 5)))
         report, grads = batch_loss_and_grads(outputs, targets, 0.0, 0.0)
         s = outputs.img_emb @ outputs.txt_emb.T
         want_value, want_grads = infonce(s, outputs.inv_temp)
@@ -267,14 +270,12 @@ class TestBatchLossAndGrads:
         n = 6
         outputs = make_outputs(rng, n)
         p_i, p_t = random_targets(rng, n)
-        report, _ = batch_loss_and_grads(outputs, TeacherTargets(p_i, p_t), 0.5, 0.5)
+        report, _ = batch_loss_and_grads(outputs, TeacherTargets(np.stack([p_i, p_t])), 0.5, 0.5)
         perm = rng.permutation(n)
         permuted = StudentOutputs(
-            img_emb=outputs.img_emb[perm], txt_emb=outputs.txt_emb[perm],
-            img_usa=outputs.img_usa[perm], txt_usa=outputs.txt_usa[perm],
-            inv_temp=outputs.inv_temp,
+            emb=outputs.emb[:, perm], usa=outputs.usa[:, perm], inv_temp=outputs.inv_temp,
         )
-        targets_p = TeacherTargets(p_i[np.ix_(perm, perm)], p_t[np.ix_(perm, perm)])
+        targets_p = TeacherTargets(np.stack([p_i[np.ix_(perm, perm)], p_t[np.ix_(perm, perm)]]))
         report_p, _ = batch_loss_and_grads(permuted, targets_p, 0.5, 0.5)
         for field in ("l_original", "l_csa", "l_usa", "l_total"):
             assert abs(getattr(report, field) - getattr(report_p, field)) < 1e-12
@@ -284,13 +285,11 @@ class TestBatchLossAndGrads:
         n = 4
         outputs = make_outputs(rng, n)
         p_i, p_t = random_targets(rng, n)
-        report, _ = batch_loss_and_grads(outputs, TeacherTargets(p_i, p_t), 0.5, 0.5)
+        report, _ = batch_loss_and_grads(outputs, TeacherTargets(np.stack([p_i, p_t])), 0.5, 0.5)
         swapped = StudentOutputs(
-            img_emb=outputs.txt_emb, txt_emb=outputs.img_emb,
-            img_usa=outputs.txt_usa, txt_usa=outputs.img_usa,
-            inv_temp=outputs.inv_temp,
+            emb=outputs.emb[::-1].copy(), usa=outputs.usa[::-1].copy(), inv_temp=outputs.inv_temp,
         )
-        report_s, _ = batch_loss_and_grads(swapped, TeacherTargets(p_t, p_i), 0.5, 0.5)
+        report_s, _ = batch_loss_and_grads(swapped, TeacherTargets(np.stack([p_t, p_i])), 0.5, 0.5)
         assert abs(report.l_csa - report_s.l_csa) < 1e-12
         assert abs(report.l_usa - report_s.l_usa) < 1e-12
 
@@ -302,9 +301,9 @@ class TestBatchLossAndGrads:
         emb[1] = emb[0]
         teacher = row_softmax(emb @ emb.T, 1.0)
         outputs = StudentOutputs(
-            img_emb=emb, txt_emb=l2_normalize_rows(rng.standard_normal((3, 8))),
-            img_usa=l2_normalize_rows(rng.standard_normal((3, 4))),
-            txt_usa=l2_normalize_rows(rng.standard_normal((3, 4))),
+            emb=np.stack([emb, l2_normalize_rows(rng.standard_normal((3, 8)))]),
+            usa=np.stack([l2_normalize_rows(rng.standard_normal((3, 4))),
+                          l2_normalize_rows(rng.standard_normal((3, 4)))]),
             inv_temp=5.0,
         )
         q = row_softmax(outputs.img_emb @ outputs.txt_emb.T, 5.0)
@@ -318,7 +317,7 @@ class TestBatchLossAndGrads:
         rng = np.random.default_rng(63)
         n = 4
         base_img, base_txt = rng.standard_normal((n, 5)), rng.standard_normal((n, 7))
-        targets = TeacherTargets(*random_targets(rng, n))
+        targets = TeacherTargets(np.stack(random_targets(rng, n)))
         params = init_params(3, 5, 7, 4, 3)
         log_it = float(np.log(8.0))
         params.log_inv_temp = log_it
@@ -346,7 +345,7 @@ class TestBatchLossAndGrads:
         n = 6
         outputs = forward(rng.standard_normal((n, 5)), rng.standard_normal((n, 7)),
                           init_params(3, 5, 7, 4, 3))
-        targets = TeacherTargets(*random_targets(rng, n))
+        targets = TeacherTargets(np.stack(random_targets(rng, n)))
         arrays = [outputs.img_emb, outputs.txt_emb, outputs.img_usa, outputs.txt_usa,
                   *vars(outputs.tape).values(), targets.p_i2i, targets.p_t2t]
         keep = [a.copy() for a in arrays]
@@ -361,8 +360,9 @@ class TestLossFromLogits:
         # gradcheck perturbs the logit matrices in place between calls
         rng = np.random.default_rng(66)
         n = 4
-        logits = [rng.uniform(-1, 1, size=(n, n)) for _ in range(3)]
-        targets = TeacherTargets(*random_targets(rng, n))
+        s_i2t, *uni = [rng.uniform(-1, 1, size=(n, n)) for _ in range(3)]
+        logits = [s_i2t, np.stack(uni)]
+        targets = TeacherTargets(np.stack(random_targets(rng, n)))
         keep = [m.copy() for m in logits]
         for alpha, beta in ((0.5, 0.5), (0.0, 0.0)):
             loss_from_logits(*logits, targets, 4.0, alpha, beta)
@@ -373,8 +373,9 @@ class TestLossFromLogits:
         # the gradients alias the workspace; the logits and targets do not
         rng = np.random.default_rng(68)
         n = 5
-        logits = [rng.uniform(-1, 1, size=(n, n)) for _ in range(3)]
-        targets = TeacherTargets(*random_targets(rng, n))
+        s_i2t, *uni = [rng.uniform(-1, 1, size=(n, n)) for _ in range(3)]
+        logits = [s_i2t, np.stack(uni)]
+        targets = TeacherTargets(np.stack(random_targets(rng, n)))
         inputs = [*logits, targets.p_i2i, targets.p_t2t, targets.h_i2i, targets.h_t2t]
         keep = [m.copy() for m in inputs]
         ws = Workspace()
@@ -390,17 +391,19 @@ class TestLossFromLogits:
     def test_non_finite_loss_rejected(self):
         # alpha * l_csa overflows: the core raises instead of returning inf
         rng = np.random.default_rng(69)
-        logits = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
-        targets = TeacherTargets(*random_targets(rng, 3))
+        s_i2t, *uni = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
+        logits = [s_i2t, np.stack(uni)]
+        targets = TeacherTargets(np.stack(random_targets(rng, 3)))
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
             loss_from_logits(*logits, targets, 40.0, 1.7e308, 0.5)
 
     def test_mismatched_shapes_rejected(self):
         rng = np.random.default_rng(67)
-        targets = TeacherTargets(*random_targets(rng, 3))
+        targets = TeacherTargets(np.stack(random_targets(rng, 3)))
         square = np.zeros((3, 3))
         with pytest.raises(ShapeMismatch):
-            loss_from_logits(square, np.zeros((3, 2)), square, targets, 1.0, 0.5, 0.5)
+            loss_from_logits(square, np.zeros((2, 3, 2)), targets, 1.0, 0.5, 0.5)
+        with pytest.raises(ShapeMismatch):  # one uni-modal matrix, not the stack of two
+            loss_from_logits(square, square, targets, 1.0, 0.5, 0.5)
         with pytest.raises(ShapeMismatch):
-            loss_from_logits(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), targets,
-                             1.0, 0.5, 0.5)
+            loss_from_logits(np.zeros((4, 4)), np.zeros((2, 4, 4)), targets, 1.0, 0.5, 0.5)

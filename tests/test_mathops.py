@@ -152,6 +152,29 @@ class TestRowSoftmax:
         np.testing.assert_allclose(q, [SOFTMAX_1_0] * 2, rtol=0, atol=1e-15)
         np.testing.assert_allclose(z - lse, np.log([SOFTMAX_1_0] * 2), rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("axis", [-1, -2], ids=["rows", "columns"])
+    @pytest.mark.parametrize("shifted", [(), (0,), (1,), (0, 1)],
+                             ids=["neither", "first", "second", "both"])
+    def test_each_matrix_of_a_stack_gets_the_bits_it_gets_alone(self, shifted, axis):
+        # a matrix whose second row (or column) sits 2000 below its maximum
+        # takes the per-row shift; the others keep the one shift of their
+        # matrix, whatever their neighbour in the stack does
+        rng = np.random.default_rng(7)
+        s = rng.uniform(-1.0, 1.0, size=(2, 4, 4))
+        for k in shifted:
+            s[k, 1] -= 2000.0
+            if axis == -2:
+                s[k] = s[k].T.copy()
+        stack = s.copy()
+        q, z, lse = row_softmax_with_log(stack, 1.0, axis=axis)
+        np.testing.assert_array_equal(stack, s)  # the logits are not modified
+        for k in range(2):
+            alone = row_softmax_with_log(s[k].copy(), 1.0, axis=axis)
+            sums = np.exp(s[k] - s[k].max()).sum(axis=axis)
+            assert (sums.min() < LSE_FLOOR) == (k in shifted)
+            for got, want in zip((q[k], z[k], lse[k]), alone):
+                assert got.tobytes() == want.tobytes()
+
     def test_non_positive_temperature(self):
         for bad in (0.0, -1.0):
             with pytest.raises(NonPositiveTemperature):
@@ -318,6 +341,7 @@ class TestLogSumExpKl:
             assert np.any(p == 0.0)
         rng = np.random.default_rng(64)
         s_i2t, s_i2i, s_t2t = (rng.uniform(-1.0, 1.0, size=p_i.shape) for _ in range(3))
+        s_uni = np.stack([s_i2i, s_t2t])
         it = 14.0
 
         def oracle(p, s, inv_temp):
@@ -329,8 +353,8 @@ class TestLogSumExpKl:
         # log-softmax as training computes them
         built = build_batch_targets(TeacherBatch(img, txt), 1e3)
         assert np.array_equal(built.p_i2i, p_i) and np.array_equal(built.p_t2t, p_t)
-        for targets in (TeacherTargets(p_i, p_t), built):
-            report, _ = loss_from_logits(s_i2t, s_i2i, s_t2t, targets, it, 0.5, 0.5)
+        for targets in (TeacherTargets(np.stack([p_i, p_t])), built):
+            report, _ = loss_from_logits(s_i2t, s_uni, targets, it, 0.5, 0.5)
             for key, value in report.per_direction.items():
                 assert np.isfinite(value)
                 assert abs(value - want[key]) <= 1e-12, key

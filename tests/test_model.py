@@ -167,16 +167,16 @@ class TestBackward:
         base_txt = rng.standard_normal((n, d_bt))
         params = init_params(seed, d_bi, d_bt, d_e, d_u)
         params.log_inv_temp = float(rng.uniform(np.log(2), np.log(50)))
-        targets = TeacherTargets(
+        targets = TeacherTargets(np.stack([
             row_softmax(rng.standard_normal((n, n)), 1.0),
             row_softmax(rng.standard_normal((n, n)), 1.0),
-        )
+        ]))
         return base_img, base_txt, params, targets
 
     def test_zero_upstream_gives_zero_gradients(self):
         base_img, base_txt, params, _ = self._setup(20)
         zeros = np.zeros((5, 5))
-        upstream = LossGradients(zeros, zeros, zeros, 0.0)
+        upstream = LossGradients(zeros, np.zeros((2, 5, 5)), 0.0)
         grads = backward(forward(base_img, base_txt, params), params, upstream)
         for name in ("w_img", "w_txt", "u_img", "u_txt"):
             np.testing.assert_array_equal(getattr(grads, name), 0.0)
@@ -268,8 +268,8 @@ class TestBackward:
         tape = forward(base_img, base_txt, params).tape
         np.testing.assert_array_equal(tape.base_img, base_img)
         np.testing.assert_array_equal(tape.base_txt, base_txt)
-        np.testing.assert_array_equal(tape.img_norms, np.linalg.norm(base_img @ params.w_img, axis=1))
-        np.testing.assert_array_equal(tape.txt_norms, np.linalg.norm(base_txt @ params.w_txt, axis=1))
+        np.testing.assert_array_equal(tape.norms[0], np.linalg.norm(base_img @ params.w_img, axis=1))
+        np.testing.assert_array_equal(tape.norms[1], np.linalg.norm(base_txt @ params.w_txt, axis=1))
 
     def test_outputs_without_tape_rejected(self):
         base_img, base_txt, params, targets = self._setup(44)
@@ -305,6 +305,6 @@ def test_backward_rejects_upstream_of_another_batch_size():
     rng = np.random.default_rng(4)
     p = init_params(0, 6, 6, 4, 3)
     out = forward(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), p)
-    upstream = LossGradients(np.zeros((4, 4)), np.zeros((3, 3)), np.zeros((3, 3)), 0.0)
+    upstream = LossGradients(np.zeros((4, 4)), np.zeros((2, 3, 3)), 0.0)
     with pytest.raises(ShapeMismatch, match=r"d_s_i2t shape \(4, 4\) != batch 3"):
         backward(out, p, upstream)

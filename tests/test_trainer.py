@@ -12,7 +12,7 @@ import pytest
 
 from cusa import gradcheck, trainer
 from cusa.dataio import FeatureTable, save_checkpoint
-from cusa.errors import BatchTooLarge, InvalidConfig, TrainAbort, ZeroRow
+from cusa.errors import BatchTooLarge, InvalidConfig, NonFiniteValue, TrainAbort, ZeroRow
 from cusa.losses import loss_from_logits
 from cusa.mathops import Workspace, l2_normalize_rows
 from cusa.model import backward, forward, init_params
@@ -206,9 +206,10 @@ class TestTrain:
                 outputs = forward(base_img[idx], base_txt[idx], params)
                 # zero weights, one-hot targets, zero uni-modal logits
                 eye, zero = np.eye(len(idx)), np.zeros((len(idx), len(idx)))
-                _, lgrads = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T, zero, zero,
-                                             TeacherTargets(eye, eye), outputs.inv_temp,
-                                             0.0, 0.0)
+                _, lgrads = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T,
+                                             np.stack([zero, zero]),
+                                             TeacherTargets(np.stack([eye, eye])),
+                                             outputs.inv_temp, 0.0, 0.0)
                 pgrads = backward(outputs, params, lgrads)
                 params, state = adam_step(params, pgrads, state, cfg)
 
@@ -234,6 +235,18 @@ class TestTrain:
             train(data, cfg)
         assert info.value.epoch == 0
         assert info.value.step == 2
+
+    @pytest.mark.parametrize("side", ["img", "txt"])
+    def test_a_non_finite_base_value_ends_the_run_before_any_step(self, monkeypatch, side):
+        # FeatureTable does not check its values (read_features does), so
+        # a table built in the library reaches train with its NaN
+        data = make_dataset(np.random.default_rng(96), 12)
+        getattr(data, f"{side}_base").features[7, 3] = np.nan
+        steps = []
+        monkeypatch.setattr(trainer, "step_gradients", lambda *args: steps.append(args))
+        with pytest.raises(NonFiniteValue, match=f"^base_{side} contains NaN or Inf$"):
+            train(data, TrainConfig(batch_size=4, epochs=1, d_e=4, d_u=3))
+        assert steps == []
 
     def test_log_write_round_trip(self, tmp_path):
         import json
