@@ -254,18 +254,18 @@ def cmd_inspect(args) -> int:
 
     outputs = model.forward(base_img, base_txt, params)
     targets = build_batch_targets(teacher, config.teacher_inv_temp)
-    s_i2t, s_uni = student_logits(outputs)
+    s = student_logits(outputs)
     it = outputs.inv_temp
     with np.errstate(all="ignore"):  # an overflow ends as a NumericError
-        report, _ = loss_from_logits(s_i2t, s_uni, targets, it, config.alpha, config.beta)
+        report, _ = loss_from_logits(s, targets, it, config.alpha, config.beta)
     payload = {
         "batch": indices,
         "p_i2i": targets.p_i2i.tolist(),
         "p_t2t": targets.p_t2t.tolist(),
-        "q_i2t": row_softmax(s_i2t, it).tolist(),
-        "q_t2i": row_softmax(s_i2t.T, it).tolist(),
-        "q_i2i": row_softmax(s_uni[0], it).tolist(),
-        "q_t2t": row_softmax(s_uni[1], it).tolist(),
+        "q_i2t": row_softmax(s[0, 0], it).tolist(),
+        "q_t2i": row_softmax(s[0, 1], it).tolist(),
+        "q_i2i": row_softmax(s[1, 0], it).tolist(),
+        "q_t2t": row_softmax(s[1, 1], it).tolist(),
         "loss": asdict(report),
         "embeddings": {
             "images": _vectors([img for img, _ in batch], outputs.img_emb),

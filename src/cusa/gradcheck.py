@@ -72,29 +72,27 @@ def _teacher(rng, n: int, d_img: int, d_txt: int) -> tuple:
 
 def check_losses(seed: int) -> dict:
     """Max per-entry error of loss_from_logits, the code training runs,
-    per logit matrix (s_i2t, and each matrix of the uni-modal stack) and
-    for the log-temperature, with both teacher terms weighted."""
+    per matrix of its logit stack (s_i2t, s_t2i, s_i2i, s_t2t) and for
+    the log-temperature, with both teacher terms weighted."""
     rng = np.random.default_rng(seed)
-    names = ("s_i2t", "s_i2i", "s_t2t")
+    names = ("s_i2t", "s_t2i", "s_i2i", "s_t2t")
     worst = {f"loss.{name}": 0.0 for name in (*names, "log_inv_temp")}
     for n in BATCH_SIZES:
-        s_i2t, *uni = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in names]
-        s_uni = np.stack(uni)
+        s = rng.uniform(-1.0, 1.0, size=(2, 2, n, n))
         log_it = rng.uniform(np.log(2.0), np.log(50.0), size=1)
         targets = build_batch_targets(*_teacher(rng, n, n, n))
 
         def core():
-            return losses.loss_from_logits(s_i2t, s_uni, targets, float(np.exp(log_it[0])),
-                                           _ALPHA, _BETA)
+            return losses.loss_from_logits(s, targets, float(np.exp(log_it[0])), _ALPHA, _BETA)
 
         def total():
             return core()[0].l_total
 
         _, lg = core()
-        # the matrices of s_uni are views, so perturbing one perturbs the stack
-        for name, s in zip(names, (s_i2t, *s_uni)):
+        # the matrices are views, so perturbing one perturbs the stack
+        for name, m in zip(names, s.reshape(4, n, n)):
             key = f"loss.{name}"
-            worst[key] = max(worst[key], _max_err(getattr(lg, "d_" + name), _fd_matrix(total, s)))
+            worst[key] = max(worst[key], _max_err(getattr(lg, "d_" + name), _fd_matrix(total, m)))
         fd = float(_fd_matrix(total, log_it)[0])
         worst["loss.log_inv_temp"] = max(worst["loss.log_inv_temp"], _err(lg.d_log_inv_temp, fd))
     return worst

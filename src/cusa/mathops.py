@@ -4,9 +4,9 @@ The public kernels compute in float64 regardless of input dtype, are
 pure, and validate their inputs rather than repairing them. They and the
 internal row_softmax_with_log, which writes into buffers its caller
 passes (usually from a Workspace), are the building blocks for the
-soft-label targets and every loss term. No KL is formed here: the one
-KL, losses._mean_kl, takes the shifted logits and log-sum-exp of
-row_softmax_with_log and the p log p row sums of neg_entropy_rows.
+soft-label targets and every loss term. No KL is formed here: the loss
+core takes each KL from the shifted logits and log-sum-exp of
+row_softmax_with_log and the p log p row sums of the targets.
 """
 
 from __future__ import annotations
@@ -147,15 +147,15 @@ class Workspace:
         return buf
 
 
-def row_softmax_with_log(s: np.ndarray, inv_temp: float, q=None, z=None, axis: int = -1):
-    """Softmax of `s * inv_temp` along `axis`: -1 per row, -2 per column.
+def row_softmax_with_log(s: np.ndarray, inv_temp: float, q=None, z=None):
+    """Softmax of each row of `s * inv_temp`.
 
     Internal fast path shared by the loss kernels. `s` is a matrix or a
     stack of them, and each matrix gets the bits it would get alone.
     Writes the shifted logits z = s * inv_temp - shift (the maximum of
     the matrix, or of each row when a row of it lies too far below it)
     into `z` and the softmax q into `q`, and returns (q, z, lse) with lse
-    = log sum exp(z) along `axis` (kept as a length-1 axis). log q = z -
+    = log sum exp(z) per row (kept as a length-1 last axis). log q = z -
     lse is never formed: a KL against q is sum(p log p) - sum(p z) + lse
     per row. The name is kept from when it returned log q.
 
@@ -176,13 +176,13 @@ def row_softmax_with_log(s: np.ndarray, inv_temp: float, q=None, z=None, axis: i
     # loses precision, every row is shifted by its own maximum instead.
     z -= np.maximum.reduce(z, axis=(-2, -1), keepdims=True)
     np.exp(z, out=q)
-    sums = np.add.reduce(q, axis=axis, keepdims=True)
+    sums = np.add.reduce(q, axis=-1, keepdims=True)
     if np.minimum.reduce(sums, axis=None) < LSE_FLOOR:
         for k in np.ndindex(z.shape[:-2]):  # one empty index for a single matrix
             if sums[k].min() < LSE_FLOOR:
-                z[k] -= z[k].max(axis=axis, keepdims=True)
+                z[k] -= z[k].max(axis=-1, keepdims=True)
                 np.exp(z[k], out=q[k])
-                sums[k] = q[k].sum(axis=axis, keepdims=True)
+                sums[k] = q[k].sum(axis=-1, keepdims=True)
     q /= sums
     return q, z, np.log(sums)
 
@@ -222,8 +222,9 @@ def neg_entropy_rows(p: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...i", p, log_p)
 
 
-def stack_slice(stack: str, k: int) -> property:
-    """Property for matrix `k` of the stack in attribute `stack`: a view,
-    and assigning to it writes into the stack."""
+def stack_slice(stack: str, k) -> property:
+    """Property for matrix `k` (an index or a tuple of them) of the stack
+    in attribute `stack`: a view, and assigning to it writes into the
+    stack."""
     return property(lambda obj: getattr(obj, stack)[k],
                     lambda obj, value: getattr(obj, stack).__setitem__(k, value))

@@ -257,23 +257,23 @@ def backward(outputs: StudentOutputs, params: StudentParams,
     tape = outputs.tape
     if tape is None:
         raise ShapeMismatch("backward needs the outputs of forward, which carry its tape")
-    g_it = upstream.d_s_i2t
+    d_s = upstream.d_s
     n = tape.base_img.shape[0]
-    if g_it.shape != (n, n):
-        raise ShapeMismatch(f"upstream d_s_i2t shape {g_it.shape} != batch {n}")
+    if d_s.shape != (2, 2, n, n):
+        raise ShapeMismatch(f"upstream d_s shape {d_s.shape} != batch {n}")
 
     # the gradient matrices are written straight into views of one vector
     grads = StudentParams(np.empty_like(params.flat), params.dims)
-    emb, usa, d_uni = outputs.emb, outputs.usa, upstream.d_s_uni
+    emb, usa, d_uni = outputs.emb, outputs.usa, d_s[1]
     # uni-modal branch: s = f f^T pulls on f from both sides
     g_a = _normalize_backward(d_uni @ usa + d_uni.mT @ usa, usa, tape.usa_norms)
     np.matmul(emb.mT, g_a, out=grads.u)
     # the retrieval embedding collects the projector and cross-modal paths;
-    # image rows query the text embeddings through d_s_i2t, text rows the
-    # image embeddings through its transpose
+    # each cross-modal matrix, s_i2t = e_img e_txt^T and s_t2i = e_txt e_img^T,
+    # pulls on both modalities' rows
     g_z = g_a @ params.u.mT
-    g_z[0] += g_it @ emb[1]
-    g_z[1] += g_it.T @ emb[0]
+    g_z += d_s[0] @ emb[::-1]
+    g_z += d_s[0, ::-1].mT @ emb[::-1]
     g_z = _normalize_backward(g_z, emb, tape.norms)
     np.matmul(tape.base_img.T, g_z[0], out=grads.w_img)
     np.matmul(tape.base_txt.T, g_z[1], out=grads.w_txt)

@@ -104,6 +104,6 @@ def build_batch_targets(teacher: TeacherBatch, teacher_inv_temp: float,
         raise NumericError(f"teacher_inv_temp {teacher_inv_temp!r} overflows the teacher logits")
     ws = Workspace() if ws is None else ws
     # the Gram stack is dead once the targets are formed, so it borrows
-    # the loss's "q" pair, which the cross-modal softmaxes write later
-    return TeacherTargets(*_distribution((img, txt), teacher_inv_temp,
-                                         ws.buffer("p", (2, n, n)), ws.buffer("q", (2, n, n))))
+    # the cross-modal half of the loss's softmax stack, written later
+    return TeacherTargets(*_distribution((img, txt), teacher_inv_temp, ws.buffer("p", (2, n, n)),
+                                         ws.buffer("q", (2, 2, n, n))[0]))

@@ -118,7 +118,7 @@ def test_criterion_2_loss_identities():
         s = rng.standard_normal((n, n)) * 3.0
         it = 1.0
         targets = TeacherTargets(np.stack([row_softmax(s, it), row_softmax(s.T, it)]))
-        report, _ = loss_from_logits(s, np.stack([s, s.T]), targets, it, 1.0, 1.0)
+        report, _ = loss_from_logits(np.stack([np.stack([s, s.T])] * 2), targets, it, 1.0, 1.0)
         kl_self_worst = max(kl_self_worst, *map(abs, report.per_direction.values()))
     kl_self_ok = kl_self_worst < 1e-12
 
@@ -133,7 +133,7 @@ def test_criterion_2_loss_identities():
         s = e_img @ e_txt.T
         it = float(rng.uniform(2.0, 30.0))
         eye, zero = np.eye(n), np.zeros((n, n))
-        report, _ = loss_from_logits(s, np.stack([zero, zero]),
+        report, _ = loss_from_logits(np.stack([np.stack([s, s.T]), np.stack([zero, zero])]),
                                      TeacherTargets(np.stack([eye, eye])), it, 0.0, 0.0)
         one_hot_worst = max(one_hot_worst, abs(report.l_csa - report.l_original))
     one_hot_ok = one_hot_worst < 1e-9
@@ -161,8 +161,8 @@ def test_criterion_2_loss_identities():
             outputs = forward(base_img[idx], base_txt[idx], params)
             # zero weights, one-hot targets, zero uni-modal logits
             eye, zero = np.eye(len(idx)), np.zeros((len(idx), len(idx)))
-            _, lgrads = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T,
-                                         np.stack([zero, zero]),
+            s = outputs.img_emb @ outputs.txt_emb.T
+            _, lgrads = loss_from_logits(np.stack([np.stack([s, s.T]), np.stack([zero, zero])]),
                                          TeacherTargets(np.stack([eye, eye])), outputs.inv_temp,
                                          0.0, 0.0)
             pgrads = backward(outputs, params, lgrads)

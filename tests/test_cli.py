@@ -614,7 +614,7 @@ class TestGradcheckCommand:
         payload = report["payload"]
         assert payload["passed"] is True
         assert payload["tolerance"] == 1e-4
-        expected = {"loss.s_i2t", "loss.s_i2i", "loss.s_t2t", "loss.log_inv_temp",
+        expected = {"loss.s_i2t", "loss.s_t2i", "loss.s_i2i", "loss.s_t2t", "loss.log_inv_temp",
                     "model.w_img", "model.w_txt", "model.u_img", "model.u_txt",
                     "model.log_inv_temp"}
         assert set(payload["max_errors"]) == expected
@@ -646,9 +646,10 @@ class TestGradcheckCommand:
         assert "d_base_img=1000000000000" in line
         assert "Traceback" not in err
 
-    # each logit gradient the loss core returns: d_s_i2t, each matrix of the
-    # uni-modal stack d_s_uni, and the log-temperature's
-    @pytest.mark.parametrize("field", ["d_s_i2t", "d_s_i2i", "d_s_t2t", "d_log_inv_temp"])
+    # each logit gradient the loss core returns, a view of its stack d_s,
+    # and the log-temperature's
+    @pytest.mark.parametrize("field", ["d_s_i2t", "d_s_t2i", "d_s_i2i", "d_s_t2t",
+                                       "d_log_inv_temp"])
     def test_broken_gradient_detected(self, capsys, monkeypatch, field):
         real = cusa.losses.loss_from_logits
 
@@ -689,13 +690,14 @@ class TestGradcheckCommand:
     def test_a_dropped_uni_modal_temperature_gradient_is_detected(self, capsys, monkeypatch):
         # the uni-modal softmaxes share the one temperature, so the loss
         # core's derivative must collect their part as well
-        real = cusa.losses._usa_directions
+        real = cusa.losses.loss_from_logits
 
-        def unsummed(*args):
-            kl, d_s, _ = real(*args)
-            return kl, d_s, 0.0
+        def unsummed(s, *args, **kwargs):
+            report, grads = real(s, *args, **kwargs)
+            grads.d_log_inv_temp -= float(np.einsum("kij,kij->", grads.d_s[1], s[1]))
+            return report, grads
 
-        monkeypatch.setattr(cusa.losses, "_usa_directions", unsummed)
+        monkeypatch.setattr(cusa.losses, "loss_from_logits", unsummed)
         code, report, err = run(capsys, ["gradcheck", "--trials", "1",
                                          "--dims", "5,4,3,2"])
         assert code == 6
@@ -813,7 +815,7 @@ class TestInspectCommand:
         temps, real_loss = [], cusa.cli.loss_from_logits
 
         def loss(*args):  # records it
-            temps.append(args[3])
+            temps.append(args[2])
             return real_loss(*args)
 
         monkeypatch.setattr(cusa.cli, "loss_from_logits", loss)

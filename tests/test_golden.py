@@ -33,7 +33,14 @@ gradient is regrouped as (c1 + c2)(Q_i2t + Q_t2i^T) - c2(P_i + P_t^T)
 and d^T to f apart. These reorder floating-point operations, so the
 step log and the checkpoint moved by a few ulps (at most 5e-15
 relative on a logged loss of the batch-200 benchmark run); the values
-are otherwise the same.
+are otherwise the same. They moved again, with the row-shift and
+zero-weight digests, when the loss core became one kernel over a
+(2, 2, n, n) logit stack: the t2i logits became a product of their own
+(e_t e_i^T in place of the transpose of e_i e_t^T) with a gradient of
+their own, every KL and the temperature derivative became an einsum in
+place of BLAS dot products, and InfoNCE one sum over both diagonals.
+Against the commit before, no parameter moved by more than 2.5e-16
+relative and no step-log loss by more than 2.3e-15.
 
 The row-shift digests pin the same run at a teacher temperature of
 1e18, where in most batches the rows of exactly one modality's teacher
@@ -47,10 +54,10 @@ while the loss core still had a separate branch for each zero weight,
 before every weight took the one general path.
 
 The gradcheck digest pins the stdout of a small run: finite
-differences of the loss core over its three logit matrices and its one
-log-temperature, and of the model over its one parameter layout. Its
-printed errors moved with the first re-pin above. It was re-pinned
-once more when the targets of both checks began to come from
+differences of the loss core over the four matrices of its logit stack
+and its one log-temperature, and of the model over its one parameter
+layout. Its printed errors moved with the first re-pin above. It was
+re-pinned once more when the targets of both checks began to come from
 `build_batch_targets` on seeded teacher features (in place of a
 softmax of random logits) and the model check began to differentiate
 the trainer's own step, `trainer.step_gradients`, at a warm workspace:
@@ -65,7 +72,11 @@ take one inverse temperature: the report lost the key
 `loss.log_inv_temp_uni`, and `check_losses` draws one log-temperature
 per batch in place of two, which moves its later seeded draws. Every
 printed value stayed as it was (the largest still 5.9e-9 at
-`model.w_txt`, against `TOLERANCE` 1e-4), and no other digest moved.
+`model.w_txt`, against `TOLERANCE` 1e-4), and no other digest moved. It
+was re-pinned again when the loss core came to take one (2, 2, n, n)
+logit stack: the report gained the key `loss.s_t2i`, `check_losses`
+draws the four matrices as one stack, and the largest printed error
+went from 5.9478e-9 to 5.9491e-9 (at `model.w_txt`).
 
 The eval digests pin the stdout of `eval --task cross --relevance`,
 `eval --task cross --pairs` and `eval --task img --relevance` on a
@@ -101,7 +112,14 @@ produced at commit fb14666, before `inspect` took its logits from
 `losses.student_logits` and before the eval inputs and the text
 readers each got one code path. They held unchanged when `inspect`
 began to print `row_softmax` of its logits in place of copies of the
-loss core's softmaxes.
+loss core's softmaxes. `inspect-fresh` and `inspect-ckpt` were re-pinned when
+the loss core came to take one logit stack: in `inspect-fresh` only
+the i2t and t2i KLs of `per_direction` moved (by 2.9e-16 and 7.2e-16
+relative); `inspect-ckpt` reads the report corpus's checkpoint, whose
+parameters moved by at most 3.3e-17 relative, so its embeddings, Q
+matrices and uni-modal KLs moved by at most 8.9e-16. The projector-head
+digest moved with that checkpoint (2.3e-16 relative at most);
+`sts-ckpt-usa-branch` held.
 
 The synth-bundle digests pin each of the six files of a fixed-seed
 `synth` bundle, `relevance.tsv` included. The reader-error digest pins
@@ -152,21 +170,21 @@ from cusa.dataio import (
 )
 from cusa.model import embed_images, embed_texts, init_params
 
-CKPT_SHA256 = "f0174c8a696d334a4bb4edd69ecd47a2dc3cdf22b6e1d2d5fb10c0ec85be0a27"
-LOG_SHA256 = "89e4a509717aeedbe37ac4485bbdcfb8e241b29ce024d4c39f9687d64e8c59a7"
+CKPT_SHA256 = "043e0fd66adad1667d438e53edd7cd54ccda3515c31c2694f20681f9cab26f9e"
+LOG_SHA256 = "3dabf60cb0da6bcb00046586198adc0b0d69c24df55797148d2fe445d75e733c"
 # (alpha, beta) -> (checkpoint, step log) of the same run with a weight at 0
 ZERO_WEIGHT_SHA256 = {
-    ("0", "0"): ("32d4a1d1fe1d392040ec3cc030bb6ed8cb16a0c338a1fe102b06cedcde4a074e",
-                 "d2f92cade8fa2b8eb9757f09b3d2be820a04c80fe31da9a2d06f5df6083dad12"),
-    ("0", "0.4"): ("5066b20ce289ead92f20a3785444280c97baa392134beff4f8eb87829842dd3c",
-                   "ef6aaa9c8fe371fc3f7f496015870eac434b7c8e0c130a590a81d4ecba870b84"),
-    ("0.6", "0"): ("d1d7192b62644bf3ed59cbcf82f80e190c24e8aff5adbdec566adf18d85a0aeb",
-                   "aff2950142612d0ba1f9fa7b2d2a4ed3458f8342985b3efb139d437373d2b895"),
+    ("0", "0"): ("ac8089c056bc679d5fc8f8288e074f08a14fdcc6158065b620cfd3f3177ac986",
+                 "b404018cb172eda93baea11c24d3cb7deed27dab83a829cf0e753be9ccbca159"),
+    ("0", "0.4"): ("0a35ce9c694f52905811b9e2b884cba1b255cedb3b6ec33531dc7b8774502aa0",
+                   "0f351b3d593da1f8664c39ffd78fa089e726f01de987607ec192fd27e3e9f4d6"),
+    ("0.6", "0"): ("c3b4741908e5e0613d48ec9e6f4021263888e58447f3750e8773603e2974f668",
+                   "602df38c4671dedf3ce895f1291809fb2001d2ba725b442056cb5ba798299ca2"),
 }
 # (checkpoint, step log) of the same run at a teacher temperature of 1e18
-ROW_SHIFT_SHA256 = ("ba30808f1394712a9326bd18be21955cc24e1265e8f3af79d9e0af55d38d1e67",
-                    "5fc03618578b293746242707d41e1a6dfa778380169ff1fa7e4d196da442bc00")
-GRADCHECK_SHA256 = "3b794122659baaf51a23940e5ba79b54c5761d909d3b8e10b3c303b0b2b694b2"
+ROW_SHIFT_SHA256 = ("43a8a7d2bcf339488a5b5e452ad68231a34738f66570bffdb7860fd969424b1d",
+                    "2879ca3482262549c5bfb4c8b95bd1a53a519b8f625362dc6777f0b0ecc0f9a9")
+GRADCHECK_SHA256 = "cd704ecac72df20b7b90c1093b688ab1875ae0a97c8b895eca0321138f3af5c3"
 EVAL_SHA256 = {
     "cross-relevance": "ff4dc2f4eef0d3a8f8bef84165000e1a29b12be590b6f5e44ea99a6d0cfe7a99",
     "cross-pairs": "aba60caad135f6ebe3b8acaa57b72e6840f19e3afbb253d90535010be79f7d24",
@@ -177,15 +195,15 @@ MULTI_BLOCK_EVAL_SHA256 = {
     "img-relevance": "06c2e404c1bd15917029b7fe8212719e1e119e52924e759c72b28949e0f15a0b",
 }
 REPORT_SHA256 = {
-    "inspect-fresh": "5d5992c4d220cc32467570405a14eb299d7043d825c35115e6f6fa0411d15e6a",
-    "inspect-ckpt": "4366fa55be759fb15f77cbe2ff13f377e63889d3f5767e13d5fcfd3294f23ca0",
+    "inspect-fresh": "3ee173de59ba8b60967142cb3ca98a6227190972ac88c413ceaa5c197a5b048c",
+    "inspect-ckpt": "7a03aa0a18d9f47e1366c27085e9956e417dab32528927332d80239147be0829",
     "sts-emb": "280b45d8ed1d53051114b48412452ee9b9851c10de63082915025075daf4b02d",
     "sts-ckpt-usa-branch": "d28f6c98219862f4002d8eb24d33ba8ae8a3a57de538ddb981c697114914b497",
     "cross-emb": "346a161ef07a3ccda21f1f21942d173ebb8b6a9623599677d6eaf2de436f3703",
 }
 # the projector-head embeddings of every image and text of the report
 # corpus, from the checkpoint that `sts-ckpt-usa-branch` reads
-PROJECTOR_HEADS_SHA256 = "e2add90c3f2739b0040ebcfe890a0d99e283b1c3907dce15a0f9fa3e9cbffac7"
+PROJECTOR_HEADS_SHA256 = "02d54b170bb07b619dc484a2fbb1ad0384dabb59a37ccbe7289daebdf4bcfe44"
 SYNTH_SHA256 = {
     "img_base.feat": "74f6424777a911397cb8acb3c2105815805f7d6e285c82300c587dd7d60c5be7",
     "txt_base.feat": "759d332eaf2858402a9a2b25eb005f21a9d12d02f926ad83fd9e760b86ef721c",

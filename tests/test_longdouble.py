@@ -86,9 +86,9 @@ def targets_reference(feats, teacher_inv_temp):
 
 
 def loss_reference(s_i2t, s_i2i, s_t2t, p_i, p_t, it, alpha, beta):
-    """(total, (l_original, l_csa, l_usa), (d_s_i2t, d_s_i2i, d_s_t2t),
-    d/dlog(it)) of the objective in long double; `it` scales all four
-    softmaxes."""
+    """(total, (l_original, l_csa, l_usa), (d_s_i2t, d_s_t2i, d_s_i2i,
+    d_s_t2t), d/dlog(it)) of the objective in long double; `it` scales all
+    four softmaxes, and the t2i logits are s_i2t^T."""
     s_i2t, s_i2i, s_t2t, p_i, p_t = (m.astype(LD) for m in (s_i2t, s_i2i, s_t2t, p_i, p_t))
     it, alpha, beta = LD(it), LD(alpha), LD(beta)
     n = s_i2t.shape[0]
@@ -105,8 +105,8 @@ def loss_reference(s_i2t, s_i2i, s_t2t, p_i, p_t, it, alpha, beta):
     l_csa = (kl["i2t"] + kl["t2i"]) / 2
     l_usa = (kl["i2i"] + kl["t2t"]) / 2
     total = l_original + alpha * l_csa + beta * l_usa
-    d_s_i2t = it / (2 * n) * ((q["i2t"] - eye) + (q["t2i"] - eye).T
-                              + alpha * ((q["i2t"] - p_i) + (q["t2i"] - p_t).T))
+    d_s_i2t = it / (2 * n) * ((q["i2t"] - eye) + alpha * (q["i2t"] - p_i))
+    d_s_t2i = it / (2 * n) * ((q["t2i"] - eye) + alpha * (q["t2i"] - p_t))
     d_s_i2i = beta * it / (2 * n) * (q["i2i"] - p_i)
     d_s_t2t = beta * it / (2 * n) * (q["t2t"] - p_t)
     # d(-log q_ii)/d log t = -t (s_ii - E_q[s_i.])
@@ -114,7 +114,7 @@ def loss_reference(s_i2t, s_i2i, s_t2t, p_i, p_t, it, alpha, beta):
                                      for k in ("i2t", "t2i"))
     d_log_it = (d_original + alpha * it / (2 * n) * (shift["i2t"] + shift["t2i"])
                 + beta * it / (2 * n) * (shift["i2i"] + shift["t2t"]))
-    return total, (l_original, l_csa, l_usa), (d_s_i2t, d_s_i2i, d_s_t2t), d_log_it
+    return total, (l_original, l_csa, l_usa), (d_s_i2t, d_s_t2i, d_s_i2i, d_s_t2t), d_log_it
 
 
 def unit(rng, n, d):
@@ -148,13 +148,14 @@ def test_loss_core_matches_the_long_double_objective(batch):
     (_, teacher_inv_temp, *its, alpha, beta), teacher, logits = batch
     targets = build_batch_targets(teacher, teacher_inv_temp)
     for it in its:
-        report, grads = loss_from_logits(logits[0], np.stack(logits[1:]), targets, it, alpha, beta)
+        s = np.stack([np.stack([logits[0], logits[0].T]), np.stack(logits[1:])])
+        report, grads = loss_from_logits(s, targets, it, alpha, beta)
         total, terms, d_s, d_log_it = loss_reference(
             *logits, targets.p_i2i, targets.p_t2t, it, alpha, beta)
         assert rel_err(report.l_total, total) < RTOL
         for got, want in zip((report.l_original, report.l_csa, report.l_usa), terms):
             assert rel_err(got, want) < RTOL
-        for got, want in zip((grads.d_s_i2t, grads.d_s_i2i, grads.d_s_t2t), d_s):
+        for got, want in zip((grads.d_s_i2t, grads.d_s_t2i, grads.d_s_i2i, grads.d_s_t2t), d_s):
             assert rel_err(got, want) < RTOL
         assert rel_err(grads.d_log_inv_temp, d_log_it) < RTOL
 
@@ -200,13 +201,16 @@ def forward_reference(base_img, base_txt, params):
 
 def backward_reference(base_img, base_txt, params, upstream):
     """dL/d(w_img, w_txt, u_img, u_txt, log_inv_temp) in long double, by the
-    chain rule through s_i2t = e_i e_t^T, s_i2i = f_i f_i^T, s_t2t = f_t f_t^T,
-    f = normalize(e u) and e = normalize(base w). The temperature's
-    derivative is the loss core's, and 0 where the clamp is active."""
-    g_it = upstream.d_s_i2t.astype(LD)
+    chain rule through s_i2t = e_i e_t^T, s_t2i = e_t e_i^T, s_i2i = f_i f_i^T,
+    s_t2t = f_t f_t^T, f = normalize(e u) and e = normalize(base w). The
+    temperature's derivative is the loss core's, and 0 where the clamp is
+    active."""
+    g_it, g_ti = upstream.d_s_i2t.astype(LD), upstream.d_s_t2i.astype(LD)
     grads = {}
-    sides = {"img": (base_img, params.w_img, params.u_img, upstream.d_s_i2i, g_it),
-             "txt": (base_txt, params.w_txt, params.u_txt, upstream.d_s_t2t, g_it.T)}
+    # a side's rows query the other side's through its own cross-modal
+    # matrix, and are queried through the other one's transpose
+    sides = {"img": (base_img, params.w_img, params.u_img, upstream.d_s_i2i, g_it + g_ti.T),
+             "txt": (base_txt, params.w_txt, params.u_txt, upstream.d_s_t2t, g_ti + g_it.T)}
     emb = {}
     for side, (base, w, u, _, _) in sides.items():
         z = base.astype(LD) @ w.astype(LD)

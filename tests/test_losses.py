@@ -39,13 +39,24 @@ def random_targets(rng, n):
             row_softmax(rng.standard_normal((n, n)), 1.0))
 
 
+def stack(s_i2t, s_uni):
+    """The core's logit stack of cross-modal logits s_i2t, whose t2i
+    logits are their transpose, and the uni-modal stack s_uni."""
+    return np.stack([np.stack([s_i2t, s_i2t.T]), s_uni])
+
+
+def cross(grads):
+    """The gradient w.r.t. s_i2t of a loss whose t2i logits are s_i2t.T."""
+    return grads.d_s_i2t + grads.d_s_t2i.T
+
+
 def infonce(s, it):
     """Pure InfoNCE through the loss core: zero weights, one-hot targets
     and zero uni-modal logits. Returns (value, LossGradients)."""
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
-    report, grads = loss_from_logits(s, np.stack([zero, zero]),
+    report, grads = loss_from_logits(stack(s, np.stack([zero, zero])),
                                      TeacherTargets(np.stack([eye, eye])), it, 0.0, 0.0)
     return report.l_total, grads
 
@@ -53,11 +64,11 @@ def infonce(s, it):
 def csa(s, p_i, p_t, it):
     """(l_csa, its gradient w.r.t. s): the core's i2t gradient at alpha = 1
     less the one at alpha = 0, both directions from the one matrix s."""
-    zero = np.zeros((2, *s.shape))
+    logits = stack(s, np.zeros((2, *s.shape)))
     targets = TeacherTargets(np.stack([p_i, p_t]))
-    report, with_csa = loss_from_logits(s, zero, targets, it, 1.0, 0.0)
-    _, without = loss_from_logits(s, zero, targets, it, 0.0, 0.0)
-    return report.l_csa, with_csa.d_s_i2t - without.d_s_i2t
+    report, with_csa = loss_from_logits(logits, targets, it, 1.0, 0.0)
+    _, without = loss_from_logits(logits, targets, it, 0.0, 0.0)
+    return report.l_csa, cross(with_csa) - cross(without)
 
 
 def usa(p_i, p_t, s_i, s_t, it):
@@ -65,7 +76,7 @@ def usa(p_i, p_t, s_i, s_t, it):
     cross-modal logits; a distribution q enters as the logits log q at
     it = 1."""
     zero = np.zeros(s_i.shape)
-    report, grads = loss_from_logits(zero, np.stack([s_i, s_t]),
+    report, grads = loss_from_logits(stack(zero, np.stack([s_i, s_t])),
                                      TeacherTargets(np.stack([p_i, p_t])), it, 0.0, 1.0)
     return report.l_usa, grads.d_s_i2i, grads.d_s_t2t
 
@@ -88,7 +99,7 @@ class TestInfonce:
             it = float(np.exp(rng.uniform(np.log(2), np.log(50))))
             _, grads = infonce(s, it)
             fd = central_diff(lambda: infonce(s, it)[0], s)
-            np.testing.assert_allclose(grads.d_s_i2t, fd, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(cross(grads), fd, rtol=1e-5, atol=1e-8)
 
     def test_temperature_gradient(self):
         rng = np.random.default_rng(55)
@@ -225,8 +236,8 @@ class TestCusaTotal:
             cusa_total(1.0, 0.1, 0.1, alpha, beta)
         zero, eye = np.zeros((2, 2)), np.eye(2)
         with pytest.raises(NegativeWeight):
-            loss_from_logits(zero, np.stack([zero, zero]), TeacherTargets(np.stack([eye, eye])),
-                             1.0, alpha, beta)
+            loss_from_logits(stack(zero, np.stack([zero, zero])),
+                             TeacherTargets(np.stack([eye, eye])), 1.0, alpha, beta)
 
 
 def make_outputs(rng, n, d_e=6, d_u=4, inv_temp=10.0):
@@ -259,6 +270,7 @@ class TestBatchLossAndGrads:
         want_value, want_grads = infonce(s, outputs.inv_temp)
         assert report.l_total == want_value
         np.testing.assert_array_equal(grads.d_s_i2t, want_grads.d_s_i2t)
+        np.testing.assert_array_equal(grads.d_s_t2i, want_grads.d_s_t2i)
         np.testing.assert_array_equal(grads.d_s_i2i, 0.0)
         np.testing.assert_array_equal(grads.d_s_t2t, 0.0)
         assert grads.d_log_inv_temp == want_grads.d_log_inv_temp
@@ -329,7 +341,7 @@ class TestBatchLossAndGrads:
         h = 1e-6
 
         def total(u):
-            return loss_from_logits(*logits, targets, float(np.exp(u)), 0.5, 0.5)[0].l_total
+            return loss_from_logits(logits, targets, float(np.exp(u)), 0.5, 0.5)[0].l_total
 
         fd = (total(log_it + h) - total(log_it - h)) / (2 * h)
         assert abs(lg.d_log_inv_temp - fd) < 1e-7
@@ -361,49 +373,55 @@ class TestLossFromLogits:
         rng = np.random.default_rng(66)
         n = 4
         s_i2t, *uni = [rng.uniform(-1, 1, size=(n, n)) for _ in range(3)]
-        logits = [s_i2t, np.stack(uni)]
+        logits = stack(s_i2t, np.stack(uni))
         targets = TeacherTargets(np.stack(random_targets(rng, n)))
-        keep = [m.copy() for m in logits]
+        keep = logits.copy()
         for alpha, beta in ((0.5, 0.5), (0.0, 0.0)):
-            loss_from_logits(*logits, targets, 4.0, alpha, beta)
-            for now, before in zip(logits, keep):
-                assert np.array_equal(now, before)
+            loss_from_logits(logits, targets, 4.0, alpha, beta)
+            assert np.array_equal(logits, keep)
 
     def test_workspace_leaves_inputs_untouched_and_matches_a_fresh_one(self):
         # the gradients alias the workspace; the logits and targets do not
         rng = np.random.default_rng(68)
         n = 5
         s_i2t, *uni = [rng.uniform(-1, 1, size=(n, n)) for _ in range(3)]
-        logits = [s_i2t, np.stack(uni)]
+        logits = stack(s_i2t, np.stack(uni))
         targets = TeacherTargets(np.stack(random_targets(rng, n)))
-        inputs = [*logits, targets.p_i2i, targets.p_t2t, targets.h_i2i, targets.h_t2t]
+        inputs = [logits, targets.p_i2i, targets.p_t2t, targets.h_i2i, targets.h_t2t]
         keep = [m.copy() for m in inputs]
         ws = Workspace()
         for alpha, beta in ((0.5, 0.5), (0.0, 0.0), (0.8, 0.0), (0.0, 0.3)):
-            report, grads = loss_from_logits(*logits, targets, 4.0, alpha, beta, ws=ws)
+            report, grads = loss_from_logits(logits, targets, 4.0, alpha, beta, ws=ws)
             for now, before in zip(inputs, keep):
                 assert np.array_equal(now, before)
-            fresh_report, fresh_grads = loss_from_logits(*logits, targets, 4.0, alpha, beta)
+            fresh_report, fresh_grads = loss_from_logits(logits, targets, 4.0, alpha, beta)
             assert report == fresh_report
-            for name in ("d_s_i2t", "d_s_i2i", "d_s_t2t"):
+            for name in ("d_s_i2t", "d_s_t2i", "d_s_i2i", "d_s_t2t"):
                 np.testing.assert_array_equal(getattr(grads, name), getattr(fresh_grads, name))
 
     def test_non_finite_loss_rejected(self):
         # alpha * l_csa overflows: the core raises instead of returning inf
         rng = np.random.default_rng(69)
         s_i2t, *uni = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
-        logits = [s_i2t, np.stack(uni)]
+        logits = stack(s_i2t, np.stack(uni))
         targets = TeacherTargets(np.stack(random_targets(rng, 3)))
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
-            loss_from_logits(*logits, targets, 40.0, 1.7e308, 0.5)
+            loss_from_logits(logits, targets, 40.0, 1.7e308, 0.5)
 
     def test_mismatched_shapes_rejected(self):
         rng = np.random.default_rng(67)
         targets = TeacherTargets(np.stack(random_targets(rng, 3)))
-        square = np.zeros((3, 3))
+        with pytest.raises(ShapeMismatch):  # matrices that are not square
+            loss_from_logits(np.zeros((2, 2, 3, 2)), targets, 1.0, 0.5, 0.5)
+        with pytest.raises(ShapeMismatch):  # one uni-modal matrix, not the pair
+            loss_from_logits(np.zeros((3, 3, 3)), targets, 1.0, 0.5, 0.5)
+        with pytest.raises(ShapeMismatch):  # the cross-modal pair alone
+            loss_from_logits(np.zeros((1, 2, 3, 3)), targets, 1.0, 0.5, 0.5)
         with pytest.raises(ShapeMismatch):
-            loss_from_logits(square, np.zeros((2, 3, 2)), targets, 1.0, 0.5, 0.5)
-        with pytest.raises(ShapeMismatch):  # one uni-modal matrix, not the stack of two
-            loss_from_logits(square, square, targets, 1.0, 0.5, 0.5)
-        with pytest.raises(ShapeMismatch):
-            loss_from_logits(np.zeros((4, 4)), np.zeros((2, 4, 4)), targets, 1.0, 0.5, 0.5)
+            loss_from_logits(np.zeros((2, 2, 4, 4)), targets, 1.0, 0.5, 0.5)
+        # row sums h that do not fit the batch: three rows, or sums of three
+        # entries, at n = 5; broadcast, they gave a wrong l_total
+        p = np.stack(random_targets(rng, 5))
+        for h in (np.zeros((3, 5)), np.zeros((2, 3))):
+            with pytest.raises(ShapeMismatch, match="^h shape"):
+                loss_from_logits(np.zeros((2, 2, 5, 5)), TeacherTargets(p, h), 1.0, 0.5, 0.5)

@@ -25,7 +25,7 @@ from cusa.mathops import (
     row_softmax,
     row_softmax_with_log,
 )
-from cusa.losses import _mean_kl, loss_from_logits
+from cusa.losses import loss_from_logits
 from cusa.softlabels import TeacherBatch, TeacherTargets, build_batch_targets
 
 # softmax([1, 0]) at inv_temp 1, 50-digit oracle
@@ -152,26 +152,25 @@ class TestRowSoftmax:
         np.testing.assert_allclose(q, [SOFTMAX_1_0] * 2, rtol=0, atol=1e-15)
         np.testing.assert_allclose(z - lse, np.log([SOFTMAX_1_0] * 2), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("axis", [-1, -2], ids=["rows", "columns"])
-    @pytest.mark.parametrize("shifted", [(), (0,), (1,), (0, 1)],
-                             ids=["neither", "first", "second", "both"])
-    def test_each_matrix_of_a_stack_gets_the_bits_it_gets_alone(self, shifted, axis):
-        # a matrix whose second row (or column) sits 2000 below its maximum
-        # takes the per-row shift; the others keep the one shift of their
-        # matrix, whatever their neighbour in the stack does
+    # each id marks the matrices that take the per-row shift, in the
+    # order i2t, t2i, i2i, t2t of the loss core's (2, 2, n, n) stack
+    @pytest.mark.parametrize("shifted", [[int(c) for c in f"{m:04b}"] for m in range(16)],
+                             ids=lambda flags: "".join(map(str, flags)))
+    def test_each_matrix_of_a_stack_gets_the_bits_it_gets_alone(self, shifted):
+        # a matrix whose second row sits 2000 below its maximum takes the
+        # per-row shift; the others keep the one shift of their matrix,
+        # whatever their neighbours in the stack do
         rng = np.random.default_rng(7)
-        s = rng.uniform(-1.0, 1.0, size=(2, 4, 4))
-        for k in shifted:
-            s[k, 1] -= 2000.0
-            if axis == -2:
-                s[k] = s[k].T.copy()
+        s = rng.uniform(-1.0, 1.0, size=(2, 2, 4, 4))
+        flags = np.reshape(shifted, (2, 2))
+        s[flags == 1, 1] -= 2000.0
         stack = s.copy()
-        q, z, lse = row_softmax_with_log(stack, 1.0, axis=axis)
+        q, z, lse = row_softmax_with_log(stack, 1.0)
         np.testing.assert_array_equal(stack, s)  # the logits are not modified
-        for k in range(2):
-            alone = row_softmax_with_log(s[k].copy(), 1.0, axis=axis)
-            sums = np.exp(s[k] - s[k].max()).sum(axis=axis)
-            assert (sums.min() < LSE_FLOOR) == (k in shifted)
+        for k in np.ndindex(2, 2):
+            alone = row_softmax_with_log(s[k].copy(), 1.0)
+            sums = np.exp(s[k] - s[k].max()).sum(axis=-1)
+            assert (sums.min() < LSE_FLOOR) == bool(flags[k])
             for got, want in zip((q[k], z[k], lse[k]), alone):
                 assert got.tobytes() == want.tobytes()
 
@@ -221,12 +220,14 @@ def masked_kl(p, log_q):
 
 
 def training_kl(p, s, inv_temp=1.0):
-    """Mean over rows of KL(p || softmax(s * inv_temp)) as training forms
-    every KL: losses._mean_kl of the shifted logits and log-sum-exp of
-    row_softmax_with_log and the p log p row sums of neg_entropy_rows."""
+    """Mean over rows of KL(p || softmax(s * inv_temp)) in the loss core's
+    form: sum(p log p) - sum(p z) + lse over the rows, from the shifted
+    logits and log-sum-exp of row_softmax_with_log and the p log p row
+    sums of neg_entropy_rows, over the row count."""
     p = np.asarray(p, dtype=np.float64)
     _, z, lse = row_softmax_with_log(np.asarray(s, dtype=np.float64), inv_temp)
-    return _mean_kl(neg_entropy_rows(p), p, z, lse)
+    kl = np.add.reduce(neg_entropy_rows(p)) - np.einsum("ij,ij->", p, z) + np.add.reduce(lse[:, 0])
+    return float(kl / p.shape[0])
 
 
 class TestKlDivergenceRows:
@@ -301,8 +302,7 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(62)
         p = row_softmax(rng.standard_normal((5, 5)), 1.0)
         s = rng.standard_normal((5, 5))
-        # a transposed view gives column-major logits, as the t2i
-        # direction's are
+        # a transposed view gives column-major logits
         for view in (s, s.T):
             keep = (p.copy(), s.copy())
             training_kl(p, view, 2.0)
@@ -341,7 +341,7 @@ class TestLogSumExpKl:
             assert np.any(p == 0.0)
         rng = np.random.default_rng(64)
         s_i2t, s_i2i, s_t2t = (rng.uniform(-1.0, 1.0, size=p_i.shape) for _ in range(3))
-        s_uni = np.stack([s_i2i, s_t2t])
+        logits = np.stack([np.stack([s_i2t, s_i2t.T]), np.stack([s_i2i, s_t2t])])
         it = 14.0
 
         def oracle(p, s, inv_temp):
@@ -354,7 +354,7 @@ class TestLogSumExpKl:
         built = build_batch_targets(TeacherBatch(img, txt), 1e3)
         assert np.array_equal(built.p_i2i, p_i) and np.array_equal(built.p_t2t, p_t)
         for targets in (TeacherTargets(np.stack([p_i, p_t])), built):
-            report, _ = loss_from_logits(s_i2t, s_uni, targets, it, 0.5, 0.5)
+            report, _ = loss_from_logits(logits, targets, it, 0.5, 0.5)
             for key, value in report.per_direction.items():
                 assert np.isfinite(value)
                 assert abs(value - want[key]) <= 1e-12, key

@@ -175,8 +175,7 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_gradients(self):
         base_img, base_txt, params, _ = self._setup(20)
-        zeros = np.zeros((5, 5))
-        upstream = LossGradients(zeros, np.zeros((2, 5, 5)), 0.0)
+        upstream = LossGradients(np.zeros((2, 2, 5, 5)), 0.0)
         grads = backward(forward(base_img, base_txt, params), params, upstream)
         for name in ("w_img", "w_txt", "u_img", "u_txt"):
             np.testing.assert_array_equal(getattr(grads, name), 0.0)
@@ -305,6 +304,15 @@ def test_backward_rejects_upstream_of_another_batch_size():
     rng = np.random.default_rng(4)
     p = init_params(0, 6, 6, 4, 3)
     out = forward(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), p)
-    upstream = LossGradients(np.zeros((4, 4)), np.zeros((2, 3, 3)), 0.0)
-    with pytest.raises(ShapeMismatch, match=r"d_s_i2t shape \(4, 4\) != batch 3"):
+    upstream = LossGradients(np.zeros((2, 2, 4, 4)), 0.0)
+    with pytest.raises(ShapeMismatch, match=r"d_s shape \(2, 2, 4, 4\) != batch 3"):
         backward(out, p, upstream)
+    # the whole stack is checked, not only its cross-modal part: at n = 6,
+    # uni-modal gradients of batch 5 once ended as a numpy ValueError, and
+    # one uni-modal matrix was broadcast over both modalities; so would one
+    # matrix for each half of the stack be
+    out = forward(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)), p)
+    for shape in ((2, 2, 5, 5), (2, 2, 6, 5), (2, 1, 6, 6), (1, 2, 6, 6)):
+        upstream = LossGradients(np.zeros(shape), 0.0)
+        with pytest.raises(ShapeMismatch, match=r"d_s shape .* != batch 6"):
+            backward(out, p, upstream)

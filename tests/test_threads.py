@@ -1,5 +1,6 @@
 """Outputs do not depend on the BLAS thread count or on the number of
-CPUs the ranker runs on.
+CPUs the ranker runs on. For training this holds at batch 200 with
+narrow heads, not at every shape (see README).
 
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads, so each
 thread count runs in its own `python -m cusa.cli` child; only the
@@ -53,6 +54,25 @@ def test_eval_report_is_thread_count_invariant(bundle, task):
     one = _cli_stdout(argv, 1)
     assert b'"payload"' in one
     assert _cli_stdout(argv, 2) == one
+
+
+def test_batch_200_training_is_thread_count_invariant(tmp_path):
+    # the train-b200 benchmark's settings, on the default bundle
+    assert main(["synth", "--out", str(tmp_path), "--seed", "1"]) == 0
+    files = {name: str(tmp_path / f"{name}.feat")
+             for name in ("img_base", "txt_base", "img_teacher", "txt_teacher")}
+    outputs = []
+    for threads in (1, 2):
+        ckpt, log = tmp_path / f"model{threads}.ckpt", tmp_path / f"train{threads}.log"
+        _cli_stdout(["train", "--pairs", str(tmp_path / "pairs.tsv"),
+                     "--img-base", files["img_base"], "--txt-base", files["txt_base"],
+                     "--img-teacher", files["img_teacher"], "--txt-teacher", files["txt_teacher"],
+                     "--out-ckpt", str(ckpt), "--log", str(log), "--batch-size", "200",
+                     "--lr", "1e-2", "--teacher-inv-temp", "8", "--d-e", "4", "--d-u", "4",
+                     "--epochs", "5", "--seed", "1"], threads)
+        outputs.append((log.read_bytes(), ckpt.read_bytes()))
+    assert outputs[0][0].count(b"\n") == 1 + 20  # the header and 4 steps in each of 5 epochs
+    assert outputs[1] == outputs[0]
 
 
 @pytest.fixture(scope="module")

@@ -206,8 +206,9 @@ class TestTrain:
                 outputs = forward(base_img[idx], base_txt[idx], params)
                 # zero weights, one-hot targets, zero uni-modal logits
                 eye, zero = np.eye(len(idx)), np.zeros((len(idx), len(idx)))
-                _, lgrads = loss_from_logits(outputs.img_emb @ outputs.txt_emb.T,
-                                             np.stack([zero, zero]),
+                s = outputs.img_emb @ outputs.txt_emb.T
+                _, lgrads = loss_from_logits(np.stack([np.stack([s, s.T]),
+                                                       np.stack([zero, zero])]),
                                              TeacherTargets(np.stack([eye, eye])),
                                              outputs.inv_temp, 0.0, 0.0)
                 pgrads = backward(outputs, params, lgrads)
@@ -345,6 +346,10 @@ class TestWorkspace:
         # allocating every n x n array afresh each step peaked at 11.6.
         block = 200 * 200 * 8
         assert peak < 2 * block, f"traced peak {peak / block:.2f} n x n blocks"
+        # the warm workspace: the logit, softmax and shifted-logit stacks of
+        # four matrices each, and the two teacher targets
+        held = sum(buf.nbytes for buf in ws._buffers.values())
+        assert held <= 14 * block, f"the workspace holds {held / block:.2f} n x n blocks"
 
 
 class TestStepGradients:
