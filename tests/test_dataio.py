@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from cusa import dataio
+from cusa import dataio, metrics
 from cusa.cli import main
 from cusa.dataio import (
     FeatureTable,
@@ -526,6 +526,50 @@ class TestSharedEnds:
         rel = read_relevance(path)
         assert [args[2] for args in shared_ends_calls] == [252, 252]
         assert relevance_sets(rel)["q5"] == {"t", "w", *long.split(",")}
+
+
+def boundary_relevance(path, n_ids):
+    """A relevance file over ids 0..n_ids-1 (5 hex digits each), n_ids of
+    65,536 or 65,537: lines of 4,096 ids cover the first 65,536, then a
+    line copies its first and last 100 ids from the line before, with id
+    65,536 between them when there is one, and two lines list the
+    table's first and last ids. Interned, the table passes 65,536 ids on
+    the line of shared ends, mid-file."""
+    ids = [f"{i:05x}" for i in range(n_ids)]
+    rows = [ids[at:at + 4096] for at in range(0, 1 << 16, 4096)]
+    rows += [rows[-1][:100] + ids[1 << 16:] + rows[-1][-100:], ids[:3] + ids[-3:], ids[-3:]]
+    path.write_text("".join(f"{ids[q]}\t{','.join(row)}\n" for q, row in enumerate(rows)),
+                    encoding="ascii")
+    return ids
+
+
+@pytest.mark.parametrize("n_ids", [1 << 16, (1 << 16) + 1])
+def test_positions_are_uint16_up_to_65536_ids_and_int32_above(tmp_path, monkeypatch,
+                                                              shared_ends_calls, n_ids):
+    path = tmp_path / "r.tsv"
+    ids = boundary_relevance(path, n_ids)
+    itemsize = 2 if n_ids <= 1 << 16 else 4
+    for known_ids in (ids, None):
+        rel = read_relevance(path, known_ids=known_ids)
+        assert rel.indices.itemsize == itemsize and list(rel.index) == ids
+        with monkeypatch.context() as mp:
+            mp.setattr(metrics, "NARROW_IDS", -1)  # every table held as int32
+            wide = read_relevance(path, known_ids=known_ids)
+        assert wide.indices.itemsize == 4
+        assert [a.tolist() for a in (rel.queries, rel.indptr, rel.indices)] \
+            == [a.tolist() for a in (wide.queries, wide.indptr, wide.indices)]
+    assert len(shared_ends_calls) == 4  # the line of shared ends, in each of the four reads
+    mapped = metrics.Relevance.from_mapping({"q": ids[1:]})  # a table of n_ids ids, "q" first
+    assert mapped.indices.itemsize == itemsize and mapped.indices.tolist() == list(range(1, n_ids))
+
+
+def test_an_eval_2k_bundle_reads_as_uint16_positions(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--clusters", "4",
+                 "--pairs-per-cluster", "500", "--seed", "3"]) == 0
+    known = [*read_features(tmp_path / "img_base.feat").ids,
+             *read_features(tmp_path / "txt_base.feat").ids]
+    rel = read_relevance(tmp_path / "relevance.tsv", known_ids=known)
+    assert rel.indices.itemsize == 2 and rel.indices.size == 3_996_000
 
 
 def write_relevance_of_size(path, size):

@@ -410,6 +410,38 @@ class TestEvaluateCrossModal:
         six = [report[d][f"r_at_{k}"] for d in ("i2t", "t2i") for k in (1, 5, 10)]
         assert report["rsum"] == rsum(six)
 
+    def test_uint16_and_int32_csrs_give_equal_reports(self):
+        rng = np.random.default_rng(72)
+        img = l2_normalize_rows(rng.standard_normal((30, 6)))
+        txt = l2_normalize_rows(rng.standard_normal((30, 6)))
+        img_ids = [f"i{k}" for k in range(30)]
+        txt_ids = [f"t{k}" for k in range(30)]
+        narrow = Relevance.from_mapping(
+            {q: [g for g in (*img_ids, *txt_ids) if int(g[1:]) % 3 == int(q[1:]) % 3]
+             for q in (*img_ids, *txt_ids)})
+        wide = Relevance(narrow.index, narrow.queries, narrow.indptr,
+                         narrow.indices.astype(np.int32))
+        assert (narrow.indices.dtype, wide.indices.dtype) == (np.uint16, np.int32)
+        assert evaluate_cross_modal(img, txt, img_ids, txt_ids, narrow, narrow) \
+            == evaluate_cross_modal(img, txt, img_ids, txt_ids, wide, wide)
+
+
+@pytest.mark.parametrize("queries, indptr, indices", [
+    pytest.param([0], [0, 1], [-1], id="position-before-table"),
+    pytest.param([0], [0, 5], [1], id="indptr-past-positions"),
+    pytest.param([0], [0, 1], [5], id="position-past-table"),
+    pytest.param([0], [0, 1], np.array([2], dtype=np.uint16), id="uint16-position-past-table"),
+    pytest.param([2], [0, 1], [1], id="query-past-table"),
+    pytest.param([-1], [0, 1], [1], id="query-before-table"),
+    pytest.param([0], [1, 1], [1], id="indptr-not-from-0"),
+    pytest.param([0, 1], [0, 2, 1], [0, 1], id="indptr-decreases"),
+    pytest.param([0], [0, 1], [0, 1], id="indptr-short-of-positions"),
+    pytest.param([0, 1], [0, 1], [1], id="one-row-for-two-queries"),
+])
+def test_relevance_refuses_a_csr_that_does_not_fit_its_table(queries, indptr, indices):
+    with pytest.raises(ShapeMismatch):
+        Relevance({"a": 0, "b": 1}, queries, indptr, indices)
+
 
 class TestEvaluateUniModal:
     def test_identical_embeddings_mutually_relevant(self):

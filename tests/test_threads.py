@@ -56,9 +56,10 @@ def test_eval_report_is_thread_count_invariant(bundle, task):
     assert _cli_stdout(argv, 2) == one
 
 
-def test_batch_200_training_is_thread_count_invariant(tmp_path):
-    # the train-b200 benchmark's settings, on the default bundle
-    assert main(["synth", "--out", str(tmp_path), "--seed", "1"]) == 0
+def _training_outputs(tmp_path, synth_flags, train_flags):
+    """(step log, checkpoint) bytes of one `train` run at 1 and at 2 BLAS
+    threads, on a bundle made by `synth` with synth_flags."""
+    assert main(["synth", "--out", str(tmp_path), *synth_flags]) == 0
     files = {name: str(tmp_path / f"{name}.feat")
              for name in ("img_base", "txt_base", "img_teacher", "txt_teacher")}
     outputs = []
@@ -67,11 +68,29 @@ def test_batch_200_training_is_thread_count_invariant(tmp_path):
         _cli_stdout(["train", "--pairs", str(tmp_path / "pairs.tsv"),
                      "--img-base", files["img_base"], "--txt-base", files["txt_base"],
                      "--img-teacher", files["img_teacher"], "--txt-teacher", files["txt_teacher"],
-                     "--out-ckpt", str(ckpt), "--log", str(log), "--batch-size", "200",
-                     "--lr", "1e-2", "--teacher-inv-temp", "8", "--d-e", "4", "--d-u", "4",
-                     "--epochs", "5", "--seed", "1"], threads)
+                     "--out-ckpt", str(ckpt), "--log", str(log), *train_flags], threads)
         outputs.append((log.read_bytes(), ckpt.read_bytes()))
+    return outputs
+
+
+def test_batch_200_training_is_thread_count_invariant(tmp_path):
+    # the train-b200 benchmark's settings, on the default bundle
+    outputs = _training_outputs(tmp_path, ["--seed", "1"],
+                                ["--batch-size", "200", "--lr", "1e-2", "--teacher-inv-temp", "8",
+                                 "--d-e", "4", "--d-u", "4", "--epochs", "5", "--seed", "1"])
     assert outputs[0][0].count(b"\n") == 1 + 20  # the header and 4 steps in each of 5 epochs
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="backward's batch-axis GEMMs are BLAS (ROADMAP item 2, cause 2)")
+def test_batch_1000_training_is_thread_count_invariant(tmp_path):
+    # wide heads on a 4 x 500 bundle: contractions over 1,000 batch rows
+    outputs = _training_outputs(tmp_path,
+                                ["--clusters", "4", "--pairs-per-cluster", "500", "--seed", "1"],
+                                ["--batch-size", "1000", "--d-e", "64", "--d-u", "64",
+                                 "--epochs", "2", "--seed", "1"])
+    assert outputs[0][0].count(b"\n") == 1 + 4  # the header and 2 steps in each of 2 epochs
     assert outputs[1] == outputs[0]
 
 
