@@ -87,8 +87,8 @@ def _load_train_data(args) -> trainer.TrainData:
 
 def cmd_train(args) -> int:
     config = _config(trainer.TrainConfig, args)
-    data = _load_train_data(args)
-    params, log = trainer.train(data, config)
+    # no name here holds the TrainData, so train frees its tables once aligned
+    params, log = trainer.train(_load_train_data(args), config)
     dataio.save_checkpoint(args.out_ckpt, params, config.to_dict())
     log.write(args.log)
     payload = {

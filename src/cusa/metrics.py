@@ -99,8 +99,9 @@ class Relevance:
     makes them, or a uint16 ndarray) stay uint16 and are not copied,
     which halves the CSR of any table of up to NARROW_IDS ids (eval-2k's
     peak RSS: 52.8 -> 45.1 MB); any other indices, like queries and
-    indptr, are int32. A position outside the table or an indptr that
-    does not cut indices into one row per query raises ShapeMismatch.
+    indptr, are int32. A position outside the table, a query listed in
+    two rows or an indptr that does not cut indices into one row per
+    query raises ShapeMismatch.
     """
 
     def __init__(self, index: dict, queries, indptr, indices):
@@ -114,6 +115,10 @@ class Relevance:
             if pos.size and (pos.min() < 0 or pos.max() >= n):
                 bad = pos[(pos < 0) | (pos >= n)][0]
                 raise ShapeMismatch(f"{what} position {bad} is outside the table of {n} ids")
+        ordered = np.sort(self.queries)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ShapeMismatch(f"query position {repeated[0]} is listed in more than one row")
         ptr = self.indptr
         if (len(ptr) != len(self.queries) + 1 or ptr[0] != 0
                 or ptr[-1] != len(self.indices) or np.any(ptr[1:] < ptr[:-1])):

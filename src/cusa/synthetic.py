@@ -96,27 +96,40 @@ def generate(config: SynthConfig) -> SynthData:
         z = l2_normalize_rows(rng.standard_normal((c, latent)))
         projections = [rng.normal(0.0, 1.0 / np.sqrt(latent), size=(latent, d)) for d in dims]
         w = rng.standard_normal((n, latent))
-        eps = [rng.standard_normal((n, d)) for d in dims]
 
         clusters = np.repeat(np.arange(c), config.pairs_per_cluster)
         gap = config.cross_modal_gap
         shared_scale = np.sqrt(1.0 - gap)
         private_scale = np.sqrt(gap)
 
+        # Each space's noise eps is the next draw after w, so it is drawn
+        # when its space is built; it and w are released after their last
+        # use. The table is built in place as c + s * (a * (w @ P) + b * eps),
+        # each sum and product of the same operands as the out-of-place form.
         tables = []
         for space, proj in enumerate(projections):
             centroids = l2_normalize_rows(z @ proj)
+            eps = rng.standard_normal((n, dims[space]))
             if space < 2:
-                deviation = shared_scale * (w @ proj) + private_scale * eps[space]
+                deviation = w @ proj
+                deviation *= shared_scale
+                eps *= private_scale
+                deviation += eps
                 scale = config.intra_noise
+                if space == 1:
+                    del w
             else:
-                deviation = eps[space]
+                deviation = eps
                 scale = 0.25 * config.intra_noise
+            del eps
             with np.errstate(over="ignore"):
-                table = centroids[clusters] + scale * deviation
-            if not np.isfinite(table).all():
+                deviation *= scale
+                blocks = deviation.reshape(c, config.pairs_per_cluster, -1)  # a view
+                blocks += centroids[:, None]  # each cluster's rows get its centroid
+            if not np.isfinite(deviation).all():
                 raise InvalidConfig(f"intra_noise {config.intra_noise} overflows the features")
-            tables.append(l2_normalize_rows(table))
+            tables.append(l2_normalize_rows(deviation))
+            del deviation, blocks
 
     img_ids = [f"img-c{cl:03d}-p{m:04d}"
                for cl in range(c) for m in range(config.pairs_per_cluster)]

@@ -171,18 +171,24 @@ def train(data: TrainData, config: TrainConfig):
     one Workspace, so the n x n arrays of the step are allocated once.
     The pairs become aligned arrays, checked once up front; each step
     gathers its rows. Numeric failures abort with (epoch, step) context.
+
+    The run keeps the aligned arrays only: `data` is dropped once they
+    are built, so a TrainData passed as its only reference (as the CLI
+    does) frees its tables before the first step. A caller that holds
+    its TrainData keeps it whole.
     """
     base_img, base_txt, teacher = data.aligned(data.pairs)
+    n_pairs = len(data.pairs)
+    del data
 
     params = init_params(config.seed, base_img.shape[1], base_txt.shape[1],
                          config.d_e, config.d_u)
     state = init_adam_state(params)
     log = TrainLog(header={
         "log_format": 2,
-        "n_pairs": len(data.pairs),
+        "n_pairs": n_pairs,
         "config": config.to_dict(),
     })
-    n_pairs = len(data.pairs)
     base_img, base_txt = _as_matrix(base_img, "base_img"), _as_matrix(base_txt, "base_txt")
     ws = Workspace()
     with np.errstate(all="ignore"):  # a non-finite loss ends the run as TrainAbort

@@ -437,6 +437,7 @@ class TestEvaluateCrossModal:
     pytest.param([0, 1], [0, 2, 1], [0, 1], id="indptr-decreases"),
     pytest.param([0], [0, 1], [0, 1], id="indptr-short-of-positions"),
     pytest.param([0, 1], [0, 1], [1], id="one-row-for-two-queries"),
+    pytest.param([0, 0], [0, 1, 2], [0, 1], id="query-in-two-rows"),
 ])
 def test_relevance_refuses_a_csr_that_does_not_fit_its_table(queries, indptr, indices):
     with pytest.raises(ShapeMismatch):

@@ -121,6 +121,26 @@ class TestGenerate:
         assert pairwise_corr(0.0) > pairwise_corr(1.0) + 0.1
         assert abs(pairwise_corr(1.0)) < 0.1
 
+    def test_peak_holds_less_than_the_tables_and_every_draw(self):
+        # at 4 x 500 (dims 32, 32, 64, 64; latent 64) the four returned
+        # tables are 3.07 MB, w 1.02 MB and the four eps draws, of the
+        # tables' shapes, 3.07 MB more: 7.17 MB (6.84 MiB) in all. Each
+        # draw is released after its last use and each table is built in
+        # place, so the peak stays below them (5.0 MB; 10.1 MB if all
+        # were held)
+        config = SynthConfig(n_clusters=4, pairs_per_cluster=500)
+        tracemalloc.start()
+        try:
+            data = generate(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = [data.img_base, data.txt_base, data.img_teacher, data.txt_teacher]
+        n, latent = len(data.img_ids), max(t.shape[1] for t in tables)
+        held = sum(t.nbytes for t in tables)
+        w, eps = n * latent * 8, held
+        assert peak < held + w + eps
+
 
 class TestSynthGenerate:
     def test_bundle_round_trips(self, tmp_path):

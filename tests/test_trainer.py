@@ -6,18 +6,19 @@ composed trainer has an independent reference.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from cusa import gradcheck, trainer
+from cusa import cli, dataio, gradcheck, trainer
 from cusa.dataio import FeatureTable, save_checkpoint
 from cusa.errors import BatchTooLarge, InvalidConfig, NonFiniteValue, TrainAbort, ZeroRow
 from cusa.losses import loss_from_logits
 from cusa.mathops import Workspace, l2_normalize_rows
 from cusa.model import backward, forward, init_params
 from cusa.softlabels import TeacherBatch, TeacherTargets
-from cusa.synthetic import SynthConfig, generate
+from cusa.synthetic import SynthConfig, generate, synth_generate
 from cusa.trainer import (
     TrainConfig,
     TrainData,
@@ -37,6 +38,9 @@ def tiny_params(value=0.0):
     params = trainer.StudentParams(np.full(5, value), (1, 1, 1, 1))
     params.log_inv_temp = 0.0
     return params
+
+
+TABLES = ("img_base", "txt_base", "img_teacher", "txt_teacher")
 
 
 def make_dataset(rng, n_pairs, d_b=10, d_t=12):
@@ -159,15 +163,23 @@ class TestAdamStep:
 
 
 class TestTrain:
-    def test_deterministic_across_runs(self):
+    def test_deterministic_across_runs(self, tmp_path):
+        # a TrainData its caller holds stays whole through train, so a
+        # second run on it writes the same bytes
         data = make_dataset(np.random.default_rng(90), 24)
+        held = [(getattr(data, name), getattr(data, name).features.copy()) for name in TABLES]
+        pairs = list(data.pairs)
         cfg = TrainConfig(batch_size=8, epochs=2, d_e=6, d_u=4, seed=1)
-        params_a, log_a = train(data, cfg)
-        params_b, log_b = train(data, cfg)
-        np.testing.assert_array_equal(params_a.w_img, params_b.w_img)
-        np.testing.assert_array_equal(params_a.u_txt, params_b.u_txt)
-        assert params_a.log_inv_temp == params_b.log_inv_temp
-        assert log_a.records == log_b.records
+        for run in ("a", "b"):
+            params, log = train(data, cfg)
+            save_checkpoint(tmp_path / f"{run}.ckpt", params, cfg.to_dict())
+            log.write(tmp_path / f"{run}.log")
+        assert data.pairs == pairs
+        for name, (table, features) in zip(TABLES, held):
+            assert getattr(data, name) is table
+            np.testing.assert_array_equal(table.features, features)
+        for name in ("ckpt", "log"):
+            assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
 
     def test_log_identity_every_step(self):
         data = make_dataset(np.random.default_rng(91), 20)
@@ -262,6 +274,54 @@ class TestTrain:
         assert header["n_pairs"] == 8
         assert header["config"]["batch_size"] == 4
         assert [json.loads(x) for x in lines[1:]] == log.records
+
+
+@pytest.fixture
+def tables_alive_at_first_step(monkeypatch):
+    """(weakrefs the test fills with the run's four FeatureTables, and
+    one list per step_gradients call of which of them were alive)."""
+    refs, alive, real = [], [], trainer.step_gradients
+
+    def step(*args):
+        alive.append([ref() is not None for ref in refs])
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "step_gradients", step)
+    return refs, alive
+
+
+class TestTrainHoldsTheAlignedArraysOnly:
+    def test_a_train_data_passed_as_its_only_reference_is_freed_before_the_first_step(
+            self, tables_alive_at_first_step):
+        refs, alive = tables_alive_at_first_step
+
+        def only_reference():
+            data = make_dataset(np.random.default_rng(97), 12)
+            refs.extend(weakref.ref(getattr(data, name)) for name in TABLES)
+            return data
+
+        train(only_reference(), TrainConfig(batch_size=4, epochs=1, d_e=4, d_u=3))
+        assert len(refs) == 4 and alive[0] == [False] * 4
+
+    def test_the_cli_frees_the_tables_it_read_before_the_first_step(
+            self, tmp_path, monkeypatch, tables_alive_at_first_step):
+        refs, alive = tables_alive_at_first_step
+        paths = synth_generate(SynthConfig(n_clusters=2, pairs_per_cluster=6, seed=5,
+                                           d_student_img=5, d_student_txt=6,
+                                           d_teacher_img=7, d_teacher_txt=8), tmp_path)
+        real = dataio.read_features
+
+        def read_features(path):
+            table = real(path)
+            refs.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(dataio, "read_features", read_features)
+        assert cli.main(["train", *(f"--{name.replace('_', '-')}={paths[name]}"
+                                    for name in ("pairs", *TABLES)),
+                         f"--out-ckpt={tmp_path / 'model.ckpt'}", f"--log={tmp_path / 'log'}",
+                         "--batch-size=4", "--epochs=1", "--d-e=4", "--d-u=3"]) == 0
+        assert len(refs) == 4 and alive[0] == [False] * 4
 
 
 class NanWorkspace(Workspace):
