@@ -279,10 +279,14 @@ def rsum(recalls) -> float:
     values = [float(v) for v in recalls]
     if len(values) != 6:
         raise ShapeMismatch(f"rsum expects 6 recall values, got {len(values)}")
+    total = 0.0
     for v in values:
         if not (0.0 <= v <= 100.0):
             raise OutOfRange(f"recall {v} outside [0, 100]")
-    return float(sum(values))
+        # left to right, as _metric_sums adds: builtin sum() of floats is
+        # compensated from Python 3.12 and can differ in the last bit
+        total += v
+    return total
 
 
 def spearman(pred, gold) -> float:

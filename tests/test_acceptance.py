@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import brute_force
 from cusa import cli, gradcheck
 from cusa.dataio import (
     FeatureTable,
@@ -187,40 +188,6 @@ def test_criterion_2_loss_identities():
 # ---------------------------------------------------------------- criterion 3
 
 
-def _oracle_order(scores_row, gallery_ids, skip=None):
-    pairs = [(g, float(s)) for j, (g, s) in enumerate(zip(gallery_ids, scores_row))
-             if j != skip]
-    idx = {g: j for j, g in enumerate(gallery_ids)}
-    return [g for g, _ in sorted(pairs, key=lambda p: (-p[1], idx[p[0]]))]
-
-
-def _oracle_recall(orders, query_ids, rel, k):
-    hits = sum(1 for q, ids in zip(query_ids, orders)
-               if any(g in rel[q] for g in ids[:k]))
-    return hits / len(query_ids)
-
-
-def _oracle_r_precision(orders, query_ids, rel):
-    total = 0.0
-    for q, ids in zip(query_ids, orders):
-        r = sum(1 for g in ids if g in rel[q])
-        total += sum(1 for g in ids[:r] if g in rel[q]) / r
-    return total / len(query_ids)
-
-
-def _oracle_map_at_r(orders, query_ids, rel):
-    total = 0.0
-    for q, ids in zip(query_ids, orders):
-        r = sum(1 for g in ids if g in rel[q])
-        hits, ap = 0, 0.0
-        for rank, g in enumerate(ids[:r], start=1):
-            if g in rel[q]:
-                hits += 1
-                ap += hits / rank
-        total += ap / r
-    return total / len(query_ids)
-
-
 def _random_retrieval_instance(rng, square):
     ng = int(rng.integers(3, 21))
     nq = ng if square else int(rng.integers(2, 9))
@@ -248,19 +215,16 @@ def test_criterion_3_metrics_match_oracles():
         sims, qids, gids, rel = _random_retrieval_instance(rng, square)
         ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel),
                                    exclude_self=square)
-        orders = [_oracle_order(sims[i], gids, skip=i if square else None)
-                  for i in range(len(qids))]
-        for k in (1, min(5, len(orders[0]))):
-            rank_exact &= recall_at_k(ranks, k) == _oracle_recall(orders, qids, rel, k)
-        rank_exact &= r_precision(ranks) == _oracle_r_precision(orders, qids, rel)
-        rank_exact &= map_at_r(ranks) == _oracle_map_at_r(orders, qids, rel)
+        ranked = brute_force.rankings(sims, qids, gids, exclude_self=square)
+        for k in (1, min(5, len(ranked[0][1]))):
+            rank_exact &= recall_at_k(ranks, k) == brute_force.recall(ranked, rel, k)
+        rank_exact &= r_precision(ranks) == brute_force.r_precision(ranked, rel)
+        rank_exact &= map_at_r(ranks) == brute_force.map_at_r(ranked, rel)
         if square:
             emb = l2_normalize_rows(sims + 2.0)
             uni = evaluate_uni_modal(emb, qids, Relevance.from_mapping(rel))
-            self_sims = emb @ emb.T
-            oracle_orders = [_oracle_order(self_sims[i], qids, skip=i)
-                             for i in range(len(qids))]
-            rank_exact &= uni["r_at_1"] == 100.0 * _oracle_recall(oracle_orders, qids, rel, 1)
+            self_ranked = brute_force.rankings(emb @ emb.T, qids, qids, exclude_self=True)
+            rank_exact &= uni["r_at_1"] == 100.0 * brute_force.recall(self_ranked, rel, 1)
 
     spearman_worst = 0.0
     for trial in range(100):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute_force
 import cusa.cli
 import cusa.dataio
 import cusa.losses
@@ -30,7 +31,6 @@ from cusa.dataio import load_checkpoint, read_features, save_checkpoint, write_f
 from cusa.errors import BadMagic, InvalidConfig, NotNormalized, UnknownId
 from cusa.mathops import ZERO_ROW_TOL, l2_normalize_rows
 from cusa.model import init_params, param_segments
-from test_acceptance import _oracle_map_at_r, _oracle_order, _oracle_r_precision, _oracle_recall
 
 SYNTH_FLAGS = ["--clusters", "3", "--pairs-per-cluster", "4",
                "--d-student-img", "6", "--d-student-txt", "6",
@@ -1240,20 +1240,6 @@ def _write_bundle(out: Path, tables: dict, clusters: list) -> tuple:
     return img_ids, txt_ids, rel
 
 
-def _oracle_report(queries, gallery, query_ids, gallery_ids, rel, exclude_self=False) -> dict:
-    """What eval reports for one direction, from criterion 3's brute-force
-    oracles over the similarity matrix."""
-    sims = queries @ gallery.T
-    orders = [_oracle_order(sims[i], gallery_ids, skip=i if exclude_self else None)
-              for i in range(len(query_ids))]
-    recall = {f"r_at_{k}": 100.0 * _oracle_recall(orders, query_ids, rel, k)
-              for k in (1, 5, 10)}
-    if exclude_self:
-        return {"r_at_1": recall["r_at_1"]}
-    return {**recall, "r_precision": _oracle_r_precision(orders, query_ids, rel),
-            "map_at_r": _oracle_map_at_r(orders, query_ids, rel)}
-
-
 def _unit_features(path):
     return l2_normalize_rows(read_features(path).features)
 
@@ -1299,13 +1285,15 @@ def test_hostile_bundle_values_end_in_an_exit_code(data):
                                        "--relevance", bundle["relevance.tsv"]])
         if cross is not None:
             img, txt = (_unit_features(bundle[f"{side}_base.feat"]) for side in ("img", "txt"))
-            for key, want in (("i2t", _oracle_report(img, txt, img_ids, txt_ids, rel)),
-                              ("t2i", _oracle_report(txt, img, txt_ids, img_ids, rel))):
+            for key, sims, query_ids, gallery_ids in (("i2t", img @ txt.T, img_ids, txt_ids),
+                                                      ("t2i", txt @ img.T, txt_ids, img_ids)):
+                want = brute_force.report(brute_force.rankings(sims, query_ids, gallery_ids), rel)
                 assert {k: cross[key][k] for k in want} == want, key
         uni = _ends_in_an_exit_code(["eval", "--task", "img", "--img-emb", bundle["img_base.feat"],
                                      "--relevance", bundle["relevance.tsv"]])
         if uni is not None:
             img = _unit_features(bundle["img_base.feat"])
-            assert uni == _oracle_report(img, img, img_ids, img_ids, rel, exclude_self=True)
+            ranked = brute_force.rankings(img @ img.T, img_ids, img_ids, exclude_self=True)
+            assert uni == {"r_at_1": 100.0 * brute_force.recall(ranked, rel, 1)}
         for argv in _checkpoint_runs(out, ckpt, ",".join(map(str, range(len(clusters))))):
             _ends_in_an_exit_code(argv)

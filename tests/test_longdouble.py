@@ -144,6 +144,19 @@ def test_teacher_targets_match_the_long_double_softmax(batch):
         assert rel_err(h, h_ref, np.log(n)) < RTOL
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="softlabels._distribution forms h as sum(p z) - lse, which cancels "
+                          "(ROADMAP item 14, first use)")
+def test_teacher_entropy_of_a_nearly_one_hot_row_keeps_its_own_size():
+    # row 0's maximum sits about 1e-14 below the matrix maximum; h is
+    # +1.0e-28 where the long-double value is -6.1e-42
+    r = l2_normalize_rows([[1.0, 0.0], [math.cos(3.0), math.sin(3.0)]])
+    h = build_batch_targets(TeacherBatch(r, r), 50.0).h_i2i[0]
+    _, h_ref = targets_reference(r, 50.0)
+    assert rel_err(h, h_ref[0]) < RTOL
+    assert h <= 0.0
+
+
 def test_loss_core_matches_the_long_double_objective(batch):
     (_, teacher_inv_temp, *its, alpha, beta), teacher, logits = batch
     targets = build_batch_targets(teacher, teacher_inv_temp)

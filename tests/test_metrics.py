@@ -1,11 +1,11 @@
-"""Metric suite vs. exhaustive pure-Python oracles.
+"""Metric suite vs. the exhaustive pure-Python oracles of brute_force.
 
-The oracles below re-rank with sorted() and count by hand; agreement is
-asserted exactly (==) for the ranking metrics, matching the contract
-that ranking only depends on order, never on float arithmetic.
+Agreement is asserted exactly (==) for the ranking metrics, matching the
+contract that ranking only depends on order, never on float arithmetic.
 """
 
 import io
+import math
 import os
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import brute_force
 from cusa import metrics, parallel
 from cusa.cli import main
 from cusa.dataio import read_relevance, write_features
@@ -44,41 +45,6 @@ from cusa.metrics import (
 SPEARMAN_TIE_CASE = 0.9486832980505138  # x=(1,2,2,3) vs y=(1,2,3,4)
 
 
-# ---------------------------------------------------------------------------
-# oracles
-# ---------------------------------------------------------------------------
-
-def oracle_order(row, exclude=None):
-    idx = sorted(range(len(row)), key=lambda j: (-row[j], j))
-    return [j for j in idx if j != exclude]
-
-
-def oracle_recall(ranked_ids, rel, k):
-    hits = sum(1 for qid, ids in ranked_ids if len(set(ids[:k]) & rel[qid]) > 0)
-    return hits / len(ranked_ids)
-
-
-def oracle_r_precision(ranked_ids, rel):
-    vals = []
-    for qid, ids in ranked_ids:
-        r = len([g for g in ids if g in rel[qid]])
-        vals.append(len([g for g in ids[:r] if g in rel[qid]]) / r)
-    return sum(vals) / len(vals)
-
-
-def oracle_map_at_r(ranked_ids, rel):
-    vals = []
-    for qid, ids in ranked_ids:
-        r = len([g for g in ids if g in rel[qid]])
-        hits, ap = 0, 0.0
-        for rank, g in enumerate(ids[:r], start=1):
-            if g in rel[qid]:
-                hits += 1
-                ap += hits / rank
-        vals.append(ap / r)
-    return sum(vals) / len(vals)
-
-
 def ranked_ids(scores, query_ids, gallery_ids, exclude_self=False):
     """Each query's full ranking, read back from single-item relevance."""
     out = [[None] * (len(gallery_ids) - exclude_self) for _ in query_ids]
@@ -90,6 +56,15 @@ def ranked_ids(scores, query_ids, gallery_ids, exclude_self=False):
             for pos in r:
                 row[pos] = g
     return out
+
+
+def assert_list_metrics(ranks, ranked, rel):
+    """R@1/5/10, R-Precision and mAP@R of ranks equal the brute-force
+    values of the rankings `ranked` exactly."""
+    for k in (1, 5, 10):
+        assert recall_at_k(ranks, k) == brute_force.recall(ranked, rel, k)
+    assert r_precision(ranks) == brute_force.r_precision(ranked, rel)
+    assert map_at_r(ranks) == brute_force.map_at_r(ranked, rel)
 
 
 def ranks_of(query_ids, ranked_lists, rel):
@@ -260,13 +235,9 @@ def test_ranking_metrics_match_oracles_exactly():
     for trial in range(100):
         sims, qids, gids, rel = random_instance(rng, with_ties=(trial % 2 == 0))
         ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel))
-        oracle_ranked = [(qid, [gids[j] for j in oracle_order(sims[i])])
-                         for i, qid in enumerate(qids)]
+        oracle_ranked = brute_force.rankings(sims, qids, gids)
         assert ranked_ids(sims, qids, gids) == [ids for _, ids in oracle_ranked]
-        for k in (1, 5, 10):
-            assert recall_at_k(ranks, k) == oracle_recall(oracle_ranked, rel, k)
-        assert r_precision(ranks) == oracle_r_precision(oracle_ranked, rel)
-        assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
+        assert_list_metrics(ranks, oracle_ranked, rel)
 
 
 def test_uni_modal_self_exclusion_matches_oracle():
@@ -280,9 +251,8 @@ def test_uni_modal_self_exclusion_matches_oracle():
                for i in range(n)}
         sims = emb @ emb.T
         got = evaluate_uni_modal(emb, ids, Relevance.from_mapping(rel))
-        oracle_ranked = [(ids[i], [ids[j] for j in oracle_order(sims[i], exclude=i)])
-                         for i in range(n)]
-        assert got["r_at_1"] == 100.0 * oracle_recall(oracle_ranked, rel, 1)
+        oracle_ranked = brute_force.rankings(sims, ids, ids, exclude_self=True)
+        assert got["r_at_1"] == 100.0 * brute_force.recall(oracle_ranked, rel, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +266,16 @@ class TestRsum:
 
     def test_zeros(self):
         assert rsum([0.0] * 6) == 0.0
+
+    def test_adds_left_to_right_whatever_builtin_sum_does(self, monkeypatch):
+        # the recalls of the golden cross-relevance eval; from Python 3.12
+        # builtin sum() of floats is compensated, and a compensated sum of
+        # these ends in ...554, not the pinned ...56
+        recalls = [33.33333333333333, 75.0, 94.44444444444444, 22.22222222222222,
+                   83.33333333333334, 97.22222222222221]
+        monkeypatch.setattr(metrics, "sum", math.fsum, raising=False)
+        assert math.fsum(recalls) == 405.55555555555554
+        assert rsum(recalls) == 405.5555555555556
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -397,15 +377,10 @@ class TestEvaluateCrossModal:
         report = evaluate_cross_modal(img, txt, img_ids, txt_ids, Relevance.from_mapping(rel_i2t),
                                       Relevance.from_mapping(rel_t2i))
         sims = img @ txt.T
-        fwd = [(img_ids[i], [txt_ids[j] for j in oracle_order(sims[i])])
-               for i in range(20)]
-        bwd = [(txt_ids[i], [img_ids[j] for j in oracle_order(sims.T[i])])
-               for i in range(20)]
-        assert report["i2t"]["r_at_1"] == 100.0 * oracle_recall(fwd, rel_i2t, 1)
-        assert report["i2t"]["r_at_5"] == 100.0 * oracle_recall(fwd, rel_i2t, 5)
-        assert report["t2i"]["r_at_10"] == 100.0 * oracle_recall(bwd, rel_t2i, 10)
-        assert report["i2t"]["map_at_r"] == oracle_map_at_r(fwd, rel_i2t)
-        assert report["t2i"]["r_precision"] == oracle_r_precision(bwd, rel_t2i)
+        for direction, s, qids, gids, rel in (("i2t", sims, img_ids, txt_ids, rel_i2t),
+                                              ("t2i", sims.T, txt_ids, img_ids, rel_t2i)):
+            want = brute_force.report(brute_force.rankings(s, qids, gids), rel)
+            assert {key: report[direction][key] for key in want} == want, direction
         assert report["i2t"]["map_at_r_pct"] == 100.0 * report["i2t"]["map_at_r"]
         six = [report[d][f"r_at_{k}"] for d in ("i2t", "t2i") for k in (1, 5, 10)]
         assert report["rsum"] == rsum(six)
@@ -486,15 +461,10 @@ class TestBlockBoundaries:
                 rel[qid] = set(rng.choice(others, size=n_rel, replace=False))
                 if rng.random() < 0.5:
                     rel[qid].add(qid)  # excluded under self-exclusion
-            skip = range(nq) if exclude_self else [None] * nq
-            oracle_ranked = [(qid, [gids[j] for j in oracle_order(sims[i], exclude=x)])
-                             for i, (qid, x) in enumerate(zip(qids, skip))]
+            oracle_ranked = brute_force.rankings(sims, qids, gids, exclude_self)
             assert ranked_ids(sims, qids, gids, exclude_self) == [ids for _, ids in oracle_ranked]
             ranks = rank_by_similarity(sims, qids, gids, Relevance.from_mapping(rel), exclude_self)
-            for k in (1, 5, 10):
-                assert recall_at_k(ranks, k) == oracle_recall(oracle_ranked, rel, k)
-            assert r_precision(ranks) == oracle_r_precision(oracle_ranked, rel)
-            assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
+            assert_list_metrics(ranks, oracle_ranked, rel)
 
 
     @staticmethod
@@ -532,22 +502,16 @@ class TestBlockBoundaries:
         sims = img @ txt.T
         for direction, s, qids, gids, rel in (("i2t", sims, img_ids, txt_ids, rel_i2t),
                                               ("t2i", sims.T, txt_ids, img_ids, rel_t2i)):
-            oracle_ranked = [(q, [gids[j] for j in oracle_order(s[i])])
-                             for i, q in enumerate(qids)]
-            got = report[direction]
-            for k in (1, 5, 10):
-                assert got[f"r_at_{k}"] == 100.0 * oracle_recall(oracle_ranked, rel, k)
-            assert got["r_precision"] == oracle_r_precision(oracle_ranked, rel)
-            assert got["map_at_r"] == oracle_map_at_r(oracle_ranked, rel)
+            want = brute_force.report(brute_force.rankings(s, qids, gids), rel)
+            assert {key: report[direction][key] for key in want} == want, direction
 
         rel = {q: (ids - {q}) | {img_ids[(i + 1) % n]} for i, (q, ids)
                in enumerate(self.relevance(rng, img_ids, img_ids).items())}
         rel[img_ids[0]].add(img_ids[0])  # the query itself is never ranked
         got = evaluate_uni_modal(img, img_ids, Relevance.from_mapping(rel))
         sims = img @ img.T
-        oracle_ranked = [(q, [img_ids[j] for j in oracle_order(sims[i], exclude=i)])
-                         for i, q in enumerate(img_ids)]
-        assert got["r_at_1"] == 100.0 * oracle_recall(oracle_ranked, rel, 1)
+        oracle_ranked = brute_force.rankings(sims, img_ids, img_ids, exclude_self=True)
+        assert got["r_at_1"] == 100.0 * brute_force.recall(oracle_ranked, rel, 1)
 
 
 def test_eval_holds_no_score_matrix():
@@ -761,15 +725,10 @@ def check_against_oracles(instances, exclude_self, path):
                         encoding="utf-8")
         ranks = rank_by_similarity(sims, qids, gids, read_relevance(path), exclude_self)
         rel = {q: set(ids) for q, ids in lines.items()}
-        oracle_ranked = [(qid, [gids[j] for j in oracle_order(sims[i], i if exclude_self
-                                                               else None)])
-                         for i, qid in enumerate(qids)]
+        oracle_ranked = brute_force.rankings(sims, qids, gids, exclude_self)
         assert [r.tolist() for r in ranks] == [
             [pos for pos, g in enumerate(ids) if g in rel[q]] for q, ids in oracle_ranked]
-        for k in (1, 5, 10):
-            assert recall_at_k(ranks, k) == oracle_recall(oracle_ranked, rel, k)
-        assert r_precision(ranks) == oracle_r_precision(oracle_ranked, rel)
-        assert map_at_r(ranks) == oracle_map_at_r(oracle_ranked, rel)
+        assert_list_metrics(ranks, oracle_ranked, rel)
 
     check()
 

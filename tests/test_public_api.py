@@ -1,5 +1,6 @@
 """The package's public names resolve, and so do those README names and
-README's gradcheck keys."""
+README's gradcheck keys; the test and benchmark modules have distinct
+names."""
 
 import ast
 import importlib
@@ -23,6 +24,14 @@ def test_exported_names_resolve():
     for module in (cusa, cusa.losses):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_test_and_benchmark_module_names_are_disjoint():
+    # pytest's default prepend import mode puts both directories on
+    # sys.path, so a module name present in both silently imports one of them
+    stems = [{path.stem for path in (README.parent / d).glob("*.py")}
+             for d in ("tests", "benchmarks")]
+    assert not stems[0] & stems[1]
 
 
 def _library_example(text: str) -> str:
